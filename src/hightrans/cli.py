@@ -201,7 +201,11 @@ def cmd_verify(args):
         if problem.graph is None:
             print("verify: FAIL (certificate references a graph reduction)")
             return EXIT_FAIL
-        gamma = graphs.reduce_edge(problem.graph, source["edge"]).gamma
+        try:
+            gamma = graphs.reduce_edge(problem.graph, source["edge"]).gamma
+        except ValueError as exc:
+            print(f"verify: FAIL ({exc})")
+            return EXIT_FAIL
     elif "target" in source:
         gamma = problem.groups.get(source["target"])
         if gamma is None:

@@ -24,7 +24,6 @@ re-check everything without re-running any search.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 from .action import (IntertwinerState, LevelAction, Point, StateError,
@@ -51,7 +50,6 @@ class DeferredRequirement(Exception):
 class Budget:
     steps: int
     witness_radius: int = 64
-    wall_clock: float | None = None
 
     def as_dict(self):
         return {"steps": self.steps, "witness_radius": self.witness_radius}
@@ -83,7 +81,7 @@ class EngineProblem:
         return IntertwinerState.for_group(self.gamma)
 
 
-def _check_tuples(xs, ys):
+def _check_tuples(state, xs, ys):
     if len(xs) != len(ys):
         raise ValueError("transitivity tuples must have the same length")
     if not xs:
@@ -93,16 +91,55 @@ def _check_tuples(xs, ys):
     levels = {p.level for p in xs} | {p.level for p in ys}
     if len(levels) != 1:
         raise ValueError("tuple entries must share one level")
-    return levels.pop()
+    level = levels.pop()
+    if level in state.frozen:
+        raise ValueError(f"level {level} is frozen")
+    return level
 
 
-def _committed_anchor_points(state):
-    pts = []
-    for srep in sorted(state.anchors, key=Point.sort_key):
-        x0, y0 = state.anchors[srep]
-        pts.append(x0)
-        pts.append(y0)
-    return pts
+def transitivity_batch(problem, state, xs, ys, witnesses, zs):
+    """The swap batch and the mover of one transitivity step; pure.
+
+    Amalgam mode, witnesses g1, g2 in the left factor and h in the right
+    one, fresh classes zs: the four-way swap of g1 xs, zs, g2^-1 ys and
+    h zs, mover g2 h g1.  HNN mode, witnesses g, h in the base: the
+    two-way swap of h xs with g^-1 ys, mover g t h.  The builder and the
+    verifier both take the batch and the mover from here.
+    """
+    gamma = problem.gamma
+    if problem.mode == "amalgam":
+        g1, g2, h = witnesses["g1"], witnesses["g2"], witnesses["h"]
+        g1x = [problem.action_left.act(g1, x) for x in xs]
+        g2y = [problem.action_left.act(g2.inverse(), y) for y in ys]
+        hz = [problem.action_right.act(h, z) for z in zs]
+        batch = [*zip(g1x, zs), *zip(g2y, hz), *zip(zs, g1x), *zip(hz, g2y)]
+        return batch, gamma.include(0, g2) * gamma.include(1, h) * gamma.include(0, g1)
+    g, h = witnesses["g"], witnesses["h"]
+    ginv_y = [problem.action_neg.act(g.inverse(), y) for y in ys]
+    hx = [problem.action_pos.act(h, x) for x in xs]
+    batch = [*zip(hx, ginv_y),
+             *((state.default_preimage(b), state.default_image(a)) for a, b in zip(hx, ginv_y))]
+    return batch, gamma.include(g) * gamma.stable() * gamma.include(h)
+
+
+def _pin_mover(state, mover, xs, ys):
+    """Evaluate the mover on xs, pinning every default orbit it touches;
+    returns the pinned pairs and the first entry not carried to its
+    target (None when every entry is)."""
+    auto = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        if evaluate_pi(state, mover, x, commit=True, log=auto) != y:
+            return auto, k
+    return auto, None
+
+
+def _discharge(problem, state, xs, ys, witnesses, zs):
+    batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
+    state.commit_batch(batch)
+    auto, lost = _pin_mover(state, mover, xs, ys)
+    if lost is not None:
+        raise EngineError(f"postcondition failed at entry {lost}")
+    return mover, {key: str(w) for key, w in witnesses.items()}, zs, batch, auto
 
 
 def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
@@ -112,55 +149,31 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
     the four families of orbits are fresh and pairwise disjoint, commits the
     four-way swap batch, and returns the mover g2 h g1.
     """
-    level = _check_tuples(xs, ys)
-    if level in state.frozen:
-        raise ValueError(f"level {level} is frozen")
-    gamma = problem.gamma
-    n = len(xs)
-    protect = _committed_anchor_points(state)
+    level = _check_tuples(state, xs, ys)
+    protect = [p for srep in sorted(state.anchors, key=Point.sort_key)
+               for p in state.anchors[srep]]
     f1 = protect + list(xs) + list(ys)
     g1 = search_E_set(problem.action_left, xs, f1, witness_radius)
     if g1 is None:
         raise DeferredRequirement(
             f"no left-factor witness for the source tuple within radius {witness_radius}")
-    g1x = [problem.action_left.act(g1, x) for x in xs]
-    f2 = f1 + g1x
+    f2 = f1 + [problem.action_left.act(g1, x) for x in xs]
     g2inv = search_E_set(problem.action_left, ys, f2, witness_radius)
     if g2inv is None:
         raise DeferredRequirement(
             f"no left-factor witness for the target tuple within radius {witness_radius}")
-    g2y = [problem.action_left.act(g2inv, y) for y in ys]
-    zs = allocate_fresh_orbits(state, n, avoid=f2 + g2y, level=level)
-    f3 = f2 + g2y + list(zs)
-    h = search_E_set(problem.action_right, zs, f3, witness_radius)
+    f3 = f2 + [problem.action_left.act(g2inv, y) for y in ys]
+    zs = allocate_fresh_orbits(state, len(xs), avoid=f3, level=level)
+    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius)
     if h is None:
         raise DeferredRequirement(
             f"no right-factor witness for the fresh classes within radius {witness_radius}")
-    hz = [problem.action_right.act(h, z) for z in zs]
-
-    batch = ([(g1x[k], zs[k]) for k in range(n)]
-             + [(g2y[k], hz[k]) for k in range(n)]
-             + [(zs[k], g1x[k]) for k in range(n)]
-             + [(hz[k], g2y[k]) for k in range(n)])
-    state.commit_batch(batch)
-    g2 = g2inv.inverse()
-    mover = gamma.include(0, g2) * gamma.include(1, h) * gamma.include(0, g1)
-    auto = []
-    for k in range(n):
-        got = evaluate_pi(state, mover, xs[k], commit=True, log=auto)
-        if got != ys[k]:
-            raise EngineError(f"postcondition failed at entry {k}: {got!r} != {ys[k]!r}")
-    witnesses = {"g1": str(g1), "g2": str(g2), "h": str(h)}
-    return mover, witnesses, zs, batch, auto
+    return _discharge(problem, state, xs, ys, {"g1": g1, "g2": g2inv.inverse(), "h": h}, zs)
 
 
 def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     """One extension step in HNN mode: mover g t h with a two-way swap batch."""
-    level = _check_tuples(xs, ys)
-    if level in state.frozen:
-        raise ValueError(f"level {level} is frozen")
-    gamma = problem.gamma
-    n = len(xs)
+    _check_tuples(state, xs, ys)
     dst_protect, src_protect = [], []
     for srep in sorted(state.anchors, key=Point.sort_key):
         x0, y0 = state.anchors[srep]
@@ -171,28 +184,13 @@ def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     if ginv is None:
         raise DeferredRequirement(
             f"no witness for the target tuple within radius {witness_radius}")
-    ginv_y = [problem.action_neg.act(ginv, y) for y in ys]
-    g = ginv.inverse()
     f_src = (src_protect + list(xs) + list(ys)
-             + [state.default_preimage(p) for p in ginv_y])
+             + [state.default_preimage(problem.action_neg.act(ginv, y)) for y in ys])
     h = search_E_set(problem.action_pos, xs, f_src, witness_radius)
     if h is None:
         raise DeferredRequirement(
             f"no witness for the source tuple within radius {witness_radius}")
-    hx = [problem.action_pos.act(h, x) for x in xs]
-
-    batch = ([(hx[k], ginv_y[k]) for k in range(n)]
-             + [(state.default_preimage(ginv_y[k]), state.default_image(hx[k]))
-                for k in range(n)])
-    state.commit_batch(batch)
-    mover = gamma.include(g) * gamma.stable() * gamma.include(h)
-    auto = []
-    for k in range(n):
-        got = evaluate_pi(state, mover, xs[k], commit=True, log=auto)
-        if got != ys[k]:
-            raise EngineError(f"postcondition failed at entry {k}: {got!r} != {ys[k]!r}")
-    witnesses = {"g": str(g), "h": str(h)}
-    return mover, witnesses, [], batch, auto
+    return _discharge(problem, state, xs, ys, {"g": ginv.inverse(), "h": h}, [])
 
 
 def extend_transitivity(problem, state, xs, ys, witness_radius=64):
@@ -294,6 +292,10 @@ def _parse_point(gamma, data):
     return Point(parse_word(gamma, data[0]), data[1])
 
 
+def _parse_pairs(gamma, data):
+    return [(_parse_point(gamma, a), _parse_point(gamma, b)) for a, b in data]
+
+
 def run_schedule(problem, budget, problem_key=""):
     """Dovetail requirements within the step budget and emit a certificate.
 
@@ -307,11 +309,7 @@ def run_schedule(problem, budget, problem_key=""):
     points = _PointTable(problem.gamma)
     stream = requirement_stream(problem)
     steps, deferred = [], []
-    started = time.monotonic()
     for index in range(budget.steps):
-        if budget.wall_clock is not None and time.monotonic() - started > budget.wall_clock:
-            deferred.append({"index": index, "diagnostic": "wall clock budget exhausted"})
-            break
         req = next(stream)
         if req.kind == "transitivity":
             n, it, jt = req.payload
@@ -424,36 +422,21 @@ def verify_certificate(gamma, cert):
     return ok
 
 
+# the factor each recorded witness is parsed in, per mode
+_WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
+                    "hnn": (("g", "base"), ("h", "base"))}
+
+
 def _verify_transitivity_step(problem, state, step):
     gamma = problem.gamma
     xs = [_parse_point(gamma, p) for p in step["xs"]]
     ys = [_parse_point(gamma, p) for p in step["ys"]]
-    n = len(xs)
-    wit = step["witnesses"]
-    if problem.mode == "amalgam":
-        g1 = parse_word(gamma.left, wit["g1"])
-        g2 = parse_word(gamma.left, wit["g2"])
-        h = parse_word(gamma.right, wit["h"])
-        zs = [_parse_point(gamma, p) for p in step["zs"]]
-        g1x = [problem.action_left.act(g1, x) for x in xs]
-        g2y = [problem.action_left.act(g2.inverse(), y) for y in ys]
-        hz = [problem.action_right.act(h, z) for z in zs]
-        expected_batch = ([(g1x[k], zs[k]) for k in range(n)]
-                          + [(g2y[k], hz[k]) for k in range(n)]
-                          + [(zs[k], g1x[k]) for k in range(n)]
-                          + [(hz[k], g2y[k]) for k in range(n)])
-        mover = gamma.include(0, g2) * gamma.include(1, h) * gamma.include(0, g1)
-    else:
-        g = parse_word(gamma.base, wit["g"])
-        h = parse_word(gamma.base, wit["h"])
-        ginv_y = [problem.action_neg.act(g.inverse(), y) for y in ys]
-        hx = [problem.action_pos.act(h, x) for x in xs]
-        expected_batch = ([(hx[k], ginv_y[k]) for k in range(n)]
-                          + [(state.default_preimage(ginv_y[k]), state.default_image(hx[k]))
-                             for k in range(n)])
-        mover = gamma.include(g) * gamma.stable() * gamma.include(h)
-    recorded_batch = [(_parse_point(gamma, a), _parse_point(gamma, b))
-                      for a, b in step["batch"]]
+    zs = [_parse_point(gamma, p) for p in step["zs"]]
+    _check_tuples(state, xs, ys)
+    witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
+                 for key, factor in _WITNESS_FACTORS[problem.mode]}
+    expected_batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
+    recorded_batch = _parse_pairs(gamma, step["batch"])
     if recorded_batch != expected_batch:
         return False, "batch does not match the recorded witnesses"
     try:
@@ -462,16 +445,14 @@ def _verify_transitivity_step(problem, state, step):
         return False, f"batch rejected: {exc}"
     if parse_word(gamma, step["mover"]) != mover:
         return False, "mover does not match the recorded witnesses"
-    auto = []
-    for k in range(n):
-        got = evaluate_pi(state, mover, xs[k], commit=True, log=auto)
-        if got != ys[k]:
-            return False, f"mover does not carry entry {k} to its target"
-    recorded_auto = [(_parse_point(gamma, a), _parse_point(gamma, b))
-                     for a, b in step["auto"]]
-    if auto != recorded_auto:
+    auto, lost = _pin_mover(state, mover, xs, ys)
+    if lost is not None:
+        return False, f"mover does not carry entry {lost} to its target"
+    if auto != _parse_pairs(gamma, step["auto"]):
         return False, "auto-pinned orbits do not match the recording"
-    if not state.check_equivariance():
+    # anchors are committed only here, and never change afterwards, so the
+    # law needs checking once per anchor: at the pairs this step committed
+    if not state.check_equivariance(recorded_batch + auto):
         return False, "equivariance fails at a committed anchor"
     for a, b in recorded_batch:
         if a.level != b.level:

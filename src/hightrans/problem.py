@@ -260,4 +260,7 @@ def emit_certificate(cert, path):
 
 def load_certificate(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cert = json.load(fh)
+    if not isinstance(cert, dict):
+        raise ValueError("a certificate must be a JSON object")
+    return cert

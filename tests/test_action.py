@@ -92,6 +92,16 @@ def test_committed_orbit_equivariance(amalgam_state):
     assert amalgam_state.check_equivariance()
 
 
+def test_check_equivariance_at_given_anchors(amalgam_state):
+    surface = amalgam_state.gamma
+    x = Point(surface.generator("a1"), 0)
+    y = Point(surface.generator("b1"), 0)
+    amalgam_state.commit_batch([(x, y), (y, x)])
+    assert amalgam_state.check_equivariance([(x, y)])
+    assert amalgam_state.check_equivariance([])
+    assert not amalgam_state.check_equivariance([(x, x)])
+
+
 def test_swap_batch_and_inverse(amalgam_state, rng):
     surface = amalgam_state.gamma
     x = Point(surface.generator("a1"), 0)

@@ -1,0 +1,99 @@
+"""Certificate bytes as the behaviour contract, and the replay invariants
+that let the verifier check each anchor only when it is committed."""
+
+import copy
+import hashlib
+
+import pytest
+
+from hightrans import cli
+from hightrans.engine import Budget, run_schedule, verify_certificate_report
+from hightrans.problem import canonical_text, load_certificate, parse_problem
+
+from conftest import problem_path
+
+
+PINNED_BUDGET = 40
+
+# SHA-256 of canonical_text of `hightrans build problems/<name>.json --budget 40`
+PINNED = {
+    "pi1-sigma2": "4e5740add9963ccef76e1db5e3a2bee85f0a634caa406465f59412955f05155a",
+    "gaussian-hnn": "8383b17280fb0759ee2e6bbdb21a7821c266ccf673c1b5ec261b0eefa4bf7fc1",
+    "free2-hnn": "d1d08f35a6ab25888238f69f47961aca2b64fa4958aa67fd7fb7e961c8bce246",
+    "z-star-z": "ed17f7318ea8a69860f799248fd98ed29c99854128843274280cc7e24f716330",
+    "bs12": "46eea18d9941458a4cfd1b826c5b61a5ace20c050ec4cf18f8805e1567548e84",
+    "z2-z3": "46d99695a390a012c8638cecc06b73736e9b3ed6ae6145a5633cd2fb488fbd39",
+    "theta": "64a27410e0dcca6ac1e178a709eade408a98595bc30fc8ed58a881701bc66758",
+    "planted-finite-vertex": "8877d972ea616c390e70e245edf7a5a1c9a6228005ef41ba7c18a9321dede05c",
+    "planted-finite-index-edge": "5654a00e1620959e4951ea2da2fe52832c1058905b5c6147aacbe05cf682d75e",
+}
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """Certificate path of every bundled problem at the pinned budget."""
+    out = tmp_path_factory.mktemp("certs")
+    paths = {}
+    for name in PINNED:
+        path = str(out / f"{name}.json")
+        rc = cli.main(["build", problem_path(f"{name}.json"),
+                       "--budget", str(PINNED_BUDGET), "--out", path])
+        assert rc in (cli.EXIT_PASS, cli.EXIT_UNDECIDED)
+        paths[name] = path
+    return paths
+
+
+@pytest.fixture(scope="module")
+def long_surface():
+    """pi1-sigma2 at 200 steps and a fresh group to replay it in."""
+    problem = parse_problem(problem_path("pi1-sigma2.json"))
+    cert = run_schedule(problem.build_group(), Budget(steps=200), "k")
+    assert cert["deferred"] == []
+    return cert, problem.build_group
+
+
+def _pairs(entries):
+    return [tuple(map(tuple, pair)) for pair in entries]
+
+
+def _committed_pairs(cert):
+    out = []
+    for step in cert["steps"]:
+        if step["kind"] == "transitivity":
+            out += _pairs(step["batch"]) + _pairs(step["auto"])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_certificate_bytes_pinned(name, built):
+    text = canonical_text(load_certificate(built[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+    rc = cli.main(["verify", problem_path(f"{name}.json"), built[name]])
+    assert rc == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_transitivity_steps_commit_every_anchor_once(name, built):
+    cert = load_certificate(built[name])
+    committed = _committed_pairs(cert)
+    assert sorted(committed) == sorted(_pairs(cert["final_state"]["anchors"]))
+
+
+def test_long_certificate_commits_every_anchor_once(long_surface):
+    cert, factory = long_surface
+    committed = _committed_pairs(cert)
+    assert len(committed) > 500
+    assert sorted(committed) == sorted(_pairs(cert["final_state"]["anchors"]))
+    ok, reason = verify_certificate_report(factory(), cert)
+    assert ok, reason
+
+
+def test_verify_names_early_tampered_step(long_surface):
+    cert, factory = long_surface
+    tampered = copy.deepcopy(cert)
+    trans = [s for s in tampered["steps"] if s["kind"] == "transitivity"]
+    step = trans[1]
+    step["batch"][0][1][0] = "b2^3"
+    ok, reason = verify_certificate_report(factory(), tampered)
+    assert not ok
+    assert reason.startswith(f"step {step['index']}: ")

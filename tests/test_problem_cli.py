@@ -197,6 +197,30 @@ def test_cli_verify_rejects_tampered(tmp_path, capsys):
     assert rc == 2 and "FAIL" in out
 
 
+def test_cli_verify_rejects_non_object_certificate(tmp_path, capsys):
+    cert_path = tmp_path / "list.json"
+    cert_path.write_text("[]")
+    rc = cli.main(["verify", problem_path("z-star-z.json"), str(cert_path)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "cannot load certificate" in err
+    with pytest.raises(ValueError, match="JSON object"):
+        load_certificate(str(cert_path))
+
+
+def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
+    cert_path = tmp_path / "out.json"
+    rc = cli.main(["build", problem_path("theta.json"), "--budget", "4",
+                   "--out", str(cert_path)])
+    assert rc == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["source"]["edge"] = "nope"
+    cert_path.write_text(json.dumps(cert))
+    rc = cli.main(["verify", problem_path("theta.json"), str(cert_path)])
+    out = capsys.readouterr().out
+    assert rc == 2 and "verify: FAIL" in out and "nope" in out
+
+
 def test_cli_build_deferred_exit_code(tmp_path, capsys):
     bad = {
         "groups": {
