@@ -30,15 +30,13 @@ from .groups import (
     OwnerMismatch,
     SemidirectGroup,
     UndecidedError,
-    compose,
     cyclic_group,
     enumerate_ball,
     equal,
-    invert,
     symmetric_group,
     trivial_group,
 )
-from .embeddings import Embedding, apply_embedding, coset_decompose, subgroup_contains
+from .embeddings import Embedding, coset_decompose, subgroup_contains
 from .normal_forms import (
     amalgam_reduce,
     britton_reduce,

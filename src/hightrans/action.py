@@ -62,10 +62,6 @@ def orbit_rep(embedding, point):
     return Point(embedding.rep(point.g), point.level)
 
 
-def same_orbit(embedding, a, b):
-    return a.level == b.level and orbit_rep(embedding, a) == orbit_rep(embedding, b)
-
-
 class LevelAction:
     """A group acting on X = Gamma x N through an inclusion, together with
     the subgroup whose orbits the searches reason about."""
@@ -154,9 +150,6 @@ class IntertwinerState:
 
     def dst_orbit(self, x):
         return orbit_rep(self.sigma_dst, x)
-
-    def is_committed(self, x):
-        return self.src_orbit(x) in self.anchors
 
     # -- evaluation -----------------------------------------------------------
 

@@ -64,13 +64,25 @@ def build_parser():
     return parser
 
 
+def _usage_error(exc):
+    for err in exc.errors:
+        print(f"error: {err}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _load(path):
     try:
         return parse_problem(path)
     except ProblemError as exc:
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(exc)
+
+
+def _build_group(problem, edge):
+    """The acting group and its source tag, for ``--edge`` or the default."""
+    try:
+        return problem.build_group(None if edge is None else {"edge": edge})
+    except ProblemError as exc:
+        _usage_error(exc)
 
 
 def _status_exit(statuses):
@@ -124,18 +136,13 @@ def cmd_reduce(args):
         print("error: the problem file has no graph section", file=sys.stderr)
         return EXIT_USAGE
     graph = problem.graph
-    edge = args.edge or graphs.choose_reduction_edge(graph)
-    try:
-        reduced = graphs.reduce_edge(graph, edge)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"reduce {graph.name} at edge {edge}: {reduced.kind} problem, "
-          f"group {reduced.gamma.name}")
-    if reduced.kind == "hnn":
-        print(f"  base: {reduced.gamma.base.name} ({reduced.gamma.base.kind})")
+    gamma, source = _build_group(problem, args.edge)
+    print(f"reduce {graph.name} at edge {source['edge']}: {gamma.kind} problem, "
+          f"group {gamma.name}")
+    if gamma.kind == "hnn":
+        print(f"  base: {gamma.base.name} ({gamma.base.kind})")
     else:
-        print(f"  left: {reduced.gamma.left.name}, right: {reduced.gamma.right.name}")
+        print(f"  left: {gamma.left.name}, right: {gamma.right.name}")
     bounds = args.bounds or problem.bounds
     report = graphs.validate_main_hypotheses(graph, bounds)
     for vid, entry in sorted(report["vertices"].items()):
@@ -150,26 +157,15 @@ def cmd_reduce(args):
     return _status_exit([report["overall"]])
 
 
-def _resolve_build_group(problem, edge):
-    if problem.graph is not None:
-        chosen = edge or graphs.choose_reduction_edge(problem.graph)
-        return graphs.reduce_edge(problem.graph, chosen).gamma, {"edge": chosen}
-    if problem.target is not None:
-        gamma = problem.groups[problem.target]
-        return gamma, {"target": problem.target}
-    print("error: the problem file has neither graph nor target", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
 def cmd_build(args):
     problem = _load(args.problem)
-    gamma, source = _resolve_build_group(problem, args.edge)
+    gamma, source = _build_group(problem, args.edge)
     steps = args.budget if args.budget is not None else problem.budget.steps
     budget = Budget(steps=steps, witness_radius=problem.budget.witness_radius)
     cert = run_schedule(gamma, budget, problem.digest())
     cert["source"] = source
     if args.seedless:
-        gamma2, _ = _resolve_build_group(problem, args.edge)
+        gamma2, _ = problem.build_group(source)
         cert2 = run_schedule(gamma2, budget, problem.digest())
         cert2["source"] = source
         if canonical_text(cert) != canonical_text(cert2):
@@ -196,23 +192,11 @@ def cmd_verify(args):
     if cert.get("problem") != problem.digest():
         print("verify: FAIL (certificate was issued for a different problem)")
         return EXIT_FAIL
-    source = cert.get("source", {})
-    if "edge" in source:
-        if problem.graph is None:
-            print("verify: FAIL (certificate references a graph reduction)")
-            return EXIT_FAIL
-        try:
-            gamma = graphs.reduce_edge(problem.graph, source["edge"]).gamma
-        except ValueError as exc:
-            print(f"verify: FAIL ({exc})")
-            return EXIT_FAIL
-    elif "target" in source:
-        gamma = problem.groups.get(source["target"])
-        if gamma is None:
-            print("verify: FAIL (certificate references an unknown target)")
-            return EXIT_FAIL
-    else:
-        gamma, _ = _resolve_build_group(problem, None)
+    try:
+        gamma, _ = problem.build_group(cert.get("source"))
+    except ProblemError as exc:
+        print(f"verify: FAIL ({exc})")
+        return EXIT_FAIL
     ok, reason = verify_certificate_report(gamma, cert)
     print(f"verify: {'OK' if ok else 'FAIL'} ({reason})")
     return EXIT_PASS if ok else EXIT_FAIL

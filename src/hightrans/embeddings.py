@@ -45,12 +45,6 @@ def _is_infinite_cyclic(g):
     return (g.kind == "free_abelian" or g.kind == "free") and g.rank == 1
 
 
-def _source_coords(src, s):
-    if src.kind == "free_abelian":
-        return s.payload
-    return (s.payload[0][1],) if s.payload else (0,)
-
-
 def _source_from_coords(src, coords):
     if src.kind == "free_abelian":
         return Element(src, tuple(coords))
@@ -499,7 +493,3 @@ def subgroup_contains(embedding, g):
 def coset_decompose(embedding, g):
     """g = e(s) * r with r the canonical right-transversal representative."""
     return embedding.decompose(g)
-
-
-def apply_embedding(embedding, s):
-    return embedding.apply(s)

@@ -116,18 +116,6 @@ def gaussian_hnn():
     return HnnGroup("GaussHNN", h, e_plain, e_conj, "t")
 
 
-def gaussian_amalgam():
-    """(Z4 |x Z^2) *_(Z4) (Z4 |x Z^2), the units amalgamated."""
-    h1 = gaussian_units_semidirect()
-    h2raw = gaussian_units_semidirect()
-    h2 = SemidirectGroup("GaussAff2", cyclic_group("U4b", 4, "j"), ("p", "q"),
-                         {k: h2raw.matrices[k] for k in range(4)})
-    u4 = cyclic_group("U4c", 4, "i")
-    e1 = Embedding("gam.l", u4, h1, [h1.generator("i")])
-    e2 = Embedding("gam.r", u4, h2, [h2.generator("j")])
-    return AmalgamGroup("GaussAmalgam", h1, h2, e1, e2)
-
-
 def commutator_subgroup_embedding(f=None):
     """<[a,b]> inside the free group on a, b."""
     if f is None:

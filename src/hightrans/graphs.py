@@ -53,28 +53,8 @@ class GraphOfGroups:
                 raise ValueError(f"{name}: edge {e.id!r} source map lands in the wrong group")
             if e.range_map.target is not self.vertices[e.range]:
                 raise ValueError(f"{name}: edge {e.id!r} range map lands in the wrong group")
-        if self._components() != 1:
+        if len(_reach(self, self.base)) != len(self.vertices):
             raise ValueError(f"{name}: the underlying graph must be connected")
-
-    def _components(self, skip=()):
-        seen = set()
-        comps = 0
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comps += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for e in self.edges:
-                    if e.id in skip:
-                        continue
-                    for a, b in ((e.source, e.range), (e.range, e.source)):
-                        if a == v and b not in seen:
-                            seen.add(b)
-                            stack.append(b)
-        return comps
 
     def edge(self, edge_id):
         for e in self.edges:
@@ -83,23 +63,30 @@ class GraphOfGroups:
         raise ValueError(f"{self.name}: no edge {edge_id!r}")
 
 
+def _reach(graph, start, skip=None):
+    """Breadth-first walk from ``start``, leaving out edge ``skip``: each
+    reached vertex, in the order reached, mapped to the id of the edge that
+    first reached it (``None`` for ``start``).  Each vertex tries its edges
+    in declaration order."""
+    adjacent = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        if e.id != skip:
+            adjacent[e.source].append((e.id, e.range))
+            adjacent[e.range].append((e.id, e.source))
+    reached = {start: None}
+    queue = [start]
+    for v in queue:
+        for edge_id, w in adjacent[v]:
+            if w not in reached:
+                reached[w] = edge_id
+                queue.append(w)
+    return reached
+
+
 def spanning_tree(graph):
     """Edge ids of the breadth-first spanning tree from the base vertex,
     edges considered in declaration order."""
-    seen = {graph.base}
-    tree = []
-    frontier = [graph.base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in graph.edges:
-                for a, b in ((e.source, e.range), (e.range, e.source)):
-                    if a == v and b not in seen:
-                        seen.add(b)
-                        tree.append(e.id)
-                        nxt.append(b)
-        frontier = nxt
-    return tree
+    return list(_reach(graph, graph.base).values())[1:]
 
 
 @dataclass
@@ -143,8 +130,7 @@ def reduce_edge(graph, edge_id):
     edge group.
     """
     e = graph.edge(edge_id)
-    remaining = [x for x in graph.edges if x.id != edge_id]
-    comp = _reach(graph, e.source, remaining)
+    comp = _reach(graph, e.source, skip=edge_id)
     if e.range in comp:
         sub = _subgraph(graph, graph.vertices, edge_id, graph.base)
         base_handle, incl = _fundamental_group(sub)
@@ -155,7 +141,7 @@ def reduce_edge(graph, edge_id):
         inclusions = {v: _chain(incl[v], gamma.include) for v in graph.vertices}
         return HNNProblem(gamma, edge_id, inclusions)
     left_vs = sorted(comp)
-    right_vs = sorted(set(graph.vertices) - comp)
+    right_vs = sorted(set(graph.vertices).difference(comp))
     left_sub = _subgraph(graph, left_vs, edge_id, e.source)
     right_sub = _subgraph(graph, right_vs, edge_id, e.range)
     left_handle, incl_l = _fundamental_group(left_sub)
@@ -174,19 +160,6 @@ def reduce_edge(graph, edge_id):
 
 def _chain(first, second):
     return lambda x: second(first(x))
-
-
-def _reach(graph, start, edges):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in edges:
-            for a, b in ((e.source, e.range), (e.range, e.source)):
-                if a == v and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-    return seen
 
 
 def _fundamental_group(graph):
@@ -214,8 +187,7 @@ def choose_reduction_edge(graph):
     if not graph.edges:
         raise ValueError(f"{graph.name}: no edges to reduce")
     for e in graph.edges:
-        remaining = [x for x in graph.edges if x.id != e.id]
-        if e.range not in _reach(graph, e.source, remaining):
+        if e.range not in _reach(graph, e.source, skip=e.id):
             return e.id
     return graph.edges[0].id
 

@@ -77,7 +77,7 @@ class Element:
         return Element(self.owner, self.owner.multiply(self.payload, other.payload))
 
     def inverse(self):
-        return Element(self.owner, self.owner.invert(self.payload))
+        return Element(self.owner, self.owner.inverse_payload(self.payload))
 
     def __pow__(self, n):
         if n < 0:
@@ -146,7 +146,7 @@ def format_word(word):
 class Group:
     """Base class for group handles.
 
-    Subclass contract: ``multiply``, ``invert``, ``identity_payload``,
+    Subclass contract: ``multiply``, ``inverse_payload``, ``identity_payload``,
     ``is_identity_payload``, ``spell`` and ``structural`` operate on
     payloads and must keep results in canonical normal form.
     """
@@ -168,7 +168,7 @@ class Group:
     def multiply(self, p, q):
         raise NotImplementedError
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         raise NotImplementedError
 
     def identity_payload(self):
@@ -360,7 +360,7 @@ class FiniteGroup(Group):
     def multiply(self, p, q):
         return self.table[p][q]
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         return self.inv_table[p]
 
     def identity_payload(self):
@@ -404,11 +404,11 @@ def symmetric_group(name, degree, labels=None):
     perms = sorted(_it.permutations(range(degree)))
     index = {p: i for i, p in enumerate(perms)}
 
-    def compose(p, q):
+    def after(p, q):
         # apply q first, then p
         return tuple(p[q[k]] for k in range(degree))
 
-    table = [[index[compose(p, q)] for q in perms] for p in perms]
+    table = [[index[after(p, q)] for q in perms] for p in perms]
     gens = []
     for k in range(degree - 1):
         t = list(range(degree))
@@ -439,7 +439,7 @@ class FreeAbelianGroup(Group):
     def multiply(self, p, q):
         return tuple(a + b for a, b in zip(p, q))
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         return tuple(-a for a in p)
 
     def identity_payload(self):
@@ -492,7 +492,7 @@ class FreeGroup(Group):
                 word.append((gen, exp))
         return tuple(word)
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         return tuple((gen, -exp) for gen, exp in reversed(p))
 
     def identity_payload(self):
@@ -588,7 +588,7 @@ class SemidirectGroup(Group):
         return (self.q_group.table[q1][q2],
                 tuple(a + b for a, b in zip(twisted, v2)))
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         q, v = p
         return (self.q_group.inv_table[q],
                 tuple(-a for a in self._act(q, v)))
@@ -667,7 +667,7 @@ class AmalgamGroup(Group):
         from . import normal_forms
         return normal_forms.reduce_amalgam_tokens(self, self.tokens(p) + self.tokens(q))
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         from . import normal_forms
         toks = [(side, x.inverse()) for side, x in reversed(self.tokens(p))]
         return normal_forms.reduce_amalgam_tokens(self, toks)
@@ -767,7 +767,7 @@ class HnnGroup(Group):
         from . import normal_forms
         return normal_forms.reduce_hnn_tokens(self, self.tokens(p) + self.tokens(q))
 
-    def invert(self, p):
+    def inverse_payload(self, p):
         from . import normal_forms
         toks = []
         for kind, val in reversed(self.tokens(p)):
@@ -824,16 +824,7 @@ class HnnGroup(Group):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def compose(a, b):
-    """Product in normal form; raises OwnerMismatch for foreign elements."""
-    return a * b
-
-
-def invert(a):
-    return a.inverse()
+# module-level operations
 
 
 def equal(a, b):

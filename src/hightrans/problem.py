@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .embeddings import Embedding
 from .engine import Budget
-from .graphs import GraphEdge, GraphOfGroups
+from .graphs import GraphEdge, GraphOfGroups, choose_reduction_edge, reduce_edge
 from .groups import (
     AmalgamGroup,
     FiniteGroup,
@@ -58,15 +58,49 @@ class ProblemFile:
     def digest(self):
         return problem_hash(self.raw)
 
-    def build_group(self):
-        """The composite group the engine should act for."""
-        from .graphs import choose_reduction_edge, reduce_edge
+    def build_group(self, source=None):
+        """The composite group the engine acts for, and the ``source`` tag
+        that names it in a certificate: ``{"edge": id}`` for the graph
+        reduced at that edge, ``{"target": name}`` for the target group.
 
+        With no tag, a graph is reduced at ``choose_reduction_edge``, else
+        the target is taken.  A tag that names nothing, or a group that is
+        neither an amalgam nor an HNN extension, raises ProblemError.
+        """
+        kind, name = _source_tag(self._default_source() if source is None else source)
+        if kind == "edge":
+            if self.graph is None:
+                raise ProblemError([f"source edge {name!r}: the problem has no graph"])
+            try:
+                gamma = reduce_edge(self.graph, name).gamma
+            except ValueError as exc:
+                raise ProblemError([str(exc)])
+        else:
+            if name != self.target:
+                raise ProblemError([f"source target {name!r} is not the problem's target"])
+            gamma = self.groups[name]
+        if gamma.kind not in ("amalgam", "hnn"):
+            raise ProblemError([f"group {gamma.name!r} is neither an amalgam nor an HNN extension"])
+        return gamma, {kind: name}
+
+    def _default_source(self):
         if self.graph is not None:
-            return reduce_edge(self.graph, choose_reduction_edge(self.graph)).gamma
+            try:
+                return {"edge": choose_reduction_edge(self.graph)}
+            except ValueError as exc:
+                raise ProblemError([str(exc)])
         if self.target is not None:
-            return self.groups[self.target]
+            return {"target": self.target}
         raise ProblemError(["problem declares neither a graph nor a target group"])
+
+
+def _source_tag(source):
+    """(kind, name) of a well-formed source tag, else ProblemError."""
+    if isinstance(source, dict) and len(source) == 1:
+        (kind, name), = source.items()
+        if kind in ("edge", "target") and isinstance(name, str):
+            return kind, name
+    raise ProblemError([f"source tag {source!r} is neither {{'edge': id}} nor {{'target': name}}"])
 
 
 def canonical_text(data):

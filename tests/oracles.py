@@ -83,3 +83,39 @@ def cyclic_power_membership(c, g, max_power):
         if g == pos or g == neg:
             return True
     return False
+
+
+def spanning_tree_by_rescan(graph):
+    """Edge ids of the breadth-first spanning tree from ``graph.base``,
+    found level by level by rescanning every edge for every vertex."""
+    seen = {graph.base}
+    tree = []
+    frontier = [graph.base]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in graph.edges:
+                for a, b in ((e.source, e.range), (e.range, e.source)):
+                    if a == v and b not in seen:
+                        seen.add(b)
+                        tree.append(e.id)
+                        nxt.append(b)
+        frontier = nxt
+    return tree
+
+
+def reach_by_rescan(graph, start, skip=None):
+    """Vertices joined to ``start`` without edge ``skip``, by a stack walk
+    that rescans every edge for every vertex."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for e in graph.edges:
+            if e.id == skip:
+                continue
+            for a, b in ((e.source, e.range), (e.range, e.source)):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return seen

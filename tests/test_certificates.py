@@ -47,9 +47,9 @@ def built(tmp_path_factory):
 def long_surface():
     """pi1-sigma2 at 200 steps and a fresh group to replay it in."""
     problem = parse_problem(problem_path("pi1-sigma2.json"))
-    cert = run_schedule(problem.build_group(), Budget(steps=200), "k")
+    cert = run_schedule(problem.build_group()[0], Budget(steps=200), "k")
     assert cert["deferred"] == []
-    return cert, problem.build_group
+    return cert, lambda: problem.build_group()[0]
 
 
 def _pairs(entries):

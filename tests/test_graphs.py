@@ -1,12 +1,16 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from hightrans import fixtures
 from hightrans.graphs import (
     AmalgamProblem,
+    GraphEdge,
     GraphOfGroups,
     HNNProblem,
+    _reach,
     choose_reduction_edge,
     fundamental_group,
     reduce_edge,
@@ -31,6 +35,40 @@ def test_spanning_tree_loop_is_empty():
 def test_spanning_tree_theta_first_declared():
     th = fixtures.theta_graph()
     assert spanning_tree(th) == ["e1"]
+
+
+def _random_graph(rng):
+    """Up to five vertices and six edges, loops and parallel edges allowed,
+    all groups trivial: (graph or None if disconnected, bare edge list)."""
+    n = rng.randint(1, 5)
+    vertices = {f"v{i}": trivial_group(f"V{i}") for i in range(n)}
+    edges = []
+    for k in range(rng.randint(0, 6)):
+        s, r = f"v{rng.randrange(n)}", f"v{rng.randrange(n)}"
+        eg = trivial_group(f"E{k}")
+        edges.append(GraphEdge(f"e{k}", s, r, eg, Embedding(f"e{k}.s", eg, vertices[s], []),
+                               Embedding(f"e{k}.r", eg, vertices[r], [])))
+    base = f"v{rng.randrange(n)}"
+    bare = SimpleNamespace(edges=edges, base=base)
+    if len(oracles.reach_by_rescan(bare, base)) < n:
+        with pytest.raises(ValueError, match="connected"):
+            GraphOfGroups("random", vertices, edges, base)
+        return None, bare
+    return GraphOfGroups("random", vertices, edges, base), bare
+
+
+def test_graph_walk_matches_rescanning_oracle(rng):
+    connected = 0
+    for _ in range(300):
+        graph, bare = _random_graph(rng)
+        if graph is None:
+            continue
+        connected += 1
+        assert spanning_tree(graph) == oracles.spanning_tree_by_rescan(bare)
+        for e in graph.edges:
+            assert set(_reach(graph, e.source, skip=e.id)) == \
+                oracles.reach_by_rescan(bare, e.source, skip=e.id)
+    assert connected >= 50
 
 
 def test_connectivity_required():

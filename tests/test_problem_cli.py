@@ -208,17 +208,52 @@ def test_cli_verify_rejects_non_object_certificate(tmp_path, capsys):
 
 
 def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
+    """An unknown edge, and any malformed or unresolvable source tag, is a
+    FAIL with the reason."""
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("theta.json"), "--budget", "4",
                    "--out", str(cert_path)])
     assert rc == 0
     capsys.readouterr()
     cert = json.loads(cert_path.read_text())
-    cert["source"]["edge"] = "nope"
-    cert_path.write_text(json.dumps(cert))
-    rc = cli.main(["verify", problem_path("theta.json"), str(cert_path)])
-    out = capsys.readouterr().out
-    assert rc == 2 and "verify: FAIL" in out and "nope" in out
+    for source, reason in [
+        ({"edge": "nope"}, "no edge 'nope'"),
+        ({"target": ["x"]}, "source tag"),
+        ("edge", "source tag"),
+        ({}, "source tag"),
+        ({"edge": "e1", "target": "T1"}, "source tag"),
+        ({"target": "T1"}, "not the problem's target"),
+    ]:
+        cert["source"] = source
+        cert_path.write_text(json.dumps(cert))
+        rc = cli.main(["verify", problem_path("theta.json"), str(cert_path)])
+        out = capsys.readouterr().out
+        assert rc == 2 and out.startswith("verify: FAIL (") and reason in out, source
+
+
+PLAIN_TARGET = {"groups": {"Z": {"kind": "free_abelian", "generators": ["a"]}},
+                "target": "Z"}
+EDGELESS_GRAPH = {"groups": {"Z": {"kind": "free_abelian", "generators": ["a"]}},
+                  "graph": {"vertices": {"p": "Z"}, "edges": []}}
+
+
+@pytest.mark.parametrize("problem, edge, reason", [
+    ("pi1-sigma2.json", "nope", "no edge 'nope'"),
+    ("bs12.json", "e0", "the problem has no graph"),
+    (PLAIN_TARGET, None, "neither an amalgam nor an HNN extension"),
+    (EDGELESS_GRAPH, None, "no edges to reduce"),
+])
+def test_cli_build_unresolvable_group_is_usage_error(tmp_path, capsys, problem, edge, reason):
+    if isinstance(problem, dict):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+    else:
+        path = problem_path(problem)
+    argv = ["build", str(path), "--budget", "2"] + (["--edge", edge] if edge else [])
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
 
 
 def test_cli_build_deferred_exit_code(tmp_path, capsys):
