@@ -63,16 +63,17 @@ def orbit_rep(embedding, point):
 
 
 class LevelAction:
-    """A group acting on X = Gamma x N through an inclusion, together with
-    the subgroup whose orbits the searches reason about."""
+    """A group acting on X = Gamma x N by left multiplication, given as
+    ``left_multiply(h, g) = h g`` in Gamma, together with the subgroup whose
+    orbits the searches reason about."""
 
-    def __init__(self, group, include, sigma):
+    def __init__(self, group, left_multiply, sigma):
         self.group = group
-        self.include = include
+        self.left_multiply = left_multiply
         self.sigma = sigma
 
     def act(self, h, point):
-        return point.translate(self.include(h))
+        return Point(self.left_multiply(h, point.g), point.level)
 
     def orbit_rep(self, point):
         return orbit_rep(self.sigma, point)
@@ -80,7 +81,7 @@ class LevelAction:
 
 def plain_level_action(sigma_embedding):
     """H acting on H x N with Sigma-orbits from the given embedding."""
-    return LevelAction(sigma_embedding.target, lambda h: h, sigma_embedding)
+    return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding)
 
 
 class StateError(ValueError):
@@ -272,7 +273,8 @@ def evaluate_pi(state, g, x, commit=False, log=None):
     Amalgam mode: left-factor syllables act by left multiplication, right-
     factor syllables act conjugated through w.  HNN mode: stable letters
     act by w, base syllables by left multiplication.  Syllables are applied
-    right to left.
+    right to left, each left multiplication as one fold step onto the
+    point's normal form.
     """
     gamma = state.gamma
     if g.owner is not gamma:
@@ -282,21 +284,21 @@ def evaluate_pi(state, g, x, commit=False, log=None):
         sigma, syls = g.payload
         for side, r in reversed(syls):
             if side == 0:
-                cur = cur.translate(gamma.include(0, r))
+                cur = Point(gamma.include(0, r, cur.g), cur.level)
             else:
                 cur = state.evaluate(cur, commit=commit, log=log)
-                cur = cur.translate(gamma.include(1, r))
+                cur = Point(gamma.include(1, r, cur.g), cur.level)
                 cur = state.evaluate(cur, inverse=True, commit=commit, log=log)
         if not sigma.is_identity:
-            cur = cur.translate(gamma.include(0, gamma.edge_left.apply(sigma)))
+            cur = Point(gamma.include(0, gamma.edge_left.apply(sigma), cur.g), cur.level)
         return cur
     head, tail = g.payload
     for eps, r in reversed(tail):
         if not r.is_identity:
-            cur = cur.translate(gamma.include(r))
+            cur = Point(gamma.include(r, cur.g), cur.level)
         cur = state.evaluate(cur, inverse=(eps == -1), commit=commit, log=log)
     if not head.is_identity:
-        cur = cur.translate(gamma.include(head))
+        cur = Point(gamma.include(head, cur.g), cur.level)
     return cur
 
 

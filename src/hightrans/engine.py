@@ -71,8 +71,8 @@ class EngineProblem:
         self.mode = gamma.kind
         if self.mode == "amalgam":
             sigma = gamma.sigma_embedding()
-            self.action_left = LevelAction(gamma.left, lambda h: gamma.include(0, h), sigma)
-            self.action_right = LevelAction(gamma.right, lambda h: gamma.include(1, h), sigma)
+            self.action_left = LevelAction(gamma.left, lambda h, g: gamma.include(0, h, g), sigma)
+            self.action_right = LevelAction(gamma.right, lambda h, g: gamma.include(1, h, g), sigma)
         else:
             self.action_pos = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(1))
             self.action_neg = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(-1))
@@ -150,21 +150,22 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
     four-way swap batch, and returns the mover g2 h g1.
     """
     level = _check_tuples(state, xs, ys)
-    protect = [p for srep in sorted(state.anchors, key=Point.sort_key)
-               for p in state.anchors[srep]]
-    f1 = protect + list(xs) + list(ys)
-    g1 = search_E_set(problem.action_left, xs, f1, witness_radius)
+    # the default is the identity and a batch permutes the default images of
+    # its sources, so the committed target orbits are the committed source
+    # orbits: state.anchors protects both
+    f1 = list(xs) + list(ys)
+    g1 = search_E_set(problem.action_left, xs, f1, witness_radius, state.anchors)
     if g1 is None:
         raise DeferredRequirement(
             f"no left-factor witness for the source tuple within radius {witness_radius}")
     f2 = f1 + [problem.action_left.act(g1, x) for x in xs]
-    g2inv = search_E_set(problem.action_left, ys, f2, witness_radius)
+    g2inv = search_E_set(problem.action_left, ys, f2, witness_radius, state.anchors)
     if g2inv is None:
         raise DeferredRequirement(
             f"no left-factor witness for the target tuple within radius {witness_radius}")
     f3 = f2 + [problem.action_left.act(g2inv, y) for y in ys]
     zs = allocate_fresh_orbits(state, len(xs), avoid=f3, level=level)
-    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius)
+    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius, state.anchors)
     if h is None:
         raise DeferredRequirement(
             f"no right-factor witness for the fresh classes within radius {witness_radius}")
@@ -174,19 +175,17 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
 def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     """One extension step in HNN mode: mover g t h with a two-way swap batch."""
     _check_tuples(state, xs, ys)
-    dst_protect, src_protect = [], []
-    for srep in sorted(state.anchors, key=Point.sort_key):
-        x0, y0 = state.anchors[srep]
-        dst_protect.extend([y0, state.default_image(x0)])
-        src_protect.extend([x0, state.default_preimage(y0)])
-    ginv = search_E_set(problem.action_neg, ys, dst_protect + list(ys) + list(xs),
-                        witness_radius)
+    # a batch permutes the default images t x0 of its sources, so the target
+    # orbits of y0 and t x0 are state.dst_index, and the source orbits of x0
+    # and t^-1 y0 are state.anchors
+    ginv = search_E_set(problem.action_neg, ys, list(ys) + list(xs), witness_radius,
+                        state.dst_index)
     if ginv is None:
         raise DeferredRequirement(
             f"no witness for the target tuple within radius {witness_radius}")
-    f_src = (src_protect + list(xs) + list(ys)
+    f_src = (list(xs) + list(ys)
              + [state.default_preimage(problem.action_neg.act(ginv, y)) for y in ys])
-    h = search_E_set(problem.action_pos, xs, f_src, witness_radius)
+    h = search_E_set(problem.action_pos, xs, f_src, witness_radius, state.anchors)
     if h is None:
         raise DeferredRequirement(
             f"no witness for the source tuple within radius {witness_radius}")

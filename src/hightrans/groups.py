@@ -665,7 +665,7 @@ class AmalgamGroup(Group):
 
     def multiply(self, p, q):
         from . import normal_forms
-        return normal_forms.reduce_amalgam_tokens(self, self.tokens(p) + self.tokens(q))
+        return normal_forms.reduce_amalgam_tokens(self, self.tokens(p), q)
 
     def inverse_payload(self, p):
         from . import normal_forms
@@ -699,12 +699,17 @@ class AmalgamGroup(Group):
             return self.include(0, self.left.generator(label))
         return self.include(1, self.right.generator(label))
 
-    def include(self, side, x):
-        """The canonical injection of a factor element."""
+    def include(self, side, x, onto=None):
+        """The canonical injection of a factor element; x * onto when an
+        element ``onto`` is given, by one fold step onto its normal form."""
         from . import normal_forms
         if x.owner is not self.factor(side):
             raise OwnerMismatch(f"{x!r} is not in factor {side} of {self.name!r}")
-        return Element(self, normal_forms.reduce_amalgam_tokens(self, [(side, x)]))
+        if onto is None:
+            onto = self.identity()
+        elif onto.owner is not self:
+            raise OwnerMismatch(f"{onto!r} is not in {self.name!r}")
+        return Element(self, normal_forms.reduce_amalgam_tokens(self, [(side, x)], onto.payload))
 
     def sigma_embedding(self):
         """The edge subgroup included into the amalgam itself."""
@@ -746,12 +751,6 @@ class HnnGroup(Group):
     def sigma_edge(self, eps):
         return self.edge_r if eps == 1 else self.edge_s
 
-    def twist_base(self, x, eps):
-        """Carry a subgroup element through t^eps: t r(s) = s(s) t."""
-        src = self.sigma_edge(eps)
-        dst = self.sigma_edge(-eps)
-        return dst.apply(src.preimage(x))
-
     def tokens(self, p):
         head, tail = p
         toks = []
@@ -765,7 +764,7 @@ class HnnGroup(Group):
 
     def multiply(self, p, q):
         from . import normal_forms
-        return normal_forms.reduce_hnn_tokens(self, self.tokens(p) + self.tokens(q))
+        return normal_forms.reduce_hnn_tokens(self, self.tokens(p), q)
 
     def inverse_payload(self, p):
         from . import normal_forms
@@ -805,11 +804,17 @@ class HnnGroup(Group):
     def stable(self):
         return Element(self, (self.base.identity(), ((1, self.base.identity()),)))
 
-    def include(self, x):
-        """The canonical injection of a base element."""
+    def include(self, x, onto=None):
+        """The canonical injection of a base element; x * onto when an
+        element ``onto`` is given, which rewrites only its head."""
         if x.owner is not self.base:
             raise OwnerMismatch(f"{x!r} is not in the base of {self.name!r}")
-        return Element(self, (x, ()))
+        if onto is None:
+            onto = self.identity()
+        elif onto.owner is not self:
+            raise OwnerMismatch(f"{onto!r} is not in {self.name!r}")
+        head, tail = onto.payload
+        return Element(self, (x * head, tail))
 
     def sigma_embedding(self, eps):
         """Sigma (eps=+1) or its stable-letter image (eps=-1) inside the HNN group."""

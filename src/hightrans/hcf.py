@@ -112,11 +112,15 @@ def search_G_set(emb, xs, F, radius):
     return None
 
 
-def search_E_set(action, xs, F, radius):
+def search_E_set(action, xs, F, radius, protected=()):
     """First shortlex h moving the points off the protected orbits with
     pairwise disjoint subgroup orbits; None when exhausted.
 
-    ``action`` is a LevelAction; points must be pairwise distinct.
+    ``action`` is a LevelAction; points must be pairwise distinct.  The
+    protected orbits are those of the points of F, plus ``protected``: a
+    container of orbit representatives (as ``action.orbit_rep`` gives
+    them) that is tested in place, so orbits committed once need not be
+    listed again on every search.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
@@ -124,7 +128,7 @@ def search_E_set(action, xs, F, radius):
     for h in action.group.iter_shortlex(radius):
         imgs = [action.act(h, x) for x in xs]
         reps = [action.orbit_rep(p) for p in imgs]
-        if any(r in f_reps for r in reps):
+        if any(r in f_reps or r in protected for r in reps):
             continue
         if len(set(reps)) != len(reps):
             continue
@@ -381,7 +385,9 @@ def certify_structural(emb, bounds=None):
         icc = {"status": PASS, "per_element": []}
         for s in sigma_members:
             prev = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius - 1)}
-            cur = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius)}
+            # an ordered set: the early exit below must not follow set order,
+            # which id()-based hashes make differ between processes
+            cur = dict.fromkeys(h * s * h.inverse() for h in tgt.ball(bounds.witness_radius))
             closed = all((letter * c * letter.inverse()) in cur
                          for c in cur for _, letter in tgt.letters())
             if closed:

@@ -1,14 +1,21 @@
 """Canonical forms and the word problem for composite groups.
 
-Two reducers, each in two phases:
+Two reducers, each a right-to-left fold of tokens onto a payload that is
+already canonical.  By the normal-form theorem for amalgams and Britton's
+lemma (Lyndon-Schupp, ch. IV), left-multiplying a normal form by one
+factor or base element rewrites only its leading syllable:
 
-  * phase 1 is a stack pass that removes pinches (HNN) or merges and
-    absorbs edge-subgroup syllables (amalgams), reaching minimal syllable
-    count; ties between disjoint pinches resolve leftmost-innermost by
-    construction of the stack.
-  * phase 2 walks right to left, replacing each remaining base part by its
-    canonical right-coset representative and carrying the subgroup part one
-    slot leftward, so the subgroup contribution accumulates at the far left.
+  * amalgam, token x on side s: m = x e_s(lead), times the first syllable
+    when that syllable is on side s too (it is then consumed); the coset
+    decomposition m = e_s(lead') r gives the new lead, and (s, r) is
+    prepended unless r = 1.
+  * HNN, base token b: head = b head.  Stable letter t^d: decompose
+    head = e_d(s) r and carry s through the letter, head = e_-d(s); when
+    r = 1 and the tail starts with t^-d the two letters pinch and that
+    entry's base part joins the head, otherwise (d, r) is prepended.
+
+A product p q folds only the tokens of p onto q's payload, so its cost
+follows the length of p, not of q.
 
 Coset decompositions that are only boundedly decidable raise
 UndecidedError, which propagates to the caller untouched.
@@ -20,105 +27,51 @@ from . import groups
 from .groups import Element
 
 
-def reduce_amalgam_tokens(handle, tokens):
-    """Reduce (side, factor element) tokens to a canonical amalgam payload."""
-    edge_src = handle.edge_source
-    lead = edge_src.identity()
-    stack = []
-
-    def absorb(sigma):
-        # a subgroup element surfacing between stack top and the cursor
-        nonlocal lead
-        while True:
-            if not stack:
-                lead = lead * sigma
-                return
-            side, h = stack[-1]
-            h = h * handle.edge(side).apply(sigma)
-            if handle.edge(side).contains(h):
-                stack.pop()
-                sigma = handle.edge(side).preimage(h)
-                continue
-            stack[-1] = (side, h)
-            return
-
-    for side, x in tokens:
+def reduce_amalgam_tokens(handle, tokens, payload=None):
+    """Fold (side, factor element) tokens, right to left, onto a canonical
+    amalgam payload (the identity by default)."""
+    lead, syls = handle.identity_payload() if payload is None else payload
+    stack = list(reversed(syls))   # the leading syllable is on top
+    for side, x in reversed(tokens):
         if x.owner is not handle.factor(side):
             raise groups.OwnerMismatch(
                 f"token {x!r} does not live in factor {side} of {handle.name!r}")
         if x.is_identity:
             continue
+        edge = handle.edge(side)
+        m = x * edge.apply(lead)
         if stack and stack[-1][0] == side:
-            merged = stack[-1][1] * x
-            stack.pop()
-            if merged.is_identity:
-                continue
-            if handle.edge(side).contains(merged):
-                absorb(handle.edge(side).preimage(merged))
-            else:
-                stack.append((side, merged))
-        elif handle.edge(side).contains(x):
-            absorb(handle.edge(side).preimage(x))
-        else:
-            stack.append((side, x))
-
-    syls = [None] * len(stack)
-    carry = None
-    for i in range(len(stack) - 1, -1, -1):
-        side, h = stack[i]
-        if carry is not None:
-            h = h * handle.edge(side).apply(carry)
-        s, r = handle.edge(side).decompose(h)
-        syls[i] = (side, r)
-        carry = s
-    if carry is not None:
-        lead = lead * carry
-    return (lead, tuple(syls))
+            m = m * stack.pop()[1]
+        lead, r = edge.decompose(m)
+        if not r.is_identity:
+            stack.append((side, r))
+    return (lead, tuple(reversed(stack)))
 
 
-def reduce_hnn_tokens(handle, tokens):
-    """Reduce ("b", element) / ("t", eps) tokens to a Britton-reduced payload."""
+def reduce_hnn_tokens(handle, tokens, payload=None):
+    """Fold ("b", element) / ("t", eps) tokens, right to left, onto a
+    Britton-reduced payload (the identity by default)."""
     base = handle.base
-    head = base.identity()
-    stack = []
-
-    def push_base(b):
-        nonlocal head
-        if stack:
-            eps, h = stack[-1]
-            stack[-1] = (eps, h * b)
-        else:
-            head = head * b
-
-    for kind, val in tokens:
+    head, tail = handle.identity_payload() if payload is None else payload
+    stack = list(reversed(tail))   # the leading stable letter is on top
+    for kind, val in reversed(tokens):
         if kind == "b":
             if val.owner is not base:
                 raise groups.OwnerMismatch(
                     f"token {val!r} does not live in the base of {handle.name!r}")
-            push_base(val)
+            head = val * head
+            continue
+        delta = val
+        if delta not in (1, -1):
+            raise ValueError(f"stable letter exponent must be +-1, got {delta}")
+        # t^delta e_delta(s) = e_-delta(s) t^delta, leaving the coset rep r
+        s, r = handle.sigma_edge(delta).decompose(head)
+        head = handle.sigma_edge(-delta).apply(s)
+        if r.is_identity and stack and stack[-1][0] == -delta:
+            head = head * stack.pop()[1]   # a pinch t^delta t^-delta
         else:
-            delta = val
-            if delta not in (1, -1):
-                raise ValueError(f"stable letter exponent must be +-1, got {delta}")
-            if stack and stack[-1][0] == -delta and handle.sigma_edge(stack[-1][0]).contains(stack[-1][1]):
-                eps, h = stack.pop()
-                push_base(handle.twist_base(h, eps))
-            else:
-                stack.append((delta, base.identity()))
-
-    tail = [None] * len(stack)
-    carry = None
-    for i in range(len(stack) - 1, -1, -1):
-        eps, h = stack[i]
-        if carry is not None:
-            h = h * carry
-        edge = handle.sigma_edge(eps)
-        s, r = edge.decompose(h)
-        tail[i] = (eps, r)
-        carry = handle.sigma_edge(-eps).apply(s)
-    if carry is not None:
-        head = head * carry
-    return (head, tuple(tail))
+            stack.append((delta, r))
+    return (head, tuple(reversed(stack)))
 
 
 def _raw_tokens(handle, word):

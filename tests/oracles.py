@@ -1,12 +1,16 @@
 """Independent oracles the test suite checks normal forms against.
 
-These never touch the normal-form machinery: words are evaluated directly
+Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
-cross-check and disagreement localizes a reduction bug.
+cross-check and disagreement localizes a reduction bug.  The two-phase
+token reducers below are the slow path the one-syllable fold replaced;
+they reduce a whole token list from scratch.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from hightrans import groups
 
 
 def affine_bs12(word):
@@ -119,3 +123,137 @@ def reach_by_rescan(graph, start, skip=None):
                     seen.add(b)
                     stack.append(b)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# two-phase token reducers: a stack pass, then a right-to-left carry pass
+
+
+def twist_base(handle, x, eps):
+    """Carry a subgroup element through t^eps: t r(s) = s(s) t."""
+    src = handle.sigma_edge(eps)
+    dst = handle.sigma_edge(-eps)
+    return dst.apply(src.preimage(x))
+
+
+def reduce_amalgam_tokens(handle, tokens):
+    """Reduce (side, factor element) tokens to a canonical amalgam payload."""
+    edge_src = handle.edge_source
+    lead = edge_src.identity()
+    stack = []
+
+    def absorb(sigma):
+        # a subgroup element surfacing between stack top and the cursor
+        nonlocal lead
+        while True:
+            if not stack:
+                lead = lead * sigma
+                return
+            side, h = stack[-1]
+            h = h * handle.edge(side).apply(sigma)
+            if handle.edge(side).contains(h):
+                stack.pop()
+                sigma = handle.edge(side).preimage(h)
+                continue
+            stack[-1] = (side, h)
+            return
+
+    for side, x in tokens:
+        if x.owner is not handle.factor(side):
+            raise groups.OwnerMismatch(
+                f"token {x!r} does not live in factor {side} of {handle.name!r}")
+        if x.is_identity:
+            continue
+        if stack and stack[-1][0] == side:
+            merged = stack[-1][1] * x
+            stack.pop()
+            if merged.is_identity:
+                continue
+            if handle.edge(side).contains(merged):
+                absorb(handle.edge(side).preimage(merged))
+            else:
+                stack.append((side, merged))
+        elif handle.edge(side).contains(x):
+            absorb(handle.edge(side).preimage(x))
+        else:
+            stack.append((side, x))
+
+    syls = [None] * len(stack)
+    carry = None
+    for i in range(len(stack) - 1, -1, -1):
+        side, h = stack[i]
+        if carry is not None:
+            h = h * handle.edge(side).apply(carry)
+        s, r = handle.edge(side).decompose(h)
+        syls[i] = (side, r)
+        carry = s
+    if carry is not None:
+        lead = lead * carry
+    return (lead, tuple(syls))
+
+
+def reduce_hnn_tokens(handle, tokens):
+    """Reduce ("b", element) / ("t", eps) tokens to a Britton-reduced payload."""
+    base = handle.base
+    head = base.identity()
+    stack = []
+
+    def push_base(b):
+        nonlocal head
+        if stack:
+            eps, h = stack[-1]
+            stack[-1] = (eps, h * b)
+        else:
+            head = head * b
+
+    for kind, val in tokens:
+        if kind == "b":
+            if val.owner is not base:
+                raise groups.OwnerMismatch(
+                    f"token {val!r} does not live in the base of {handle.name!r}")
+            push_base(val)
+        else:
+            delta = val
+            if delta not in (1, -1):
+                raise ValueError(f"stable letter exponent must be +-1, got {delta}")
+            if stack and stack[-1][0] == -delta and handle.sigma_edge(stack[-1][0]).contains(stack[-1][1]):
+                eps, h = stack.pop()
+                push_base(twist_base(handle, h, eps))
+            else:
+                stack.append((delta, base.identity()))
+
+    tail = [None] * len(stack)
+    carry = None
+    for i in range(len(stack) - 1, -1, -1):
+        eps, h = stack[i]
+        if carry is not None:
+            h = h * carry
+        edge = handle.sigma_edge(eps)
+        s, r = edge.decompose(h)
+        tail[i] = (eps, r)
+        carry = handle.sigma_edge(-eps).apply(s)
+    if carry is not None:
+        head = head * carry
+    return (head, tuple(tail))
+
+
+# ---------------------------------------------------------------------------
+# protected points as the transitivity searches once listed them: every
+# anchor point again on every step
+
+
+def amalgam_protect_list(state):
+    """Both points of every anchor pair, in anchor order."""
+    return [p for srep in sorted(state.anchors, key=lambda r: r.sort_key())
+            for p in state.anchors[srep]]
+
+
+def hnn_protect_lists(state):
+    """(target-side, source-side) points of every anchor: y0 and t x0 for
+    the target search, x0 and t^-1 y0 for the source search."""
+    dst_protect, src_protect = [], []
+    for srep in sorted(state.anchors, key=lambda r: r.sort_key()):
+        x0, y0 = state.anchors[srep]
+        dst_protect.extend([y0, state.default_image(x0)])
+        src_protect.extend([x0, state.default_preimage(y0)])
+    return dst_protect, src_protect

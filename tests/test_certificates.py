@@ -3,6 +3,8 @@ that let the verifier check each anchor only when it is committed."""
 
 import copy
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,12 @@ PINNED = {
     "planted-finite-vertex": "8877d972ea616c390e70e245edf7a5a1c9a6228005ef41ba7c18a9321dede05c",
     "planted-finite-index-edge": "5654a00e1620959e4951ea2da2fe52832c1058905b5c6147aacbe05cf682d75e",
 }
+
+
+# SHA-256 of every benchmark certificate, "<problem>@<budget>", at its full budget
+SEED_CERTIFICATES = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "workloads.json").read_text()
+)["seed_certificates"]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +78,16 @@ def test_certificate_bytes_pinned(name, built):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
     rc = cli.main(["verify", problem_path(f"{name}.json"), built[name]])
     assert rc == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("key", sorted(SEED_CERTIFICATES))
+def test_certificate_bytes_at_benchmark_budget(key, tmp_path):
+    name, budget = key.split("@")
+    path = str(tmp_path / f"{name}.json")
+    rc = cli.main(["build", problem_path(f"{name}.json"), "--budget", budget, "--out", path])
+    assert rc in (cli.EXIT_PASS, cli.EXIT_UNDECIDED)
+    text = canonical_text(load_certificate(path))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED_CERTIFICATES[key]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

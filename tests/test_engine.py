@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hightrans import fixtures
+from hightrans import engine, fixtures
 from hightrans.action import Point, evaluate_pi
 from hightrans.engine import (
     Budget,
@@ -13,6 +13,10 @@ from hightrans.engine import (
     verify_certificate,
     verify_certificate_report,
 )
+from hightrans.problem import parse_problem
+
+from conftest import PROBLEMS
+from oracles import amalgam_protect_list, hnn_protect_lists
 
 
 def canon(cert):
@@ -266,3 +270,33 @@ def test_deferral_reported_not_fatal():
         assert "diagnostic" in item
     ok, reason = verify_certificate_report(fixtures.z_star_z(), cert)
     assert ok, reason
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_committed_orbits_are_the_old_protect_lists(path, monkeypatch):
+    """The searches test committed orbits in place; their orbit reps are
+    exactly those of the anchor points once listed on every step."""
+    problem = EngineProblem(parse_problem(str(path)).build_group()[0])
+    checked = []
+
+    def check(state):
+        if problem.mode == "amalgam":
+            protect = amalgam_protect_list(state)
+            assert {problem.action_left.orbit_rep(p) for p in protect} == set(state.anchors)
+            assert {problem.action_right.orbit_rep(p) for p in protect} == set(state.anchors)
+        else:
+            dst, src = hnn_protect_lists(state)
+            assert {problem.action_neg.orbit_rep(p) for p in dst} == set(state.dst_index)
+            assert {problem.action_pos.orbit_rep(p) for p in src} == set(state.anchors)
+        checked.append(len(state.anchors))
+
+    def extend_and_check(problem, state, *args):
+        try:
+            return extend(problem, state, *args)
+        finally:
+            check(state)
+
+    extend = engine.extend_transitivity
+    monkeypatch.setattr(engine, "extend_transitivity", extend_and_check)
+    run_schedule(problem, Budget(steps=200), path.stem)
+    assert len(checked) == 100

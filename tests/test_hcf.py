@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,19 @@ def test_search_e_basic(comm):
     assert e_set_conditions(action, h, xs, F)
 
 
+def test_search_e_protected_reps_act_like_protected_points(comm):
+    action = plain_level_action(comm)
+    f = comm.target
+    xs = [Point(f.identity(), 0), Point(f.generator("a"), 0)]
+    first = hcf.search_E_set(action, xs, [], 3)
+    taken = [action.act(first, x) for x in xs]
+    reps = {action.orbit_rep(p) for p in taken}
+    h = hcf.search_E_set(action, xs, [], 3, protected=reps)
+    assert h is not None and h != first
+    assert h == hcf.search_E_set(action, xs, taken, 3)
+    assert e_set_conditions(action, h, xs, taken)
+
+
 def test_search_e_same_orbit_normal_subgroup(even):
     # with 2Z < Z every translate keeps the two points in one orbit, so the
     # disjointness condition can never hold
@@ -166,6 +183,38 @@ def test_structural_certificates():
     improper = hcf.certify_structural(fixtures.improper_embedding())
     assert improper.failed
     assert improper.evidence["premises"]["infinite_index"]["status"] == "fail"
+
+
+MULTIPLY_COUNT = """
+import contextlib, io, sys
+from hightrans import cli, groups
+calls = 0
+def counting(multiply):
+    def wrapped(self, p, q):
+        global calls
+        calls += 1
+        return multiply(self, p, q)
+    return wrapped
+for cls in (groups.FiniteGroup, groups.FreeAbelianGroup, groups.FreeGroup,
+            groups.SemidirectGroup, groups.AmalgamGroup, groups.HnnGroup):
+    cls.multiply = counting(cls.multiply)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(calls)
+"""
+
+
+def test_audit_multiply_count_is_the_same_in_every_process():
+    # element hashes follow id(owner), so set order differs between
+    # processes; no audit loop may leave early in set order
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    counts = [subprocess.run([sys.executable, "-c", MULTIPLY_COUNT, "audit",
+                              str(root / "problems" / "theta.json")],
+                             cwd=root, env=env, capture_output=True, text=True,
+                             timeout=120, check=True).stdout
+              for _ in range(2)]
+    assert counts[0] == counts[1] and int(counts[0]) > 0
 
 
 def test_structural_flags_finite_index(even):

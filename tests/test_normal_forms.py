@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,11 +10,16 @@ from hightrans.normal_forms import (
     amalgam_reduce,
     britton_reduce,
     parse_word,
+    reduce_amalgam_tokens,
+    reduce_hnn_tokens,
     reduce_word,
     stable_letter_count,
     syllable_length,
 )
+from hightrans.problem import parse_problem
 
+import oracles
+from conftest import problem_path
 from oracles import affine_bs12, all_words, psl2z_key
 
 
@@ -167,3 +173,68 @@ def test_gaussian_hnn_conjugation():
     rhs = parse_word(g, "u i u^-1")
     assert lhs == rhs
     assert stable_letter_count(parse_word(g, "t u t^-1")) == 2
+
+
+# -- the one-syllable fold against the two-phase reducers -----------------
+
+FOLD_GROUPS = {
+    "surface": fixtures.surface_group,
+    "modular": fixtures.z2_star_z3,
+    "bs12": fixtures.bs12,
+    "gaussian-hnn": fixtures.gaussian_hnn,
+    "z2-z3": lambda: parse_problem(problem_path("z2-z3.json")).build_group()[0],
+    "theta": lambda: parse_problem(problem_path("theta.json")).build_group()[0],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fold_case(name):
+    """The group, the fold, its oracle, good tokens and malformed tokens.
+
+    Good tokens are short factor (base) elements and edge-subgroup
+    elements, which merge, absorb or pinch; malformed ones live in the
+    wrong group or carry a bad stable exponent."""
+    group = FOLD_GROUPS[name]()
+    edge_ball = group.edge_source.ball(2)
+    if group.kind == "amalgam":
+        good = [(side, x) for side in (0, 1)
+                for x in group.factor(side).ball(2)
+                + [group.edge(side).apply(s) for s in edge_ball]]
+        bad = [(0, group.right.generators()[0]), (1, group.left.generators()[0]),
+               (0, group.identity())]
+        return group, reduce_amalgam_tokens, oracles.reduce_amalgam_tokens, good, bad
+    good = [("b", x) for x in group.base.ball(2)
+            + [group.sigma_edge(eps).apply(s) for eps in (1, -1) for s in edge_ball]]
+    good += [("t", 1), ("t", -1)] * max(1, len(good) // 4)
+    bad = [("t", 2), ("t", 0), ("b", group.identity())]
+    return group, reduce_hnn_tokens, oracles.reduce_hnn_tokens, good, bad
+
+
+def _outcome(reduce, group, tokens, *payload):
+    try:
+        return ("ok", reduce(group, tokens, *payload))
+    except Exception as exc:  # the exception type is the outcome compared
+        return ("raised", type(exc))
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_GROUPS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fold_matches_two_phase_oracle(name, data):
+    group, fold, oracle, good, bad = fold_case(name)
+    tokens = data.draw(st.lists(st.sampled_from(good), max_size=10))
+    if data.draw(st.integers(0, 7)) == 0:
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(bad)))
+    assert _outcome(fold, group, tokens) == _outcome(oracle, group, tokens)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_GROUPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_folds_only_the_left_factor(name, data):
+    group, fold, oracle, good, _ = fold_case(name)
+    p, q = (oracle(group, data.draw(st.lists(st.sampled_from(good), max_size=8)))
+            for _ in range(2))
+    want = oracle(group, group.tokens(p) + group.tokens(q))
+    assert group.multiply(p, q) == want
+    assert fold(group, group.tokens(p), q) == want
