@@ -17,7 +17,9 @@ evaluations there stay default forever.
 
 from __future__ import annotations
 
-from .groups import OwnerMismatch
+from functools import partial
+
+from .groups import Element, OwnerMismatch
 
 
 class Point:
@@ -62,6 +64,27 @@ def orbit_rep(embedding, point):
     return Point(embedding.rep(point.g), point.level)
 
 
+def orbit_rep_map(embedding):
+    """``orbit_rep`` for one embedding, as a function of the point.
+
+    For an amalgam's own edge subgroup Sigma the representative is read off
+    the normal form: a payload (sigma, syls) carries its Sigma part in front
+    and its leading syllable is already a canonical coset representative,
+    so Sigma (sigma, syls) has the canonical representative (1, syls).
+    """
+    gamma = embedding.target
+    if gamma.kind != "amalgam" or embedding is not gamma.sigma_embedding():
+        return partial(orbit_rep, embedding)
+    one = gamma.identity_payload()[0]
+
+    def rep(point):
+        sigma, syls = point.g.payload
+        if sigma.is_identity:
+            return point
+        return Point(Element(gamma, (one, syls)), point.level)
+    return rep
+
+
 class LevelAction:
     """A group acting on X = Gamma x N by left multiplication, given as
     ``left_multiply(h, g) = h g`` in Gamma, together with the subgroup whose
@@ -71,12 +94,10 @@ class LevelAction:
         self.group = group
         self.left_multiply = left_multiply
         self.sigma = sigma
+        self.orbit_rep = orbit_rep_map(sigma)
 
     def act(self, h, point):
         return Point(self.left_multiply(h, point.g), point.level)
-
-    def orbit_rep(self, point):
-        return orbit_rep(self.sigma, point)
 
 
 def plain_level_action(sigma_embedding):
@@ -108,6 +129,8 @@ class IntertwinerState:
         self.sigma_src = sigma_src
         self.sigma_dst = sigma_dst
         self.stable = stable
+        self.src_orbit = orbit_rep_map(sigma_src)
+        self.dst_orbit = orbit_rep_map(sigma_dst)
         self.anchors = {}
         self.dst_index = {}
         self.frozen = set()
@@ -145,12 +168,6 @@ class IntertwinerState:
         if self.mode == "amalgam":
             return x
         return x.translate(self.stable.inverse())
-
-    def src_orbit(self, x):
-        return orbit_rep(self.sigma_src, x)
-
-    def dst_orbit(self, x):
-        return orbit_rep(self.sigma_dst, x)
 
     # -- evaluation -----------------------------------------------------------
 

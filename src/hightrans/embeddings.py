@@ -241,9 +241,13 @@ class CyclicFreeStrategy:
         self.len_u = len(u)
         self.len_core = hi + 1 - lo
         self.c = c
+        self._powers = {}
 
     def _power(self, k):
-        return self.u * (self.core ** k) * self.u.inverse()
+        out = self._powers.get(k)
+        if out is None:
+            out = self._powers[k] = self.u * (self.core ** k) * self.u.inverse()
+        return out
 
     def contains(self, g):
         if g.is_identity:
@@ -446,6 +450,24 @@ class Embedding:
 
     def is_trivial(self):
         return isinstance(self.strategy, TrivialStrategy)
+
+    def infinite_index(self):
+        """True only when the membership strategy proves infinite index.
+
+        A finite image in an infinite group (every free, free-abelian and
+        semidirect handle is infinite), a nontrivial cyclic subgroup of a
+        free group of rank >= 2 (Lyndon-Schupp, ch. I), and a lattice of
+        rank below the target's rank all have infinite index.  False means
+        only "not proved here".
+        """
+        s, tgt = self.strategy, self.target
+        if isinstance(s, (TrivialStrategy, FiniteImageStrategy)):
+            return tgt.kind in ("free", "free_abelian", "semidirect")
+        if isinstance(s, CyclicFreeStrategy):
+            return tgt.rank >= 2
+        if isinstance(s, LatticeStrategy):
+            return len(s.basis) < tgt.rank
+        return False
 
     # -- construction-time sanity -------------------------------------------
 

@@ -287,12 +287,21 @@ def _point_json(p):
     return [str(p.g), p.level]
 
 
+def _pair(data, what):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError(f"{what} must be a two-element list, got {data!r}")
+    return data
+
+
 def _parse_point(gamma, data):
-    return Point(parse_word(gamma, data[0]), data[1])
+    word, level = _pair(data, "a point")
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ValueError(f"a level must be an integer, got {level!r}")
+    return Point(parse_word(gamma, word), level)
 
 
 def _parse_pairs(gamma, data):
-    return [(_parse_point(gamma, a), _parse_point(gamma, b)) for a, b in data]
+    return [tuple(_parse_point(gamma, p) for p in _pair(pair, "a pair")) for pair in data]
 
 
 def run_schedule(problem, budget, problem_key=""):
@@ -393,22 +402,23 @@ def verify_certificate_report(gamma, cert):
     except ValueError as exc:
         return False, str(exc)
     state = problem.new_state()
-    replayed = []
+    # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
+    # parsed once in the replay and re-evaluated in the final state
+    postconditions = []
     try:
         for step in cert.get("steps", []):
             if step["kind"] == "transitivity":
-                ok, reason = _verify_transitivity_step(problem, state, step)
+                ok, reason = _verify_transitivity_step(problem, state, step, postconditions)
             elif step["kind"] == "faithfulness":
-                ok, reason = _verify_faithfulness_step(problem, state, step)
+                ok, reason = _verify_faithfulness_step(problem, state, step, postconditions)
             else:
                 return False, f"unknown step kind {step['kind']!r}"
             if not ok:
                 return False, f"step {step.get('index')}: {reason}"
-            replayed.append(step)
-        for step in replayed:
-            ok, reason = _recheck_postcondition(problem, state, step)
-            if not ok:
-                return False, f"persistence of step {step.get('index')}: {reason}"
+        for index, message, triples in postconditions:
+            for g, x, y in triples:
+                if evaluate_pi(state, g, x) != y:
+                    return False, f"persistence of step {index}: {message}"
         if _state_snapshot(state) != cert.get("final_state"):
             return False, "final state snapshot does not match the replayed state"
     except (UndecidedError, ValueError, KeyError, TypeError) as exc:
@@ -426,7 +436,9 @@ _WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
                     "hnn": (("g", "base"), ("h", "base"))}
 
 
-def _verify_transitivity_step(problem, state, step):
+def _verify_transitivity_step(problem, state, step, postconditions=None):
+    """Replay one transitivity step; when it holds, its parsed postcondition
+    goes to ``postconditions`` for the persistence pass."""
     gamma = problem.gamma
     xs = [_parse_point(gamma, p) for p in step["xs"]]
     ys = [_parse_point(gamma, p) for p in step["ys"]]
@@ -456,10 +468,14 @@ def _verify_transitivity_step(problem, state, step):
     for a, b in recorded_batch:
         if a.level != b.level:
             return False, "a committed pair changes levels"
+    if postconditions is not None:
+        postconditions.append((step.get("index"), "mover postcondition lost",
+                               [(mover, x, y) for x, y in zip(xs, ys)]))
     return True, "ok"
 
 
-def _verify_faithfulness_step(problem, state, step):
+def _verify_faithfulness_step(problem, state, step, postconditions=None):
+    """Replay one faithfulness step; see ``_verify_transitivity_step``."""
     gamma = problem.gamma
     g = parse_word(gamma, step["element"])
     if g.is_identity:
@@ -481,23 +497,9 @@ def _verify_faithfulness_step(problem, state, step):
         state.freeze_level(level)
     except StateError as exc:
         return False, f"cannot freeze level {level}: {exc}"
-    return True, "ok"
-
-
-def _recheck_postcondition(problem, state, step):
-    gamma = problem.gamma
-    if step["kind"] == "transitivity":
-        mover = parse_word(gamma, step["mover"])
-        xs = [_parse_point(gamma, p) for p in step["xs"]]
-        ys = [_parse_point(gamma, p) for p in step["ys"]]
-        for x, y in zip(xs, ys):
-            if evaluate_pi(state, mover, x) != y:
-                return False, "mover postcondition lost"
-        return True, "ok"
-    g = parse_word(gamma, step["element"])
-    witness = _parse_point(gamma, step["witness"])
-    image = _parse_point(gamma, step["image"])
-    got = evaluate_pi(state, g, witness)
-    if got != image or got == witness:
-        return False, "faithfulness witness lost"
+    if postconditions is not None:
+        # image != witness is settled, so the witness persists while
+        # pi(g) still carries it to the image
+        postconditions.append((step.get("index"), "faithfulness witness lost",
+                               [(g, witness, image)]))
     return True, "ok"

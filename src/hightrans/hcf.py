@@ -191,10 +191,14 @@ def gset_instance_for_eset(action, xs, F):
 def prove_finite_index(emb, max_radius):
     """A complete right transversal of the image, or None.
 
-    Collects coset representatives layer by layer; once the set is closed
-    under right multiplication by every letter it is a full transversal
-    (induction on word length), which proves finite index exactly.
+    None at once when the membership strategy proves infinite index.
+    Otherwise collects coset representatives layer by layer; once the set
+    is closed under right multiplication by every letter it is a full
+    transversal (induction on word length), which proves finite index
+    exactly.
     """
+    if emb.infinite_index():
+        return None
     tgt = emb.target
     reps = []
     seen = set()
@@ -289,9 +293,17 @@ def audit_highly_faithful(domain, bounds=None):
     Coverings are searched in the shapes the counterexamples take: a finite
     piece P from the sample zone plus its complement.  A verdict of fail
     requires the cofinite piece's fixer to be exact (supports known);
-    bounded-only fixers downgrade to undecided.
+    bounded-only fixers downgrade to undecided, and so does a membership
+    oracle that gives up.
     """
     bounds = bounds or AuditBounds()
+    try:
+        return _faithful_verdict(domain, bounds)
+    except UndecidedError as exc:
+        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
+
+
+def _faithful_verdict(domain, bounds):
     zone = domain.zone(bounds.point_radius)
     candidates = []
     whole, exact = domain.cofinite_fixer((), bounds)
@@ -382,17 +394,24 @@ def certify_structural(emb, bounds=None):
 
         ball_small = tgt.ball(bounds.point_radius)
         sigma_members = [g for g in ball_small if not g.is_identity and emb.contains(g)]
+        # one conjugacy ball per element, shared by both premises; shortlex
+        # balls nest, so the conjugates over the radius r-1 ball are a
+        # prefix of those over the radius r ball
+        conjugators = [(h, h.inverse()) for h in tgt.ball(bounds.witness_radius)]
+        n_prev = len(tgt.ball(bounds.witness_radius - 1))
+        conjugates = {g: [h * g * hinv for h, hinv in conjugators]
+                      for g in ball_small if not g.is_identity}
         icc = {"status": PASS, "per_element": []}
         for s in sigma_members:
-            prev = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius - 1)}
+            conj = conjugates[s]
             # an ordered set: the early exit below must not follow set order,
             # which id()-based hashes make differ between processes
-            cur = dict.fromkeys(h * s * h.inverse() for h in tgt.ball(bounds.witness_radius))
+            cur = dict.fromkeys(conj)
             closed = all((letter * c * letter.inverse()) in cur
                          for c in cur for _, letter in tgt.letters())
             if closed:
                 status = FAIL
-            elif len(cur) > len(prev):
+            elif len(cur) > len(set(conj[:n_prev])):
                 status = PASS
             else:
                 status = UNDECIDED
@@ -403,13 +422,10 @@ def certify_structural(emb, bounds=None):
         premises["relative_icc"] = icc
 
         stab = {"status": PASS, "per_element": []}
-        for h in ball_small:
-            if h.is_identity:
-                continue
-            prev = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius - 1)}
-            cur = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius)}
-            prev_in = {c for c in prev if emb.contains(c)}
-            cur_in = {c for c in cur if emb.contains(c)}
+        for h, conj in conjugates.items():
+            inside = {c: emb.contains(c) for c in dict.fromkeys(conj)}
+            prev_in = {c for c in conj[:n_prev] if inside[c]}
+            cur_in = {c for c, member in inside.items() if member}
             status = PASS if prev_in == cur_in else UNDECIDED
             stab["per_element"].append({"element": str(h),
                                         "intersection": len(cur_in),
@@ -448,15 +464,14 @@ class PermutationDomain:
     def describe(self, x):
         return x
 
-    def act(self, h, x):
-        p = self.group.perms[h.payload]
-        return p[x] if x < self.degree else x
+    def fixes(self, h, x):
+        return x >= self.degree or self.group.perms[h.payload][x] == x
 
     def nontrivial_fixer_of(self, points, radius):
         for h in self.group.iter_shortlex():
             if h.is_identity:
                 continue
-            if all(self.act(h, x) == x for x in points):
+            if all(self.fixes(h, x) for x in points):
                 return h
         return None
 
@@ -484,8 +499,8 @@ class TranslationDomain:
     def describe(self, x):
         return x
 
-    def act(self, h, x):
-        return x + h.payload[0]
+    def fixes(self, h, x):
+        return h.payload[0] == 0
 
     def nontrivial_fixer_of(self, points, radius):
         return None
@@ -497,55 +512,67 @@ class TranslationDomain:
 class CosetDomain:
     """The target acting on the right-coset space of the embedded subgroup.
 
-    h . (Sigma g) = Sigma g h^-1, so the stabilizer of a coset is the
-    corresponding conjugate of the subgroup.  When a complete transversal
-    is provable the space is finite and cofinite fixers are exact;
-    otherwise they are only boundedly refutable, so the audit can pass or
-    stay undecided but not fail.
+    h . (Sigma r) = Sigma r h^-1, so h fixes the coset Sigma r exactly when
+    r h^-1 r^-1 lies in Sigma: fixing is one membership test, for any
+    representative r of the coset.  When a complete transversal is
+    provable the space is finite and cofinite fixers are exact; otherwise
+    they are only boundedly refutable, so the audit can pass or stay
+    undecided but not fail.
     """
 
     def __init__(self, emb, probe_radius=6):
         self.emb = emb
         self.group = emb.target
-        self._act_cache = {}
+        self._zones = {}
+        self._fixed = {}
         try:
             self.transversal = prove_finite_index(emb, probe_radius)
         except UndecidedError:
             self.transversal = None
 
     def zone(self, radius):
-        if self.transversal is not None:
-            reps = set(self.transversal)
-        else:
-            reps = {self.emb.rep(g) for g in self.group.ball(radius)}
-        return sorted(reps, key=lambda r: r.sort_key())
+        """The cosets met by the ball of ``radius`` (all of them when the
+        transversal is known), by canonical representative in shortlex order."""
+        out = self._zones.get(radius)
+        if out is None:
+            if self.transversal is not None:
+                reps = set(self.transversal)
+            else:
+                reps = {self.emb.rep(g) for g in self.group.ball(radius)}
+            out = self._zones[radius] = sorted(reps, key=lambda r: r.sort_key())
+        return out
 
     def describe(self, rep):
         return str(rep)
 
-    def act(self, h, rep):
-        key = (h, rep)
-        out = self._act_cache.get(key)
-        if out is None:
-            out = self.emb.rep(rep * h.inverse())
-            self._act_cache[key] = out
-        return out
+    def fixes(self, h, rep):
+        return self.emb.contains(rep * h.inverse() * rep.inverse())
 
     def nontrivial_fixer_of(self, points, radius):
         for h in self.group.iter_shortlex(radius):
             if h.is_identity:
                 continue
-            if all(self.act(h, r) == r for r in points):
+            if all(self.fixes(h, r) for r in points):
                 return h
         return None
 
     def cofinite_fixer(self, excluded, bounds):
         exact = self.transversal is not None
-        sample = [r for r in self.zone(bounds.point_radius + 2) if r not in set(excluded)]
+        excluded = set(excluded)
+        sample = [r for r in self.zone(bounds.point_radius + 2) if r not in excluded]
+        # the audit asks about many pieces over one zone, so each (h, coset)
+        # answer is kept for the life of the domain
+        fixed = self._fixed
         for h in self.group.iter_shortlex(bounds.witness_radius):
             if h.is_identity:
                 continue
-            if all(self.act(h, r) == r for r in sample):
+            for r in sample:
+                fixes = fixed.get((h, r))
+                if fixes is None:
+                    fixes = fixed[h, r] = self.fixes(h, r)
+                if not fixes:
+                    break
+            else:
                 return h, exact
         return None, exact
 
@@ -600,16 +627,16 @@ def replay_highly_faithful_verdict(domain, verdict):
     for piece, fixer in zip(cov["pieces"], fixers):
         if "members" in piece:
             pts = [_parse_domain_point(domain, m) for m in piece["members"]]
-            if not all(domain.act(fixer, x) == x for x in pts):
+            if not all(domain.fixes(fixer, x) for x in pts):
                 return False
         else:
-            excluded = [_parse_domain_point(domain, m) for m in piece["complement_of"]]
-            again, exact = domain.cofinite_fixer(excluded, verdict.bounds)
+            excluded = {_parse_domain_point(domain, m) for m in piece["complement_of"]}
+            _, exact = domain.cofinite_fixer(excluded, verdict.bounds)
             if not exact:
                 return False
             pts = [x for x in domain.zone(verdict.bounds.point_radius + 2)
-                   if x not in set(excluded)]
-            if not all(domain.act(fixer, x) == x for x in pts):
+                   if x not in excluded]
+            if not all(domain.fixes(fixer, x) for x in pts):
                 return False
     return True
 

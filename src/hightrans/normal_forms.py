@@ -157,6 +157,8 @@ def parse_word(handle, text):
     Tokens are whitespace-separated generator labels with an optional
     ``^exponent``; ``1`` or the empty string is the identity.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be a string, got {text!r}")
     text = text.strip()
     if text in ("", "1"):
         return handle.identity()

@@ -4,13 +4,18 @@ Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
 cross-check and disagreement localizes a reduction bug.  The two-phase
 token reducers below are the slow path the one-syllable fold replaced;
-they reduce a whole token list from scratch.
+they reduce a whole token list from scratch.  The audit oracles at the end
+are the slow paths the exact audit shortcuts replaced: a finite-index walk
+that always walks, coset fixers by coset decomposition, and structural
+certificates that build every conjugacy ball twice.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from hightrans import groups
+from hightrans.groups import UndecidedError
+from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict
 
 
 def affine_bs12(word):
@@ -257,3 +262,141 @@ def hnn_protect_lists(state):
         dst_protect.extend([y0, state.default_image(x0)])
         src_protect.extend([x0, state.default_preimage(y0)])
     return dst_protect, src_protect
+
+
+# ---------------------------------------------------------------------------
+# audits by walking: no infinite-index shortcut, fixers by decomposition
+
+
+def prove_finite_index_by_walk(emb, max_radius):
+    """A complete right transversal of the image, or None, by collecting
+    coset representatives layer by layer whatever the strategy knows."""
+    tgt = emb.target
+    reps = []
+    seen = set()
+    for d in range(max_radius + 1):
+        for x in tgt.shortlex_layer(d):
+            r = emb.rep(x)
+            if r not in seen:
+                seen.add(r)
+                reps.append(r)
+        if all(emb.rep(t * letter) in seen for t in reps for _, letter in tgt.letters()):
+            return reps
+    return None
+
+
+class ActCosetDomain:
+    """The coset action with h . (Sigma g) computed as the canonical
+    representative of Sigma g h^-1, and fixing tested by comparing it."""
+
+    def __init__(self, emb, probe_radius=6):
+        self.emb = emb
+        self.group = emb.target
+        self._act_cache = {}
+        try:
+            self.transversal = prove_finite_index_by_walk(emb, probe_radius)
+        except UndecidedError:
+            self.transversal = None
+
+    def zone(self, radius):
+        if self.transversal is not None:
+            reps = set(self.transversal)
+        else:
+            reps = {self.emb.rep(g) for g in self.group.ball(radius)}
+        return sorted(reps, key=lambda r: r.sort_key())
+
+    def describe(self, rep):
+        return str(rep)
+
+    def act(self, h, rep):
+        key = (h, rep)
+        out = self._act_cache.get(key)
+        if out is None:
+            out = self.emb.rep(rep * h.inverse())
+            self._act_cache[key] = out
+        return out
+
+    def nontrivial_fixer_of(self, points, radius):
+        for h in self.group.iter_shortlex(radius):
+            if h.is_identity:
+                continue
+            if all(self.act(h, r) == r for r in points):
+                return h
+        return None
+
+    def cofinite_fixer(self, excluded, bounds):
+        exact = self.transversal is not None
+        sample = [r for r in self.zone(bounds.point_radius + 2) if r not in set(excluded)]
+        for h in self.group.iter_shortlex(bounds.witness_radius):
+            if h.is_identity:
+                continue
+            if all(self.act(h, r) == r for r in sample):
+                return h, exact
+        return None, exact
+
+
+def certify_structural_two_balls(emb, bounds=None):
+    """The structural certificate with the walking finite-index prover and
+    two conjugacy balls (radius r-1 and r) per element."""
+    bounds = bounds or AuditBounds()
+    tgt = emb.target
+    premises = {}
+    try:
+        transversal = prove_finite_index_by_walk(emb, bounds.witness_radius)
+        if transversal is not None:
+            premises["infinite_index"] = {
+                "status": FAIL,
+                "transversal": [str(t) for t in transversal]}
+        else:
+            counts = []
+            seen = set()
+            for d in range(bounds.witness_radius + 1):
+                for x in tgt.shortlex_layer(d):
+                    seen.add(emb.rep(x))
+                counts.append(len(seen))
+            growing = all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
+            premises["infinite_index"] = {
+                "status": PASS if growing else UNDECIDED,
+                "transversal_counts": counts}
+
+        ball_small = tgt.ball(bounds.point_radius)
+        sigma_members = [g for g in ball_small if not g.is_identity and emb.contains(g)]
+        icc = {"status": PASS, "per_element": []}
+        for s in sigma_members:
+            prev = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius - 1)}
+            cur = dict.fromkeys(h * s * h.inverse() for h in tgt.ball(bounds.witness_radius))
+            closed = all((letter * c * letter.inverse()) in cur
+                         for c in cur for _, letter in tgt.letters())
+            if closed:
+                status = FAIL
+            elif len(cur) > len(prev):
+                status = PASS
+            else:
+                status = UNDECIDED
+            icc["per_element"].append({"element": str(s), "conjugates": len(cur),
+                                       "status": status})
+            if status == FAIL or (status == UNDECIDED and icc["status"] == PASS):
+                icc["status"] = status
+        premises["relative_icc"] = icc
+
+        stab = {"status": PASS, "per_element": []}
+        for h in ball_small:
+            if h.is_identity:
+                continue
+            prev = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius - 1)}
+            cur = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius)}
+            prev_in = {c for c in prev if emb.contains(c)}
+            cur_in = {c for c in cur if emb.contains(c)}
+            status = PASS if prev_in == cur_in else UNDECIDED
+            stab["per_element"].append({"element": str(h),
+                                        "intersection": len(cur_in),
+                                        "status": status})
+            if status == UNDECIDED and stab["status"] == PASS:
+                stab["status"] = status
+        premises["class_intersections"] = stab
+    except UndecidedError as exc:
+        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
+
+    statuses = [p["status"] for p in premises.values()]
+    overall = FAIL if FAIL in statuses else (UNDECIDED if UNDECIDED in statuses else PASS)
+    return AuditVerdict(overall, bounds, {"premises": premises})

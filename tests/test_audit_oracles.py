@@ -1,0 +1,184 @@
+"""The audit shortcuts against the slow paths they replaced.
+
+Exact infinite index, coset fixers by membership and one conjugacy ball per
+element must give the verdicts and the evidence of the walking prover, the
+decomposing coset action and the two-ball certificate in ``oracles.py``.
+"""
+
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from hightrans import fixtures, hcf
+from hightrans.embeddings import Embedding, LatticeStrategy
+from hightrans.groups import Element, FreeAbelianGroup, FreeGroup, cyclic_group
+from hightrans.problem import parse_problem
+
+from conftest import PROBLEMS
+
+
+def _problem_embeddings():
+    out = []
+    for path in sorted(Path(PROBLEMS).glob("*.json")):
+        problem = parse_problem(str(path))
+        out += [(path.stem, name) for name in sorted(problem.embeddings)]
+    return out
+
+
+EMBEDDINGS = _problem_embeddings()
+
+
+def _load(problem, name):
+    parsed = parse_problem(str(Path(PROBLEMS) / f"{problem}.json"))
+    return parsed.embeddings[name], parsed.bounds
+
+
+def _same_verdict(a, b):
+    assert (a.status, a.bounds, a.evidence) == (b.status, b.bounds, b.evidence)
+
+
+def test_every_problem_embedding_is_covered():
+    assert len(EMBEDDINGS) == 20
+
+
+@pytest.mark.parametrize("problem, name", EMBEDDINGS)
+def test_finite_index_prover_matches_the_walk(problem, name):
+    emb, bounds = _load(problem, name)
+    for radius in (bounds.witness_radius, 6):
+        assert hcf.prove_finite_index(emb, radius) == \
+            oracles.prove_finite_index_by_walk(emb, radius)
+
+
+@pytest.mark.parametrize("problem, name", EMBEDDINGS)
+def test_coset_action_audit_matches_decomposing_fixers(problem, name):
+    emb, bounds = _load(problem, name)
+    fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
+    assert fast.transversal == slow.transversal
+    _same_verdict(hcf.audit_highly_faithful(fast, bounds),
+                  hcf.audit_highly_faithful(slow, bounds))
+
+
+@pytest.mark.parametrize("problem, name", EMBEDDINGS)
+def test_structural_certificate_matches_two_balls(problem, name):
+    emb, bounds = _load(problem, name)
+    _same_verdict(hcf.certify_structural(emb, bounds),
+                  oracles.certify_structural_two_balls(emb, bounds))
+
+
+def test_coset_fixers_agree_with_decomposition_pointwise():
+    # the audits above probe only what their searches reach; here every
+    # h of the radius-3 ball meets every coset of the radius-3 zone
+    for emb in (fixtures.commutator_subgroup_embedding(), fixtures.even_integers_embedding(),
+                fixtures.gaussian_units_subgroup_embedding()):
+        fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
+        zone = fast.zone(3)
+        assert zone == slow.zone(3)
+        for h in emb.target.ball(3):
+            for r in zone:
+                assert fast.fixes(h, r) == (slow.act(h, r) == r)
+
+
+FIXTURE_EMBEDDINGS = ["commutator_subgroup_embedding", "even_integers_embedding",
+                      "improper_embedding", "gaussian_units_subgroup_embedding",
+                      "primitive_cyclic_embedding"]
+
+
+@pytest.mark.parametrize("problem, name", EMBEDDINGS + [("fixtures", n) for n in FIXTURE_EMBEDDINGS])
+def test_coset_fixers_match_decomposing_fixers_on_every_piece(problem, name):
+    # one domain answers every query the audit could make, in audit order,
+    # so the table of moved cosets is read back many times
+    if problem == "fixtures":
+        emb, bounds = getattr(fixtures, name)(), hcf.AuditBounds()
+    else:
+        emb, bounds = _load(problem, name)
+    fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
+    pieces = [()] + hcf._finite_piece_candidates(fast.zone(bounds.point_radius))
+    for piece in pieces:
+        assert fast.cofinite_fixer(piece, bounds) == slow.cofinite_fixer(piece, bounds)
+        assert fast.nontrivial_fixer_of(piece, bounds.witness_radius) == \
+            slow.nontrivial_fixer_of(piece, bounds.witness_radius)
+
+
+def test_infinite_index_examples():
+    assert fixtures.commutator_subgroup_embedding().infinite_index()
+    assert fixtures.primitive_cyclic_embedding().infinite_index()
+    assert fixtures.gaussian_units_subgroup_embedding().infinite_index()
+    assert fixtures.trivial_subgroup_embedding().infinite_index()
+    assert not fixtures.even_integers_embedding().infinite_index()
+    assert not fixtures.improper_embedding().infinite_index()
+
+
+# ---------------------------------------------------------------------------
+# random embeddings: a transversal found by walking refutes infinite_index()
+
+
+_WALK_RADIUS = 4
+
+
+def _cyclic_in_free(rank, letters):
+    f = FreeGroup(f"F{rank}", tuple("abc"[:rank]))
+    c = f.identity()
+    for gen, sign in letters:
+        c = c * f.generator("abc"[gen % rank]) ** sign
+    if c.is_identity:
+        c = f.generator("a")
+    z = FreeAbelianGroup("Z", ("z",))
+    return Embedding("cyclic", z, f, [c])
+
+
+def _lattice(rank, columns):
+    tgt = FreeAbelianGroup(f"Z{rank}", tuple(f"x{i}" for i in range(rank)))
+    cols = [tuple(col[:rank]) for col in columns if any(col[:rank])]
+    if not cols:
+        cols = [(1,) + (0,) * (rank - 1)]
+    src = FreeAbelianGroup(f"L{len(cols)}", tuple(f"s{i}" for i in range(len(cols))))
+    images = [Element(tgt, col) for col in cols]
+    return Embedding("lattice", src, tgt, images, check=False)
+
+
+def _finite_in_cyclic(order, divisor_index, unit_index):
+    """C_m into C_n for a divisor m of n, generator to a generator of the
+    order-m subgroup."""
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    m = divisors[divisor_index % len(divisors)]
+    units = [u for u in range(1, m + 1) if gcd(u, m) == 1]
+    tgt = cyclic_group("Cn", order, "g")
+    src = cyclic_group("Cm", m, "s")
+    image = tgt.generator("g") ** (order // m * units[unit_index % len(units)])
+    return Embedding("finite", src, tgt, [image])
+
+
+_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
+                    min_size=1, max_size=4)
+
+embeddings = st.one_of(
+    st.builds(_cyclic_in_free, st.integers(1, 2), _letters),
+    st.builds(_lattice, st.integers(1, 3),
+              st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                       min_size=1, max_size=3)),
+    st.builds(_finite_in_cyclic, st.integers(1, 8), st.integers(0, 7), st.integers(1, 7)),
+    st.just(fixtures.gaussian_units_subgroup_embedding()),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(embeddings)
+def test_found_transversal_refutes_infinite_index(emb):
+    transversal = oracles.prove_finite_index_by_walk(emb, _WALK_RADIUS)
+    if transversal is not None:
+        assert not emb.infinite_index()
+    if isinstance(emb.strategy, LatticeStrategy) and len(emb.strategy.basis) == emb.target.rank:
+        assert not emb.infinite_index()
+    assert hcf.prove_finite_index(emb, _WALK_RADIUS) == transversal
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(embeddings, st.integers(1, 2), st.integers(0, 1))
+def test_structural_certificate_matches_two_balls_on_random_embeddings(emb, rho, extra):
+    bounds = hcf.AuditBounds(1, rho, rho + extra)
+    _same_verdict(hcf.certify_structural(emb, bounds),
+                  oracles.certify_structural_two_balls(emb, bounds))

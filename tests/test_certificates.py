@@ -7,8 +7,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hightrans import cli
+from hightrans import cli, engine
 from hightrans.engine import Budget, run_schedule, verify_certificate_report
 from hightrans.problem import canonical_text, load_certificate, parse_problem
 
@@ -115,3 +117,124 @@ def test_verify_names_early_tampered_step(long_surface):
     ok, reason = verify_certificate_report(factory(), tampered)
     assert not ok
     assert reason.startswith(f"step {step['index']}: ")
+
+
+# ---------------------------------------------------------------------------
+# a total verifier: mutated real certificates give OK or FAIL, never raise
+
+
+MUTATED_BUDGET = 30
+
+
+@pytest.fixture(scope="module", params=["pi1-sigma2", "free2-hnn"])
+def real_certificate(request):
+    problem = parse_problem(problem_path(f"{request.param}.json"))
+    gamma = problem.build_group()[0]
+    return gamma, run_schedule(gamma, Budget(steps=MUTATED_BUDGET), "k")
+
+
+def _paths(obj, path=()):
+    """Paths of every node under obj, parents first."""
+    if path:
+        yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _values(obj, keep):
+    return [v for p in _paths(obj) if keep(v := _get(obj, p))]
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+ODD_VALUES = [None, True, 1.5, -1, "", "1", "x^y", [], {}, [["1"]], ["1"], ["1", "0"]]
+
+mutations = st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "swap", "word",
+                                                "level", "odd", "transplant"]),
+                               st.integers(0, 10**6), st.integers(0, 10**6)),
+                     min_size=1, max_size=3)
+
+
+def _mutate(cert, ops):
+    """Drop, duplicate or permute steps; put a recorded word, a recorded
+    level, a value of the wrong type or another recorded node anywhere."""
+    cert = copy.deepcopy(cert)
+    words = _values(cert["steps"], lambda v: isinstance(v, str))
+    levels = _values(cert["steps"], lambda v: type(v) is int)
+    nodes = _values(cert["steps"], lambda v: True)
+    for op, a, b in ops:
+        steps = cert["steps"]
+        if op in ("drop", "duplicate", "swap"):
+            if not steps:
+                continue
+            i, j = a % len(steps), b % len(steps)
+            if op == "drop":
+                del steps[i]
+            elif op == "duplicate":
+                steps.insert(i, copy.deepcopy(steps[i]))
+            else:
+                steps[i], steps[j] = steps[j], steps[i]
+            continue
+        paths = list(_paths(steps))
+        if not paths:
+            continue
+        *parent, key = paths[a % len(paths)]
+        pool = {"word": words, "level": levels, "odd": ODD_VALUES, "transplant": nodes}[op]
+        _get(steps, parent)[key] = copy.deepcopy(pool[b % len(pool)])
+    return cert
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(ops=mutations)
+def test_verify_of_mutated_certificate_never_raises(real_certificate, ops):
+    gamma, cert = real_certificate
+    ok, reason = verify_certificate_report(gamma, _mutate(cert, ops))
+    assert isinstance(ok, bool) and isinstance(reason, str)
+
+
+def test_verify_parses_each_word_once(real_certificate, monkeypatch):
+    gamma, cert = real_certificate
+    parsed = []
+    parse = engine.parse_word
+
+    def counting(handle, text):
+        parsed.append(text)
+        return parse(handle, text)
+
+    monkeypatch.setattr(engine, "parse_word", counting)
+    assert verify_certificate_report(gamma, cert) == (True, "ok")
+    words = [v for step in cert["steps"] for v in _values(step, lambda v: isinstance(v, str))
+             if v not in ("transitivity", "faithfulness")]
+    assert sorted(parsed) == sorted(words)
+
+
+def test_verify_rechecks_every_postcondition_at_the_end(real_certificate, monkeypatch):
+    """The persistence pass re-evaluates each recorded postcondition, in
+    step order, in the final state: a wrong value at its first evaluation
+    fails the first step."""
+    gamma, cert = real_certificate
+    calls = []
+    evaluate = engine.evaluate_pi
+    monkeypatch.setattr(engine, "evaluate_pi",
+                        lambda *args, **kw: calls.append(1) or evaluate(*args, **kw))
+    assert verify_certificate_report(gamma, cert) == (True, "ok")
+    rechecks = sum(len(s["xs"]) if s["kind"] == "transitivity" else 1 for s in cert["steps"])
+    first_recheck = len(calls) - rechecks
+    calls.clear()
+
+    def broken_after_replay(state, g, x, **kw):
+        calls.append(1)
+        point = evaluate(state, g, x, **kw)
+        return point.translate(g) if len(calls) > first_recheck else point
+
+    monkeypatch.setattr(engine, "evaluate_pi", broken_after_replay)
+    ok, reason = verify_certificate_report(gamma, cert)
+    assert not ok
+    assert reason == f"persistence of step {cert['steps'][0]['index']}: mover postcondition lost"

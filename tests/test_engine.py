@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from hightrans import engine, fixtures
+from hightrans import action, engine, fixtures
 from hightrans.action import Point, evaluate_pi
 from hightrans.engine import (
     Budget,
@@ -300,3 +301,26 @@ def test_committed_orbits_are_the_old_protect_lists(path, monkeypatch):
     monkeypatch.setattr(engine, "extend_transitivity", extend_and_check)
     run_schedule(problem, Budget(steps=200), path.stem)
     assert len(checked) == 100
+
+
+@pytest.mark.parametrize("name", ["pi1-sigma2", "theta"])
+def test_orbit_reps_match_the_embedding(name, monkeypatch):
+    """Every orbit rep a 200-step build asks for, the amalgam edge
+    subgroup's read off the normal form included, is ``Embedding.rep``'s."""
+    queried = Counter()
+    rep_map = action.orbit_rep_map
+
+    def checked_rep_map(embedding):
+        rep = rep_map(embedding)
+
+        def checked(point):
+            out = rep(point)
+            assert out == action.orbit_rep(embedding, point)
+            queried[embedding.target.kind] += 1
+            return out
+        return checked
+
+    monkeypatch.setattr(action, "orbit_rep_map", checked_rep_map)
+    gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    run_schedule(gamma, Budget(steps=200), name)
+    assert set(queried) == {gamma.kind} and queried[gamma.kind] > 10_000

@@ -128,6 +128,21 @@ def test_cli_audit_flags_finite_index(capsys):
     assert "hcf=fail" in out
 
 
+def test_cli_audit_undecided_membership_is_not_a_traceback(tmp_path, capsys):
+    # <a^2, b^2> in F(a, b) has only bounded membership: every audit of it,
+    # the coset action's included, is undecided
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps({
+        "groups": {"F": {"kind": "free", "generators": ["a", "b"]},
+                   "S": {"kind": "free", "generators": ["u", "v"]}},
+        "embeddings": {"sq": {"source": "S", "target": "F", "images": ["a^2", "b^2"]}},
+        "target": "F"}))
+    rc = cli.main(["audit", str(path)])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_UNDECIDED
+    assert out == "audit sq: hcf=undecided structural=undecided coset-action=undecided\n"
+
+
 def test_cli_reduce_surface(capsys):
     rc = cli.main(["reduce", problem_path("pi1-sigma2.json")])
     out = capsys.readouterr().out
@@ -229,6 +244,29 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
         rc = cli.main(["verify", problem_path("theta.json"), str(cert_path)])
         out = capsys.readouterr().out
         assert rc == 2 and out.startswith("verify: FAIL (") and reason in out, source
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("mover", None, "a word must be a string"),
+    ("xs", [["1"]], "a point must be a two-element list"),
+    ("batch", [[["1", 0]]], "a pair must be a two-element list"),
+    ("ys", [["1", "0"]], "a level must be an integer"),
+])
+def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
+    """Words, points and pairs of the wrong shape are replay errors, not
+    tracebacks."""
+    cert_path = tmp_path / "out.json"
+    rc = cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6",
+                   "--out", str(cert_path)])
+    assert rc == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    step = next(s for s in cert["steps"] if s["kind"] == "transitivity")
+    step[field] = value
+    cert_path.write_text(json.dumps(cert))
+    rc = cli.main(["verify", problem_path("pi1-sigma2.json"), str(cert_path)])
+    out = capsys.readouterr().out
+    assert rc == 2 and out.startswith("verify: FAIL (replay error: ") and reason in out
 
 
 PLAIN_TARGET = {"groups": {"Z": {"kind": "free_abelian", "generators": ["a"]}},
