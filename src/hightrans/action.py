@@ -135,6 +135,13 @@ class IntertwinerState:
         self.dst_index = {}
         self.frozen = set()
         self.ceiling = 0
+        # levels that carry a committed source or target orbit
+        self.occupied = set()
+        # per level, a shortlex position of Gamma before which every point
+        # is a non-representative or a committed orbit (anchors only grow)
+        self.fresh_from = {}
+        # the builder's witness-search cursors, one per LevelAction
+        self.cursors = {}
 
     @classmethod
     def for_group(cls, gamma):
@@ -190,6 +197,8 @@ class IntertwinerState:
                 else:
                     return self.default_image(x)
             x0, y0 = pair
+            if x == x0:
+                return y0
             s = x.g * x0.g.inverse()
             return Point(self.twist(s) * y0.g, y0.level)
         rep = self.dst_orbit(x)
@@ -205,6 +214,8 @@ class IntertwinerState:
             else:
                 return pre
         x0, y0 = pair
+        if x == y0:
+            return x0
         s = x.g * y0.g.inverse()
         return Point(self.untwist(s) * x0.g, x0.level)
 
@@ -246,12 +257,11 @@ class IntertwinerState:
             self.anchors[srep] = (x0, y0)
             self.dst_index[drep] = (x0, y0)
             self.ceiling = max(self.ceiling, x0.level, y0.level)
+            self.occupied.update((x0.level, y0.level))
 
     def freeze_level(self, n):
-        if any(rep.level == n for rep in self.anchors):
+        if n in self.occupied:
             raise StateError(f"level {n} already carries committed orbits")
-        if any(rep.level == n for rep in self.dst_index):
-            raise StateError(f"level {n} already carries committed target orbits")
         self.frozen.add(n)
 
     def check_equivariance(self, pairs=None):
@@ -324,7 +334,9 @@ def allocate_fresh_orbits(state, count, avoid=(), level=None):
 
     Representatives are scanned in shortlex order at the lowest non-frozen
     level >= ceiling (or the given level), skipping committed orbits,
-    frozen levels and the orbits of the avoid set.
+    frozen levels and the orbits of the avoid set.  The scan starts at the
+    level's ``fresh_from`` position and moves it up to the first orbit it
+    meets that is not committed, so no position is passed twice.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -336,12 +348,16 @@ def allocate_fresh_orbits(state, count, avoid=(), level=None):
         raise StateError(f"level {level} is frozen")
     avoid_reps = {state.src_orbit(p) for p in avoid}
     out = []
-    for g in state.gamma.iter_shortlex():
+    settled = True
+    for d, i, g in state.gamma.walk_shortlex(state.fresh_from.get(level, (0, 0))):
         cand = Point(g, level)
         rep = state.src_orbit(cand)
-        if rep != cand:
+        if rep != cand or rep in state.anchors:
             continue
-        if rep in state.anchors or rep in avoid_reps:
+        if settled:
+            state.fresh_from[level] = (d, i)
+            settled = False
+        if rep in avoid_reps:
             continue
         avoid_reps.add(rep)
         out.append(rep)

@@ -10,10 +10,12 @@ state over X = Gamma x N:
     alone, and freeze it so the non-fixed witness point survives forever.
 
 Requirements are dovetailed in a fixed diagonal order, so every tuple and
-every group element is eventually scheduled.  Witness searches enumerate
-shortlex balls of growing radius up to a budget cap; an exhausted search
-defers the requirement with a diagnostic instead of failing the run, which
-is exactly the observable trace of a misjudged core-freeness hypothesis.
+every group element is eventually scheduled.  A witness search walks the
+shortlex ball of the budget's radius from just past the run's last witness
+in the same group, wrapping round to the identity; only when the whole
+ball is exhausted does it defer the requirement, with a diagnostic instead
+of failing the run, which is exactly the observable trace of a misjudged
+core-freeness hypothesis.
 
 States only ever extend.  Postcondition replays pin every default orbit
 they touch (recorded as auto commits), so once a requirement is discharged
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from .action import (IntertwinerState, LevelAction, Point, StateError,
                      allocate_fresh_orbits, evaluate_pi)
 from .groups import UndecidedError
-from .hcf import search_E_set
+from .hcf import SearchCursor, search_E_set
 from .normal_forms import parse_word
 
 
@@ -133,6 +135,12 @@ def _pin_mover(state, mover, xs, ys):
     return auto, None
 
 
+def _cursor(state, action):
+    """The run's search cursor for one LevelAction.  It lives on the state,
+    not on the action, because one EngineProblem can serve several runs."""
+    return state.cursors.setdefault(action, SearchCursor())
+
+
 def _discharge(problem, state, xs, ys, witnesses, zs):
     batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
     state.commit_batch(batch)
@@ -153,19 +161,22 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
     # the default is the identity and a batch permutes the default images of
     # its sources, so the committed target orbits are the committed source
     # orbits: state.anchors protects both
+    left = _cursor(state, problem.action_left)
     f1 = list(xs) + list(ys)
-    g1 = search_E_set(problem.action_left, xs, f1, witness_radius, state.anchors)
+    g1 = search_E_set(problem.action_left, xs, f1, witness_radius, state.anchors, cursor=left)
     if g1 is None:
         raise DeferredRequirement(
             f"no left-factor witness for the source tuple within radius {witness_radius}")
     f2 = f1 + [problem.action_left.act(g1, x) for x in xs]
-    g2inv = search_E_set(problem.action_left, ys, f2, witness_radius, state.anchors)
+    g2inv = search_E_set(problem.action_left, ys, f2, witness_radius, state.anchors,
+                         cursor=left)
     if g2inv is None:
         raise DeferredRequirement(
             f"no left-factor witness for the target tuple within radius {witness_radius}")
     f3 = f2 + [problem.action_left.act(g2inv, y) for y in ys]
     zs = allocate_fresh_orbits(state, len(xs), avoid=f3, level=level)
-    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius, state.anchors)
+    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius, state.anchors,
+                     cursor=_cursor(state, problem.action_right))
     if h is None:
         raise DeferredRequirement(
             f"no right-factor witness for the fresh classes within radius {witness_radius}")
@@ -179,13 +190,14 @@ def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     # orbits of y0 and t x0 are state.dst_index, and the source orbits of x0
     # and t^-1 y0 are state.anchors
     ginv = search_E_set(problem.action_neg, ys, list(ys) + list(xs), witness_radius,
-                        state.dst_index)
+                        state.dst_index, cursor=_cursor(state, problem.action_neg))
     if ginv is None:
         raise DeferredRequirement(
             f"no witness for the target tuple within radius {witness_radius}")
     f_src = (list(xs) + list(ys)
              + [state.default_preimage(problem.action_neg.act(ginv, y)) for y in ys])
-    h = search_E_set(problem.action_pos, xs, f_src, witness_radius, state.anchors)
+    h = search_E_set(problem.action_pos, xs, f_src, witness_radius, state.anchors,
+                     cursor=_cursor(state, problem.action_pos))
     if h is None:
         raise DeferredRequirement(
             f"no witness for the source tuple within radius {witness_radius}")

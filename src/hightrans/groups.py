@@ -267,14 +267,23 @@ class Group:
 
     def iter_shortlex(self, max_radius=None):
         """Yield elements in shortlex order, layer by layer."""
-        d = 0
-        while max_radius is None or d <= max_radius:
-            for x in self.shortlex_layer(d):
-                yield x
+        for _, _, x in self.walk_shortlex(max_radius=max_radius):
+            yield x
+
+    def walk_shortlex(self, start=(0, 0), stop=None, max_radius=None):
+        """Yield (layer, index, element) in shortlex order from the position
+        ``start`` up to, not including, the position ``stop``, through
+        layer ``max_radius`` at most; a position indexes the cached layers."""
+        d, i = start
+        while (max_radius is None or d <= max_radius) and (stop is None or (d, i) < stop):
+            layer = self.shortlex_layer(d)
+            end = len(layer) if stop is None or d < stop[0] else min(stop[1], len(layer))
+            for k in range(i, end):
+                yield d, k, layer[k]
             if (self.is_finite() and not self._frontier and not self._pending
                     and d + 1 >= len(self._layers)):
                 return
-            d += 1
+            d, i = d + 1, 0
 
 
 # ---------------------------------------------------------------------------

@@ -75,21 +75,38 @@ class AuditVerdict:
 # witness-set searches
 
 
-def search_H_set(emb, xs, F, radius):
+class HSetMemo:
+    """What H-set searches over one protected set F can share: the
+    representatives of F, and for each pair (h, x) whether h x lies outside
+    Sigma F with h x h^-1 outside Sigma."""
+
+    def __init__(self, emb, F):
+        self.f_reps = {emb.rep(f) for f in F}
+        self.clear = {}
+
+
+def search_H_set(emb, xs, F, radius, memo=None):
     """First shortlex h with h x_i outside Sigma F and h x_i h^-1 outside
-    Sigma, for every i; None when the ball at ``radius`` is exhausted."""
+    Sigma, for every i; None when the ball at ``radius`` is exhausted.
+
+    ``memo`` is an HSetMemo of this F, which a caller may share between
+    the searches it runs over the same F.
+    """
     for x in xs:
         if x.is_identity:
             raise ValueError("H-set entries must be nontrivial")
-    f_reps = {emb.rep(f) for f in F}
+    if memo is None:
+        memo = HSetMemo(emb, F)
+    f_reps, clear = memo.f_reps, memo.clear
     for h in emb.target.iter_shortlex(radius):
-        ok = True
         for x in xs:
-            moved = h * x
-            if emb.rep(moved) in f_reps or emb.contains(h * x * h.inverse()):
-                ok = False
+            ok = clear.get((h, x))
+            if ok is None:
+                ok = clear[h, x] = not (emb.rep(h * x) in f_reps
+                                        or emb.contains(h * x * h.inverse()))
+            if not ok:
                 break
-        if ok:
+        else:
             return h
     return None
 
@@ -112,26 +129,46 @@ def search_G_set(emb, xs, F, radius):
     return None
 
 
-def search_E_set(action, xs, F, radius, protected=()):
-    """First shortlex h moving the points off the protected orbits with
-    pairwise disjoint subgroup orbits; None when exhausted.
+class SearchCursor:
+    """Where a run's next witness search over one group starts: a
+    (layer, index) position in the group's cached shortlex layers."""
+
+    __slots__ = ("position",)
+
+    def __init__(self):
+        self.position = (0, 0)
+
+
+def search_E_set(action, xs, F, radius, protected=(), cursor=None):
+    """An h moving the points off the protected orbits with pairwise
+    disjoint subgroup orbits; None when the ball of ``radius`` holds none.
 
     ``action`` is a LevelAction; points must be pairwise distinct.  The
     protected orbits are those of the points of F, plus ``protected``: a
     container of orbit representatives (as ``action.orbit_rep`` gives
     them) that is tested in place, so orbits committed once need not be
     listed again on every search.
+
+    Without a cursor the answer is the first such h in shortlex order.  A
+    ``cursor`` (a SearchCursor) starts the walk at its position, wraps to
+    the identity, and is moved just past the h returned.  Either way None
+    comes only after every element of the ball has been tested.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
     f_reps = {action.orbit_rep(f) for f in F}
-    for h in action.group.iter_shortlex(radius):
+    start = (0, 0) if cursor is None else cursor.position
+    walk = action.group.walk_shortlex
+    for d, i, h in itertools.chain(walk(start, max_radius=radius),
+                                   walk(stop=start, max_radius=radius)):
         imgs = [action.act(h, x) for x in xs]
         reps = [action.orbit_rep(p) for p in imgs]
         if any(r in f_reps or r in protected for r in reps):
             continue
         if len(set(reps)) != len(reps):
             continue
+        if cursor is not None:
+            cursor.position = (d, i + 1)
         return h
     return None
 
@@ -253,8 +290,10 @@ def audit_hcf(emb, bounds=None):
         nontrivial = [x for x in ball if not x.is_identity]
         size = min(bounds.tuple_size_max, len(nontrivial))
         witnesses = []
+        # every search protects the same ball, so they share one memo
+        memo = HSetMemo(emb, ball)
         for combo in itertools.combinations(nontrivial, size) if size else ():
-            h = search_H_set(emb, combo, ball, bounds.witness_radius)
+            h = search_H_set(emb, combo, ball, bounds.witness_radius, memo)
             if h is None:
                 return AuditVerdict(UNDECIDED, bounds, {
                     "reason": "H-set witness search exhausted",

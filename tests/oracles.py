@@ -4,18 +4,23 @@ Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
 cross-check and disagreement localizes a reduction bug.  The two-phase
 token reducers below are the slow path the one-syllable fold replaced;
-they reduce a whole token list from scratch.  The audit oracles at the end
-are the slow paths the exact audit shortcuts replaced: a finite-index walk
-that always walks, coset fixers by coset decomposition, and structural
-certificates that build every conjugacy ball twice.
+they reduce a whole token list from scratch.  The engine oracles are the
+shortlex-first witness rule, allocation and level scans from scratch, and
+intertwiner evaluation by the equivariance formula alone.  The audit
+oracles at the end are the slow paths the exact audit shortcuts replaced:
+a finite-index walk that always walks, coset fixers by coset
+decomposition, and structural certificates that build every conjugacy
+ball twice.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from hightrans import groups
+from hightrans import engine, groups
+from hightrans.action import Point
 from hightrans.groups import UndecidedError
-from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict
+from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict, search_E_set
 
 
 def affine_bs12(word):
@@ -262,6 +267,63 @@ def hnn_protect_lists(state):
         dst_protect.extend([y0, state.default_image(x0)])
         src_protect.extend([x0, state.default_preimage(y0)])
     return dst_protect, src_protect
+
+
+# ---------------------------------------------------------------------------
+# the engine's slow paths: shortlex-first witnesses, allocation and level
+# scans from scratch, and evaluation by the equivariance formula alone
+
+
+def shortlex_first_search(action, xs, F, radius, protected=(), cursor=None):
+    """``search_E_set`` with its cursor dropped: the first witness in
+    shortlex order, the rule the engine followed before wrap-around
+    cursors.  Patched in as ``engine.search_E_set`` it rebuilds the old
+    certificates."""
+    return search_E_set(action, xs, F, radius, protected)
+
+
+@contextmanager
+def shortlex_first_rule():
+    """Run the engine under ``shortlex_first_search``."""
+    saved = engine.search_E_set
+    engine.search_E_set = shortlex_first_search
+    try:
+        yield
+    finally:
+        engine.search_E_set = saved
+
+
+def allocate_by_rescan(state, count, level):
+    """The first ``count`` uncommitted source-orbit representatives at
+    ``level``, scanning Gamma in shortlex order from the identity."""
+    out = []
+    for g in state.gamma.iter_shortlex():
+        cand = Point(g, level)
+        if state.src_orbit(cand) == cand and cand not in state.anchors:
+            out.append(cand)
+            if len(out) == count:
+                return out
+
+
+def occupied_by_scan(state):
+    """Levels of every committed source and target orbit."""
+    return {rep.level for rep in state.anchors} | {rep.level for rep in state.dst_index}
+
+
+def evaluate_by_formula(state, x, inverse=False):
+    """w(x) (or its inverse image) from the anchor by the equivariance law,
+    even at the anchor itself; the default map off committed orbits."""
+    if not inverse:
+        pair = state.anchors.get(state.src_orbit(x))
+        if pair is None:
+            return state.default_image(x)
+        x0, y0 = pair
+        return Point(state.twist(x.g * x0.g.inverse()) * y0.g, y0.level)
+    pair = state.dst_index.get(state.dst_orbit(x))
+    if pair is None:
+        return state.default_preimage(x)
+    x0, y0 = pair
+    return Point(state.untwist(x.g * y0.g.inverse()) * x0.g, x0.level)
 
 
 # ---------------------------------------------------------------------------

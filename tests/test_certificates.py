@@ -15,11 +15,13 @@ from hightrans.engine import Budget, run_schedule, verify_certificate_report
 from hightrans.problem import canonical_text, load_certificate, parse_problem
 
 from conftest import problem_path
+from oracles import shortlex_first_rule
 
 
 PINNED_BUDGET = 40
 
 # SHA-256 of canonical_text of `hightrans build problems/<name>.json --budget 40`
+# under the shortlex-first witness rule (oracles.shortlex_first_rule)
 PINNED = {
     "pi1-sigma2": "4e5740add9963ccef76e1db5e3a2bee85f0a634caa406465f59412955f05155a",
     "gaussian-hnn": "8383b17280fb0759ee2e6bbdb21a7821c266ccf673c1b5ec261b0eefa4bf7fc1",
@@ -32,17 +34,28 @@ PINNED = {
     "planted-finite-index-edge": "5654a00e1620959e4951ea2da2fe52832c1058905b5c6147aacbe05cf682d75e",
 }
 
+# the same builds under the wrap-around witness rule the engine ships
+PINNED_CURSOR = {
+    "pi1-sigma2": "498cd50ca769fe6c5be4ebaa0a41a638c0250e964cf8d6209774c648ee7eb939",
+    "gaussian-hnn": "511a3956089e2503dd60a3bd030e1b32fa613188c4bb81c10395323c798911a7",
+    "free2-hnn": "2f334645758e5d20f9866d8a9ad875665e6bb3776739488b309a167c7b8334ad",
+    "z-star-z": "faa1e6d6e4891e0d19f7a670422f1d357a7c836472d118b1c6e32f8e13e83f0a",
+    "bs12": "46eea18d9941458a4cfd1b826c5b61a5ace20c050ec4cf18f8805e1567548e84",
+    "z2-z3": "46d99695a390a012c8638cecc06b73736e9b3ed6ae6145a5633cd2fb488fbd39",
+    "theta": "d8e4c6a0211abb9776b4539ff7195b3e5d3d3eebad1717e87f3012f572818993",
+    "planted-finite-vertex": "8877d972ea616c390e70e245edf7a5a1c9a6228005ef41ba7c18a9321dede05c",
+    "planted-finite-index-edge": "5654a00e1620959e4951ea2da2fe52832c1058905b5c6147aacbe05cf682d75e",
+}
 
-# SHA-256 of every benchmark certificate, "<problem>@<budget>", at its full budget
+
+# SHA-256 of every benchmark certificate, "<problem>@<budget>", at its full budget,
+# under the shortlex-first witness rule
 SEED_CERTIFICATES = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "workloads.json").read_text()
 )["seed_certificates"]
 
 
-@pytest.fixture(scope="module")
-def built(tmp_path_factory):
-    """Certificate path of every bundled problem at the pinned budget."""
-    out = tmp_path_factory.mktemp("certs")
+def _build_all(out):
     paths = {}
     for name in PINNED:
         path = str(out / f"{name}.json")
@@ -51,6 +64,20 @@ def built(tmp_path_factory):
         assert rc in (cli.EXIT_PASS, cli.EXIT_UNDECIDED)
         paths[name] = path
     return paths
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """Certificate path of every bundled problem at the pinned budget, built
+    under the shortlex-first witness rule."""
+    with shortlex_first_rule():
+        return _build_all(tmp_path_factory.mktemp("certs"))
+
+
+@pytest.fixture(scope="module")
+def built_cursor(tmp_path_factory):
+    """The same builds under the witness rule the engine ships."""
+    return _build_all(tmp_path_factory.mktemp("cursor_certs"))
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +109,21 @@ def test_certificate_bytes_pinned(name, built):
     assert rc == cli.EXIT_PASS
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_CURSOR))
+def test_certificate_bytes_pinned_cursor(name, built_cursor):
+    text = canonical_text(load_certificate(built_cursor[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CURSOR[name]
+    rc = cli.main(["verify", problem_path(f"{name}.json"), built_cursor[name]])
+    assert rc == cli.EXIT_PASS
+
+
 @pytest.mark.parametrize("key", sorted(SEED_CERTIFICATES))
 def test_certificate_bytes_at_benchmark_budget(key, tmp_path):
     name, budget = key.split("@")
     path = str(tmp_path / f"{name}.json")
-    rc = cli.main(["build", problem_path(f"{name}.json"), "--budget", budget, "--out", path])
+    with shortlex_first_rule():
+        rc = cli.main(["build", problem_path(f"{name}.json"), "--budget", budget,
+                       "--out", path])
     assert rc in (cli.EXIT_PASS, cli.EXIT_UNDECIDED)
     text = canonical_text(load_certificate(path))
     assert hashlib.sha256(text.encode()).hexdigest() == SEED_CERTIFICATES[key]

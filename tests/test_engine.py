@@ -17,7 +17,7 @@ from hightrans.engine import (
 from hightrans.problem import parse_problem
 
 from conftest import PROBLEMS
-from oracles import amalgam_protect_list, hnn_protect_lists
+from oracles import amalgam_protect_list, hnn_protect_lists, shortlex_first_rule
 
 
 def canon(cert):
@@ -306,7 +306,9 @@ def test_committed_orbits_are_the_old_protect_lists(path, monkeypatch):
 @pytest.mark.parametrize("name", ["pi1-sigma2", "theta"])
 def test_orbit_reps_match_the_embedding(name, monkeypatch):
     """Every orbit rep a 200-step build asks for, the amalgam edge
-    subgroup's read off the normal form included, is ``Embedding.rep``'s."""
+    subgroup's read off the normal form included, is ``Embedding.rep``'s.
+    The build runs under the shortlex-first rule, whose searches ask for
+    far more reps than the wrap-around cursor's."""
     queried = Counter()
     rep_map = action.orbit_rep_map
 
@@ -322,5 +324,6 @@ def test_orbit_reps_match_the_embedding(name, monkeypatch):
 
     monkeypatch.setattr(action, "orbit_rep_map", checked_rep_map)
     gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
-    run_schedule(gamma, Budget(steps=200), name)
+    with shortlex_first_rule():
+        run_schedule(gamma, Budget(steps=200), name)
     assert set(queried) == {gamma.kind} and queried[gamma.kind] > 10_000
