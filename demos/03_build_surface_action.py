@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Build a certified fragment of a faithful, highly transitive action of
-the genus-2 surface group and replay its certificate.
+the genus-2 surface group on the group itself and replay its certificate.
 
 Run:  python3 demos/03_build_surface_action.py
 """
@@ -29,13 +29,12 @@ print(f"  committed {len(example['batch'])} orbit pairs, "
       f"pinned {len(example['auto'])} defaults")
 
 example = faith[0]
-print("\na faithfulness witness:")
+print("\na faithfulness witness, on the same set as the transitivity tuples:")
 print(f"  element {example['element']} moves {example['witness']} "
-      f"to {example['image']} on frozen level {example['level']}")
+      f"to {example['image']}, pinning {len(example['auto'])} defaults")
 
 state = cert["final_state"]
-print(f"\nfinal state: {len(state['anchors'])} committed orbits, "
-      f"frozen levels {state['frozen'][:6]}...")
+print(f"\nfinal state: {len(state['anchors'])} committed orbits")
 
 ok, reason = verify_certificate_report(fixtures.surface_group(), cert)
 print(f"\nindependent replay: {'OK' if ok else 'FAIL'} ({reason})")

@@ -11,8 +11,9 @@ The package splits into:
   * :mod:`hightrans.hcf` -- bounded audits of the highly core-free
     condition with replayable verdicts;
   * :mod:`hightrans.action` / :mod:`hightrans.engine` -- the countable set
-    Gamma x N, the partially built intertwiner, and the certified
-    requirement engine;
+    X = Gamma, the partially built intertwiner, and the certified
+    requirement engine for an action on X that is both faithful and highly
+    transitive;
   * :mod:`hightrans.graphs` -- graphs of groups, edge reduction, and
     hypothesis validation;
   * :mod:`hightrans.problem` / :mod:`hightrans.cli` -- problem files,
@@ -61,12 +62,8 @@ from .hcf import (
 from .action import (
     IntertwinerState,
     LevelAction,
-    Point,
     allocate_fresh_orbits,
-    default_image,
     evaluate_pi,
-    evaluate_w,
-    orbit_rep,
     plain_level_action,
 )
 from .engine import (

@@ -1,9 +1,10 @@
-"""The countable set X = Gamma x N, its free action, and the partially
-built intertwiner.
+"""The countable set X = Gamma, its free action, and the partially built
+intertwiner.
 
-Points are (group element, level) pairs; every group element acts freely
-by left multiplication on the first coordinate, so orbits and their
-canonical representatives reduce to coset decompositions in Gamma.
+Points are group elements; every group element acts freely by left
+multiplication, so orbits and their canonical representatives reduce to
+coset decompositions in Gamma.  An edge subgroup of infinite index, as
+the hypotheses require, splits X into infinitely many orbits.
 
 The intertwiner is a bijection of X held as a finite equivariant rewiring
 over a total default (left multiplication by the stable letter in HNN
@@ -11,61 +12,19 @@ mode, the identity in amalgam mode).  Each committed orbit stores one
 anchor pair; the equivariance law reconstructs the rest of the orbit, so
 the map is exact and O(1) per orbit.  Rewirings only ever extend: a batch
 permutes the default images of its source orbits, which keeps the total
-map a bijection at every instant, and frozen levels are never committed so
-evaluations there stay default forever.
+map a bijection at every instant, and an evaluation with ``commit=True``
+pins the default orbits it touches, so its value holds in every later
+state.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .groups import Element, OwnerMismatch
 
 
-class Point:
-    """An element of X = Gamma x N."""
-
-    __slots__ = ("g", "level", "_hash")
-
-    def __init__(self, g, level):
-        if level < 0:
-            raise ValueError("levels are natural numbers")
-        self.g = g
-        self.level = level
-        self._hash = None
-
-    def translate(self, h):
-        """The free action: h . (g, n) = (hg, n)."""
-        return Point(h * self.g, self.level)
-
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.level == other.level and self.g == other.g
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.g, self.level))
-        return self._hash
-
-    def sort_key(self):
-        return (self.level, self.g.sort_key())
-
-    def __repr__(self):
-        return f"({self.g!s}, {self.level})"
-
-
-def orbit_rep(embedding, point):
-    """Canonical representative of the orbit (image subgroup) . point."""
-    return Point(embedding.rep(point.g), point.level)
-
-
 def orbit_rep_map(embedding):
-    """``orbit_rep`` for one embedding, as a function of the point.
+    """The canonical representative of the orbit (image subgroup) . x, as a
+    function of the point x: ``embedding.rep``.
 
     For an amalgam's own edge subgroup Sigma the representative is read off
     the normal form: a payload (sigma, syls) carries its Sigma part in front
@@ -74,19 +33,19 @@ def orbit_rep_map(embedding):
     """
     gamma = embedding.target
     if gamma.kind != "amalgam" or embedding is not gamma.sigma_embedding():
-        return partial(orbit_rep, embedding)
+        return embedding.rep
     one = gamma.identity_payload()[0]
 
-    def rep(point):
-        sigma, syls = point.g.payload
+    def rep(x):
+        sigma, syls = x.payload
         if sigma.is_identity:
-            return point
-        return Point(Element(gamma, (one, syls)), point.level)
+            return x
+        return Element(gamma, (one, syls))
     return rep
 
 
 class LevelAction:
-    """A group acting on X = Gamma x N by left multiplication, given as
+    """A group acting on X = Gamma by left multiplication, given as
     ``left_multiply(h, g) = h g`` in Gamma, together with the subgroup whose
     orbits the searches reason about."""
 
@@ -96,12 +55,12 @@ class LevelAction:
         self.sigma = sigma
         self.orbit_rep = orbit_rep_map(sigma)
 
-    def act(self, h, point):
-        return Point(self.left_multiply(h, point.g), point.level)
+    def act(self, h, x):
+        return self.left_multiply(h, x)
 
 
 def plain_level_action(sigma_embedding):
-    """H acting on H x N with Sigma-orbits from the given embedding."""
+    """H acting on itself, with Sigma-orbits from the given embedding."""
     return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding)
 
 
@@ -133,13 +92,9 @@ class IntertwinerState:
         self.dst_orbit = orbit_rep_map(sigma_dst)
         self.anchors = {}
         self.dst_index = {}
-        self.frozen = set()
-        self.ceiling = 0
-        # levels that carry a committed source or target orbit
-        self.occupied = set()
-        # per level, a shortlex position of Gamma before which every point
-        # is a non-representative or a committed orbit (anchors only grow)
-        self.fresh_from = {}
+        # a shortlex position of Gamma before which every point is a
+        # non-representative or a committed orbit (anchors only grow)
+        self.fresh_from = (0, 0)
         # the builder's witness-search cursors, one per LevelAction
         self.cursors = {}
 
@@ -169,55 +124,51 @@ class IntertwinerState:
         """t . x in hnn mode, x itself in amalgam mode."""
         if self.mode == "amalgam":
             return x
-        return x.translate(self.stable)
+        return self.stable * x
 
     def default_preimage(self, x):
         if self.mode == "amalgam":
             return x
-        return x.translate(self.stable.inverse())
+        return self.stable.inverse() * x
 
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, x, inverse=False, commit=False, log=None):
         """w(x) (or its inverse image); a bijection of X for every state.
 
-        With ``commit=True`` an untouched, unfrozen orbit is pinned to its
-        default image before evaluating, so the value can never change in a
-        later state; the pinned pair is appended to ``log``.
+        With ``commit=True`` an untouched orbit is pinned to its default
+        image before evaluating, so the value can never change in a later
+        state; the pinned pair is appended to ``log``.
         """
         if not inverse:
             rep = self.src_orbit(x)
             pair = self.anchors.get(rep)
             if pair is None:
-                if commit and x.level not in self.frozen:
-                    pair = (rep, self.default_image(rep))
-                    self.commit_pair(*pair)
-                    if log is not None:
-                        log.append(pair)
-                else:
+                if not commit:
                     return self.default_image(x)
+                pair = (rep, self.default_image(rep))
+                self.commit_pair(*pair)
+                if log is not None:
+                    log.append(pair)
             x0, y0 = pair
             if x == x0:
                 return y0
-            s = x.g * x0.g.inverse()
-            return Point(self.twist(s) * y0.g, y0.level)
+            return self.twist(x * x0.inverse()) * y0
         rep = self.dst_orbit(x)
         pair = self.dst_index.get(rep)
         if pair is None:
             pre = self.default_preimage(x)
-            if commit and pre.level not in self.frozen:
-                srep = self.src_orbit(pre)
-                pair = (srep, self.default_image(srep))
-                self.commit_pair(*pair)
-                if log is not None:
-                    log.append(pair)
-            else:
+            if not commit:
                 return pre
+            srep = self.src_orbit(pre)
+            pair = (srep, self.default_image(srep))
+            self.commit_pair(*pair)
+            if log is not None:
+                log.append(pair)
         x0, y0 = pair
         if x == y0:
             return x0
-        s = x.g * y0.g.inverse()
-        return Point(self.untwist(s) * x0.g, x0.level)
+        return self.untwist(x * y0.inverse()) * x0
 
     # -- mutation -------------------------------------------------------------
 
@@ -229,15 +180,12 @@ class IntertwinerState:
 
         The batch must consist of fresh source orbits whose default images
         are exactly the target orbits (as a set), so the total map stays a
-        bijection; frozen levels are untouchable.
+        bijection.
         """
         src_reps, dst_reps, default_reps = [], [], []
         for x0, y0 in pairs:
-            if x0.g.owner is not self.gamma or y0.g.owner is not self.gamma:
+            if x0.owner is not self.gamma or y0.owner is not self.gamma:
                 raise OwnerMismatch("anchor points must live in the acting group")
-            if x0.level in self.frozen or y0.level in self.frozen:
-                raise StateError(f"level {x0.level if x0.level in self.frozen else y0.level} "
-                                 "is frozen for faithfulness witnesses")
             srep = self.src_orbit(x0)
             drep = self.dst_orbit(y0)
             if srep in self.anchors:
@@ -256,13 +204,6 @@ class IntertwinerState:
         for (x0, y0), srep, drep in zip(pairs, src_reps, dst_reps):
             self.anchors[srep] = (x0, y0)
             self.dst_index[drep] = (x0, y0)
-            self.ceiling = max(self.ceiling, x0.level, y0.level)
-            self.occupied.update((x0.level, y0.level))
-
-    def freeze_level(self, n):
-        if n in self.occupied:
-            raise StateError(f"level {n} already carries committed orbits")
-        self.frozen.add(n)
 
     def check_equivariance(self, pairs=None):
         """Re-derive the defining law for every subgroup generator at the
@@ -276,22 +217,11 @@ class IntertwinerState:
         for x0, y0 in self.anchors.values() if pairs is None else pairs:
             for gen in self.sigma_src.source.generators():
                 s = self.sigma_src.apply(gen)
-                lhs = self.evaluate(Point(s * x0.g, x0.level))
-                rhs = Point(self.twist(s) * y0.g, y0.level)
-                if lhs != rhs:
+                if self.evaluate(s * x0) != self.twist(s) * y0:
                     return False
             if self.evaluate(x0) != y0 or self.evaluate(y0, inverse=True) != x0:
                 return False
         return True
-
-
-def default_image(state, x):
-    return state.default_image(x)
-
-
-def evaluate_w(state, x, inverse=False):
-    """Total evaluation of the partial intertwiner; pure."""
-    return state.evaluate(x, inverse=inverse)
 
 
 def evaluate_pi(state, g, x, commit=False, log=None):
@@ -311,51 +241,43 @@ def evaluate_pi(state, g, x, commit=False, log=None):
         sigma, syls = g.payload
         for side, r in reversed(syls):
             if side == 0:
-                cur = Point(gamma.include(0, r, cur.g), cur.level)
+                cur = gamma.include(0, r, cur)
             else:
                 cur = state.evaluate(cur, commit=commit, log=log)
-                cur = Point(gamma.include(1, r, cur.g), cur.level)
+                cur = gamma.include(1, r, cur)
                 cur = state.evaluate(cur, inverse=True, commit=commit, log=log)
         if not sigma.is_identity:
-            cur = Point(gamma.include(0, gamma.edge_left.apply(sigma), cur.g), cur.level)
+            cur = gamma.include(0, gamma.edge_left.apply(sigma), cur)
         return cur
     head, tail = g.payload
     for eps, r in reversed(tail):
         if not r.is_identity:
-            cur = Point(gamma.include(r, cur.g), cur.level)
+            cur = gamma.include(r, cur)
         cur = state.evaluate(cur, inverse=(eps == -1), commit=commit, log=log)
     if not head.is_identity:
-        cur = Point(gamma.include(head, cur.g), cur.level)
+        cur = gamma.include(head, cur)
     return cur
 
 
-def allocate_fresh_orbits(state, count, avoid=(), level=None):
+def allocate_fresh_orbits(state, count, avoid=()):
     """Deterministically pick fresh, pairwise distinct source orbits.
 
-    Representatives are scanned in shortlex order at the lowest non-frozen
-    level >= ceiling (or the given level), skipping committed orbits,
-    frozen levels and the orbits of the avoid set.  The scan starts at the
-    level's ``fresh_from`` position and moves it up to the first orbit it
-    meets that is not committed, so no position is passed twice.
+    Representatives are scanned in shortlex order, skipping committed
+    orbits and the orbits of the avoid set.  The scan starts at the state's
+    ``fresh_from`` position and moves it up to the first orbit it meets
+    that is not committed, so no position is passed twice.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if level is None:
-        level = state.ceiling
-        while level in state.frozen:
-            level += 1
-    elif level in state.frozen:
-        raise StateError(f"level {level} is frozen")
     avoid_reps = {state.src_orbit(p) for p in avoid}
     out = []
     settled = True
-    for d, i, g in state.gamma.walk_shortlex(state.fresh_from.get(level, (0, 0))):
-        cand = Point(g, level)
-        rep = state.src_orbit(cand)
-        if rep != cand or rep in state.anchors:
+    for d, i, g in state.gamma.walk_shortlex(state.fresh_from):
+        rep = state.src_orbit(g)
+        if rep != g or rep in state.anchors:
             continue
         if settled:
-            state.fresh_from[level] = (d, i)
+            state.fresh_from = (d, i)
             settled = False
         if rep in avoid_reps:
             continue
@@ -363,5 +285,4 @@ def allocate_fresh_orbits(state, count, avoid=(), level=None):
         out.append(rep)
         if len(out) == count:
             break
-    state.ceiling = max(state.ceiling, level)
     return out

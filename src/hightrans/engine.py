@@ -1,13 +1,18 @@
 """Deterministic construction of a faithful, highly transitive action.
 
 The engine discharges two kinds of requirements against an intertwiner
-state over X = Gamma x N:
+state over X = Gamma, on the one set that the action is both faithful and
+highly transitive on:
 
   * transitivity(xs, ys): find witnesses in the factor/base groups, commit
     a fresh orbit batch that swaps default images, and return a mover g
     with pi(g) xs = ys pointwise;
-  * faithfulness(g): reserve a fresh level, where pi acts through defaults
-    alone, and freeze it so the non-fixed witness point survives forever.
+  * faithfulness(g): walk Gamma in shortlex order from the identity to the
+    first point x with pi(g) x != x, pinning the default orbits its
+    evaluation touches so that pi(g) x stays put forever.  A point whose
+    syllable path meets no committed orbit has pi(g) x = g x != x, and
+    such points exist because Gamma is no finite union of cosets of
+    infinite-index subgroups (B. H. Neumann's lemma).
 
 Requirements are dovetailed in a fixed diagonal order, so every tuple and
 every group element is eventually scheduled.  A witness search walks the
@@ -28,8 +33,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .action import (IntertwinerState, LevelAction, Point, StateError,
-                     allocate_fresh_orbits, evaluate_pi)
+from .action import (IntertwinerState, LevelAction, StateError, allocate_fresh_orbits,
+                     evaluate_pi)
 from .groups import UndecidedError
 from .hcf import SearchCursor, search_E_set
 from .normal_forms import parse_word
@@ -46,6 +51,10 @@ class DeferredRequirement(Exception):
     def __init__(self, message):
         super().__init__(message)
         self.diagnostic = message
+
+
+# the certificate layout: points are words of Gamma
+CERTIFICATE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -83,20 +92,13 @@ class EngineProblem:
         return IntertwinerState.for_group(self.gamma)
 
 
-def _check_tuples(state, xs, ys):
+def _check_tuples(xs, ys):
     if len(xs) != len(ys):
         raise ValueError("transitivity tuples must have the same length")
     if not xs:
         raise ValueError("transitivity tuples must be non-empty")
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise ValueError("tuple entries must be pairwise distinct")
-    levels = {p.level for p in xs} | {p.level for p in ys}
-    if len(levels) != 1:
-        raise ValueError("tuple entries must share one level")
-    level = levels.pop()
-    if level in state.frozen:
-        raise ValueError(f"level {level} is frozen")
-    return level
 
 
 def transitivity_batch(problem, state, xs, ys, witnesses, zs):
@@ -157,7 +159,7 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
     the four families of orbits are fresh and pairwise disjoint, commits the
     four-way swap batch, and returns the mover g2 h g1.
     """
-    level = _check_tuples(state, xs, ys)
+    _check_tuples(xs, ys)
     # the default is the identity and a batch permutes the default images of
     # its sources, so the committed target orbits are the committed source
     # orbits: state.anchors protects both
@@ -174,7 +176,7 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
         raise DeferredRequirement(
             f"no left-factor witness for the target tuple within radius {witness_radius}")
     f3 = f2 + [problem.action_left.act(g2inv, y) for y in ys]
-    zs = allocate_fresh_orbits(state, len(xs), avoid=f3, level=level)
+    zs = allocate_fresh_orbits(state, len(xs), avoid=f3)
     h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius, state.anchors,
                      cursor=_cursor(state, problem.action_right))
     if h is None:
@@ -185,7 +187,7 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
 
 def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     """One extension step in HNN mode: mover g t h with a two-way swap batch."""
-    _check_tuples(state, xs, ys)
+    _check_tuples(xs, ys)
     # a batch permutes the default images t x0 of its sources, so the target
     # orbits of y0 and t x0 are state.dst_index, and the source orbits of x0
     # and t^-1 y0 are state.anchors
@@ -210,22 +212,23 @@ def extend_transitivity(problem, state, xs, ys, witness_radius=64):
     return extend_transitivity_hnn(problem, state, xs, ys, witness_radius)
 
 
-def ensure_faithful(problem, state, g):
-    """Reserve and freeze a fresh level where pi(g) visibly moves a point."""
+def ensure_faithful(problem, state, g, witness_radius=64):
+    """The shortlex-first point x of the ball with pi(g) x != x, its image,
+    and the default orbits pinned to make that value permanent.
+
+    Candidates are evaluated without pinning, so only the witness's own
+    evaluation commits anything and a replay of the witness alone rebuilds
+    the same state.
+    """
     if g.owner is not problem.gamma:
         raise ValueError("the element must live in the acting group")
     if g.is_identity:
         raise ValueError("faithfulness witnesses exist only for nontrivial elements")
-    n = state.ceiling + 1
-    while n in state.frozen:
-        n += 1
-    witness = Point(problem.gamma.identity(), n)
-    image = evaluate_pi(state, g, witness)
-    expected = Point(g, n)
-    if image != expected or image == witness:
-        raise EngineError(f"default evaluation at fresh level {n} is broken")
-    state.freeze_level(n)
-    return witness, image
+    for x in problem.gamma.iter_shortlex(witness_radius):
+        if evaluate_pi(state, g, x) != x:
+            auto = []
+            return x, evaluate_pi(state, g, x, commit=True, log=auto), auto
+    raise EngineError(f"pi({g}) fixes every point within radius {witness_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,7 @@ def requirement_stream(problem):
 
 
 class _PointTable:
-    """Lazily materialized level-0 points in shortlex order, 1-indexed."""
+    """Lazily materialized points in shortlex order, 1-indexed."""
 
     def __init__(self, gamma):
         self._iter = gamma.iter_shortlex()
@@ -291,29 +294,21 @@ class _PointTable:
 
     def get(self, index):
         while len(self._points) < index:
-            self._points.append(Point(next(self._iter), 0))
+            self._points.append(next(self._iter))
         return self._points[index - 1]
 
 
-def _point_json(p):
-    return [str(p.g), p.level]
-
-
-def _pair(data, what):
-    if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ValueError(f"{what} must be a two-element list, got {data!r}")
-    return data
-
-
-def _parse_point(gamma, data):
-    word, level = _pair(data, "a point")
-    if not isinstance(level, int) or isinstance(level, bool):
-        raise ValueError(f"a level must be an integer, got {level!r}")
-    return Point(parse_word(gamma, word), level)
+def _pairs_json(pairs):
+    return [[str(a), str(b)] for a, b in pairs]
 
 
 def _parse_pairs(gamma, data):
-    return [tuple(_parse_point(gamma, p) for p in _pair(pair, "a pair")) for pair in data]
+    out = []
+    for pair in data:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"a pair must be a two-element list, got {pair!r}")
+        out.append((parse_word(gamma, pair[0]), parse_word(gamma, pair[1])))
+    return out
 
 
 def run_schedule(problem, budget, problem_key=""):
@@ -341,16 +336,16 @@ def run_schedule(problem, budget, problem_key=""):
             except DeferredRequirement as exc:
                 deferred.append({
                     "index": index, "kind": "transitivity",
-                    "xs": [_point_json(p) for p in xs],
-                    "ys": [_point_json(p) for p in ys],
+                    "xs": [str(p) for p in xs],
+                    "ys": [str(p) for p in ys],
                     "diagnostic": exc.diagnostic,
                 })
                 continue
             except UndecidedError as exc:
                 deferred.append({
                     "index": index, "kind": "transitivity",
-                    "xs": [_point_json(p) for p in xs],
-                    "ys": [_point_json(p) for p in ys],
+                    "xs": [str(p) for p in xs],
+                    "ys": [str(p) for p in ys],
                     "diagnostic": f"membership oracle gave up: {exc}",
                 })
                 continue
@@ -358,31 +353,30 @@ def run_schedule(problem, budget, problem_key=""):
                 "kind": "transitivity",
                 "index": index,
                 "n": n,
-                "xs": [_point_json(p) for p in xs],
-                "ys": [_point_json(p) for p in ys],
+                "xs": [str(p) for p in xs],
+                "ys": [str(p) for p in ys],
                 "witnesses": witnesses,
-                "zs": [_point_json(p) for p in zs],
-                "batch": [[_point_json(a), _point_json(b)] for a, b in batch],
-                "auto": [[_point_json(a), _point_json(b)] for a, b in auto],
+                "zs": [str(p) for p in zs],
+                "batch": _pairs_json(batch),
+                "auto": _pairs_json(auto),
                 "mover": str(mover),
             })
             logger.info("step %d: transitivity n=%d discharged, mover %s",
                         index, n, mover)
         else:
             (g,) = req.payload
-            witness, image = ensure_faithful(problem, state, g)
+            witness, image, auto = ensure_faithful(problem, state, g, budget.witness_radius)
             steps.append({
                 "kind": "faithfulness",
                 "index": index,
                 "element": str(g),
-                "level": witness.level,
-                "witness": _point_json(witness),
-                "image": _point_json(image),
+                "witness": str(witness),
+                "image": str(image),
+                "auto": _pairs_json(auto),
             })
-            logger.info("step %d: faithfulness of %s witnessed at level %d",
-                        index, g, witness.level)
+            logger.info("step %d: faithfulness of %s witnessed at %s", index, g, witness)
     return {
-        "format": 1,
+        "format": CERTIFICATE_FORMAT,
         "problem": problem_key,
         "group": problem.gamma.name,
         "mode": problem.mode,
@@ -395,11 +389,7 @@ def run_schedule(problem, budget, problem_key=""):
 
 def _state_snapshot(state):
     anchors = sorted(state.anchors.values(), key=lambda pair: pair[0].sort_key())
-    return {
-        "anchors": [[_point_json(a), _point_json(b)] for a, b in anchors],
-        "frozen": sorted(state.frozen),
-        "ceiling": state.ceiling,
-    }
+    return {"anchors": _pairs_json(anchors)}
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +399,8 @@ def _state_snapshot(state):
 def verify_certificate_report(gamma, cert):
     """Rebuild the state from the recorded commitments and re-check every
     postcondition; returns (ok, reason of first failure)."""
+    if cert.get("format") != CERTIFICATE_FORMAT:
+        return False, f"unsupported certificate format {cert.get('format')!r}"
     try:
         problem = EngineProblem(gamma)
     except ValueError as exc:
@@ -452,10 +444,10 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
     """Replay one transitivity step; when it holds, its parsed postcondition
     goes to ``postconditions`` for the persistence pass."""
     gamma = problem.gamma
-    xs = [_parse_point(gamma, p) for p in step["xs"]]
-    ys = [_parse_point(gamma, p) for p in step["ys"]]
-    zs = [_parse_point(gamma, p) for p in step["zs"]]
-    _check_tuples(state, xs, ys)
+    xs = [parse_word(gamma, p) for p in step["xs"]]
+    ys = [parse_word(gamma, p) for p in step["ys"]]
+    zs = [parse_word(gamma, p) for p in step["zs"]]
+    _check_tuples(xs, ys)
     witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
     expected_batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
@@ -477,9 +469,6 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
     # law needs checking once per anchor: at the pairs this step committed
     if not state.check_equivariance(recorded_batch + auto):
         return False, "equivariance fails at a committed anchor"
-    for a, b in recorded_batch:
-        if a.level != b.level:
-            return False, "a committed pair changes levels"
     if postconditions is not None:
         postconditions.append((step.get("index"), "mover postcondition lost",
                                [(mover, x, y) for x, y in zip(xs, ys)]))
@@ -487,28 +476,25 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
 
 
 def _verify_faithfulness_step(problem, state, step, postconditions=None):
-    """Replay one faithfulness step; see ``_verify_transitivity_step``."""
+    """Replay one faithfulness step; see ``_verify_transitivity_step``.
+
+    Default pins are equivariant by construction, so unlike a transitivity
+    batch they need no equivariance check."""
     gamma = problem.gamma
     g = parse_word(gamma, step["element"])
     if g.is_identity:
         return False, "faithfulness step for the identity"
-    level = step["level"]
-    expected = state.ceiling + 1
-    while expected in state.frozen:
-        expected += 1
-    if level != expected:
-        return False, f"level {level} is not the scheduled fresh level {expected}"
-    witness = _parse_point(gamma, step["witness"])
-    image = _parse_point(gamma, step["image"])
-    if witness != Point(gamma.identity(), level):
-        return False, "witness point is not the base point of the fresh level"
-    got = evaluate_pi(state, g, witness)
-    if got != image or got == witness:
+    witness = parse_word(gamma, step["witness"])
+    image = parse_word(gamma, step["image"])
+    recorded_auto = _parse_pairs(gamma, step["auto"])
+    auto = []
+    got = evaluate_pi(state, g, witness, commit=True, log=auto)
+    if got != image:
         return False, "recorded image is not the evaluated image"
-    try:
-        state.freeze_level(level)
-    except StateError as exc:
-        return False, f"cannot freeze level {level}: {exc}"
+    if got == witness:
+        return False, "the element fixes the witness point"
+    if auto != recorded_auto:
+        return False, "auto-pinned orbits do not match the recording"
     if postconditions is not None:
         # image != witness is settled, so the witness persists while
         # pi(g) still carries it to the image

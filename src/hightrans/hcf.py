@@ -199,22 +199,18 @@ def hset_instance_for_gset(xs, F):
 
 
 def gset_instance_for_eset(action, xs, F):
-    """Shrink an E-set instance over H x N to a G-set instance in H whose
-    witnesses transport: F' collects the group parts of the protected orbit
-    representatives, ybar the distinct group parts of the tuple."""
+    """Shrink an E-set instance over H to a G-set instance in H whose
+    witnesses transport: F' collects the protected orbit representatives,
+    ybar is the tuple, padded to two entries when it has one."""
     f2, fseen = [], set()
     for f in F:
-        t = action.orbit_rep(f).g
+        t = action.orbit_rep(f)
         if t not in fseen:
             fseen.add(t)
             f2.append(t)
-    gs = []
-    for p in xs:
-        if p.g not in gs:
-            gs.append(p.g)
-    if len(gs) >= 2:
-        return gs, f2
-    y = gs[0]
+    if len(xs) >= 2:
+        return list(xs), f2
+    y = xs[0]
     for cand in action.group.iter_shortlex():
         if cand != y:
             return [y, cand], f2

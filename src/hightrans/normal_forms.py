@@ -27,6 +27,13 @@ from . import groups
 from .groups import Element
 
 
+# The largest |exponent| a parsed word may carry.  A stable-letter power t^N
+# becomes N reducer tokens and a spelling spells out every letter, so the
+# bound keeps the cost of a word in proportion to its text; certificates of
+# the bundled problems carry exponents far below it.
+MAX_EXPONENT = 10_000
+
+
 def reduce_amalgam_tokens(handle, tokens, payload=None):
     """Fold (side, factor element) tokens, right to left, onto a canonical
     amalgam payload (the identity by default)."""
@@ -155,7 +162,8 @@ def parse_word(handle, text):
     """Parse a word string like ``a b^-2 t`` into a normal-form element.
 
     Tokens are whitespace-separated generator labels with an optional
-    ``^exponent``; ``1`` or the empty string is the identity.
+    ``^exponent`` of absolute value at most ``MAX_EXPONENT``; ``1`` or the
+    empty string is the identity.
     """
     if not isinstance(text, str):
         raise ValueError(f"a word must be a string, got {text!r}")
@@ -170,6 +178,8 @@ def parse_word(handle, text):
                 exp = int(e)
             except ValueError:
                 raise ValueError(f"bad exponent in token {tok!r}")
+            if abs(exp) > MAX_EXPONENT:
+                raise ValueError(f"exponent in token {tok!r} exceeds {MAX_EXPONENT}")
         else:
             lab, exp = tok, 1
         word.append((lab, exp))

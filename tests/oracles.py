@@ -5,7 +5,7 @@ in faithful matrix or affine representations, so agreement is a genuine
 cross-check and disagreement localizes a reduction bug.  The two-phase
 token reducers below are the slow path the one-syllable fold replaced;
 they reduce a whole token list from scratch.  The engine oracles are the
-shortlex-first witness rule, allocation and level scans from scratch, and
+shortlex-first witness rule, allocation by a scan from scratch, and
 intertwiner evaluation by the equivariance formula alone.  The audit
 oracles at the end are the slow paths the exact audit shortcuts replaced:
 a finite-index walk that always walks, coset fixers by coset
@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import product
 
 from hightrans import engine, groups
-from hightrans.action import Point
 from hightrans.groups import UndecidedError
 from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict, search_E_set
 
@@ -270,8 +269,8 @@ def hnn_protect_lists(state):
 
 
 # ---------------------------------------------------------------------------
-# the engine's slow paths: shortlex-first witnesses, allocation and level
-# scans from scratch, and evaluation by the equivariance formula alone
+# the engine's slow paths: shortlex-first witnesses, allocation by a scan
+# from scratch, and evaluation by the equivariance formula alone
 
 
 def shortlex_first_search(action, xs, F, radius, protected=(), cursor=None):
@@ -293,21 +292,15 @@ def shortlex_first_rule():
         engine.search_E_set = saved
 
 
-def allocate_by_rescan(state, count, level):
-    """The first ``count`` uncommitted source-orbit representatives at
-    ``level``, scanning Gamma in shortlex order from the identity."""
+def allocate_by_rescan(state, count):
+    """The first ``count`` uncommitted source-orbit representatives,
+    scanning Gamma in shortlex order from the identity."""
     out = []
     for g in state.gamma.iter_shortlex():
-        cand = Point(g, level)
-        if state.src_orbit(cand) == cand and cand not in state.anchors:
-            out.append(cand)
+        if state.src_orbit(g) == g and g not in state.anchors:
+            out.append(g)
             if len(out) == count:
                 return out
-
-
-def occupied_by_scan(state):
-    """Levels of every committed source and target orbit."""
-    return {rep.level for rep in state.anchors} | {rep.level for rep in state.dst_index}
 
 
 def evaluate_by_formula(state, x, inverse=False):
@@ -318,12 +311,12 @@ def evaluate_by_formula(state, x, inverse=False):
         if pair is None:
             return state.default_image(x)
         x0, y0 = pair
-        return Point(state.twist(x.g * x0.g.inverse()) * y0.g, y0.level)
+        return state.twist(x * x0.inverse()) * y0
     pair = state.dst_index.get(state.dst_orbit(x))
     if pair is None:
         return state.default_preimage(x)
     x0, y0 = pair
-    return Point(state.untwist(x.g * y0.g.inverse()) * x0.g, x0.level)
+    return state.untwist(x * y0.inverse()) * x0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import json
 import time
 
 from hightrans import fixtures, graphs, hcf
-from hightrans.action import Point, evaluate_pi, plain_level_action
+from hightrans.action import evaluate_pi, plain_level_action
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.normal_forms import parse_word, reduce_word
 
@@ -110,10 +110,9 @@ def test_criterion_5_equivalence_cross_checks():
         transported += 1
 
     action = plain_level_action(emb)
-    pts = [Point(g, lvl) for g in f.ball(1) for lvl in (0, 1)]
-    fpts = [Point(g, 0) for g in f.ball(1)]
+    fpts = f.ball(1)
     fp_reps = {action.orbit_rep(p) for p in fpts}
-    for xs in itertools.combinations(pts, 2):
+    for xs in itertools.combinations(fpts, 2):
         ys, f2 = hcf.gset_instance_for_eset(action, list(xs), fpts)
         h = hcf.search_G_set(emb, ys, f2, 6)
         assert h is not None
@@ -181,8 +180,7 @@ def test_criterion_7_engine_hnn(tmp_path, capsys):
 
 
 def test_criterion_8_monotone_invariants():
-    from hightrans.engine import (_parse_point, _verify_faithfulness_step,
-                                  _verify_transitivity_step)
+    from hightrans.engine import _verify_faithfulness_step, _verify_transitivity_step
 
     if not _cert_cache:
         _cert_cache.update(_engine_criterion(AMALGAM_RUNS + HNN_RUNS, "all"))
@@ -202,24 +200,22 @@ def test_criterion_8_monotone_invariants():
             history.append(step)
             steps_checked += 1
             assert state.check_equivariance(), f"{name}: equivariance"
-            for rep, (x0, y0) in state.anchors.items():
-                assert x0.level == y0.level == rep.level, f"{name}: level change"
             for past in history:
                 if past["kind"] == "transitivity":
                     mover = parse_word(gamma, past["mover"])
                     for xj, yj in zip(past["xs"], past["ys"]):
                         if evaluate_pi(state, mover,
-                                       _parse_point(gamma, xj)) != _parse_point(gamma, yj):
+                                       parse_word(gamma, xj)) != parse_word(gamma, yj):
                             violations += 1
                 else:
                     g = parse_word(gamma, past["element"])
-                    w = _parse_point(gamma, past["witness"])
-                    img = _parse_point(gamma, past["image"])
+                    w = parse_word(gamma, past["witness"])
+                    img = parse_word(gamma, past["image"])
                     got = evaluate_pi(state, g, w)
                     if got != img or got == w:
                         violations += 1
     assert violations == 0
-    report(8, f"equivariance, batch closure, level preservation and "
+    report(8, f"equivariance, batch closure and "
               f"persistence hold across all {steps_checked} replayed steps "
               "with zero violations")
 

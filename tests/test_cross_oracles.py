@@ -8,9 +8,9 @@ import random
 import pytest
 
 from hightrans import fixtures
-from hightrans.action import Point, evaluate_pi, evaluate_w
+from hightrans.action import evaluate_pi
 from hightrans.embeddings import Embedding
-from hightrans.engine import Budget, EngineProblem, run_schedule, _parse_point
+from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import FreeAbelianGroup
 from hightrans.normal_forms import parse_word
 
@@ -22,12 +22,10 @@ from hightrans.normal_forms import parse_word
 def naive_w(state, x):
     """Forward map over the committed table plus the default, written
     without the anchor shortcut: scan every anchor's orbit directly."""
-    for srep, (x0, y0) in state.anchors.items():
-        if x.level != srep.level:
-            continue
-        s = x.g * x0.g.inverse()
+    for x0, y0 in state.anchors.values():
+        s = x * x0.inverse()
         if state.sigma_src.contains(s):
-            return Point(state.twist(s) * y0.g, y0.level)
+            return state.twist(s) * y0
     return state.default_image(x)
 
 
@@ -42,22 +40,20 @@ def naive_pi(state, g, x):
             cur = _naive_w_signed(state, cur, exp)
         elif gamma.kind == "amalgam" and gamma.labels[idx] in gamma.right.labels:
             cur = _naive_w_signed(state, cur, 1)
-            cur = cur.translate(letter)
+            cur = letter * cur
             cur = _naive_w_signed(state, cur, -1)
         else:
-            cur = cur.translate(letter)
+            cur = letter * cur
     return cur
 
 
 def _naive_w_signed(state, x, sign):
     if sign == 1:
         return naive_w(state, x)
-    for drep, (x0, y0) in state.dst_index.items():
-        if x.level != drep.level:
-            continue
-        s = x.g * y0.g.inverse()
+    for x0, y0 in state.dst_index.values():
+        s = x * y0.inverse()
         if state.sigma_dst.contains(s):
-            return Point(state.untwist(s) * x0.g, x0.level)
+            return state.untwist(s) * x0
     return state.default_preimage(x)
 
 
@@ -78,23 +74,23 @@ def test_engine_against_naive_evaluator(factory):
         assert ok, reason
     rng = random.Random(7)
     letters = [el for _, el in gamma.letters()]
-    sample = [Point(gamma.identity(), 0)]
+    sample = [gamma.identity()]
     for _ in range(120):
         g = gamma.identity()
         for _ in range(rng.randrange(4)):
             g = g * rng.choice(letters)
-        sample.append(Point(g, rng.randrange(3)))
+        sample.append(g)
     for p in sample:
-        assert evaluate_w(state, p) == naive_w(state, p)
-    images = [evaluate_w(state, p) for p in set(sample)]
+        assert state.evaluate(p) == naive_w(state, p)
+    images = [state.evaluate(p) for p in set(sample)]
     assert len(set(images)) == len(set(sample))
     for step in cert["steps"]:
         if step["kind"] != "transitivity":
             continue
         mover = parse_word(gamma, step["mover"])
         for xj, yj in zip(step["xs"], step["ys"]):
-            x = _parse_point(gamma, xj)
-            y = _parse_point(gamma, yj)
+            x = parse_word(gamma, xj)
+            y = parse_word(gamma, yj)
             assert naive_pi(state, mover, x) == y
             assert evaluate_pi(state, mover, x) == y
 

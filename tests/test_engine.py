@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from hightrans import action, engine, fixtures
-from hightrans.action import Point, evaluate_pi
+from hightrans.action import evaluate_pi
 from hightrans.engine import (
     Budget,
     EngineProblem,
@@ -14,6 +14,7 @@ from hightrans.engine import (
     verify_certificate,
     verify_certificate_report,
 )
+from hightrans.normal_forms import parse_word
 from hightrans.problem import parse_problem
 
 from conftest import PROBLEMS
@@ -36,7 +37,7 @@ def hnn_problem():
 
 def test_extend_identity_pair(surface_problem):
     state = surface_problem.new_state()
-    x = Point(surface_problem.gamma.identity(), 0)
+    x = surface_problem.gamma.identity()
     mover, _, _, _, _ = extend_transitivity(surface_problem, state, [x], [x])
     assert evaluate_pi(state, mover, x) == x
 
@@ -44,8 +45,8 @@ def test_extend_identity_pair(surface_problem):
 def test_extend_moves_point_hnn(hnn_problem):
     state = hnn_problem.new_state()
     gamma = hnn_problem.gamma
-    x = Point(gamma.identity(), 0)
-    y = Point(gamma.include(gamma.base.generator("b")), 0)
+    x = gamma.identity()
+    y = gamma.include(gamma.base.generator("b"))
     mover, _, _, _, _ = extend_transitivity(hnn_problem, state, [x], [y])
     assert evaluate_pi(state, mover, x) == y
 
@@ -53,8 +54,8 @@ def test_extend_moves_point_hnn(hnn_problem):
 def test_extend_pair_surface(surface_problem):
     state = surface_problem.new_state()
     gamma = surface_problem.gamma
-    xs = [Point(gamma.identity(), 0), Point(gamma.generator("a1"), 0)]
-    ys = [Point(gamma.generator("b2"), 0), Point(gamma.generator("b1"), 0)]
+    xs = [gamma.identity(), gamma.generator("a1")]
+    ys = [gamma.generator("b2"), gamma.generator("b1")]
     before = len(state.anchors)
     mover, witnesses, zs, batch, _ = extend_transitivity(surface_problem, state, xs, ys)
     assert len(zs) == 2
@@ -67,22 +68,22 @@ def test_extend_pair_surface(surface_problem):
 def test_extend_rejects_bad_tuples(surface_problem):
     state = surface_problem.new_state()
     gamma = surface_problem.gamma
-    p = Point(gamma.identity(), 0)
-    q = Point(gamma.generator("a1"), 0)
-    r1 = Point(gamma.generator("b1"), 1)
+    p = gamma.identity()
+    q = gamma.generator("a1")
+    r = gamma.generator("b1")
     with pytest.raises(ValueError, match="distinct"):
-        extend_transitivity(surface_problem, state, [p, p], [q, r1])
+        extend_transitivity(surface_problem, state, [p, p], [q, r])
     with pytest.raises(ValueError, match="length"):
-        extend_transitivity(surface_problem, state, [p], [q, r1])
-    with pytest.raises(ValueError, match="level"):
-        extend_transitivity(surface_problem, state, [p], [r1])
+        extend_transitivity(surface_problem, state, [p], [q, r])
+    with pytest.raises(ValueError, match="non-empty"):
+        extend_transitivity(surface_problem, state, [], [])
 
 
 def test_prior_postconditions_survive(surface_problem, rng):
     state = surface_problem.new_state()
     gamma = surface_problem.gamma
     discharged = []
-    pts = [Point(g, 0) for g in gamma.ball(1)]
+    pts = gamma.ball(1)
     pairs = [([pts[0]], [pts[1]]), ([pts[2]], [pts[3]]),
              ([pts[1], pts[4]], [pts[5], pts[0]]), ([pts[6]], [pts[6]])]
     for xs, ys in pairs:
@@ -98,13 +99,20 @@ def test_ensure_faithful(surface_problem):
     state = surface_problem.new_state()
     gamma = surface_problem.gamma
     g = gamma.generator("a1")
-    witness, image = ensure_faithful(surface_problem, state, g)
-    assert witness.level == 1 and witness.level in state.frozen
-    assert image == Point(g, witness.level)
-    assert image != witness
-    # next one lands on the next level
-    w2, _ = ensure_faithful(surface_problem, state, gamma.generator("b2"))
-    assert w2.level == 2
+    # on an empty state pi(g) is left multiplication: the identity moves
+    witness, image, auto = ensure_faithful(surface_problem, state, g)
+    assert witness == gamma.identity() and image == g
+    assert auto == [] and not state.anchors
+    # a transitivity step commits orbits; the witness is the first point
+    # in shortlex order that pi(g) moves, and the pins keep it moved
+    xs, ys = [gamma.identity()], [gamma.generator("b2")]
+    mover, *_ = extend_transitivity(surface_problem, state, xs, ys)
+    g = gamma.generator("b1")
+    first = next(x for x in gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
+    witness, image, auto = ensure_faithful(surface_problem, state, g)
+    assert witness == first and image == evaluate_pi(state, g, witness) != witness
+    assert all(state.anchors[rep] == (rep, img) for rep, img in auto)
+    assert evaluate_pi(state, mover, xs[0]) == ys[0]
     with pytest.raises(ValueError):
         ensure_faithful(surface_problem, state, gamma.identity())
 
@@ -113,8 +121,20 @@ def test_ensure_faithful_syllable_word(hnn_problem):
     state = hnn_problem.new_state()
     gamma = hnn_problem.gamma
     g = gamma.stable() * gamma.include(gamma.base.generator("a")) * gamma.stable()
-    witness, image = ensure_faithful(hnn_problem, state, g)
-    assert image == Point(g, witness.level)
+    witness, image, auto = ensure_faithful(hnn_problem, state, g)
+    assert witness == gamma.identity() and image == g
+    # the stable letters pinned the orbits they passed through
+    assert auto and all(state.anchors[rep] == (rep, img) for rep, img in auto)
+    assert evaluate_pi(state, g, witness) == image
+
+
+def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypatch):
+    """No deferral path: a ball in which pi(g) fixes every point is an
+    engine fault."""
+    state = surface_problem.new_state()
+    monkeypatch.setattr(engine, "evaluate_pi", lambda state, g, x, **kw: x)
+    with pytest.raises(engine.EngineError, match="radius 2"):
+        ensure_faithful(surface_problem, state, surface_problem.gamma.generator("a1"), 2)
 
 
 def test_budget_zero_is_empty():
@@ -161,7 +181,7 @@ def test_verify_rejects_tampered_anchor():
     tampered = json.loads(canon(cert))
     for step in tampered["steps"]:
         if step["kind"] == "transitivity":
-            step["batch"][0][1][0] = "b2^3"
+            step["batch"][0][1] = "b2^3"
             break
     ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
     assert not ok
@@ -178,16 +198,43 @@ def test_verify_rejects_tampered_mover():
     assert not ok and "mover" in reason
 
 
-def test_verify_rejects_faithfulness_level_collision():
+@pytest.mark.parametrize("field, value, message", [
+    ("witness", "b a", "recorded image"),
+    ("image", "b a", "recorded image"),
+    ("auto", [["a", "a"]], "auto-pinned"),
+    ("auto", [], "auto-pinned"),
+], ids=["witness", "image", "auto", "auto-dropped"])
+def test_verify_rejects_tampered_faithfulness_step(field, value, message):
+    cert = run_schedule(fixtures.free2_hnn(), Budget(steps=12), "k")
+    tampered = json.loads(canon(cert))
+    faith = [s for s in tampered["steps"] if s["kind"] == "faithfulness" and s["auto"]]
+    assert faith
+    assert faith[0][field] != value
+    faith[0][field] = value
+    ok, reason = verify_certificate_report(fixtures.free2_hnn(), tampered)
+    assert not ok and reason.startswith(f"step {faith[0]['index']}: {message}")
+
+
+def test_verify_rejects_a_fixed_faithfulness_witness():
+    """The first requirement carries the identity to itself, so its mover
+    fixes that point: recorded as a faithfulness witness it is rejected."""
     cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
-    levels = [s for s in tampered["steps"] if s["kind"] == "faithfulness"]
-    assert levels
-    levels[0]["level"] = 0
-    levels[0]["witness"][1] = 0
-    levels[0]["image"][1] = 0
+    first = tampered["steps"][0]
+    assert first["xs"] == first["ys"] == ["1"]
+    step = next(s for s in tampered["steps"] if s["kind"] == "faithfulness" and not s["auto"])
+    step.update(element=first["mover"], witness="1", image="1")
     ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
-    assert not ok
+    assert (ok, reason) == (False, f"step {step['index']}: the element fixes the witness point")
+
+
+def test_verify_rejects_other_certificate_formats():
+    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    for fmt in (1, None, "2", 3):
+        tampered = json.loads(canon(cert))
+        tampered["format"] = fmt
+        ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+        assert not ok and reason.startswith("unsupported certificate format")
 
 
 def test_verify_rejects_dropped_step():
@@ -200,7 +247,7 @@ def test_verify_rejects_dropped_step():
 
 def test_monotone_invariant_suite():
     """Rebuild certificates step by step; after every step all previously
-    discharged postconditions, equivariance and level preservation hold."""
+    discharged postconditions and equivariance hold."""
     for factory in (fixtures.surface_group, fixtures.free2_hnn):
         gamma = factory()
         cert = run_schedule(gamma, Budget(steps=40), "k")
@@ -209,7 +256,7 @@ def test_monotone_invariant_suite():
         problem = EngineProblem(replay_gamma)
         state = problem.new_state()
         history = []
-        from hightrans.engine import _parse_point, _verify_faithfulness_step, _verify_transitivity_step
+        from hightrans.engine import _verify_faithfulness_step, _verify_transitivity_step
         for step in cert["steps"]:
             if step["kind"] == "transitivity":
                 ok, reason = _verify_transitivity_step(problem, state, step)
@@ -218,28 +265,24 @@ def test_monotone_invariant_suite():
             assert ok, reason
             history.append(step)
             assert state.check_equivariance()
-            for rep, (x0, y0) in state.anchors.items():
-                assert x0.level == y0.level == rep.level
             for past in history:
                 if past["kind"] == "transitivity":
-                    from hightrans.normal_forms import parse_word
                     mover = parse_word(replay_gamma, past["mover"])
                     for xj, yj in zip(past["xs"], past["ys"]):
-                        x = _parse_point(replay_gamma, xj)
-                        y = _parse_point(replay_gamma, yj)
+                        x = parse_word(replay_gamma, xj)
+                        y = parse_word(replay_gamma, yj)
                         assert evaluate_pi(state, mover, x) == y
                 else:
-                    from hightrans.normal_forms import parse_word
                     g = parse_word(replay_gamma, past["element"])
-                    w = _parse_point(replay_gamma, past["witness"])
-                    img = _parse_point(replay_gamma, past["image"])
+                    w = parse_word(replay_gamma, past["witness"])
+                    img = parse_word(replay_gamma, past["image"])
                     assert evaluate_pi(state, g, w) == img != w
 
 
 def test_extend_triple_tuple(surface_problem):
     state = surface_problem.new_state()
     gamma = surface_problem.gamma
-    pts = [Point(g, 0) for g in gamma.ball(1)]
+    pts = gamma.ball(1)
     xs = [pts[0], pts[1], pts[3]]
     ys = [pts[5], pts[2], pts[0]]
     mover, _, zs, batch, _ = extend_transitivity(surface_problem, state, xs, ys)
@@ -251,8 +294,9 @@ def test_extend_triple_tuple(surface_problem):
 
 def test_non_core_free_edge_defers():
     # an improper edge subgroup (the whole base) starves the witness
-    # searches: a whole level is one subgroup orbit, so every transitivity
-    # requirement defers with a diagnostic while faithfulness still works
+    # searches: the base moves no point off its own subgroup orbit, so every
+    # transitivity requirement defers with a diagnostic while faithfulness
+    # still works
     bs = fixtures.bs12()
     cert = run_schedule(bs, Budget(steps=12, witness_radius=6), "bs12")
     trans_done = [s for s in cert["steps"] if s["kind"] == "transitivity"]
@@ -317,7 +361,7 @@ def test_orbit_reps_match_the_embedding(name, monkeypatch):
 
         def checked(point):
             out = rep(point)
-            assert out == action.orbit_rep(embedding, point)
+            assert out == embedding.rep(point)
             queried[embedding.target.kind] += 1
             return out
         return checked

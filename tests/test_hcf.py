@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hightrans import fixtures, hcf
-from hightrans.action import Point, plain_level_action
+from hightrans.action import plain_level_action
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +87,8 @@ def test_search_g_rejects_diagonal(comm):
 def test_search_e_basic(comm):
     action = plain_level_action(comm)
     f = comm.target
-    xs = [Point(f.identity(), 0), Point(f.generator("a"), 0)]
-    F = [Point(f.identity(), 0)]
+    xs = [f.identity(), f.generator("a")]
+    F = [f.identity()]
     h = hcf.search_E_set(action, xs, F, 2)
     assert h is not None
     assert e_set_conditions(action, h, xs, F)
@@ -97,7 +97,7 @@ def test_search_e_basic(comm):
 def test_search_e_protected_reps_act_like_protected_points(comm):
     action = plain_level_action(comm)
     f = comm.target
-    xs = [Point(f.identity(), 0), Point(f.generator("a"), 0)]
+    xs = [f.identity(), f.generator("a")]
     first = hcf.search_E_set(action, xs, [], 3)
     taken = [action.act(first, x) for x in xs]
     reps = {action.orbit_rep(p) for p in taken}
@@ -112,7 +112,7 @@ def test_search_e_same_orbit_normal_subgroup(even):
     # disjointness condition can never hold
     action = plain_level_action(even)
     z = even.target
-    xs = [Point(z.identity(), 0), Point(z.generator("a") ** 2, 0)]
+    xs = [z.identity(), z.generator("a") ** 2]
     assert hcf.search_E_set(action, xs, [], 6) is None
 
 
@@ -279,10 +279,9 @@ def test_hset_transports_into_gset(comm):
 def test_gset_transports_into_eset(comm):
     action = plain_level_action(comm)
     f = comm.target
-    pts = [Point(g, lvl) for g in f.ball(1) for lvl in (0, 1)]
-    F = [Point(g, 0) for g in f.ball(1)]
+    F = f.ball(1)
     checked = 0
-    for xs in itertools.combinations(pts, 2):
+    for xs in itertools.combinations(F, 2):
         ys, f2 = hcf.gset_instance_for_eset(action, list(xs), F)
         h = hcf.search_G_set(comm, ys, f2, 6)
         assert h is not None
@@ -294,12 +293,13 @@ def test_gset_transports_into_eset(comm):
 def test_gset_transport_single_group_part(comm):
     action = plain_level_action(comm)
     f = comm.target
-    xs = [Point(f.generator("a"), 0), Point(f.generator("a"), 1)]
-    ys, f2 = hcf.gset_instance_for_eset(action, xs, [Point(f.identity(), 0)])
-    assert len(ys) == 2 and ys[0] != ys[1]
+    # a one-point tuple is padded to a G-set pair
+    xs = [f.generator("a")]
+    ys, f2 = hcf.gset_instance_for_eset(action, xs, [f.identity()])
+    assert len(ys) == 2 and ys[0] == xs[0] != ys[1]
     h = hcf.search_G_set(comm, ys, f2, 6)
     assert h is not None
-    assert e_set_conditions(action, h, xs, [Point(f.identity(), 0)])
+    assert e_set_conditions(action, h, xs, [f.identity()])
 
 
 def test_undecided_propagates_to_verdict():

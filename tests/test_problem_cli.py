@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -112,6 +113,31 @@ def test_cli_nf_surface_relation(capsys):
     rc = cli.main(["nf", problem_path("pi1-sigma2.json"), "F1", "a1 a1^-1"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[0] == "1"
+
+
+def test_cli_nf_exponent_above_the_bound_is_a_usage_error(capsys):
+    """A stable-letter power is never expanded past the exponent bound."""
+    rc = cli.main(["nf", problem_path("bs12.json"), "BS12", "t^1000000000"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "exceeds" in captured.err
+
+
+def test_cli_verify_exponent_above_the_bound_fails_fast(tmp_path, capsys):
+    cert_path = tmp_path / "out.json"
+    rc = cli.main(["build", problem_path("free2-hnn.json"), "--budget", "6",
+                   "--out", str(cert_path)])
+    assert rc == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    next(s for s in cert["steps"] if s["kind"] == "transitivity")["mover"] = "e0^1000000000"
+    cert_path.write_text(json.dumps(cert))
+    start = time.monotonic()
+    rc = cli.main(["verify", problem_path("free2-hnn.json"), str(cert_path)])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_FAIL and out.startswith("verify: FAIL (replay error: ")
+    assert "exceeds" in out and elapsed < 1.0
 
 
 def test_cli_audit_passes(capsys):
@@ -248,13 +274,13 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, reason", [
     ("mover", None, "a word must be a string"),
-    ("xs", [["1"]], "a point must be a two-element list"),
+    ("xs", [["1"]], "a word must be a string"),
     ("batch", [[["1", 0]]], "a pair must be a two-element list"),
-    ("ys", [["1", "0"]], "a level must be an integer"),
+    ("ys", ["a1^10001"], "exceeds 10000"),
 ])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
-    """Words, points and pairs of the wrong shape are replay errors, not
-    tracebacks."""
+    """Words and pairs of the wrong shape, and words with an exponent above
+    the bound, are replay errors, not tracebacks."""
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6",
                    "--out", str(cert_path)])
