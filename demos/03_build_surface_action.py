@@ -7,8 +7,8 @@ Run:  python3 demos/03_build_surface_action.py
 
 import json
 
-from hightrans import fixtures
-from hightrans.engine import Budget, run_schedule, verify_certificate_report
+from hightrans import EngineProblem, evaluate_pi, fixtures, parse_word
+from hightrans.engine import Budget, run_schedule, transitivity_batch, verify_certificate_report
 
 surface = fixtures.surface_group()
 cert = run_schedule(surface, Budget(steps=50), problem_key="demo")
@@ -23,18 +23,30 @@ print(f"  {len(trans)} transitivity steps, {len(faith)} faithfulness steps")
 example = trans[2]
 print("\na discharged transitivity requirement:")
 print(f"  move {example['xs']} to {example['ys']}")
-print(f"  witnesses: {example['witnesses']}")
+print(f"  witnesses: {example['witnesses']}, fresh classes: {example['zs']}")
 print(f"  mover: {example['mover']}")
-print(f"  committed {len(example['batch'])} orbit pairs, "
-      f"pinned {len(example['auto'])} defaults")
 
 example = faith[0]
 print("\na faithfulness witness, on the same set as the transitivity tuples:")
-print(f"  element {example['element']} moves {example['witness']} "
-      f"to {example['image']}, pinning {len(example['auto'])} defaults")
+print(f"  element {example['element']} moves {example['witness']} to {example['image']}")
 
-state = cert["final_state"]
-print(f"\nfinal state: {len(state['anchors'])} committed orbits")
+# the certificate records choices only: replaying them derives every batch,
+# every pin and the final state
+problem = EngineProblem(fixtures.surface_group())
+gamma, state = problem.gamma, problem.new_state()
+for step in cert["steps"]:
+    if step["kind"] == "transitivity":
+        xs, ys, zs = ([parse_word(gamma, w) for w in step[key]] for key in ("xs", "ys", "zs"))
+        witnesses = {key: parse_word(gamma.right if key == "h" else gamma.left, word)
+                     for key, word in step["witnesses"].items()}
+        batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
+        state.commit_batch(batch)
+        for x in xs:
+            evaluate_pi(state, mover, x, commit=True)
+    else:
+        evaluate_pi(state, parse_word(gamma, step["element"]),
+                    parse_word(gamma, step["witness"]), commit=True)
+print(f"\nreplayed final state: {len(state.anchors)} committed orbits")
 
 ok, reason = verify_certificate_report(fixtures.surface_group(), cert)
 print(f"\nindependent replay: {'OK' if ok else 'FAIL'} ({reason})")

@@ -92,11 +92,7 @@ class FiniteImageStrategy:
 
     def decompose(self, g):
         table = self._image_map()
-        best = None
-        for img in table:
-            cand = img * g
-            if best is None or cand.sort_key() < best.sort_key():
-                best = cand
+        best = min((img * g for img in table), key=Element.sort_key)
         witness = g * best.inverse()
         return (table[witness], best)
 
@@ -193,12 +189,10 @@ class LatticeStrategy:
         tgt = self.emb.target
         vec = _to_vector(tgt, g)
         res = self._residue(vec)
-        best = Element(tgt, tuple(res))
         m = sum(abs(a) for a in res)
-        for l in self._lattice_points(2 * m):
-            cand = Element(tgt, tuple(a - b for a, b in zip(res, l)))
-            if cand.sort_key() < best.sort_key():
-                best = cand
+        # the zero lattice vector keeps the residue itself among the candidates
+        best = min((Element(tgt, tuple(a - b for a, b in zip(res, l)))
+                    for l in self._lattice_points(2 * m)), key=Element.sort_key)
         diff = tuple(a - b for a, b in zip(vec, best.payload))
         coeffs = self._solve(diff)
         coords = [0] * len(self.emb.images)

@@ -23,9 +23,12 @@ of failing the run, which is exactly the observable trace of a misjudged
 core-freeness hypothesis.
 
 States only ever extend.  Postcondition replays pin every default orbit
-they touch (recorded as auto commits), so once a requirement is discharged
-it holds in all later states; certificates record enough to rebuild and
-re-check everything without re-running any search.
+they touch, so once a requirement is discharged it holds in all later
+states.  A certificate records only the choices of each step: the
+witnesses and fresh classes of a transitivity step, the witness point of a
+faithfulness step, and the mover or image that the step claims.  The
+verifier re-derives the schedule, every batch, every pin and the final
+state from them without re-running any search.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ class DeferredRequirement(Exception):
         self.diagnostic = message
 
 
-# the certificate layout: points are words of Gamma
-CERTIFICATE_FORMAT = 2
+# the certificate layout: points are words of Gamma, steps record choices only
+CERTIFICATE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -146,10 +149,10 @@ def _cursor(state, action):
 def _discharge(problem, state, xs, ys, witnesses, zs):
     batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
     state.commit_batch(batch)
-    auto, lost = _pin_mover(state, mover, xs, ys)
+    _, lost = _pin_mover(state, mover, xs, ys)
     if lost is not None:
         raise EngineError(f"postcondition failed at entry {lost}")
-    return mover, {key: str(w) for key, w in witnesses.items()}, zs, batch, auto
+    return mover, {key: str(w) for key, w in witnesses.items()}, zs
 
 
 def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
@@ -213,8 +216,9 @@ def extend_transitivity(problem, state, xs, ys, witness_radius=64):
 
 
 def ensure_faithful(problem, state, g, witness_radius=64):
-    """The shortlex-first point x of the ball with pi(g) x != x, its image,
-    and the default orbits pinned to make that value permanent.
+    """The shortlex-first point x of the ball with pi(g) x != x, and its
+    image, which the witness's evaluation makes permanent by pinning the
+    default orbits it touches.
 
     Candidates are evaluated without pinning, so only the witness's own
     evaluation commits anything and a replay of the witness alone rebuilds
@@ -226,8 +230,7 @@ def ensure_faithful(problem, state, g, witness_radius=64):
         raise ValueError("faithfulness witnesses exist only for nontrivial elements")
     for x in problem.gamma.iter_shortlex(witness_radius):
         if evaluate_pi(state, g, x) != x:
-            auto = []
-            return x, evaluate_pi(state, g, x, commit=True, log=auto), auto
+            return x, evaluate_pi(state, g, x, commit=True)
     raise EngineError(f"pi({g}) fixes every point within radius {witness_radius}")
 
 
@@ -298,83 +301,61 @@ class _PointTable:
         return self._points[index - 1]
 
 
-def _pairs_json(pairs):
-    return [[str(a), str(b)] for a, b in pairs]
-
-
-def _parse_pairs(gamma, data):
-    out = []
-    for pair in data:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"a pair must be a two-element list, got {pair!r}")
-        out.append((parse_word(gamma, pair[0]), parse_word(gamma, pair[1])))
-    return out
+def _schedule(problem, steps):
+    """The first ``steps`` requirements as (head, payload).  The head holds
+    the index, the kind and the xs/ys or element strings that a step or a
+    deferral records; the payload is (n, xs, ys) or (g,) with the points
+    resolved.  The builder and the verifier both take the schedule from
+    here."""
+    points = _PointTable(problem.gamma)
+    stream = requirement_stream(problem)
+    for index in range(steps):
+        req = next(stream)
+        head = {"index": index, "kind": req.kind}
+        if req.kind == "transitivity":
+            n, it, jt = req.payload
+            xs = [points.get(i) for i in it]
+            ys = [points.get(j) for j in jt]
+            head.update(xs=[str(p) for p in xs], ys=[str(p) for p in ys])
+            yield head, (n, xs, ys)
+        else:
+            head["element"] = str(req.payload[0])
+            yield head, req.payload
 
 
 def run_schedule(problem, budget, problem_key=""):
     """Dovetail requirements within the step budget and emit a certificate.
 
-    The certificate lists every discharged requirement with its witnesses,
-    batch commitments and auto-pinned orbits, plus the final state
-    snapshot; equal runs produce equal certificates byte for byte.
+    The certificate lists every discharged requirement with the choices
+    that discharge it (witnesses and fresh classes, or a witness point)
+    and the mover or image it claims, and every deferred one with a
+    diagnostic; equal runs produce equal certificates byte for byte.
     """
     if not isinstance(problem, EngineProblem):
         problem = EngineProblem(problem)
     state = problem.new_state()
-    points = _PointTable(problem.gamma)
-    stream = requirement_stream(problem)
     steps, deferred = [], []
-    for index in range(budget.steps):
-        req = next(stream)
-        if req.kind == "transitivity":
-            n, it, jt = req.payload
-            xs = [points.get(i) for i in it]
-            ys = [points.get(j) for j in jt]
+    for head, payload in _schedule(problem, budget.steps):
+        if head["kind"] == "transitivity":
+            n, xs, ys = payload
             try:
-                mover, witnesses, zs, batch, auto = extend_transitivity(
+                mover, witnesses, zs = extend_transitivity(
                     problem, state, xs, ys, budget.witness_radius)
             except DeferredRequirement as exc:
-                deferred.append({
-                    "index": index, "kind": "transitivity",
-                    "xs": [str(p) for p in xs],
-                    "ys": [str(p) for p in ys],
-                    "diagnostic": exc.diagnostic,
-                })
+                deferred.append({**head, "diagnostic": exc.diagnostic})
                 continue
             except UndecidedError as exc:
-                deferred.append({
-                    "index": index, "kind": "transitivity",
-                    "xs": [str(p) for p in xs],
-                    "ys": [str(p) for p in ys],
-                    "diagnostic": f"membership oracle gave up: {exc}",
-                })
+                deferred.append({**head, "diagnostic": f"membership oracle gave up: {exc}"})
                 continue
-            steps.append({
-                "kind": "transitivity",
-                "index": index,
-                "n": n,
-                "xs": [str(p) for p in xs],
-                "ys": [str(p) for p in ys],
-                "witnesses": witnesses,
-                "zs": [str(p) for p in zs],
-                "batch": _pairs_json(batch),
-                "auto": _pairs_json(auto),
-                "mover": str(mover),
-            })
+            steps.append({**head, "n": n, "witnesses": witnesses,
+                          "zs": [str(p) for p in zs], "mover": str(mover)})
             logger.info("step %d: transitivity n=%d discharged, mover %s",
-                        index, n, mover)
+                        head["index"], n, mover)
         else:
-            (g,) = req.payload
-            witness, image, auto = ensure_faithful(problem, state, g, budget.witness_radius)
-            steps.append({
-                "kind": "faithfulness",
-                "index": index,
-                "element": str(g),
-                "witness": str(witness),
-                "image": str(image),
-                "auto": _pairs_json(auto),
-            })
-            logger.info("step %d: faithfulness of %s witnessed at %s", index, g, witness)
+            (g,) = payload
+            witness, image = ensure_faithful(problem, state, g, budget.witness_radius)
+            steps.append({**head, "witness": str(witness), "image": str(image)})
+            logger.info("step %d: faithfulness of %s witnessed at %s", head["index"], g, witness)
     return {
         "format": CERTIFICATE_FORMAT,
         "problem": problem_key,
@@ -383,13 +364,7 @@ def run_schedule(problem, budget, problem_key=""):
         "budget": budget.as_dict(),
         "steps": steps,
         "deferred": deferred,
-        "final_state": _state_snapshot(state),
     }
-
-
-def _state_snapshot(state):
-    anchors = sorted(state.anchors.values(), key=lambda pair: pair[0].sort_key())
-    return {"anchors": _pairs_json(anchors)}
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +372,21 @@ def _state_snapshot(state):
 
 
 def verify_certificate_report(gamma, cert):
-    """Rebuild the state from the recorded commitments and re-check every
-    postcondition; returns (ok, reason of first failure)."""
+    """Check that the steps and deferrals are the schedule's first
+    budget.steps requirements, each once and in order; rebuild the state
+    from the recorded choices and re-check every postcondition.  Returns
+    (ok, reason of the first failure)."""
     if cert.get("format") != CERTIFICATE_FORMAT:
         return False, f"unsupported certificate format {cert.get('format')!r}"
+    budget, steps, deferred = cert.get("budget"), cert.get("steps"), cert.get("deferred")
+    total = budget.get("steps") if isinstance(budget, dict) else None
+    if type(total) is not int or total < 0:
+        return False, f"budget.steps must be a non-negative integer, got {total!r}"
+    if not isinstance(steps, list) or not isinstance(deferred, list):
+        return False, "steps and deferred must be lists"
+    if len(steps) + len(deferred) != total:
+        return False, (f"schedule: {len(steps)} steps and {len(deferred)} deferrals "
+                       f"for a budget of {total} steps")
     try:
         problem = EngineProblem(gamma)
     except ValueError as exc:
@@ -409,22 +395,32 @@ def verify_certificate_report(gamma, cert):
     # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
     # parsed once in the replay and re-evaluated in the final state
     postconditions = []
+    i = j = 0
     try:
-        for step in cert.get("steps", []):
-            if step["kind"] == "transitivity":
-                ok, reason = _verify_transitivity_step(problem, state, step, postconditions)
-            elif step["kind"] == "faithfulness":
-                ok, reason = _verify_faithfulness_step(problem, state, step, postconditions)
+        # each index takes the next step or the next deferral, so the
+        # entries cover range(total) once, each list in increasing order
+        for head, _ in _schedule(problem, total):
+            index = head["index"]
+            if i < len(steps) and steps[i]["index"] == index:
+                entry, i = steps[i], i + 1
+                verify_step = (_verify_transitivity_step if head["kind"] == "transitivity"
+                               else _verify_faithfulness_step)
+                ok, reason = verify_step(problem, state, entry, postconditions)
+                if not ok:
+                    return False, f"step {index}: {reason}"
+            elif j < len(deferred) and deferred[j]["index"] == index:
+                entry, j = deferred[j], j + 1
+                # ensure_faithful has no deferral path: a witness always exists
+                if head["kind"] != "transitivity":
+                    return False, f"schedule: faithfulness step {index} is deferred"
             else:
-                return False, f"unknown step kind {step['kind']!r}"
-            if not ok:
-                return False, f"step {step.get('index')}: {reason}"
+                return False, f"schedule: no step or deferral has index {index}"
+            if any(entry.get(key) != value for key, value in head.items()):
+                return False, f"step {index}: not the requirement scheduled at this index"
         for index, message, triples in postconditions:
             for g, x, y in triples:
                 if evaluate_pi(state, g, x) != y:
                     return False, f"persistence of step {index}: {message}"
-        if _state_snapshot(state) != cert.get("final_state"):
-            return False, "final state snapshot does not match the replayed state"
     except (UndecidedError, ValueError, KeyError, TypeError) as exc:
         return False, f"replay error: {exc}"
     return True, "ok"
@@ -441,21 +437,23 @@ _WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
 
 
 def _verify_transitivity_step(problem, state, step, postconditions=None):
-    """Replay one transitivity step; when it holds, its parsed postcondition
-    goes to ``postconditions`` for the persistence pass."""
+    """Replay one transitivity step from its witnesses and fresh classes;
+    when it holds, its parsed postcondition goes to ``postconditions`` for
+    the persistence pass."""
     gamma = problem.gamma
     xs = [parse_word(gamma, p) for p in step["xs"]]
     ys = [parse_word(gamma, p) for p in step["ys"]]
     zs = [parse_word(gamma, p) for p in step["zs"]]
     _check_tuples(xs, ys)
+    if step["n"] != len(xs):
+        return False, "n is not the length of the tuples"
+    if len(zs) != (len(xs) if problem.mode == "amalgam" else 0):
+        return False, "an amalgam step needs one fresh class per entry, an HNN step none"
     witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
-    expected_batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
-    recorded_batch = _parse_pairs(gamma, step["batch"])
-    if recorded_batch != expected_batch:
-        return False, "batch does not match the recorded witnesses"
+    batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
     try:
-        state.commit_batch(recorded_batch)
+        state.commit_batch(batch)
     except StateError as exc:
         return False, f"batch rejected: {exc}"
     if parse_word(gamma, step["mover"]) != mover:
@@ -463,11 +461,9 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
     auto, lost = _pin_mover(state, mover, xs, ys)
     if lost is not None:
         return False, f"mover does not carry entry {lost} to its target"
-    if auto != _parse_pairs(gamma, step["auto"]):
-        return False, "auto-pinned orbits do not match the recording"
     # anchors are committed only here, and never change afterwards, so the
     # law needs checking once per anchor: at the pairs this step committed
-    if not state.check_equivariance(recorded_batch + auto):
+    if not state.check_equivariance(batch + auto):
         return False, "equivariance fails at a committed anchor"
     if postconditions is not None:
         postconditions.append((step.get("index"), "mover postcondition lost",
@@ -476,7 +472,8 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
 
 
 def _verify_faithfulness_step(problem, state, step, postconditions=None):
-    """Replay one faithfulness step; see ``_verify_transitivity_step``.
+    """Replay one faithfulness step from its witness point, pinning the
+    default orbits its evaluation touches; see ``_verify_transitivity_step``.
 
     Default pins are equivariant by construction, so unlike a transitivity
     batch they need no equivariance check."""
@@ -486,15 +483,11 @@ def _verify_faithfulness_step(problem, state, step, postconditions=None):
         return False, "faithfulness step for the identity"
     witness = parse_word(gamma, step["witness"])
     image = parse_word(gamma, step["image"])
-    recorded_auto = _parse_pairs(gamma, step["auto"])
-    auto = []
-    got = evaluate_pi(state, g, witness, commit=True, log=auto)
+    got = evaluate_pi(state, g, witness, commit=True)
     if got != image:
         return False, "recorded image is not the evaluated image"
     if got == witness:
         return False, "the element fixes the witness point"
-    if auto != recorded_auto:
-        return False, "auto-pinned orbits do not match the recording"
     if postconditions is not None:
         # image != witness is settled, so the witness persists while
         # pi(g) still carries it to the image

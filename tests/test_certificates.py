@@ -27,43 +27,43 @@ PINNED_BUDGET = 40
 # SHA-256 of canonical_text of `hightrans build problems/<name>.json --budget 40`
 # under the shortlex-first witness rule (oracles.shortlex_first_rule)
 PINNED = {
-    "pi1-sigma2": "f7d1377b1d328a5cd92b62d96104162a04a1148634f6d114a4263cbc44acdbe1",
-    "gaussian-hnn": "1c9f936e87710efa934ad424b4588fc4f15e034f6c7870306af463b62b34ef15",
-    "free2-hnn": "fcee6c9fa8add34f136878cc3fb688a8cab02586af6b5fca9ef0dc6992f6d0ac",
-    "z-star-z": "eec632c8e81ae1e0fdaaad601b97b52249d65945858fb3aab8bf8dd87bad7c31",
-    "bs12": "57245ad33d11a62ed35b224cfbf9ac919f2ec993bb2e7dd4436a2687c7b916de",
-    "z2-z3": "0636e54783abaf37da943765f1e8ebb71dd9b3224d93f5cdd0ec69a8989b37c7",
-    "theta": "7d4e6937ff877f381127cd2a3eb07574bc555e86c96303109ffd1707ff9aa8c9",
-    "planted-finite-vertex": "a2ebddc04e2145f76d2e1236e8c73e7fbb6d2367d46966179533f90c19263e04",
-    "planted-finite-index-edge": "b3d82f351a321d102b6054645c0d93a9778ebd1ed551831b78699f82e33be31d",
+    "pi1-sigma2": "5ff3a282f3b8b3872332d432aca9bcee0012791c8e188af787815d8780777a65",
+    "gaussian-hnn": "f28d7d6cecc7469f4ea16d62d2eb0b5b6b39e62b7446ba9d7c55fddf1a13cbf1",
+    "free2-hnn": "410ace69c794813c34e8dd0846fc02c143889cc048952b909c382c6207c3679c",
+    "z-star-z": "b0af3915f46ccf63908a7fdb32f967230b48f16853fba726319f67e00c32147c",
+    "bs12": "93d7430115417e06e51c58ce52ccaa0de807258d7817d3f73566d10593c0a6b2",
+    "z2-z3": "93756231885c63795b2b9925919f6f35d319d143108314012779dc8edbb7292b",
+    "theta": "2e8783a354fbe375f8581ec2141bd4907e16ac494808393f757bff04e4acb438",
+    "planted-finite-vertex": "e8060798c0abdf9703e0204355a73f78e424c55e1decb835725bec2bf5d975e4",
+    "planted-finite-index-edge": "7206b32f19013c532893b0e69cb496bc1cc24bc29ed0de43b661f49c3a024751",
 }
 
 # the same builds under the wrap-around witness rule the engine ships
 PINNED_CURSOR = {
-    "pi1-sigma2": "cb89a6929472a7ea4b0c8fa7206fb83efa3f0240bb9c8f9cbec7e706620455fe",
-    "gaussian-hnn": "a18ce387f39f687b61f460701a50e9a3f02b10ac681a66771dac30269b1415b0",
-    "free2-hnn": "41e52a6cdca076521a315a5ed7fcd56d0e06ff01f8f490f2d0558b14fe7f58a9",
-    "z-star-z": "9f0b04e43940370e05350b9dfbed588590b7124048b33e9d9b104b4bb0b56ace",
-    "bs12": "57245ad33d11a62ed35b224cfbf9ac919f2ec993bb2e7dd4436a2687c7b916de",
-    "z2-z3": "0636e54783abaf37da943765f1e8ebb71dd9b3224d93f5cdd0ec69a8989b37c7",
-    "theta": "5c5558367dafdb22b224ee7ff5ccf1e0945a881eb17aaf5fa4991e38c0dfa1ae",
-    "planted-finite-vertex": "b573ae97a4b3fd4a08deb5c97ff7884e0de2923a9ccb6c3032c931004c942c74",
-    "planted-finite-index-edge": "b3d82f351a321d102b6054645c0d93a9778ebd1ed551831b78699f82e33be31d",
+    "pi1-sigma2": "04868d2e164bb43cf2cce5972e49e397b3c666f99507e6eb82124ff02e670512",
+    "gaussian-hnn": "21af8a60628b1b34b15bef021934ee0898e1c2d232bb1154fd301f6b1c75dd0c",
+    "free2-hnn": "3a47cfbd25ed71dc43338c63b27354ae939dfee3dd060effbf7ddb4960c4bfd1",
+    "z-star-z": "dd1569bdf404821c4e1cbd1ae87fae77aafeb1a747853d2f5e1164c687301094",
+    "bs12": "93d7430115417e06e51c58ce52ccaa0de807258d7817d3f73566d10593c0a6b2",
+    "z2-z3": "93756231885c63795b2b9925919f6f35d319d143108314012779dc8edbb7292b",
+    "theta": "4a17f1386a6699d8e578761e9de3ad54b238ff3d18592d890cf906d965c44bf4",
+    "planted-finite-vertex": "dcfd4a5e69a75c90bcfd4d3c581ae51ddfa934dc8ae56a284e9ddba911ff3fe6",
+    "planted-finite-index-edge": "7206b32f19013c532893b0e69cb496bc1cc24bc29ed0de43b661f49c3a024751",
 }
 
 
 # SHA-256 of every benchmark certificate, "<problem>@<budget>", at its full budget,
 # under the shortlex-first witness rule
 BENCHMARK_CERTIFICATES = {
-    "bs12@200": "edee19b74f5d839299c6ec662ad488606ed79594ed8734d9f2e9c3204cc5774f",
-    "free2-hnn@200": "110e98a893aa18bb64de585646a171d1da48baba6e3bcf3ce27cd96307762e92",
-    "gaussian-hnn@200": "b65ce63e194e947ab020791ae6f90a4afc2addf4b305764a35f929a4235e2c24",
-    "pi1-sigma2@300": "2809882af44c4e4546db141c6f7949fd530fe92576d6c5a377c4b30aae3fb9d4",
-    "planted-finite-index-edge@200": "3564c49e84535c255159d034f95860b69db6fc1cc2cacce9ec18fa7a5099e600",
-    "planted-finite-vertex@200": "2ebb793a9ba849fc20625d98e828f322d0f937403d514a7188a01591a0909c5b",
-    "theta@150": "7fbf9604f14c92e00400e28c0e08b65f4232eb550b29214d35f06cb1c62f5049",
-    "z-star-z@200": "96f06255ae2fa8483eaf29c976cf51981837cea94965d9b0926337bf6b6cdf1e",
-    "z2-z3@200": "492b1064acb1d85a919d8f1a493b5d7f20b593dd2603753a8a3b4c748509a87d",
+    "bs12@200": "0002a2f30036c431a5976d9e96e0bf043bdb4908025da99839891b2fb0acf8ef",
+    "free2-hnn@200": "6f43c18a2a54d6d6450dac45ff768319780631a57149b0edf1dc4194637da65b",
+    "gaussian-hnn@200": "c4eb56dae4fc3d8f28ba021473b33cbc9ed2e5670c682260d431e5ad37e50561",
+    "pi1-sigma2@300": "648ba73434596029a16833c5a45ff9000b7ae0add19b97c6a56c953c6011fc4f",
+    "planted-finite-index-edge@200": "a7a146b78764db75462bd802030ce757ee96fd29c149782794d1057eab631d52",
+    "planted-finite-vertex@200": "fa820c7be0baf223179e4df91ca24c86971a6762789972476e08b1d89330525d",
+    "theta@150": "65c45f666dd167382707a4790e169de34f14235bace61932a4f408c92c0b8b63",
+    "z-star-z@200": "daaf550044b7050be3ac3d5d48da589d710bbd8053383cca895baaa9999384f2",
+    "z2-z3@200": "455b26e1822b48c10e881944f4cc8be8dc7f1a7c65150f7e561cd9da786181fe",
 }
 
 
@@ -101,15 +101,30 @@ def long_surface():
     return cert, lambda: problem.build_group()[0]
 
 
-def _pairs(entries):
-    return [tuple(pair) for pair in entries]
+def _replay(gamma, cert):
+    """Replay every step on a fresh state; returns the final state and
+    every anchor pair committed, batches and pins alike, in order."""
+    problem = EngineProblem(gamma)
+    state = problem.new_state()
+    committed = []
+    commit = state.commit_batch
 
+    def recording_commit(pairs):
+        commit(pairs)
+        committed.extend(pairs)
 
-def _committed_pairs(cert):
-    out = []
+    state.commit_batch = recording_commit
     for step in cert["steps"]:
-        out += _pairs(step.get("batch", [])) + _pairs(step["auto"])
-    return out
+        verify_step = (_verify_transitivity_step if step["kind"] == "transitivity"
+                       else _verify_faithfulness_step)
+        assert verify_step(problem, state, step) == (True, "ok")
+    return state, committed
+
+
+def _committed_once(state, committed):
+    """Every anchor of the state was committed, and committed once."""
+    return (len(committed) == len(state.anchors)
+            and set(committed) == set(state.anchors.values()))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -148,18 +163,19 @@ def test_certificate_bytes_at_benchmark_budget(key, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_transitivity_steps_commit_every_anchor_once(name, built):
-    """Transitivity batches and the default pins of both step kinds are
-    the anchors of the final state, each recorded once."""
-    cert = load_certificate(built[name])
-    committed = _committed_pairs(cert)
-    assert sorted(committed) == sorted(_pairs(cert["final_state"]["anchors"]))
+    """Transitivity batches and the default pins of both step kinds, as the
+    replay commits them, are the anchors of the final state, each
+    committed once."""
+    gamma = parse_problem(problem_path(f"{name}.json")).build_group()[0]
+    state, committed = _replay(gamma, load_certificate(built[name]))
+    assert _committed_once(state, committed)
 
 
 def test_long_certificate_commits_every_anchor_once(long_surface):
     cert, factory = long_surface
-    committed = _committed_pairs(cert)
+    state, committed = _replay(factory(), cert)
     assert len(committed) > 500
-    assert sorted(committed) == sorted(_pairs(cert["final_state"]["anchors"]))
+    assert _committed_once(state, committed)
     ok, reason = verify_certificate_report(factory(), cert)
     assert ok, reason
 
@@ -169,10 +185,75 @@ def test_verify_names_early_tampered_step(long_surface):
     tampered = copy.deepcopy(cert)
     trans = [s for s in tampered["steps"] if s["kind"] == "transitivity"]
     step = trans[1]
-    step["batch"][0][1] = "b2^3"
+    # a fresh class that the step before committed
+    step["zs"] = trans[0]["zs"]
     ok, reason = verify_certificate_report(factory(), tampered)
     assert not ok
     assert reason.startswith(f"step {step['index']}: ")
+
+
+def _reordered(cert):
+    """Every single-step drop, duplicate and adjacent swap of the steps."""
+    steps = cert["steps"]
+    for i in range(len(steps)):
+        yield dict(cert, steps=steps[:i] + steps[i + 1:])
+        yield dict(cert, steps=steps[:i + 1] + steps[i:])
+        if i + 1 < len(steps):
+            yield dict(cert, steps=steps[:i] + [steps[i + 1], steps[i]] + steps[i + 2:])
+
+
+@pytest.mark.parametrize("name", ["pi1-sigma2", "free2-hnn", "theta", "z-star-z"])
+def test_verify_rejects_every_reordered_step(name, built_cursor):
+    """The steps and deferrals must be the schedule's requirements, each
+    once and in order: every single-step drop, duplicate and adjacent swap
+    of a 40-step certificate fails that check."""
+    cert = load_certificate(built_cursor[name])
+    gamma = parse_problem(problem_path(f"{name}.json")).build_group()[0]
+    tampered = list(_reordered(cert))
+    assert len(tampered) == 3 * len(cert["steps"]) - 1
+    for i, other in enumerate(tampered):
+        ok, reason = verify_certificate_report(gamma, other)
+        assert not ok and reason.startswith("schedule: "), (i, reason)
+
+
+def test_verify_rejects_an_entry_off_the_schedule(built_cursor):
+    """A transitivity step whose xs is another valid tuple, a faithfulness
+    step recorded as a deferral, or a deferral moved to another index,
+    fails."""
+    cert = load_certificate(built_cursor["pi1-sigma2"])
+    gamma = parse_problem(problem_path("pi1-sigma2.json")).build_group()[0]
+    trans = [s for s in cert["steps"] if s["kind"] == "transitivity"]
+    moved = 0
+    for step in trans:
+        for other in trans:
+            if len(other["ys"]) == len(step["xs"]) and other["ys"] != step["xs"]:
+                tampered = copy.deepcopy(cert)
+                tampered["steps"][cert["steps"].index(step)]["xs"] = other["ys"]
+                ok, reason = verify_certificate_report(gamma, tampered)
+                assert not ok and reason.startswith(f"step {step['index']}: "), reason
+                moved += 1
+                break
+    assert moved == len(trans)
+    for step in cert["steps"]:
+        if step["kind"] == "faithfulness":
+            tampered = copy.deepcopy(cert)
+            tampered["steps"].remove(step)
+            tampered["deferred"] = [{"index": step["index"], "kind": "faithfulness",
+                                     "element": step["element"], "diagnostic": "none"}]
+            ok, reason = verify_certificate_report(gamma, tampered)
+            assert (ok, reason) == (False, f"schedule: faithfulness step {step['index']} "
+                                           "is deferred")
+    cert = load_certificate(built_cursor["bs12"])
+    gamma = parse_problem(problem_path("bs12.json")).build_group()[0]
+    assert len(cert["deferred"]) == 20
+    for k, entry in enumerate(cert["deferred"]):
+        for index in (entry["index"] - 1, entry["index"] + 1, cert["deferred"][-1 - k]["index"]):
+            if index == entry["index"]:
+                continue
+            tampered = copy.deepcopy(cert)
+            tampered["deferred"][k]["index"] = index
+            ok, reason = verify_certificate_report(gamma, tampered)
+            assert not ok and reason.startswith("schedule: "), (k, index, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +297,7 @@ mutations = st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "swap", "wo
                                st.integers(0, 10**6), st.integers(0, 10**6)),
                      min_size=1, max_size=3)
 
-tampers = st.tuples(st.sampled_from(["witness", "image", "auto", "format"]),
+tampers = st.tuples(st.sampled_from(["witness", "image", "zs", "format"]),
                     st.integers(0, 10**6), st.integers(0, 10**6))
 
 
@@ -250,23 +331,28 @@ def _mutate(cert, ops):
 
 
 def _tamper(cert, tamper):
-    """Give one faithfulness step another recorded witness, image or auto
-    list, or the certificate another format; the value always changes."""
+    """Give one faithfulness step another recorded witness or image, one
+    transitivity step fresh classes that an earlier step committed or a
+    list of the wrong length, or the certificate another format; the value
+    always changes.  (Other fresh classes may be another valid choice.)"""
     field, a, b = tamper
     cert = copy.deepcopy(cert)
     if field == "format":
-        cert["format"] = [1, 3, 0, None, "2", [2]][b % 6]
+        cert["format"] = [1, 2, 0, None, "3", [3]][b % 6]
         return cert
-    faith = [s for s in cert["steps"] if s["kind"] == "faithfulness"]
-    step = faith[a % len(faith)]
     # canonical words of Gamma, so another word is another point (a factor
     # witness may spell a point of Gamma differently)
     words = _values([{k: v for k, v in s.items() if k != "witnesses"} for s in cert["steps"]],
                     lambda v: isinstance(v, str))
-    if field == "auto":
-        pool = [s["auto"] for s in cert["steps"]] + [[pair] for pair in step["auto"]]
-        pool += [[[w, w]] for w in words]
+    if field == "zs":
+        trans = [s for s in cert["steps"] if s["kind"] == "transitivity"]
+        k = a % len(trans)
+        step = trans[k]
+        pool = [s["zs"] for s in trans[:k]] + [step["zs"][:-1]]
+        pool += [step["zs"] + [w] for w in words]
     else:
+        faith = [s for s in cert["steps"] if s["kind"] == "faithfulness"]
+        step = faith[a % len(faith)]
         pool = words
     pool = [v for v in pool if v != step[field]]
     step[field] = copy.deepcopy(pool[b % len(pool)])
@@ -277,8 +363,9 @@ def _tamper(cert, tamper):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(ops=mutations, tamper=tampers)
 def test_verify_of_mutated_certificate_never_raises(real_certificate, ops, tamper):
-    """Any mutation gives OK or FAIL; a changed faithfulness witness, image
-    or auto list, or another certificate format, gives FAIL."""
+    """Any mutation gives OK or FAIL; a changed faithfulness witness or
+    image, a committed or miscounted list of fresh classes, or another
+    certificate format, gives FAIL."""
     gamma, cert = real_certificate
     ok, reason = verify_certificate_report(gamma, _mutate(cert, ops))
     assert isinstance(ok, bool) and isinstance(reason, str)

@@ -8,6 +8,8 @@ from hightrans.action import evaluate_pi
 from hightrans.engine import (
     Budget,
     EngineProblem,
+    _verify_faithfulness_step,
+    _verify_transitivity_step,
     ensure_faithful,
     extend_transitivity,
     run_schedule,
@@ -25,6 +27,16 @@ def canon(cert):
     return json.dumps(cert, sort_keys=True)
 
 
+def rewired(state):
+    """The committed anchor pairs that are not default pins."""
+    return [(x0, y0) for x0, y0 in state.anchors.values() if y0 != state.default_image(x0)]
+
+
+def pins_of(state, before):
+    """The anchor pairs committed since ``before``, a copy of the anchors."""
+    return [pair for rep, pair in state.anchors.items() if rep not in before]
+
+
 @pytest.fixture
 def surface_problem():
     return EngineProblem(fixtures.surface_group())
@@ -38,7 +50,7 @@ def hnn_problem():
 def test_extend_identity_pair(surface_problem):
     state = surface_problem.new_state()
     x = surface_problem.gamma.identity()
-    mover, _, _, _, _ = extend_transitivity(surface_problem, state, [x], [x])
+    mover, _, _ = extend_transitivity(surface_problem, state, [x], [x])
     assert evaluate_pi(state, mover, x) == x
 
 
@@ -47,7 +59,7 @@ def test_extend_moves_point_hnn(hnn_problem):
     gamma = hnn_problem.gamma
     x = gamma.identity()
     y = gamma.include(gamma.base.generator("b"))
-    mover, _, _, _, _ = extend_transitivity(hnn_problem, state, [x], [y])
+    mover, _, _ = extend_transitivity(hnn_problem, state, [x], [y])
     assert evaluate_pi(state, mover, x) == y
 
 
@@ -57,9 +69,9 @@ def test_extend_pair_surface(surface_problem):
     xs = [gamma.identity(), gamma.generator("a1")]
     ys = [gamma.generator("b2"), gamma.generator("b1")]
     before = len(state.anchors)
-    mover, witnesses, zs, batch, _ = extend_transitivity(surface_problem, state, xs, ys)
+    mover, witnesses, zs = extend_transitivity(surface_problem, state, xs, ys)
     assert len(zs) == 2
-    assert len(batch) == 8
+    assert len(rewired(state)) == 8
     assert len(state.anchors) >= before + 8
     for x, y in zip(xs, ys):
         assert evaluate_pi(state, mover, x) == y
@@ -87,7 +99,7 @@ def test_prior_postconditions_survive(surface_problem, rng):
     pairs = [([pts[0]], [pts[1]]), ([pts[2]], [pts[3]]),
              ([pts[1], pts[4]], [pts[5], pts[0]]), ([pts[6]], [pts[6]])]
     for xs, ys in pairs:
-        mover, _, _, _, _ = extend_transitivity(surface_problem, state, xs, ys)
+        mover, _, _ = extend_transitivity(surface_problem, state, xs, ys)
         discharged.append((mover, xs, ys))
         for m, mxs, mys in discharged:
             for x, y in zip(mxs, mys):
@@ -100,18 +112,19 @@ def test_ensure_faithful(surface_problem):
     gamma = surface_problem.gamma
     g = gamma.generator("a1")
     # on an empty state pi(g) is left multiplication: the identity moves
-    witness, image, auto = ensure_faithful(surface_problem, state, g)
+    witness, image = ensure_faithful(surface_problem, state, g)
     assert witness == gamma.identity() and image == g
-    assert auto == [] and not state.anchors
+    assert not state.anchors
     # a transitivity step commits orbits; the witness is the first point
     # in shortlex order that pi(g) moves, and the pins keep it moved
     xs, ys = [gamma.identity()], [gamma.generator("b2")]
     mover, *_ = extend_transitivity(surface_problem, state, xs, ys)
     g = gamma.generator("b1")
     first = next(x for x in gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
-    witness, image, auto = ensure_faithful(surface_problem, state, g)
+    before = dict(state.anchors)
+    witness, image = ensure_faithful(surface_problem, state, g)
     assert witness == first and image == evaluate_pi(state, g, witness) != witness
-    assert all(state.anchors[rep] == (rep, img) for rep, img in auto)
+    assert all(y0 == state.default_image(x0) for x0, y0 in pins_of(state, before))
     assert evaluate_pi(state, mover, xs[0]) == ys[0]
     with pytest.raises(ValueError):
         ensure_faithful(surface_problem, state, gamma.identity())
@@ -121,10 +134,11 @@ def test_ensure_faithful_syllable_word(hnn_problem):
     state = hnn_problem.new_state()
     gamma = hnn_problem.gamma
     g = gamma.stable() * gamma.include(gamma.base.generator("a")) * gamma.stable()
-    witness, image, auto = ensure_faithful(hnn_problem, state, g)
+    witness, image = ensure_faithful(hnn_problem, state, g)
     assert witness == gamma.identity() and image == g
     # the stable letters pinned the orbits they passed through
-    assert auto and all(state.anchors[rep] == (rep, img) for rep, img in auto)
+    pins = pins_of(state, {})
+    assert pins and all(y0 == state.default_image(x0) for x0, y0 in pins)
     assert evaluate_pi(state, g, witness) == image
 
 
@@ -140,7 +154,7 @@ def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypa
 def test_budget_zero_is_empty():
     cert = run_schedule(fixtures.z_star_z(), Budget(steps=0), "empty")
     assert cert["steps"] == [] and cert["deferred"] == []
-    assert cert["final_state"]["anchors"] == []
+    assert set(cert) == {"format", "problem", "group", "mode", "budget", "steps", "deferred"}
     assert verify_certificate(fixtures.z_star_z(), cert)
 
 
@@ -177,14 +191,18 @@ def test_schedule_eventually_multi_point():
 
 
 def test_verify_rejects_tampered_anchor():
+    """A fresh class in the orbit of another batch point, a missing fresh
+    class, a changed witness or a wrong tuple length is rejected at its own
+    step.  (Another fresh class would give another valid rewiring.)"""
     cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
-    tampered = json.loads(canon(cert))
-    for step in tampered["steps"]:
-        if step["kind"] == "transitivity":
-            step["batch"][0][1] = "b2^3"
-            break
-    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
-    assert not ok
+    for field, value in [("zs", ["a1"]), ("zs", []), ("n", 2),
+                         ("witnesses", {"g1": "a1", "g2": "a1", "h": "a2^2"})]:
+        tampered = json.loads(canon(cert))
+        step = tampered["steps"][0]
+        assert step["kind"] == "transitivity" and step[field] != value
+        step[field] = value
+        ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+        assert not ok and reason.startswith("step 0: "), (field, value)
 
 
 def test_verify_rejects_tampered_mover():
@@ -198,21 +216,47 @@ def test_verify_rejects_tampered_mover():
     assert not ok and "mover" in reason
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("witness", "b a", "recorded image"),
-    ("image", "b a", "recorded image"),
-    ("auto", [["a", "a"]], "auto-pinned"),
-    ("auto", [], "auto-pinned"),
-], ids=["witness", "image", "auto", "auto-dropped"])
-def test_verify_rejects_tampered_faithfulness_step(field, value, message):
+@pytest.mark.parametrize("updates, message", [
+    ({"witness": "b a"}, "recorded image"),
+    ({"image": "b a"}, "recorded image"),
+    ({"element": "b a", "image": "b a"}, "not the requirement scheduled"),
+    ({"witness": "t"}, "recorded image"),
+], ids=["witness", "image", "element", "witness-is-the-image"])
+def test_verify_rejects_tampered_faithfulness_step(updates, message):
+    """The step for the stable letter t, whose witness's evaluation pins an
+    orbit.  Another element with its true image replays, but is not the
+    element the schedule has at that index."""
     cert = run_schedule(fixtures.free2_hnn(), Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
-    faith = [s for s in tampered["steps"] if s["kind"] == "faithfulness" and s["auto"]]
-    assert faith
-    assert faith[0][field] != value
-    faith[0][field] = value
+    step = next(s for s in tampered["steps"] if s.get("element") == "t")
+    assert step["image"] == "t" and all(step[k] != v for k, v in updates.items())
+    step.update(updates)
     ok, reason = verify_certificate_report(fixtures.free2_hnn(), tampered)
-    assert not ok and reason.startswith(f"step {faith[0]['index']}: {message}")
+    assert not ok and reason.startswith(f"step {step['index']}: {message}")
+
+
+def test_verify_pins_what_a_faithfulness_witness_touches():
+    """The replay of a faithfulness witness pins the default orbits its
+    evaluation touches, as the build does: a later batch that rewires one
+    of them is rejected at its own step."""
+    cert = run_schedule(fixtures.surface_group(), Budget(steps=40), "k")
+    problem = EngineProblem(fixtures.surface_group())
+    state = problem.new_state()
+    for k, step in enumerate(cert["steps"]):
+        before = dict(state.anchors)
+        if step["kind"] == "transitivity":
+            assert _verify_transitivity_step(problem, state, step) == (True, "ok")
+        else:
+            assert _verify_faithfulness_step(problem, state, step) == (True, "ok")
+            pins = pins_of(state, before)
+            if pins:
+                break
+    later = next(s for s in cert["steps"][k + 1:] if s["kind"] == "transitivity")
+    tampered = json.loads(canon(cert))
+    tampered["steps"][cert["steps"].index(later)]["zs"][0] = str(pins[0][0])
+    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+    assert not ok and reason.startswith(f"step {later['index']}: batch rejected: ")
+    assert "already committed" in reason
 
 
 def test_verify_rejects_a_fixed_faithfulness_witness():
@@ -222,7 +266,7 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
     tampered = json.loads(canon(cert))
     first = tampered["steps"][0]
     assert first["xs"] == first["ys"] == ["1"]
-    step = next(s for s in tampered["steps"] if s["kind"] == "faithfulness" and not s["auto"])
+    step = next(s for s in tampered["steps"] if s["kind"] == "faithfulness")
     step.update(element=first["mover"], witness="1", image="1")
     ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
     assert (ok, reason) == (False, f"step {step['index']}: the element fixes the witness point")
@@ -230,7 +274,7 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
 
 def test_verify_rejects_other_certificate_formats():
     cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
-    for fmt in (1, None, "2", 3):
+    for fmt in (1, None, "3", 2):
         tampered = json.loads(canon(cert))
         tampered["format"] = fmt
         ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
@@ -242,7 +286,7 @@ def test_verify_rejects_dropped_step():
     tampered = json.loads(canon(cert))
     tampered["steps"] = tampered["steps"][:-1]
     ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
-    assert not ok and "snapshot" in reason
+    assert (ok, reason) == (False, "schedule: 11 steps and 0 deferrals for a budget of 12 steps")
 
 
 def test_monotone_invariant_suite():
@@ -256,7 +300,6 @@ def test_monotone_invariant_suite():
         problem = EngineProblem(replay_gamma)
         state = problem.new_state()
         history = []
-        from hightrans.engine import _verify_faithfulness_step, _verify_transitivity_step
         for step in cert["steps"]:
             if step["kind"] == "transitivity":
                 ok, reason = _verify_transitivity_step(problem, state, step)
@@ -285,8 +328,8 @@ def test_extend_triple_tuple(surface_problem):
     pts = gamma.ball(1)
     xs = [pts[0], pts[1], pts[3]]
     ys = [pts[5], pts[2], pts[0]]
-    mover, _, zs, batch, _ = extend_transitivity(surface_problem, state, xs, ys)
-    assert len(zs) == 3 and len(batch) == 12
+    mover, _, zs = extend_transitivity(surface_problem, state, xs, ys)
+    assert len(zs) == 3 and len(rewired(state)) == 12
     for x, y in zip(xs, ys):
         assert evaluate_pi(state, mover, x) == y
     assert state.check_equivariance()

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hightrans import cli
+from hightrans import cli, engine
 from hightrans.problem import (
     ProblemError,
     build_problem,
@@ -275,12 +275,12 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, reason", [
     ("mover", None, "a word must be a string"),
     ("xs", [["1"]], "a word must be a string"),
-    ("batch", [[["1", 0]]], "a pair must be a two-element list"),
+    ("zs", [["1", 0]], "a word must be a string"),
     ("ys", ["a1^10001"], "exceeds 10000"),
 ])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
-    """Words and pairs of the wrong shape, and words with an exponent above
-    the bound, are replay errors, not tracebacks."""
+    """Words of the wrong shape, and words with an exponent above the bound,
+    are replay errors, not tracebacks."""
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6",
                    "--out", str(cert_path)])
@@ -293,6 +293,29 @@ def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, rea
     rc = cli.main(["verify", problem_path("pi1-sigma2.json"), str(cert_path)])
     out = capsys.readouterr().out
     assert rc == 2 and out.startswith("verify: FAIL (replay error: ") and reason in out
+
+
+@pytest.mark.parametrize("steps, reason", [
+    (10**12, "schedule: 4 steps and 0 deferrals for a budget of 1000000000000 steps"),
+    (-1, "budget.steps must be a non-negative integer, got -1"),
+    ("3", "budget.steps must be a non-negative integer, got '3'"),
+    (True, "budget.steps must be a non-negative integer, got True"),
+], ids=["huge", "negative", "string", "bool"])
+def test_cli_verify_hostile_budget_steps_is_a_fail(tmp_path, capsys, monkeypatch, steps, reason):
+    """A budget.steps that is not a non-negative integer, or not the number
+    of recorded steps and deferrals, fails before any replay."""
+    cert_path = tmp_path / "out.json"
+    rc = cli.main(["build", problem_path("z-star-z.json"), "--budget", "4",
+                   "--out", str(cert_path)])
+    assert rc == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["budget"]["steps"] = steps
+    cert_path.write_text(json.dumps(cert))
+    monkeypatch.setattr(engine, "_schedule", lambda *args: pytest.fail("replay started"))
+    rc = cli.main(["verify", problem_path("z-star-z.json"), str(cert_path)])
+    out = capsys.readouterr().out
+    assert (rc, out) == (2, f"verify: FAIL ({reason})\n")
 
 
 PLAIN_TARGET = {"groups": {"Z": {"kind": "free_abelian", "generators": ["a"]}},
