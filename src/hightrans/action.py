@@ -47,12 +47,16 @@ def orbit_rep_map(embedding):
 class LevelAction:
     """A group acting on X = Gamma by left multiplication, given as
     ``left_multiply(h, g) = h g`` in Gamma, together with the subgroup whose
-    orbits the searches reason about."""
+    orbits the searches reason about: ``sigma`` embeds it in Gamma, ``edge``
+    in the acting group, so that s h x and h x share a Sigma-orbit for every
+    s in Sigma and ``edge.rep(h)`` names what a witness search learns about
+    h."""
 
-    def __init__(self, group, left_multiply, sigma):
+    def __init__(self, group, left_multiply, sigma, edge):
         self.group = group
         self.left_multiply = left_multiply
         self.sigma = sigma
+        self.edge = edge
         self.orbit_rep = orbit_rep_map(sigma)
 
     def act(self, h, x):
@@ -61,7 +65,8 @@ class LevelAction:
 
 def plain_level_action(sigma_embedding):
     """H acting on itself, with Sigma-orbits from the given embedding."""
-    return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding)
+    return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding,
+                       sigma_embedding)
 
 
 class StateError(ValueError):

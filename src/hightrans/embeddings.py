@@ -91,10 +91,15 @@ class FiniteImageStrategy:
         return g in self._image_map()
 
     def decompose(self, g):
-        table = self._image_map()
-        best = min((img * g for img in table), key=Element.sort_key)
-        witness = g * best.inverse()
-        return (table[witness], best)
+        """The least of the coset mates e(s) g; each mate e(s) g is cached as
+        (s s_best^-1, best), g itself being the mate of s = 1."""
+        mates = [(img * g, s) for img, s in self._image_map().items()]
+        best, s_best = min(mates, key=lambda m: m[0].sort_key())
+        inv = s_best.inverse()
+        cache = self.emb._decompose_cache
+        for m, s in mates:
+            cache[m.payload] = (s * inv, best)
+        return (inv, best)
 
 
 class LatticeStrategy:
@@ -234,6 +239,7 @@ class CyclicFreeStrategy:
         self.core = tgt.element_from_word([(tgt.labels[g], e) for g, e in letters[lo:hi + 1]])
         self.len_u = len(u)
         self.len_core = hi + 1 - lo
+        self.len_c = 2 * self.len_u + self.len_core
         self.c = c
         self._powers = {}
 
@@ -253,19 +259,33 @@ class CyclicFreeStrategy:
         return g == self._power(k) or g == self._power(-k)
 
     def decompose(self, g):
+        """The least of the powers c^k g the length formula leaves in reach.
+
+        Each power tried that is no longer than |g| + |c| is cached as
+        (gen^(k - best_k), best): those are the mates a shortlex walk meets
+        next, while caching the longer ones grows memory for few hits."""
         best, best_k = g, 0
         best_key = g.sort_key()
+        near = g.length() + self.len_c
+        mates = [(g, 0)]
         for sign in (1, -1):
             step = self.c if sign == 1 else self.c.inverse()
             cand = g
             k = 1
             while 2 * self.len_u + k * self.len_core - g.length() <= best_key[0]:
                 cand = step * cand
-                if cand.sort_key() < best_key:
-                    best, best_k, best_key = cand, sign * k, cand.sort_key()
+                n = cand.length()
+                if n <= near:
+                    mates.append((cand, sign * k))
+                if n <= best_key[0]:
+                    key = cand.sort_key()
+                    if key < best_key:
+                        best, best_k, best_key = cand, sign * k, key
                 k += 1
-        s = _source_from_coords(self.emb.source, (-best_k,))
-        return (s, best)
+        cache, src = self.emb._decompose_cache, self.emb.source
+        for m, k in mates:
+            cache[m.payload] = (_source_from_coords(src, (k - best_k,)), best)
+        return cache[g.payload]
 
 
 class FactorStrategy:

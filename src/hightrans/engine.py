@@ -85,11 +85,15 @@ class EngineProblem:
         self.mode = gamma.kind
         if self.mode == "amalgam":
             sigma = gamma.sigma_embedding()
-            self.action_left = LevelAction(gamma.left, lambda h, g: gamma.include(0, h, g), sigma)
-            self.action_right = LevelAction(gamma.right, lambda h, g: gamma.include(1, h, g), sigma)
+            self.action_left = LevelAction(gamma.left, lambda h, g: gamma.include(0, h, g),
+                                           sigma, gamma.edge_left)
+            self.action_right = LevelAction(gamma.right, lambda h, g: gamma.include(1, h, g),
+                                            sigma, gamma.edge_right)
         else:
-            self.action_pos = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(1))
-            self.action_neg = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(-1))
+            self.action_pos = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(1),
+                                          gamma.edge_r)
+            self.action_neg = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(-1),
+                                          gamma.edge_s)
 
     def new_state(self):
         return IntertwinerState.for_group(self.gamma)

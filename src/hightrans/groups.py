@@ -673,11 +673,9 @@ class AmalgamGroup(Group):
         return toks
 
     def multiply(self, p, q):
-        from . import normal_forms
         return normal_forms.reduce_amalgam_tokens(self, self.tokens(p), q)
 
     def inverse_payload(self, p):
-        from . import normal_forms
         toks = [(side, x.inverse()) for side, x in reversed(self.tokens(p))]
         return normal_forms.reduce_amalgam_tokens(self, toks)
 
@@ -711,7 +709,6 @@ class AmalgamGroup(Group):
     def include(self, side, x, onto=None):
         """The canonical injection of a factor element; x * onto when an
         element ``onto`` is given, by one fold step onto its normal form."""
-        from . import normal_forms
         if x.owner is not self.factor(side):
             raise OwnerMismatch(f"{x!r} is not in factor {side} of {self.name!r}")
         if onto is None:
@@ -723,10 +720,10 @@ class AmalgamGroup(Group):
     def sigma_embedding(self):
         """The edge subgroup included into the amalgam itself."""
         if not hasattr(self, "_sigma_emb"):
-            from .embeddings import Embedding
             images = [self.include(0, self.edge_left.apply(g))
                       for g in self.edge_source.generators()]
-            self._sigma_emb = Embedding(f"{self.name}.edge", self.edge_source, self, images)
+            self._sigma_emb = embeddings.Embedding(f"{self.name}.edge", self.edge_source, self,
+                                                   images)
         return self._sigma_emb
 
 
@@ -772,11 +769,9 @@ class HnnGroup(Group):
         return toks
 
     def multiply(self, p, q):
-        from . import normal_forms
         return normal_forms.reduce_hnn_tokens(self, self.tokens(p), q)
 
     def inverse_payload(self, p):
-        from . import normal_forms
         toks = []
         for kind, val in reversed(self.tokens(p)):
             if kind == "b":
@@ -829,10 +824,9 @@ class HnnGroup(Group):
         """Sigma (eps=+1) or its stable-letter image (eps=-1) inside the HNN group."""
         attr = "_sigma_emb_pos" if eps == 1 else "_sigma_emb_neg"
         if not hasattr(self, attr):
-            from .embeddings import Embedding
             edge = self.sigma_edge(eps)
             images = [self.include(edge.apply(g)) for g in self.edge_source.generators()]
-            setattr(self, attr, Embedding(
+            setattr(self, attr, embeddings.Embedding(
                 f"{self.name}.edge{'+' if eps == 1 else '-'}", self.edge_source, self, images))
         return getattr(self, attr)
 
@@ -851,3 +845,9 @@ def equal(a, b):
 def enumerate_ball(group, radius):
     """All elements of normal-form length <= radius in shortlex order."""
     return group.ball(radius)
+
+
+# The composite kinds reduce through normal_forms and include their edge
+# subgroups through embeddings; both modules import this one, so they are
+# bound here, once every name above exists.
+from . import embeddings, normal_forms  # noqa: E402

@@ -152,20 +152,31 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
     Without a cursor the answer is the first such h in shortlex order.  A
     ``cursor`` (a SearchCursor) starts the walk at its position, wraps to
     the identity, and is moved just past the h returned.  Either way None
-    comes only after every element of the ball has been tested.
+    comes only after every element of the ball has been covered.
+
+    The verdict on h depends only on its coset Sigma h in the acting group
+    (``action.edge``): s h x_i and h x_i share a Sigma-orbit.  So once a
+    candidate fails, a later one in its coset is skipped untested, and each
+    element of the ball is either tested itself or covered by a tested,
+    failed element of its coset.  Coset keys are computed only after the
+    first failure.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
     f_reps = {action.orbit_rep(f) for f in F}
     start = (0, 0) if cursor is None else cursor.position
     walk = action.group.walk_shortlex
+    coset_rep = action.edge.rep
+    failed = set()
     for d, i, h in itertools.chain(walk(start, max_radius=radius),
                                    walk(stop=start, max_radius=radius)):
-        imgs = [action.act(h, x) for x in xs]
-        reps = [action.orbit_rep(p) for p in imgs]
-        if any(r in f_reps or r in protected for r in reps):
-            continue
-        if len(set(reps)) != len(reps):
+        if failed:
+            key = coset_rep(h)
+            if key in failed:
+                continue
+        reps = [action.orbit_rep(action.act(h, x)) for x in xs]
+        if any(r in f_reps or r in protected for r in reps) or len(set(reps)) != len(reps):
+            failed.add(key if failed else coset_rep(h))
             continue
         if cursor is not None:
             cursor.position = (d, i + 1)

@@ -5,17 +5,18 @@ in faithful matrix or affine representations, so agreement is a genuine
 cross-check and disagreement localizes a reduction bug.  The two-phase
 token reducers below are the slow path the one-syllable fold replaced;
 they reduce a whole token list from scratch.  The engine oracles are the
-shortlex-first witness rule, allocation by a scan from scratch, and
-intertwiner evaluation by the equivariance formula alone.  The audit
-oracles at the end are the slow paths the exact audit shortcuts replaced:
-a finite-index walk that always walks, coset fixers by coset
-decomposition, and structural certificates that build every conjugacy
-ball twice.
+shortlex-first witness rule, a witness search that tests every element
+instead of skipping failed Sigma-cosets, allocation by a scan from
+scratch, and intertwiner evaluation by the equivariance formula alone.
+The audit oracles at the end are the slow paths the exact audit
+shortcuts replaced: a finite-index walk that always walks, coset fixers
+by coset decomposition, and structural certificates that build every
+conjugacy ball twice.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from hightrans import engine, groups
 from hightrans.groups import UndecidedError
@@ -279,6 +280,24 @@ def shortlex_first_search(action, xs, F, radius, protected=(), cursor=None):
     cursors.  Patched in as ``engine.search_E_set`` it rebuilds the old
     certificates."""
     return search_E_set(action, xs, F, radius, protected)
+
+
+def per_element_search(action, xs, F, radius, protected=(), cursor=None):
+    """``search_E_set`` testing every element of the wrapped ball itself:
+    the rule before a failed candidate's Sigma-coset was skipped."""
+    if len(set(xs)) != len(xs):
+        raise ValueError("E-set tuples live off the large diagonal")
+    f_reps = {action.orbit_rep(f) for f in F}
+    start = (0, 0) if cursor is None else cursor.position
+    walk = action.group.walk_shortlex
+    for d, i, h in chain(walk(start, max_radius=radius), walk(stop=start, max_radius=radius)):
+        reps = [action.orbit_rep(action.act(h, x)) for x in xs]
+        if any(r in f_reps or r in protected for r in reps) or len(set(reps)) != len(reps):
+            continue
+        if cursor is not None:
+            cursor.position = (d, i + 1)
+        return h
+    return None
 
 
 @contextmanager

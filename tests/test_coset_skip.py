@@ -1,0 +1,144 @@
+"""One computation per Sigma-coset: witness searches that skip the cosets
+of failed candidates, and coset decompositions that cache the coset-mates
+they compute, checked against the per-element search in ``oracles`` and
+against fresh decompositions."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hightrans import fixtures, hcf
+from hightrans.action import LevelAction, plain_level_action
+from hightrans.embeddings import CyclicFreeStrategy, Embedding, FiniteImageStrategy
+from hightrans.engine import Budget, EngineProblem, run_schedule
+from hightrans.groups import Element, FreeGroup, symmetric_group
+from hightrans.problem import parse_problem
+
+from conftest import PROBLEMS
+from oracles import per_element_search
+
+
+def _s0_in_s3():
+    s3 = symmetric_group("S3", 3)
+    return Embedding("s0", symmetric_group("C2", 2, ("c",)), s3, [s3.generator("s0")])
+
+
+def _engine_actions(name):
+    problem = EngineProblem(parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0])
+    if problem.mode == "amalgam":
+        return [problem.action_left, problem.action_right]
+    return [problem.action_pos, problem.action_neg]
+
+
+# Sigma of finite index (2Z in Z, <s0> in S3, the edge groups of bs12 and
+# planted-finite-index-edge) and of infinite index (<[a,b]> in F2, the
+# finite units of gaussian-hnn), acting on themselves and on Gamma
+ACTIONS = [
+    plain_level_action(fixtures.even_integers_embedding()),
+    plain_level_action(_s0_in_s3()),
+    plain_level_action(fixtures.commutator_subgroup_embedding()),
+    *_engine_actions("bs12"),
+    *_engine_actions("planted-finite-index-edge"),
+    *_engine_actions("gaussian-hnn"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(ACTIONS)))
+def test_an_edge_coset_acts_within_one_sigma_orbit(k):
+    """s h x and h x share a Sigma-orbit for s in ``action.edge``: what lets
+    a search skip the coset of a failed candidate."""
+    action = ACTIONS[k]
+    points = action.sigma.target.ball(2)
+    for h in action.group.ball(2):
+        for s in action.edge.images:
+            for x in points:
+                assert (action.orbit_rep(action.act(s * h, x))
+                        == action.orbit_rep(action.act(h, x)))
+
+
+@st.composite
+def searches(draw):
+    action = draw(st.sampled_from(ACTIONS))
+    points = st.sampled_from(action.sigma.target.ball(2))
+    xs = draw(st.lists(points, min_size=1, max_size=3, unique=True))
+    F = draw(st.lists(points, max_size=4))
+    protected = {action.orbit_rep(p) for p in draw(st.lists(points, max_size=12))}
+    radius = draw(st.integers(0, 3))
+    start = None
+    if draw(st.booleans()):
+        start = (draw(st.integers(0, radius + 1)), draw(st.integers(0, 40)))
+    return action, xs, F, protected, radius, start
+
+
+def _cursor(start):
+    if start is None:
+        return None
+    cursor = hcf.SearchCursor()
+    cursor.position = start
+    return cursor
+
+
+@settings(max_examples=400, deadline=None)
+@given(searches())
+def test_coset_skipping_agrees_with_the_per_element_search(case):
+    action, xs, F, protected, radius, start = case
+    skipping, oracle = _cursor(start), _cursor(start)
+    got = hcf.search_E_set(action, xs, F, radius, protected, cursor=skipping)
+    expected = per_element_search(action, xs, F, radius, protected, cursor=oracle)
+    assert got == expected
+    if start is not None:
+        assert skipping.position == oracle.position
+
+
+def _conjugate_cyclic():
+    f = FreeGroup("F", ("a", "b"))
+    a, b = f.generator("a"), f.generator("b")
+    return Embedding("conj", FreeGroup("Z", ("c",)), f, [b * a * a * b.inverse()])
+
+
+# both strategies that cache coset-mates, with finite and infinite targets,
+# a free-abelian and a free source, and a cyclic generator that is not
+# cyclically reduced
+EMBEDDINGS = {
+    "s0-in-S3": _s0_in_s3,
+    "units-in-GaussAff": fixtures.gaussian_units_subgroup_embedding,
+    "commutator-in-F2": fixtures.commutator_subgroup_embedding,
+    "conjugate-in-F2": _conjugate_cyclic,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDINGS))
+def test_coset_mate_entries_equal_fresh_decompositions(name):
+    emb = EMBEDDINGS[name]()
+    assert isinstance(emb.strategy, (FiniteImageStrategy, CyclicFreeStrategy))
+    cache = emb._decompose_cache
+    written = 0
+    for g in emb.target.ball(4):
+        before = dict(cache)
+        emb.decompose(g)
+        for p, value in cache.items():
+            if p == g.payload or before.get(p) is value:
+                continue
+            fresh = Embedding("fresh", emb.source, emb.target, emb.images, check=False)
+            assert fresh.strategy.decompose(Element(emb.target, p)) == value
+            written += 1
+    assert written > 0
+
+
+@pytest.mark.parametrize("name", ["bs12", "planted-finite-index-edge"])
+def test_deferrals_act_once_per_failed_coset(name, monkeypatch):
+    """Half the requirements of these finite-index problems defer after
+    exhausting the ball; testing every element made about 21,000 act calls
+    at 200 steps, one element per Sigma-coset makes about 340."""
+    gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    acts = [0]
+    act = LevelAction.act
+
+    def counting_act(self, h, x):
+        acts[0] += 1
+        return act(self, h, x)
+
+    monkeypatch.setattr(LevelAction, "act", counting_act)
+    cert = run_schedule(gamma, Budget(steps=200), name)
+    assert len(cert["deferred"]) == 100
+    assert acts[0] <= 1000
