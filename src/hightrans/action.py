@@ -10,7 +10,11 @@ The intertwiner is a bijection of X held as a finite equivariant rewiring
 over a total default (left multiplication by the stable letter in HNN
 mode, the identity in amalgam mode).  Each committed orbit stores one
 anchor pair; the equivariance law reconstructs the rest of the orbit, so
-the map is exact and O(1) per orbit.  Rewirings only ever extend: a batch
+the map is exact and O(1) per orbit.  A point is read in orbit
+coordinates, x = e(sigma) rep, and since the stable letter carries the
+source embedding to the target one (t r(a) t^-1 = s(a)), the image of x
+in the orbit of an anchor (x0, y0) is e_dst(sigma sigma0^-1) y0: one fold
+step onto y0, whatever the length of x.  Rewirings only ever extend: a batch
 permutes the default images of its source orbits, which keeps the total
 map a bijection at every instant, and an evaluation with ``commit=True``
 pins the default orbits it touches, so its value holds in every later
@@ -22,26 +26,35 @@ from __future__ import annotations
 from .groups import Element, OwnerMismatch
 
 
-def orbit_rep_map(embedding):
-    """The canonical representative of the orbit (image subgroup) . x, as a
-    function of the point x: ``embedding.rep``.
+def orbit_map(embedding):
+    """The orbit coordinates of a point: x -> (sigma, rep) with
+    x = e(sigma) rep and rep the canonical representative of the orbit
+    (image subgroup) . x, where e is the embedding.
 
-    For an amalgam's own edge subgroup Sigma the representative is read off
-    the normal form: a payload (sigma, syls) carries its Sigma part in front
-    and its leading syllable is already a canonical coset representative,
-    so Sigma (sigma, syls) has the canonical representative (1, syls).
+    For an amalgam's own edge subgroup Sigma the coordinates are read off
+    the normal form: a payload (sigma, syls) carries its Sigma part in
+    front and its leading syllable is already a canonical coset
+    representative, so (sigma, syls) = e(sigma) (1, syls).  Any other
+    embedding splits the point by ``Embedding.decompose``.
     """
     gamma = embedding.target
     if gamma.kind != "amalgam" or embedding is not gamma.sigma_embedding():
-        return embedding.rep
+        return embedding.decompose
     one = gamma.identity_payload()[0]
 
-    def rep(x):
+    def split(x):
         sigma, syls = x.payload
         if sigma.is_identity:
-            return x
-        return Element(gamma, (one, syls))
-    return rep
+            return sigma, x
+        return sigma, Element(gamma, (one, syls))
+    return split
+
+
+def orbit_rep_map(embedding):
+    """The canonical orbit representative, as a function of the point: the
+    rep coordinate of ``orbit_map``."""
+    split = orbit_map(embedding)
+    return lambda x: split(x)[1]
 
 
 class LevelAction:
@@ -80,7 +93,8 @@ class IntertwinerState:
     pair (x0, y0); ``dst_index`` is the inverse view keyed by target-orbit
     representatives.  Equivariance law: w(s . x0) = twist(s) . y0 where
     twist conjugates by the stable letter in HNN mode and is the identity
-    in amalgam mode.
+    in amalgam mode; twist carries ``sigma_src`` to ``sigma_dst``, so
+    w(e_src(a) x0) = e_dst(a) y0 for every a in Sigma.
     """
 
     def __init__(self, gamma, mode, sigma_src, sigma_dst, stable=None):
@@ -93,6 +107,8 @@ class IntertwinerState:
         self.sigma_src = sigma_src
         self.sigma_dst = sigma_dst
         self.stable = stable
+        self.src_split = orbit_map(sigma_src)
+        self.dst_split = orbit_map(sigma_dst)
         self.src_orbit = orbit_rep_map(sigma_src)
         self.dst_orbit = orbit_rep_map(sigma_dst)
         self.anchors = {}
@@ -143,10 +159,13 @@ class IntertwinerState:
 
         With ``commit=True`` an untouched orbit is pinned to its default
         image before evaluating, so the value can never change in a later
-        state; the pinned pair is appended to ``log``.
+        state; the pinned pair is appended to ``log``.  In the orbit of an
+        anchor (x0, y0), x = e_src(sigma) r and x0 = e_src(sigma0) r give
+        w(x) = e_dst(sigma sigma0^-1) y0, and symmetrically for the
+        inverse.
         """
         if not inverse:
-            rep = self.src_orbit(x)
+            sigma, rep = self.src_split(x)
             pair = self.anchors.get(rep)
             if pair is None:
                 if not commit:
@@ -156,10 +175,8 @@ class IntertwinerState:
                 if log is not None:
                     log.append(pair)
             x0, y0 = pair
-            if x == x0:
-                return y0
-            return self.twist(x * x0.inverse()) * y0
-        rep = self.dst_orbit(x)
+            return self._carry(self.sigma_dst, sigma, self.src_split(x0)[0], y0)
+        sigma, rep = self.dst_split(x)
         pair = self.dst_index.get(rep)
         if pair is None:
             pre = self.default_preimage(x)
@@ -171,9 +188,14 @@ class IntertwinerState:
             if log is not None:
                 log.append(pair)
         x0, y0 = pair
-        if x == y0:
-            return x0
-        return self.untwist(x * y0.inverse()) * x0
+        return self._carry(self.sigma_src, sigma, self.dst_split(y0)[0], x0)
+
+    @staticmethod
+    def _carry(embedding, sigma, sigma0, point):
+        """e(sigma sigma0^-1) point: the anchor's image moved along its orbit."""
+        if sigma == sigma0:
+            return point
+        return embedding.apply(sigma * sigma0.inverse()) * point
 
     # -- mutation -------------------------------------------------------------
 
@@ -221,8 +243,7 @@ class IntertwinerState:
         """
         for x0, y0 in self.anchors.values() if pairs is None else pairs:
             for gen in self.sigma_src.source.generators():
-                s = self.sigma_src.apply(gen)
-                if self.evaluate(s * x0) != self.twist(s) * y0:
+                if self.evaluate(self.sigma_src.apply(gen) * x0) != self.sigma_dst.apply(gen) * y0:
                     return False
             if self.evaluate(x0) != y0 or self.evaluate(y0, inverse=True) != x0:
                 return False

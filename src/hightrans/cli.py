@@ -7,9 +7,11 @@ Exit codes: 0 all verdicts pass / run complete, 1 usage or schema error,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
+from contextlib import contextmanager
 
-from . import graphs, hcf
+from . import engine, graphs, hcf
 from .engine import Budget, run_schedule, verify_certificate_report
 from .groups import UndecidedError
 from .normal_forms import parse_word, syllable_length
@@ -57,6 +59,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--seedless", action="store_true",
                    help="assert determinism by running twice and comparing bytes")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log each discharged step to standard error")
 
     p = sub.add_parser("verify", help="re-check a certificate file")
     p.add_argument("problem")
@@ -157,16 +161,36 @@ def cmd_reduce(args):
     return _status_exit([report["overall"]])
 
 
+@contextmanager
+def _engine_log(verbose):
+    """Send the engine's info lines to standard error while a build runs;
+    the certificate does not depend on it."""
+    if not verbose:
+        yield
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    level = engine.logger.level
+    engine.logger.addHandler(handler)
+    engine.logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        engine.logger.removeHandler(handler)
+        engine.logger.setLevel(level)
+
+
 def cmd_build(args):
     problem = _load(args.problem)
     gamma, source = _build_group(problem, args.edge)
     steps = args.budget if args.budget is not None else problem.budget.steps
     budget = Budget(steps=steps, witness_radius=problem.budget.witness_radius)
-    cert = run_schedule(gamma, budget, problem.digest())
+    with _engine_log(args.verbose):
+        cert = run_schedule(gamma, budget, problem.digest())
     cert["source"] = source
     if args.seedless:
         gamma2, _ = problem.build_group(source)
-        cert2 = run_schedule(gamma2, budget, problem.digest())
+        with _engine_log(args.verbose):
+            cert2 = run_schedule(gamma2, budget, problem.digest())
         cert2["source"] = source
         if canonical_text(cert) != canonical_text(cert2):
             print("error: double run produced different certificates", file=sys.stderr)

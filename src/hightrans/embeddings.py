@@ -7,8 +7,9 @@ procedure chosen from the (source, target) kinds:
   * trivial source: everything is exact and immediate;
   * finite source: the image is enumerated once and cached;
   * free-abelian target: integer lattice arithmetic (column echelon form);
-  * infinite-cyclic source in a free target: power stripping with an exact
-    letter-length formula;
+  * infinite-cyclic source in a free target: an exact letter-length
+    formula for membership, and the least coset element among three
+    powers read off the free reduction;
   * subgroup of one factor of a composite target: peel the normal form and
     recurse into the factor;
   * anything else: bounded image enumeration that raises UndecidedError
@@ -213,12 +214,24 @@ def _to_vector(target, g):
     return g.payload
 
 
+def _leading_periods(spelling, period):
+    """How many whole copies of ``period`` the spelling begins with."""
+    n, m = len(period), 0
+    while spelling[m * n:(m + 1) * n] == period:
+        m += 1
+    return m
+
+
 class CyclicFreeStrategy:
     """Infinite cyclic subgroup of a free group, via c = u d u^-1.
 
     After cyclic reduction the letter length of c^k is exactly
-    2|u| + |k||d|, which makes both membership and the shortlex-minimal
-    coset representative finite, exact searches.
+    2|u| + |k||d|, which makes membership a length check and one
+    comparison.  The length of c^k g is V-shaped in k: it is |u| plus the
+    distance from g's projection onto the axis of c to the orbit point of
+    c^-k, plus the distance from g to that axis (Serre, *Trees*, I.6), so
+    the shortlex-minimal coset element is one of three powers, read off
+    the free reduction of u^-1 g.
     """
 
     def __init__(self, emb):
@@ -239,14 +252,15 @@ class CyclicFreeStrategy:
         self.core = tgt.element_from_word([(tgt.labels[g], e) for g, e in letters[lo:hi + 1]])
         self.len_u = len(u)
         self.len_core = hi + 1 - lo
-        self.len_c = 2 * self.len_u + self.len_core
-        self.c = c
+        self._u_inv = self.u.inverse()
+        self._core_spell = self.core.spelling()
+        self._core_inv_spell = self.core.inverse().spelling()
         self._powers = {}
 
     def _power(self, k):
         out = self._powers.get(k)
         if out is None:
-            out = self._powers[k] = self.u * (self.core ** k) * self.u.inverse()
+            out = self._powers[k] = self.u * (self.core ** k) * self._u_inv
         return out
 
     def contains(self, g):
@@ -259,33 +273,20 @@ class CyclicFreeStrategy:
         return g == self._power(k) or g == self._power(-k)
 
     def decompose(self, g):
-        """The least of the powers c^k g the length formula leaves in reach.
-
-        Each power tried that is no longer than |g| + |c| is cached as
-        (gen^(k - best_k), best): those are the mates a shortlex walk meets
-        next, while caching the longer ones grows memory for few hits."""
-        best, best_k = g, 0
-        best_key = g.sort_key()
-        near = g.length() + self.len_c
-        mates = [(g, 0)]
-        for sign in (1, -1):
-            step = self.c if sign == 1 else self.c.inverse()
-            cand = g
-            k = 1
-            while 2 * self.len_u + k * self.len_core - g.length() <= best_key[0]:
-                cand = step * cand
-                n = cand.length()
-                if n <= near:
-                    mates.append((cand, sign * k))
-                if n <= best_key[0]:
-                    key = cand.sort_key()
-                    if key < best_key:
-                        best, best_k, best_key = cand, sign * k, key
-                k += 1
+        """The least of c^k g for k in {k0 - 1, k0, k0 + 1}, with k0 = +m
+        when u^-1 g begins with m whole periods of d^-1 and -m when it
+        begins with m of d: c^k0 g = u h' with h' beginning with neither
+        d nor d^-1, so g's projection onto the axis lies within one period
+        of the orbit point of c^-k0.  The other two candidates are cached
+        as coset-mates, (gen^(k - best_k), best)."""
+        h = (self._u_inv * g).spelling()
+        k0 = _leading_periods(h, self._core_inv_spell) or -_leading_periods(h, self._core_spell)
+        mates = [(self._power(k) * g, k) for k in (k0 - 1, k0, k0 + 1)]
+        best, best_k = min(mates, key=lambda m: m[0].sort_key())
         cache, src = self.emb._decompose_cache, self.emb.source
         for m, k in mates:
             cache[m.payload] = (_source_from_coords(src, (k - best_k,)), best)
-        return cache[g.payload]
+        return (_source_from_coords(src, (-best_k,)), best)
 
 
 class FactorStrategy:

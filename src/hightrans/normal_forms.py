@@ -23,6 +23,8 @@ UndecidedError, which propagates to the caller untouched.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from . import groups
 from .groups import Element
 
@@ -82,26 +84,24 @@ def reduce_hnn_tokens(handle, tokens, payload=None):
 
 
 def _raw_tokens(handle, word):
-    """Parse (label, exponent) syllables into reducer tokens."""
+    """Parse (label, exponent) syllables into reducer tokens.  A run of
+    letters from one amalgam factor, or from the base of an HNN group, is
+    reduced in that group and folds as one token."""
     if handle.kind == "amalgam":
-        toks = []
-        for lab, exp in word:
-            if lab in handle.left.labels:
-                toks.append((0, handle.left.generator(lab) ** exp))
-            elif lab in handle.right.labels:
-                toks.append((1, handle.right.generator(lab) ** exp))
-            else:
-                raise ValueError(f"unknown generator {lab!r} in {handle.name!r}")
-        return toks
+        part_of = {lab: side for side in (0, 1) for lab in handle.factor(side).labels}
+    else:
+        part_of = dict.fromkeys(handle.base.labels, "b")
+        part_of[handle.stable_label] = "t"
     toks = []
-    for lab, exp in word:
-        if lab == handle.stable_label:
-            step = 1 if exp > 0 else -1
-            toks.extend([("t", step)] * abs(exp))
-        elif lab in handle.base.labels:
-            toks.append(("b", handle.base.generator(lab) ** exp))
+    for part, run in groupby(word, key=lambda syl: part_of.get(syl[0])):
+        if part is None:
+            raise ValueError(f"unknown generator {next(run)[0]!r} in {handle.name!r}")
+        if part == "t":
+            for _, exp in run:
+                toks.extend([("t", 1 if exp > 0 else -1)] * abs(exp))
         else:
-            raise ValueError(f"unknown generator {lab!r} in {handle.name!r}")
+            factor = handle.base if part == "b" else handle.factor(part)
+            toks.append((part, reduce_word(factor, list(run))))
     return toks
 
 

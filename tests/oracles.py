@@ -2,9 +2,12 @@
 
 Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
-cross-check and disagreement localizes a reduction bug.  The two-phase
-token reducers below are the slow path the one-syllable fold replaced;
-they reduce a whole token list from scratch.  The engine oracles are the
+cross-check and disagreement localizes a reduction bug.  The walk over
+every power of a cyclic coset in reach and the parse with one token per
+syllable are the slow paths of the closed-form cyclic decomposition and
+of the one-token-per-run parse.  The two-phase token reducers below are
+the slow path the one-syllable fold replaced; they reduce a whole token
+list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
 instead of skipping failed Sigma-cosets, allocation by a scan from
 scratch, and intertwiner evaluation by the equivariance formula alone.
@@ -97,6 +100,28 @@ def cyclic_power_membership(c, g, max_power):
         if g == pos or g == neg:
             return True
     return False
+
+
+def cyclic_decompose_by_power_walk(strategy, g):
+    """``CyclicFreeStrategy.decompose`` as the walk over the powers c^k g
+    that the length formula leaves in reach, both ways from k = 0, keeping
+    the shortlex-least: the rule before the three-candidate closed form.
+    Returns (source element, rep) and writes no cache."""
+    c = strategy.emb.images[0]
+    best, best_k = g, 0
+    best_key = g.sort_key()
+    for sign in (1, -1):
+        step = c if sign == 1 else c.inverse()
+        cand = g
+        k = 1
+        while 2 * strategy.len_u + k * strategy.len_core - g.length() <= best_key[0]:
+            cand = step * cand
+            if cand.length() <= best_key[0]:
+                key = cand.sort_key()
+                if key < best_key:
+                    best, best_k, best_key = cand, sign * k, key
+            k += 1
+    return (strategy.emb.source.generators()[0] ** -best_k, best)
 
 
 def spanning_tree_by_rescan(graph):
@@ -200,6 +225,32 @@ def reduce_amalgam_tokens(handle, tokens):
     if carry is not None:
         lead = lead * carry
     return (lead, tuple(syls))
+
+
+def tokens_by_letter(handle, word):
+    """Reducer tokens, one per (label, exponent) syllable of a factor or
+    the base and one per stable letter: the parse before a run of one
+    group's letters became one token."""
+    if handle.kind == "amalgam":
+        toks = []
+        for lab, exp in word:
+            if lab in handle.left.labels:
+                toks.append((0, handle.left.generator(lab) ** exp))
+            elif lab in handle.right.labels:
+                toks.append((1, handle.right.generator(lab) ** exp))
+            else:
+                raise ValueError(f"unknown generator {lab!r} in {handle.name!r}")
+        return toks
+    toks = []
+    for lab, exp in word:
+        if lab == handle.stable_label:
+            step = 1 if exp > 0 else -1
+            toks.extend([("t", step)] * abs(exp))
+        elif lab in handle.base.labels:
+            toks.append(("b", handle.base.generator(lab) ** exp))
+        else:
+            raise ValueError(f"unknown generator {lab!r} in {handle.name!r}")
+    return toks
 
 
 def reduce_hnn_tokens(handle, tokens):

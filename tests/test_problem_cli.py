@@ -210,6 +210,22 @@ def test_cli_build_verify_cycle(tmp_path, capsys):
     assert rc == 0 and "OK" in out
 
 
+def test_cli_build_verbose_logs_steps_and_keeps_certificate_bytes(tmp_path, capsys):
+    """``build -v`` logs each step to standard error; the certificate is
+    byte-identical to a quiet build's."""
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    argv = ["build", problem_path("theta.json"), "--budget", "12", "--out"]
+    assert cli.main(argv + [str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(argv + [str(loud), "-v"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 12 and err[0].startswith("step 0: transitivity n=1 discharged")
+    assert err[1].startswith("step 1: faithfulness of ")
+    assert quiet.read_bytes() == loud.read_bytes()
+    assert cli.main(argv + [str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_verify_rejects_wrong_problem(tmp_path, capsys):
     cert_path = str(tmp_path / "out.json")
     rc = cli.main(["build", problem_path("z-star-z.json"), "--budget", "5",
