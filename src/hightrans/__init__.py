@@ -74,7 +74,6 @@ from .engine import (
     extend_transitivity_amalgam,
     extend_transitivity_hnn,
     run_schedule,
-    verify_certificate,
     verify_certificate_report,
 )
 from .graphs import (

@@ -40,7 +40,7 @@ def orbit_map(embedding):
     gamma = embedding.target
     if gamma.kind != "amalgam" or embedding is not gamma.sigma_embedding():
         return embedding.decompose
-    one = gamma.identity_payload()[0]
+    one = gamma.identity_payload[0]
 
     def split(x):
         sigma, syls = x.payload
@@ -91,10 +91,10 @@ class IntertwinerState:
 
     ``anchors`` maps a committed source-orbit representative to its anchor
     pair (x0, y0); ``dst_index`` is the inverse view keyed by target-orbit
-    representatives.  Equivariance law: w(s . x0) = twist(s) . y0 where
-    twist conjugates by the stable letter in HNN mode and is the identity
-    in amalgam mode; twist carries ``sigma_src`` to ``sigma_dst``, so
-    w(e_src(a) x0) = e_dst(a) y0 for every a in Sigma.
+    representatives.  Equivariance law: w(e_src(a) x0) = e_dst(a) y0 for
+    every a in Sigma and every anchor pair, with e_src and e_dst the
+    embeddings ``sigma_src`` and ``sigma_dst`` (the same one in amalgam
+    mode; r and s, with t r(a) t^-1 = s(a), in HNN mode).
     """
 
     def __init__(self, gamma, mode, sigma_src, sigma_dst, stable=None):

@@ -413,7 +413,7 @@ class Embedding:
             if img.owner is not target:
                 raise ValueError(f"{name}: image {img!r} does not live in {target.name!r}")
         self.images = images
-        self._apply_cache = {source.identity_payload(): target.identity()}
+        self._apply_cache = {source.identity_payload: target.identity()}
         self._decompose_cache = {}
         self.strategy = _choose_strategy(self)
         if check:
@@ -489,10 +489,7 @@ class Embedding:
     def _check_homomorphism(self):
         src = self.source
         if src.kind == "finite":
-            if src.order <= 128:
-                elems = src.elements()
-            else:
-                elems = src.ball(3)
+            elems = src.elements()
             for a in elems:
                 for b in elems:
                     if self.apply(a * b) != self.apply(a) * self.apply(b):

@@ -379,7 +379,14 @@ def verify_certificate_report(gamma, cert):
     """Check that the steps and deferrals are the schedule's first
     budget.steps requirements, each once and in order; rebuild the state
     from the recorded choices and re-check every postcondition.  Returns
-    (ok, reason of the first failure)."""
+    (ok, reason of the first failure).
+
+    The schedule is the only source of a scheduled point: an entry must
+    repeat its head (index, kind and the xs/ys or element text) before
+    anything is replayed, and the replay takes the points from the
+    scheduled payload.  Only the choices are parsed; a claimed mover or
+    image must be the canonical text of the value the replay computes,
+    which is exact because normal forms are unique."""
     if cert.get("format") != CERTIFICATE_FORMAT:
         return False, f"unsupported certificate format {cert.get('format')!r}"
     budget, steps, deferred = cert.get("budget"), cert.get("steps"), cert.get("deferred")
@@ -397,23 +404,20 @@ def verify_certificate_report(gamma, cert):
         return False, str(exc)
     state = problem.new_state()
     # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
-    # parsed once in the replay and re-evaluated in the final state
+    # taken from the replay and re-evaluated in the final state
     postconditions = []
     i = j = 0
     try:
         # each index takes the next step or the next deferral, so the
         # entries cover range(total) once, each list in increasing order
-        for head, _ in _schedule(problem, total):
+        for head, payload in _schedule(problem, total):
             index = head["index"]
             if i < len(steps) and steps[i]["index"] == index:
                 entry, i = steps[i], i + 1
                 verify_step = (_verify_transitivity_step if head["kind"] == "transitivity"
                                else _verify_faithfulness_step)
-                ok, reason = verify_step(problem, state, entry, postconditions)
-                if not ok:
-                    return False, f"step {index}: {reason}"
             elif j < len(deferred) and deferred[j]["index"] == index:
-                entry, j = deferred[j], j + 1
+                entry, j, verify_step = deferred[j], j + 1, None
                 # ensure_faithful has no deferral path: a witness always exists
                 if head["kind"] != "transitivity":
                     return False, f"schedule: faithfulness step {index} is deferred"
@@ -421,6 +425,10 @@ def verify_certificate_report(gamma, cert):
                 return False, f"schedule: no step or deferral has index {index}"
             if any(entry.get(key) != value for key, value in head.items()):
                 return False, f"step {index}: not the requirement scheduled at this index"
+            if verify_step is not None:
+                ok, reason = verify_step(problem, state, payload, entry, postconditions)
+                if not ok:
+                    return False, f"step {index}: {reason}"
         for index, message, triples in postconditions:
             for g, x, y in triples:
                 if evaluate_pi(state, g, x) != y:
@@ -430,28 +438,21 @@ def verify_certificate_report(gamma, cert):
     return True, "ok"
 
 
-def verify_certificate(gamma, cert):
-    ok, _ = verify_certificate_report(gamma, cert)
-    return ok
-
-
 # the factor each recorded witness is parsed in, per mode
 _WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
                     "hnn": (("g", "base"), ("h", "base"))}
 
 
-def _verify_transitivity_step(problem, state, step, postconditions=None):
-    """Replay one transitivity step from its witnesses and fresh classes;
-    when it holds, its parsed postcondition goes to ``postconditions`` for
-    the persistence pass."""
+def _verify_transitivity_step(problem, state, payload, step, postconditions=None):
+    """Replay one transitivity step of the scheduled payload (n, xs, ys)
+    from its recorded witnesses and fresh classes; when it holds, its
+    postcondition goes to ``postconditions`` for the persistence pass."""
     gamma = problem.gamma
-    xs = [parse_word(gamma, p) for p in step["xs"]]
-    ys = [parse_word(gamma, p) for p in step["ys"]]
+    n, xs, ys = payload
+    if step["n"] != n:
+        return False, "n is not the scheduled tuple length"
     zs = [parse_word(gamma, p) for p in step["zs"]]
-    _check_tuples(xs, ys)
-    if step["n"] != len(xs):
-        return False, "n is not the length of the tuples"
-    if len(zs) != (len(xs) if problem.mode == "amalgam" else 0):
+    if len(zs) != (n if problem.mode == "amalgam" else 0):
         return False, "an amalgam step needs one fresh class per entry, an HNN step none"
     witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
@@ -460,7 +461,7 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
         state.commit_batch(batch)
     except StateError as exc:
         return False, f"batch rejected: {exc}"
-    if parse_word(gamma, step["mover"]) != mover:
+    if str(mover) != step["mover"]:
         return False, "mover does not match the recorded witnesses"
     auto, lost = _pin_mover(state, mover, xs, ys)
     if lost is not None:
@@ -475,22 +476,19 @@ def _verify_transitivity_step(problem, state, step, postconditions=None):
     return True, "ok"
 
 
-def _verify_faithfulness_step(problem, state, step, postconditions=None):
-    """Replay one faithfulness step from its witness point, pinning the
-    default orbits its evaluation touches; see ``_verify_transitivity_step``.
+def _verify_faithfulness_step(problem, state, payload, step, postconditions=None):
+    """Replay one faithfulness step of the scheduled payload (g,) from its
+    witness point, pinning the default orbits its evaluation touches; see
+    ``_verify_transitivity_step``.
 
     Default pins are equivariant by construction, so unlike a transitivity
     batch they need no equivariance check."""
-    gamma = problem.gamma
-    g = parse_word(gamma, step["element"])
-    if g.is_identity:
-        return False, "faithfulness step for the identity"
-    witness = parse_word(gamma, step["witness"])
-    image = parse_word(gamma, step["image"])
-    got = evaluate_pi(state, g, witness, commit=True)
-    if got != image:
+    (g,) = payload
+    witness = parse_word(problem.gamma, step["witness"])
+    image = evaluate_pi(state, g, witness, commit=True)
+    if str(image) != step["image"]:
         return False, "recorded image is not the evaluated image"
-    if got == witness:
+    if image == witness:
         return False, "the element fixes the witness point"
     if postconditions is not None:
         # image != witness is settled, so the witness persists while

@@ -16,6 +16,14 @@ queries are cheap.
 
 from __future__ import annotations
 
+import math
+
+
+# The largest order of a table group.  A table of order n has n^2 entries
+# and its check of associativity takes n^3 steps, and S_d has order d!, so
+# the cap keeps a declared order or degree from costing more than its text.
+MAX_FINITE_ORDER = 120
+
 
 class UndecidedError(Exception):
     """A bounded decision procedure ran out of budget.
@@ -94,7 +102,7 @@ class Element:
 
     @property
     def is_identity(self):
-        return self.owner.is_identity_payload(self.payload)
+        return self.payload == self.owner.identity_payload
 
     def spelling(self):
         """Canonical letter spelling as a tuple of alphabet ranks."""
@@ -146,9 +154,11 @@ def format_word(word):
 class Group:
     """Base class for group handles.
 
-    Subclass contract: ``multiply``, ``inverse_payload``, ``identity_payload``,
-    ``is_identity_payload``, ``spell`` and ``structural`` operate on
-    payloads and must keep results in canonical normal form.
+    Subclass contract: ``multiply``, ``inverse_payload``, ``spell`` and
+    ``structural`` operate on payloads and must keep results in canonical
+    normal form, and the constructor sets ``identity_payload`` once.
+    Payloads are ints or tuples of canonical parts, so ``==`` on payloads
+    is equality in the group.
     """
 
     kind = "abstract"
@@ -171,12 +181,6 @@ class Group:
     def inverse_payload(self, p):
         raise NotImplementedError
 
-    def identity_payload(self):
-        raise NotImplementedError
-
-    def is_identity_payload(self, p):
-        raise NotImplementedError
-
     def spell(self, p):
         raise NotImplementedError
 
@@ -189,7 +193,7 @@ class Group:
     # -- elements -----------------------------------------------------------
 
     def identity(self):
-        return Element(self, self.identity_payload())
+        return Element(self, self.identity_payload)
 
     def generators(self):
         return [self.generator(lab) for lab in self.labels]
@@ -305,6 +309,8 @@ class FiniteGroup(Group):
         super().__init__(name, generator_labels)
         table = tuple(tuple(row) for row in table)
         n = len(table)
+        if n > MAX_FINITE_ORDER:
+            raise ValueError(f"{name}: order {n} exceeds {MAX_FINITE_ORDER}")
         if any(len(row) != n for row in table):
             raise ValueError(f"{name}: multiplication table must be square")
         if any(not (0 <= v < n) for row in table for v in row):
@@ -331,7 +337,7 @@ class FiniteGroup(Group):
                         raise ValueError(f"{name}: table is not associative at ({a},{b},{c})")
         self.table = table
         self.order = n
-        self.id_index = ident
+        self.id_index = self.identity_payload = ident
         self.inv_table = tuple(inv)
         gen_idx = tuple(generator_indices)
         if len(gen_idx) != len(self.labels):
@@ -372,12 +378,6 @@ class FiniteGroup(Group):
     def inverse_payload(self, p):
         return self.inv_table[p]
 
-    def identity_payload(self):
-        return self.id_index
-
-    def is_identity_payload(self, p):
-        return p == self.id_index
-
     def spell(self, p):
         return self._words()[p]
 
@@ -394,6 +394,8 @@ class FiniteGroup(Group):
 
 def cyclic_group(name, order, label):
     """The cyclic group of the given order with one declared generator."""
+    if not 1 <= order <= MAX_FINITE_ORDER:
+        raise ValueError(f"{name}: order {order} is not between 1 and {MAX_FINITE_ORDER}")
     table = [[(i + j) % order for j in range(order)] for i in range(order)]
     return FiniteGroup(name, table, (label,), (1 % order,))
 
@@ -410,6 +412,10 @@ def symmetric_group(name, degree, labels=None):
     """
     import itertools as _it
 
+    # min(): S_d with d > MAX_FINITE_ORDER is larger still, and d! is not computed
+    if degree < 0 or math.factorial(min(degree, MAX_FINITE_ORDER)) > MAX_FINITE_ORDER:
+        raise ValueError(
+            f"{name}: S_{degree} is not a group of at most {MAX_FINITE_ORDER} elements")
     perms = sorted(_it.permutations(range(degree)))
     index = {p: i for i, p in enumerate(perms)}
 
@@ -444,18 +450,13 @@ class FreeAbelianGroup(Group):
         self.rank = len(self.labels)
         if self.rank < 1:
             raise ValueError(f"{name}: rank must be positive")
+        self.identity_payload = (0,) * self.rank
 
     def multiply(self, p, q):
         return tuple(a + b for a, b in zip(p, q))
 
     def inverse_payload(self, p):
         return tuple(-a for a in p)
-
-    def identity_payload(self):
-        return (0,) * self.rank
-
-    def is_identity_payload(self, p):
-        return all(a == 0 for a in p)
 
     def spell(self, p):
         out = []
@@ -488,6 +489,7 @@ class FreeGroup(Group):
         self.rank = len(self.labels)
         if self.rank < 1:
             raise ValueError(f"{name}: rank must be positive")
+        self.identity_payload = ()
 
     def multiply(self, p, q):
         word = list(p)
@@ -503,12 +505,6 @@ class FreeGroup(Group):
 
     def inverse_payload(self, p):
         return tuple((gen, -exp) for gen, exp in reversed(p))
-
-    def identity_payload(self):
-        return ()
-
-    def is_identity_payload(self, p):
-        return p == ()
 
     def spell(self, p):
         out = []
@@ -574,6 +570,9 @@ class SemidirectGroup(Group):
         if self.rank < 1:
             raise ValueError(f"{name}: translation rank must be positive")
         mats = tuple(tuple(tuple(row) for row in matrices[i]) for i in range(q_group.order))
+        if any(len(m) != self.rank or any(len(row) != self.rank for row in m) for m in mats) \
+                or any(type(a) is not int for m in mats for row in m for a in row):
+            raise ValueError(f"{name}: action matrices must be {self.rank} x {self.rank} integers")
         ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
                       for i in range(self.rank))
         if mats[q_group.id_index] != ident:
@@ -586,6 +585,7 @@ class SemidirectGroup(Group):
                 if _matmul(mats[a], mats[b]) != mats[q_group.table[a][b]]:
                     raise ValueError(f"{name}: matrices do not define an action of Q")
         self.matrices = mats
+        self.identity_payload = (q_group.id_index, (0,) * self.rank)
 
     def _act(self, q_idx, v):
         return _matvec(self.matrices[q_idx], v)
@@ -601,12 +601,6 @@ class SemidirectGroup(Group):
         q, v = p
         return (self.q_group.inv_table[q],
                 tuple(-a for a in self._act(q, v)))
-
-    def identity_payload(self):
-        return (self.q_group.id_index, (0,) * self.rank)
-
-    def is_identity_payload(self, p):
-        return p[0] == self.q_group.id_index and all(a == 0 for a in p[1])
 
     def spell(self, p):
         q, v = p
@@ -657,6 +651,7 @@ class AmalgamGroup(Group):
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.edge_source = edge_left.source
+        self.identity_payload = (self.edge_source.identity(), ())
 
     def factor(self, side):
         return self.left if side == 0 else self.right
@@ -678,12 +673,6 @@ class AmalgamGroup(Group):
     def inverse_payload(self, p):
         toks = [(side, x.inverse()) for side, x in reversed(self.tokens(p))]
         return normal_forms.reduce_amalgam_tokens(self, toks)
-
-    def identity_payload(self):
-        return (self.edge_source.identity(), ())
-
-    def is_identity_payload(self, p):
-        return p[0].is_identity and p[1] == ()
 
     def spell(self, p):
         sigma, syls = p
@@ -753,6 +742,7 @@ class HnnGroup(Group):
         self.edge_s = edge_s
         self.stable_label = stable_label
         self.edge_source = edge_r.source
+        self.identity_payload = (base.identity(), ())
 
     def sigma_edge(self, eps):
         return self.edge_r if eps == 1 else self.edge_s
@@ -779,12 +769,6 @@ class HnnGroup(Group):
             else:
                 toks.append(("t", -val))
         return normal_forms.reduce_hnn_tokens(self, toks)
-
-    def identity_payload(self):
-        return (self.base.identity(), ())
-
-    def is_identity_payload(self, p):
-        return p[0].is_identity and p[1] == ()
 
     def spell(self, p):
         head, tail = p

@@ -39,7 +39,7 @@ MAX_EXPONENT = 10_000
 def reduce_amalgam_tokens(handle, tokens, payload=None):
     """Fold (side, factor element) tokens, right to left, onto a canonical
     amalgam payload (the identity by default)."""
-    lead, syls = handle.identity_payload() if payload is None else payload
+    lead, syls = handle.identity_payload if payload is None else payload
     stack = list(reversed(syls))   # the leading syllable is on top
     for side, x in reversed(tokens):
         if x.owner is not handle.factor(side):
@@ -61,7 +61,7 @@ def reduce_hnn_tokens(handle, tokens, payload=None):
     """Fold ("b", element) / ("t", eps) tokens, right to left, onto a
     Britton-reduced payload (the identity by default)."""
     base = handle.base
-    head, tail = handle.identity_payload() if payload is None else payload
+    head, tail = handle.identity_payload if payload is None else payload
     stack = list(reversed(tail))   # the leading stable letter is on top
     for kind, val in reversed(tokens):
         if kind == "b":

@@ -184,7 +184,7 @@ def build_problem(data):
             errors.append(f"graph: {exc}")
 
     target = data.get("target")
-    if target is not None and target not in groups:
+    if target is not None and (not isinstance(target, str) or target not in groups):
         errors.append(f"target: unknown group {target!r}")
 
     try:
@@ -226,9 +226,9 @@ def _try_build_group(name, spec, groups, embeddings):
     if kind == "trivial":
         return trivial_group(name)
     if kind == "cyclic":
-        return cyclic_group(name, int(spec["order"]), spec["generator"])
+        return cyclic_group(name, _integer(spec, "order"), spec["generator"])
     if kind == "symmetric":
-        return symmetric_group(name, int(spec["degree"]))
+        return symmetric_group(name, _integer(spec, "degree"))
     if kind == "finite":
         gens = spec["generators"]
         if not isinstance(gens, dict):
@@ -237,6 +237,8 @@ def _try_build_group(name, spec, groups, embeddings):
         return FiniteGroup(name, spec["table"], labels, tuple(gens[l] for l in labels))
     if kind == "semidirect":
         acting = _need_group(groups, spec["acting"])
+        if not isinstance(spec["matrices"], dict):
+            raise ValueError("semidirect matrices must be an object from index to matrix")
         mats = {int(k): v for k, v in spec["matrices"].items()}
         matrices = [mats[i] for i in range(acting.order)]
         return SemidirectGroup(name, acting, tuple(spec["translations"]), matrices)
@@ -257,6 +259,13 @@ def _try_build_group(name, spec, groups, embeddings):
     raise ValueError(f"unknown group kind {kind!r}")
 
 
+def _integer(spec, key):
+    value = spec[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _try_build_embedding(name, spec, groups):
     if not isinstance(spec, dict):
         raise ValueError("embedding spec must be an object")
@@ -267,6 +276,9 @@ def _try_build_embedding(name, spec, groups):
 
 
 def _build_graph(spec, groups, embeddings):
+    if not isinstance(spec, dict) or not isinstance(spec.get("vertices"), dict) \
+            or not isinstance(spec.get("edges"), list):
+        raise ValueError("a graph is an object with a vertices object and an edges list")
     vertices = {vid: groups[gname] for vid, gname in spec["vertices"].items()}
     edges = []
     for e in spec["edges"]:

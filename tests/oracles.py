@@ -10,7 +10,8 @@ the slow path the one-syllable fold replaced; they reduce a whole token
 list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
 instead of skipping failed Sigma-cosets, allocation by a scan from
-scratch, and intertwiner evaluation by the equivariance formula alone.
+scratch, intertwiner evaluation by the equivariance formula alone, and
+the step-by-step replay of a certificate against its schedule.
 The audit oracles at the end are the slow paths the exact audit
 shortcuts replaced: a finite-index walk that always walks, coset fixers
 by coset decomposition, and structural certificates that build every
@@ -360,6 +361,23 @@ def shortlex_first_rule():
         yield
     finally:
         engine.search_E_set = saved
+
+
+def replay_steps(problem, state, cert):
+    """Replay the recorded steps of ``cert`` on ``state`` as the verifier
+    does, each with the payload that ``engine._schedule`` has at its
+    index; yields (step, (ok, reason)) after each replay.  Deferrals are
+    skipped, and nothing checks that a step repeats its head."""
+    steps = iter(cert["steps"])
+    step = next(steps, None)
+    for head, payload in engine._schedule(problem, cert["budget"]["steps"]):
+        if step is None:
+            return
+        if head["index"] == step["index"]:
+            verify_step = (engine._verify_transitivity_step if head["kind"] == "transitivity"
+                           else engine._verify_faithfulness_step)
+            yield step, verify_step(problem, state, payload, step)
+            step = next(steps, None)
 
 
 def allocate_by_rescan(state, count):

@@ -12,7 +12,7 @@ from hightrans.action import evaluate_pi, plain_level_action
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.normal_forms import parse_word, reduce_word
 
-from oracles import affine_bs12, all_words, psl2z_key
+from oracles import affine_bs12, all_words, psl2z_key, replay_steps
 
 
 def report(n, text):
@@ -180,8 +180,6 @@ def test_criterion_7_engine_hnn(tmp_path, capsys):
 
 
 def test_criterion_8_monotone_invariants():
-    from hightrans.engine import _verify_faithfulness_step, _verify_transitivity_step
-
     if not _cert_cache:
         _cert_cache.update(_engine_criterion(AMALGAM_RUNS + HNN_RUNS, "all"))
     violations = 0
@@ -191,11 +189,7 @@ def test_criterion_8_monotone_invariants():
         problem = EngineProblem(gamma)
         state = problem.new_state()
         history = []
-        for step in cert["steps"]:
-            if step["kind"] == "transitivity":
-                ok, reason = _verify_transitivity_step(problem, state, step)
-            else:
-                ok, reason = _verify_faithfulness_step(problem, state, step)
+        for step, (ok, reason) in replay_steps(problem, state, cert):
             assert ok, f"{name} step {step['index']}: {reason}"
             history.append(step)
             steps_checked += 1

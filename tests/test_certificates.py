@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from hightrans import cli, engine
 from hightrans.action import evaluate_pi
-from hightrans.engine import (Budget, EngineProblem, _verify_faithfulness_step,
-                              _verify_transitivity_step, run_schedule, verify_certificate_report)
+from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.normal_forms import parse_word
 from hightrans.problem import canonical_text, load_certificate, parse_problem
 
 from conftest import problem_path
-from oracles import shortlex_first_rule
+from oracles import replay_steps, shortlex_first_rule
 
 
 PINNED_BUDGET = 40
@@ -114,10 +113,8 @@ def _replay(gamma, cert):
         committed.extend(pairs)
 
     state.commit_batch = recording_commit
-    for step in cert["steps"]:
-        verify_step = (_verify_transitivity_step if step["kind"] == "transitivity"
-                       else _verify_faithfulness_step)
-        assert verify_step(problem, state, step) == (True, "ok")
+    for _, result in replay_steps(problem, state, cert):
+        assert result == (True, "ok")
     return state, committed
 
 
@@ -375,20 +372,78 @@ def test_verify_of_mutated_certificate_never_raises(real_certificate, ops, tampe
         assert reason.startswith("unsupported certificate format")
 
 
+def _choices(step):
+    """The words a step records as choices: the witnesses and fresh classes
+    of a transitivity step, the witness point of a faithfulness step."""
+    if step["kind"] == "transitivity":
+        return [*step["witnesses"].values(), *step["zs"]]
+    return [step["witness"]]
+
+
+def _counting(monkeypatch, name):
+    """Record the calls of ``engine.<name>`` in a list."""
+    calls = []
+    original = getattr(engine, name)
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(engine, name, counting)
+    return calls
+
+
 def test_verify_parses_each_word_once(real_certificate, monkeypatch):
+    """Verify parses exactly the recorded choices, each once: the schedule
+    gives every xs, ys and element, and the claimed mover or image is
+    compared as text."""
     gamma, cert = real_certificate
-    parsed = []
-    parse = engine.parse_word
-
-    def counting(handle, text):
-        parsed.append(text)
-        return parse(handle, text)
-
-    monkeypatch.setattr(engine, "parse_word", counting)
+    parsed = _counting(monkeypatch, "parse_word")
     assert verify_certificate_report(gamma, cert) == (True, "ok")
-    words = [v for step in cert["steps"] for v in _values(step, lambda v: isinstance(v, str))
-             if v not in ("transitivity", "faithfulness")]
-    assert sorted(parsed) == sorted(words)
+    assert sorted(text for _, text in parsed) == sorted(
+        word for step in cert["steps"] for word in _choices(step))
+
+
+@pytest.mark.parametrize("field", ["mover", "image"])
+def test_verify_rejects_a_non_canonical_spelling_of_the_claim(real_certificate, field):
+    """A claimed mover or image is compared as canonical text: the right
+    element spelled with a cancelling pair in front fails."""
+    gamma, cert = real_certificate
+    tampered = copy.deepcopy(cert)
+    step = next(s for s in tampered["steps"] if s.get(field, "1") != "1")
+    lab = gamma.labels[0]
+    spelled = f"{lab} {lab}^-1 {step[field]}"
+    assert parse_word(gamma, spelled) == parse_word(gamma, step[field])
+    step[field] = spelled
+    ok, reason = verify_certificate_report(gamma, tampered)
+    claim = "mover does not match" if field == "mover" else "recorded image is not"
+    assert not ok and reason.startswith(f"step {step['index']}: {claim}"), reason
+
+
+@pytest.mark.parametrize("field, value", [("xs", None), ("element", None), ("element", "1")],
+                         ids=["xs", "element", "identity"])
+def test_verify_checks_the_head_before_any_replay(real_certificate, monkeypatch, field, value):
+    """An entry whose xs or element is not the scheduled one, another
+    step's or the identity (which the schedule never has), fails at the
+    head check, before any batch or parse is made for it."""
+    gamma, cert = real_certificate
+    tampered = copy.deepcopy(cert)
+    kind = "transitivity" if field == "xs" else "faithfulness"
+    k = next(k for k, s in enumerate(cert["steps"]) if s["kind"] == kind and s["index"] >= 10)
+    step = tampered["steps"][k]
+    if value is None:
+        value = next(s[field] for s in cert["steps"]
+                     if s["kind"] == kind and s[field] != step[field])
+    step[field] = value
+    parsed = _counting(monkeypatch, "parse_word")
+    batches = _counting(monkeypatch, "transitivity_batch")
+    ok, reason = verify_certificate_report(gamma, tampered)
+    assert (ok, reason) == (False, f"step {step['index']}: "
+                                   "not the requirement scheduled at this index")
+    before = cert["steps"][:k]
+    assert len(batches) == sum(s["kind"] == "transitivity" for s in before)
+    assert sorted(text for _, text in parsed) == sorted(
+        word for s in before for word in _choices(s))
 
 
 def test_verify_rechecks_every_postcondition_at_the_end(real_certificate, monkeypatch):
@@ -442,10 +497,8 @@ def test_one_set_carries_transitivity_and_faithfulness(name):
     gamma = problem_file.build_group()[0]
     problem = EngineProblem(gamma)
     state = problem.new_state()
-    for step in cert["steps"]:
-        verify_step = (_verify_transitivity_step if step["kind"] == "transitivity"
-                       else _verify_faithfulness_step)
-        assert verify_step(problem, state, step) == (True, "ok")
+    for _, result in replay_steps(problem, state, cert):
+        assert result == (True, "ok")
     faithful = transitive = 0
     for step in cert["steps"]:
         if step["kind"] == "transitivity":

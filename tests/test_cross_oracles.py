@@ -14,6 +14,8 @@ from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import FreeAbelianGroup
 from hightrans.normal_forms import parse_word
 
+from oracles import replay_steps
+
 
 # ---------------------------------------------------------------------------
 # an independent evaluator for the induced homomorphism
@@ -65,12 +67,7 @@ def test_engine_against_naive_evaluator(factory):
     cert = run_schedule(problem, Budget(steps=16), "naive")
     state = problem.new_state()
     # rebuild quickly through the official path
-    from hightrans.engine import _verify_faithfulness_step, _verify_transitivity_step
-    for step in cert["steps"]:
-        if step["kind"] == "transitivity":
-            ok, reason = _verify_transitivity_step(problem, state, step)
-        else:
-            ok, reason = _verify_faithfulness_step(problem, state, step)
+    for _, (ok, reason) in replay_steps(problem, state, cert):
         assert ok, reason
     rng = random.Random(7)
     letters = [el for _, el in gamma.letters()]

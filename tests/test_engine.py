@@ -8,19 +8,16 @@ from hightrans.action import evaluate_pi
 from hightrans.engine import (
     Budget,
     EngineProblem,
-    _verify_faithfulness_step,
-    _verify_transitivity_step,
     ensure_faithful,
     extend_transitivity,
     run_schedule,
-    verify_certificate,
     verify_certificate_report,
 )
 from hightrans.normal_forms import parse_word
 from hightrans.problem import parse_problem
 
 from conftest import PROBLEMS
-from oracles import amalgam_protect_list, hnn_protect_lists, shortlex_first_rule
+from oracles import amalgam_protect_list, hnn_protect_lists, replay_steps, shortlex_first_rule
 
 
 def canon(cert):
@@ -155,7 +152,7 @@ def test_budget_zero_is_empty():
     cert = run_schedule(fixtures.z_star_z(), Budget(steps=0), "empty")
     assert cert["steps"] == [] and cert["deferred"] == []
     assert set(cert) == {"format", "problem", "group", "mode", "budget", "steps", "deferred"}
-    assert verify_certificate(fixtures.z_star_z(), cert)
+    assert verify_certificate_report(fixtures.z_star_z(), cert) == (True, "ok")
 
 
 @pytest.mark.parametrize("factory", [fixtures.z_star_z, fixtures.surface_group,
@@ -242,15 +239,14 @@ def test_verify_pins_what_a_faithfulness_witness_touches():
     cert = run_schedule(fixtures.surface_group(), Budget(steps=40), "k")
     problem = EngineProblem(fixtures.surface_group())
     state = problem.new_state()
-    for k, step in enumerate(cert["steps"]):
-        before = dict(state.anchors)
-        if step["kind"] == "transitivity":
-            assert _verify_transitivity_step(problem, state, step) == (True, "ok")
-        else:
-            assert _verify_faithfulness_step(problem, state, step) == (True, "ok")
+    before = dict(state.anchors)
+    for k, (step, result) in enumerate(replay_steps(problem, state, cert)):
+        assert result == (True, "ok")
+        if step["kind"] == "faithfulness":
             pins = pins_of(state, before)
             if pins:
                 break
+        before = dict(state.anchors)
     later = next(s for s in cert["steps"][k + 1:] if s["kind"] == "transitivity")
     tampered = json.loads(canon(cert))
     tampered["steps"][cert["steps"].index(later)]["zs"][0] = str(pins[0][0])
@@ -260,16 +256,22 @@ def test_verify_pins_what_a_faithfulness_witness_touches():
 
 
 def test_verify_rejects_a_fixed_faithfulness_witness():
-    """The first requirement carries the identity to itself, so its mover
-    fixes that point: recorded as a faithfulness witness it is rejected."""
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    """In z-star-z, pi(a b^-1) fixes the point a when step 13 schedules
+    that element: recorded as its witness, with the true image, the point
+    is rejected."""
+    cert = run_schedule(fixtures.z_star_z(), Budget(steps=14), "k")
+    problem = EngineProblem(fixtures.z_star_z())
+    state = problem.new_state()
+    for step, result in replay_steps(problem, state, cert):
+        assert result == (True, "ok")
+    gamma = problem.gamma
+    assert (step["index"], step["element"]) == (13, "a b^-1")
+    a = gamma.generator("a")
+    assert evaluate_pi(state, parse_word(gamma, step["element"]), a) == a
     tampered = json.loads(canon(cert))
-    first = tampered["steps"][0]
-    assert first["xs"] == first["ys"] == ["1"]
-    step = next(s for s in tampered["steps"] if s["kind"] == "faithfulness")
-    step.update(element=first["mover"], witness="1", image="1")
-    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
-    assert (ok, reason) == (False, f"step {step['index']}: the element fixes the witness point")
+    tampered["steps"][-1].update(witness="a", image="a")
+    ok, reason = verify_certificate_report(fixtures.z_star_z(), tampered)
+    assert (ok, reason) == (False, "step 13: the element fixes the witness point")
 
 
 def test_verify_rejects_other_certificate_formats():
@@ -300,11 +302,7 @@ def test_monotone_invariant_suite():
         problem = EngineProblem(replay_gamma)
         state = problem.new_state()
         history = []
-        for step in cert["steps"]:
-            if step["kind"] == "transitivity":
-                ok, reason = _verify_transitivity_step(problem, state, step)
-            else:
-                ok, reason = _verify_faithfulness_step(problem, state, step)
+        for step, (ok, reason) in replay_steps(problem, state, cert):
             assert ok, reason
             history.append(step)
             assert state.check_equivariance()

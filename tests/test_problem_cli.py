@@ -1,7 +1,11 @@
+import copy
 import json
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hightrans import cli, engine
 from hightrans.problem import (
@@ -56,6 +60,91 @@ def test_bad_embedding_image():
 @pytest.mark.parametrize("name", ALL_PROBLEMS)
 def test_bundled_problems_parse(name):
     parse_problem(problem_path(name))
+
+
+# ---------------------------------------------------------------------------
+# hostile problem files: a ProblemError with a reason, never a traceback
+
+
+def _document(name):
+    return json.loads(Path(problem_path(name)).read_text())
+
+
+def _nodes(obj, path=()):
+    """Paths of every node under obj, parents first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("name, path, value, reason", [
+    ("z2-z3.json", ("groups", "Z2", "order"), 0, "order 0 is not between 1 and 120"),
+    ("z2-z3.json", ("groups", "Z2", "order"), 10**9, "order 1000000000 is not between"),
+    ("z2-z3.json", ("groups", "Z2", "order"), "2", "order must be an integer"),
+    ("z2-z3.json", ("groups", "Z2"), {"kind": "symmetric", "degree": 10**9},
+     "S_1000000000 is not a group of at most 120 elements"),
+    ("pi1-sigma2.json", ("graph", "vertices"), ["p", "q"], "a vertices object"),
+    ("bs12.json", ("target",), {"BS12": 1}, "target: unknown group"),
+    ("gaussian-hnn.json", ("groups", "H", "matrices", "1"), [[0, -1]], "2 x 2 integers"),
+    ("gaussian-hnn.json", ("groups", "H", "matrices"), "rot", "matrices must be an object"),
+], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
+        "target-object", "short-matrix", "matrices-string"])
+def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
+    doc = _document(name)
+    *parent, key = path
+    _node(doc, parent)[key] = value
+    with pytest.raises(ProblemError, match=reason):
+        build_problem(doc)
+
+
+def test_cli_audit_of_a_zero_order_is_a_usage_error(tmp_path, capsys):
+    doc = _document("z2-z3.json")
+    doc["groups"]["Z2"]["order"] = 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["audit", str(path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE and err.startswith("error: ") and "order 0" in err
+
+
+ODD_FIELDS = [None, True, 0, -1, 2, 1.5, 10**9, "", "x", "a^-1", [], {}, [[]], [[0]],
+              [1, 2], {"x": 1}, ["a"], ["a", "a"]]
+
+problem_mutations = st.lists(st.tuples(st.sampled_from(["odd", "transplant", "delete"]),
+                                       st.integers(0, 10**6), st.integers(0, 10**6)),
+                             min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(ALL_PROBLEMS), ops=problem_mutations)
+def test_mutated_problem_file_builds_or_is_a_problem_error(name, ops):
+    """Put a value of the wrong type or size, or another node of the same
+    document, anywhere in a bundled problem, or delete a node: building
+    the problem returns it or raises ProblemError, and nothing else."""
+    doc = _document(name)
+    for op, a, b in ops:
+        paths = list(_nodes(doc))[1:]
+        if not paths:
+            break
+        *parent, key = paths[a % len(paths)]
+        if op == "delete":
+            del _node(doc, parent)[key]
+        else:
+            value = ODD_FIELDS[b % len(ODD_FIELDS)] if op == "odd" else \
+                _node(doc, paths[b % len(paths)])
+            _node(doc, parent)[key] = copy.deepcopy(value)
+    try:
+        build_problem(doc)
+    except ProblemError:
+        pass
 
 
 def test_surface_problem_shape():
@@ -130,7 +219,8 @@ def test_cli_verify_exponent_above_the_bound_fails_fast(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     cert = json.loads(cert_path.read_text())
-    next(s for s in cert["steps"] if s["kind"] == "transitivity")["mover"] = "e0^1000000000"
+    step = next(s for s in cert["steps"] if s["kind"] == "transitivity")
+    step["witnesses"]["g"] = "a^1000000000"
     cert_path.write_text(json.dumps(cert))
     start = time.monotonic()
     rc = cli.main(["verify", problem_path("free2-hnn.json"), str(cert_path)])
@@ -289,14 +379,18 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, reason", [
-    ("mover", None, "a word must be a string"),
-    ("xs", [["1"]], "a word must be a string"),
+    ("mover", None, "mover does not match the recorded witnesses"),
+    ("xs", [["1"]], "not the requirement scheduled at this index"),
     ("zs", [["1", 0]], "a word must be a string"),
-    ("ys", ["a1^10001"], "exceeds 10000"),
+    ("ys", ["a1^10001"], "not the requirement scheduled at this index"),
+    ("witnesses", {"g1": "a1^10001", "g2": "1", "h": "1"}, "exceeds 10000"),
 ])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
     """Words of the wrong shape, and words with an exponent above the bound,
-    are replay errors, not tracebacks."""
+    are FAILs with a reason, not tracebacks: a scheduled point that is not
+    the schedule's fails the head check, a claim that is not the replay's
+    canonical text fails its comparison, and a recorded choice that does
+    not parse is a replay error."""
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6",
                    "--out", str(cert_path)])
@@ -308,7 +402,7 @@ def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, rea
     cert_path.write_text(json.dumps(cert))
     rc = cli.main(["verify", problem_path("pi1-sigma2.json"), str(cert_path)])
     out = capsys.readouterr().out
-    assert rc == 2 and out.startswith("verify: FAIL (replay error: ") and reason in out
+    assert rc == 2 and out.startswith("verify: FAIL (") and reason in out
 
 
 @pytest.mark.parametrize("steps, reason", [
