@@ -5,13 +5,17 @@ independent matrix pictures.
 Run:  python3 demos/01_normal_forms.py
 """
 
-from hightrans import fixtures, parse_word, syllable_length
+from pathlib import Path
+
+from hightrans import parse_problem, parse_word, syllable_length
 from hightrans.normal_forms import stable_letter_count
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 # ---------------------------------------------------------------------------
 # Britton reduction in BS(1,2) = <a, t | t a t^-1 = a^2>
 
-bs = fixtures.bs12()
+bs = parse_problem(PROBLEMS / "bs12.json").build_group()[0]
 print("== BS(1,2) ==")
 for text in ["t t^-1", "t a t^-1", "t^-1 a t", "t^-1 a^2 t", "t a^3 t^-1 a"]:
     w = parse_word(bs, text)
@@ -28,7 +32,7 @@ print("  t^k a t^-k = a^(2^k) for k = 1..4")
 # The genus-2 surface group as an amalgam of two free groups over the
 # cyclic subgroup generated by the commutators.
 
-surface = fixtures.surface_group()
+surface = parse_problem(PROBLEMS / "pi1-sigma2.json").build_group()[0]
 print("\n== genus-2 surface group ==")
 relation = parse_word(surface, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
 print(f"  [a1,b1][a2,b2]^-1 -> {relation}  (identity: {relation.is_identity})")
@@ -42,7 +46,7 @@ print(f"  [a1,b1] a2 -> {w}  ({syllable_length(w)} syllables)")
 # ---------------------------------------------------------------------------
 # Z2 * Z3: torsion factors, free product behaviour.
 
-m = fixtures.z2_star_z3()
+m = parse_problem(PROBLEMS / "z2-z3.json").build_group()[0]
 print("\n== Z2 * Z3 ==")
 xy3 = parse_word(m, "x y x y x y")
 print(f"  (xy)^3 -> {xy3}  ({syllable_length(xy3)} syllables, nontrivial)")

@@ -5,7 +5,11 @@ and a failing cast, plus the highly-faithful action audit.
 Run:  python3 demos/02_subgroup_audits.py
 """
 
-from hightrans import fixtures, hcf
+from pathlib import Path
+
+from hightrans import fixtures, hcf, parse_problem, symmetric_group
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 bounds = hcf.AuditBounds(tuple_size_max=2, point_radius=2, witness_radius=4)
 
@@ -13,7 +17,8 @@ print("== core-freeness audits ==")
 cases = [
     ("<[a,b]> inside F2", fixtures.commutator_subgroup_embedding()),
     ("trivial subgroup of Z", fixtures.trivial_subgroup_embedding()),
-    ("unit subgroup of Z4 |x Z^2", fixtures.gaussian_units_subgroup_embedding()),
+    ("unit subgroup of Z4 |x Z^2",
+     parse_problem(PROBLEMS / "gaussian-hnn.json").embeddings["units"]),
     ("2Z inside Z", fixtures.even_integers_embedding()),
 ]
 for label, emb in cases:
@@ -40,7 +45,7 @@ print(f"  Z translating Z:          {hcf.audit_highly_faithful(dom, bounds)}")
 
 # Finitely supported permutations: split N as {0,1} and the rest; each
 # piece has a nontrivial fixer, so the action is not highly faithful.
-perm = hcf.PermutationDomain(fixtures.finitely_supported_permutations(4))
+perm = hcf.PermutationDomain(symmetric_group("S4", 4))
 verdict = hcf.audit_highly_faithful(perm, bounds)
 print(f"  finitely supported perms: {verdict}")
 print(f"      covering: {verdict.evidence['covering']}")

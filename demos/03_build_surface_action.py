@@ -6,11 +6,14 @@ Run:  python3 demos/03_build_surface_action.py
 """
 
 import json
+from pathlib import Path
 
-from hightrans import EngineProblem, evaluate_pi, fixtures, parse_word
+from hightrans import EngineProblem, evaluate_pi, parse_problem, parse_word
 from hightrans.engine import Budget, run_schedule, transitivity_batch, verify_certificate_report
 
-surface = fixtures.surface_group()
+SURFACE = Path(__file__).resolve().parent.parent / "problems" / "pi1-sigma2.json"
+
+surface = parse_problem(SURFACE).build_group()[0]
 cert = run_schedule(surface, Budget(steps=50), problem_key="demo")
 
 print(f"discharged {len(cert['steps'])} requirements, "
@@ -32,7 +35,7 @@ print(f"  element {example['element']} moves {example['witness']} to {example['i
 
 # the certificate records choices only: replaying them derives every batch,
 # every pin and the final state
-problem = EngineProblem(fixtures.surface_group())
+problem = EngineProblem(parse_problem(SURFACE).build_group()[0])
 gamma, state = problem.gamma, problem.new_state()
 for step in cert["steps"]:
     if step["kind"] == "transitivity":
@@ -48,16 +51,16 @@ for step in cert["steps"]:
                     parse_word(gamma, step["witness"]), commit=True)
 print(f"\nreplayed final state: {len(state.anchors)} committed orbits")
 
-ok, reason = verify_certificate_report(fixtures.surface_group(), cert)
+ok, reason = verify_certificate_report(parse_problem(SURFACE).build_group()[0], cert)
 print(f"\nindependent replay: {'OK' if ok else 'FAIL'} ({reason})")
 
 # determinism: the run is a pure function of the problem and the budget
-again = run_schedule(fixtures.surface_group(), Budget(steps=50), problem_key="demo")
+again = run_schedule(parse_problem(SURFACE).build_group()[0], Budget(steps=50), problem_key="demo")
 identical = json.dumps(cert, sort_keys=True) == json.dumps(again, sort_keys=True)
 print(f"double run byte-identical: {identical}")
 
 # tampering is caught
 tampered = json.loads(json.dumps(cert))
 tampered["steps"][0]["mover"] = "a1"
-ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+ok, reason = verify_certificate_report(parse_problem(SURFACE).build_group()[0], tampered)
 print(f"tampered mover rejected: {not ok} ({reason})")

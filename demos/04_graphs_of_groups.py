@@ -5,18 +5,22 @@ and hypothesis validation.
 Run:  python3 demos/04_graphs_of_groups.py
 """
 
-from hightrans import fixtures, graphs
+from pathlib import Path
+
+from hightrans import graphs, parse_problem
 from hightrans.normal_forms import parse_word
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
 print("== one geometric edge: the surface graph ==")
-sg = fixtures.surface_graph()
+sg = parse_problem(PROBLEMS / "pi1-sigma2.json").graph
 print(f"  spanning tree: {graphs.spanning_tree(sg)}")
 prob = graphs.reduce_edge(sg, "e0")
 print(f"  removing e0 disconnects -> {prob.kind} of "
       f"{prob.gamma.left.name} and {prob.gamma.right.name}")
 
 print("\n== a loop: the Gaussian-integer affine group ==")
-gl = fixtures.gaussian_loop_graph()
+gl = parse_problem(PROBLEMS / "gaussian-hnn.json").graph
 prob = graphs.reduce_edge(gl, "e0")
 print(f"  removing the loop keeps one vertex -> {prob.kind}, "
       f"stable letter {prob.gamma.stable_label!r}")
@@ -24,7 +28,7 @@ lhs = parse_word(prob.gamma, "e0 i e0^-1")
 print(f"  e0 i e0^-1 = {lhs}  (the conjugated unit)")
 
 print("\n== theta graph: two vertices, two geometric edges ==")
-th = fixtures.theta_graph()
+th = parse_problem(PROBLEMS / "theta.json").graph
 print(f"  spanning tree: {graphs.spanning_tree(th)}")
 prob = graphs.reduce_edge(th, "e2")
 print(f"  removing e2 -> {prob.kind} over a base of kind "
@@ -34,11 +38,10 @@ fg = graphs.fundamental_group(th)
 print(f"  fundamental group handle: {fg.name} ({fg.kind})")
 
 print("\n== hypothesis validation ==")
-for name, graph in [("surface", fixtures.surface_graph()),
-                    ("gaussian loop", fixtures.gaussian_loop_graph()),
-                    ("planted finite vertex", fixtures.planted_finite_vertex_graph()),
-                    ("planted finite-index edge",
-                     fixtures.planted_finite_index_edge_graph())]:
+for name, stem in [("surface", "pi1-sigma2"), ("gaussian loop", "gaussian-hnn"),
+                   ("planted finite vertex", "planted-finite-vertex"),
+                   ("planted finite-index edge", "planted-finite-index-edge")]:
+    graph = parse_problem(PROBLEMS / f"{stem}.json").graph
     report = graphs.validate_main_hypotheses(graph)
     print(f"  {name:26s} -> {report['overall']}")
     for vid, entry in sorted(report["vertices"].items()):

@@ -32,12 +32,10 @@ from .groups import (
     SemidirectGroup,
     UndecidedError,
     cyclic_group,
-    enumerate_ball,
-    equal,
     symmetric_group,
     trivial_group,
 )
-from .embeddings import Embedding, coset_decompose, subgroup_contains
+from .embeddings import Embedding
 from .normal_forms import (
     amalgam_reduce,
     britton_reduce,

@@ -457,12 +457,6 @@ class Embedding:
         """Canonical representative of the coset image*g."""
         return self.decompose(g)[1]
 
-    def preimage(self, g):
-        s, r = self.decompose(g)
-        if not r.is_identity:
-            raise ValueError(f"{g!r} is not in the image of {self.name!r}")
-        return s
-
     def is_trivial(self):
         return isinstance(self.strategy, TrivialStrategy)
 
@@ -517,13 +511,3 @@ class Embedding:
                     f"{self.name}: not injective at bound {self.injectivity_bound} "
                     f"({seen[img]!r} and {s!r} share an image)")
             seen[img] = s
-
-
-def subgroup_contains(embedding, g):
-    """Membership of g in the embedded subgroup (exact or UndecidedError)."""
-    return embedding.contains(g)
-
-
-def coset_decompose(embedding, g):
-    """g = e(s) * r with r the canonical right-transversal representative."""
-    return embedding.decompose(g)

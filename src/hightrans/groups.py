@@ -67,10 +67,6 @@ class Element:
             return NotImplemented
         return self.owner is other.owner and self.payload == other.payload
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((id(self.owner), self.payload))
@@ -813,22 +809,6 @@ class HnnGroup(Group):
             setattr(self, attr, embeddings.Embedding(
                 f"{self.name}.edge{'+' if eps == 1 else '-'}", self.edge_source, self, images))
         return getattr(self, attr)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-
-def equal(a, b):
-    """Word problem: normal forms coincide."""
-    if a.owner is not b.owner:
-        raise OwnerMismatch("cannot compare elements of different groups")
-    return a.payload == b.payload
-
-
-def enumerate_ball(group, radius):
-    """All elements of normal-form length <= radius in shortlex order."""
-    return group.ball(radius)
 
 
 # The composite kinds reduce through normal_forms and include their edge

@@ -220,9 +220,9 @@ def _try_build_group(name, spec, groups, embeddings):
         raise ValueError("group spec needs a kind")
     kind = spec["kind"]
     if kind == "free":
-        return FreeGroup(name, tuple(spec["generators"]))
+        return FreeGroup(name, _labels(spec, "generators"))
     if kind == "free_abelian":
-        return FreeAbelianGroup(name, tuple(spec["generators"]))
+        return FreeAbelianGroup(name, _labels(spec, "generators"))
     if kind == "trivial":
         return trivial_group(name)
     if kind == "cyclic":
@@ -237,26 +237,37 @@ def _try_build_group(name, spec, groups, embeddings):
         return FiniteGroup(name, spec["table"], labels, tuple(gens[l] for l in labels))
     if kind == "semidirect":
         acting = _need_group(groups, spec["acting"])
-        if not isinstance(spec["matrices"], dict):
+        mats = spec["matrices"]
+        if not isinstance(mats, dict):
             raise ValueError("semidirect matrices must be an object from index to matrix")
-        mats = {int(k): v for k, v in spec["matrices"].items()}
-        matrices = [mats[i] for i in range(acting.order)]
-        return SemidirectGroup(name, acting, tuple(spec["translations"]), matrices)
+        indices = [str(i) for i in range(acting.order)]
+        if set(mats) != set(indices):
+            raise ValueError(f"semidirect matrices must be keyed by exactly the indices "
+                             f"0 to {acting.order - 1}")
+        return SemidirectGroup(name, acting, _labels(spec, "translations"),
+                               [mats[i] for i in indices])
     if kind == "amalgam":
-        e_left, e_right = spec["edge"]
+        e_left, e_right = _labels(spec, "edge")
         if e_left not in embeddings or e_right not in embeddings:
             raise _NotReady
         left = _need_group(groups, spec["left"])
         right = _need_group(groups, spec["right"])
         return AmalgamGroup(name, left, right, embeddings[e_left], embeddings[e_right])
     if kind == "hnn":
-        e_r, e_s = spec["edge"]
+        e_r, e_s = _labels(spec, "edge")
         if e_r not in embeddings or e_s not in embeddings:
             raise _NotReady
         base = _need_group(groups, spec["base"])
         return HnnGroup(name, base, embeddings[e_r], embeddings[e_s],
                         stable_label=spec.get("stable", "t"))
     raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _labels(spec, key):
+    value = spec[key]
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def _integer(spec, key):

@@ -4,8 +4,15 @@ from pathlib import Path
 import pytest
 
 from hightrans import fixtures
+from hightrans.problem import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def zoo(name):
+    """The bundled problem ``problems/<name>.json``, parsed afresh: each
+    call returns new handles, so callers may fill caches freely."""
+    return parse_problem(PROBLEMS / f"{name}.json")
 
 
 @pytest.fixture(scope="session")
@@ -15,22 +22,22 @@ def free2():
 
 @pytest.fixture(scope="session")
 def bs12():
-    return fixtures.bs12()
+    return zoo("bs12").build_group()[0]
 
 
 @pytest.fixture(scope="session")
 def modular():
-    return fixtures.z2_star_z3()
+    return zoo("z2-z3").build_group()[0]
 
 
 @pytest.fixture(scope="session")
 def surface():
-    return fixtures.surface_group()
+    return zoo("pi1-sigma2").build_group()[0]
 
 
 @pytest.fixture(scope="session")
 def gauss_aff():
-    return fixtures.gaussian_units_semidirect()
+    return zoo("gaussian-hnn").groups["H"]
 
 
 @pytest.fixture(scope="session")

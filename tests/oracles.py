@@ -165,11 +165,18 @@ def reach_by_rescan(graph, start, skip=None):
 # two-phase token reducers: a stack pass, then a right-to-left carry pass
 
 
+def preimage(embedding, x):
+    """The s with embedding(s) = x, for an x known to lie in the image."""
+    s, r = embedding.decompose(x)
+    assert r.is_identity, f"{x!r} is not in the image of {embedding.name!r}"
+    return s
+
+
 def twist_base(handle, x, eps):
     """Carry a subgroup element through t^eps: t r(s) = s(s) t."""
     src = handle.sigma_edge(eps)
     dst = handle.sigma_edge(-eps)
-    return dst.apply(src.preimage(x))
+    return dst.apply(preimage(src, x))
 
 
 def reduce_amalgam_tokens(handle, tokens):
@@ -189,7 +196,7 @@ def reduce_amalgam_tokens(handle, tokens):
             h = h * handle.edge(side).apply(sigma)
             if handle.edge(side).contains(h):
                 stack.pop()
-                sigma = handle.edge(side).preimage(h)
+                sigma = preimage(handle.edge(side), h)
                 continue
             stack[-1] = (side, h)
             return
@@ -206,11 +213,11 @@ def reduce_amalgam_tokens(handle, tokens):
             if merged.is_identity:
                 continue
             if handle.edge(side).contains(merged):
-                absorb(handle.edge(side).preimage(merged))
+                absorb(preimage(handle.edge(side), merged))
             else:
                 stack.append((side, merged))
         elif handle.edge(side).contains(x):
-            absorb(handle.edge(side).preimage(x))
+            absorb(preimage(handle.edge(side), x))
         else:
             stack.append((side, x))
 

@@ -10,8 +10,10 @@ import time
 from hightrans import fixtures, graphs, hcf
 from hightrans.action import evaluate_pi, plain_level_action
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
+from hightrans.groups import symmetric_group
 from hightrans.normal_forms import parse_word, reduce_word
 
+from conftest import problem_path, zoo
 from oracles import affine_bs12, all_words, psl2z_key, replay_steps
 
 
@@ -35,16 +37,16 @@ def partitions_agree(group, labels, oracle, max_len):
 
 def test_criterion_1_word_problem_soundness():
     start = time.monotonic()
-    n1 = partitions_agree(fixtures.bs12(), ("a", "t"), affine_bs12, 6)
-    n2 = partitions_agree(fixtures.z2_star_z3(), ("x", "y"), psl2z_key, 6)
+    n1 = partitions_agree(zoo("bs12").build_group()[0], ("a", "t"), affine_bs12, 6)
+    n2 = partitions_agree(zoo("z2-z3").build_group()[0], ("x", "y"), psl2z_key, 6)
     elapsed = time.monotonic() - start
     assert elapsed < 30
-    report(1, f"equal() matches the matrix oracles on all pairs of "
+    report(1, f"normal forms match the matrix oracles on all pairs of "
               f"{n1} + {n2} words of length <= 6 in {elapsed:.1f}s")
 
 
 def test_criterion_2_surface_relation():
-    surface = fixtures.surface_group()
+    surface = zoo("pi1-sigma2").build_group()[0]
     rel = parse_word(surface, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
     assert rel.is_identity
     report(2, "the genus-2 relation word reduces to the identity")
@@ -57,7 +59,7 @@ def test_criterion_3_hcf_positive_fixtures():
         ("commutator subgroup of F2", fixtures.commutator_subgroup_embedding()),
         ("trivial subgroup of Z", fixtures.trivial_subgroup_embedding()),
         ("unit subgroup of the Gaussian affine group",
-         fixtures.gaussian_units_subgroup_embedding()),
+         zoo("gaussian-hnn").embeddings["units"]),
     ]
     for label, emb in cases:
         audit = hcf.audit_hcf(emb, bounds)
@@ -79,7 +81,7 @@ def test_criterion_4_negative_fixtures():
     assert sorted(v.evidence["covering"]["F"]) == ["1", "a"]
     assert hcf.replay_hcf_verdict(even, v)
 
-    dom = hcf.PermutationDomain(fixtures.finitely_supported_permutations(4))
+    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
     w = hcf.audit_highly_faithful(dom)
     assert w.failed
     assert w.evidence["covering"]["pieces"][0] == {"members": [0, 1]}
@@ -127,32 +129,31 @@ def test_criterion_5_equivalence_cross_checks():
               "the three witness sets")
 
 
-def _engine_criterion(factories, label):
+def _engine_criterion(names, label):
     certs = {}
-    for name, factory in factories:
+    for name in names:
         start = time.monotonic()
-        cert = run_schedule(factory(), Budget(steps=50), name)
+        cert = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"{name}: {elapsed:.1f}s"
         assert len(cert["steps"]) == 50
         assert cert["deferred"] == []
-        ok, reason = verify_certificate_report(factory(), cert)
+        ok, reason = verify_certificate_report(zoo(name).build_group()[0], cert)
         assert ok, f"{name}: {reason}"
-        cert2 = run_schedule(factory(), Budget(steps=50), name)
+        cert2 = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
         assert (json.dumps(cert, sort_keys=True)
                 == json.dumps(cert2, sort_keys=True)), f"{name}: runs differ"
-        certs[name] = (factory, cert)
+        certs[name] = cert
     return certs
 
 
-AMALGAM_RUNS = [("z-star-z", fixtures.z_star_z), ("surface", fixtures.surface_group)]
-HNN_RUNS = [("free2-hnn", fixtures.free2_hnn), ("gaussian-hnn", fixtures.gaussian_hnn)]
+AMALGAM_RUNS = ["z-star-z", "pi1-sigma2"]
+HNN_RUNS = ["free2-hnn", "gaussian-hnn"]
 _cert_cache = {}
 
 
 def _cli_build_cycle(problem_file, tmp_path):
     from hightrans import cli
-    from conftest import problem_path
     out = str(tmp_path / (problem_file + ".cert.json"))
     rc = cli.main(["build", problem_path(problem_file), "--budget", "50",
                    "--out", out, "--seedless"])
@@ -184,8 +185,8 @@ def test_criterion_8_monotone_invariants():
         _cert_cache.update(_engine_criterion(AMALGAM_RUNS + HNN_RUNS, "all"))
     violations = 0
     steps_checked = 0
-    for name, (factory, cert) in _cert_cache.items():
-        gamma = factory()
+    for name, cert in _cert_cache.items():
+        gamma = zoo(name).build_group()[0]
         problem = EngineProblem(gamma)
         state = problem.new_state()
         history = []
@@ -215,17 +216,17 @@ def test_criterion_8_monotone_invariants():
 
 
 def test_criterion_9_graph_reduction():
-    surf = graphs.reduce_edge(fixtures.surface_graph(), "e0")
+    surf = graphs.reduce_edge(zoo("pi1-sigma2").graph, "e0")
     assert surf.kind == "amalgam"
-    gauss = graphs.reduce_edge(fixtures.gaussian_loop_graph(), "e0")
+    gauss = graphs.reduce_edge(zoo("gaussian-hnn").graph, "e0")
     assert gauss.kind == "hnn"
-    theta = graphs.reduce_edge(fixtures.theta_graph(), "e2")
+    theta = graphs.reduce_edge(zoo("theta").graph, "e2")
     assert theta.kind == "hnn" and theta.gamma.base.kind == "amalgam"
 
-    rep_v = graphs.validate_main_hypotheses(fixtures.planted_finite_vertex_graph())
+    rep_v = graphs.validate_main_hypotheses(zoo("planted-finite-vertex").graph)
     assert rep_v["overall"] == "fail"
     assert rep_v["vertices"]["p"]["status"] == "fail"
-    rep_e = graphs.validate_main_hypotheses(fixtures.planted_finite_index_edge_graph())
+    rep_e = graphs.validate_main_hypotheses(zoo("planted-finite-index-edge").graph)
     assert rep_e["overall"] == "fail"
     assert rep_e["edges"]["e0"]["source"]["hcf"].failed
     report(9, "reductions take the expected shapes and the planted finite "

@@ -1,9 +1,8 @@
 import pytest
 
-from hightrans import fixtures
 from hightrans.action import IntertwinerState, StateError, allocate_fresh_orbits, evaluate_pi
 
-from conftest import random_element
+from conftest import random_element, zoo
 
 
 @pytest.fixture
@@ -13,7 +12,7 @@ def amalgam_state(surface):
 
 @pytest.fixture
 def hnn_state():
-    return IntertwinerState.for_group(fixtures.free2_hnn())
+    return IntertwinerState.for_group(zoo("free2-hnn").build_group()[0])
 
 
 def random_point(gamma, rng):

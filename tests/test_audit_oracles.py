@@ -6,7 +6,6 @@ decomposing coset action and the two-ball certificate in ``oracles.py``.
 """
 
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,16 +15,14 @@ import oracles
 from hightrans import fixtures, hcf
 from hightrans.embeddings import Embedding, LatticeStrategy
 from hightrans.groups import Element, FreeAbelianGroup, FreeGroup, cyclic_group
-from hightrans.problem import parse_problem
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, zoo
 
 
 def _problem_embeddings():
     out = []
-    for path in sorted(Path(PROBLEMS).glob("*.json")):
-        problem = parse_problem(str(path))
-        out += [(path.stem, name) for name in sorted(problem.embeddings)]
+    for path in sorted(PROBLEMS.glob("*.json")):
+        out += [(path.stem, name) for name in sorted(zoo(path.stem).embeddings)]
     return out
 
 
@@ -33,7 +30,7 @@ EMBEDDINGS = _problem_embeddings()
 
 
 def _load(problem, name):
-    parsed = parse_problem(str(Path(PROBLEMS) / f"{problem}.json"))
+    parsed = zoo(problem)
     return parsed.embeddings[name], parsed.bounds
 
 
@@ -73,7 +70,7 @@ def test_coset_fixers_agree_with_decomposition_pointwise():
     # the audits above probe only what their searches reach; here every
     # h of the radius-3 ball meets every coset of the radius-3 zone
     for emb in (fixtures.commutator_subgroup_embedding(), fixtures.even_integers_embedding(),
-                fixtures.gaussian_units_subgroup_embedding()):
+                zoo("gaussian-hnn").embeddings["units"]):
         fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
         zone = fast.zone(3)
         assert zone == slow.zone(3)
@@ -83,8 +80,7 @@ def test_coset_fixers_agree_with_decomposition_pointwise():
 
 
 FIXTURE_EMBEDDINGS = ["commutator_subgroup_embedding", "even_integers_embedding",
-                      "improper_embedding", "gaussian_units_subgroup_embedding",
-                      "primitive_cyclic_embedding"]
+                      "improper_embedding", "primitive_cyclic_embedding"]
 
 
 @pytest.mark.parametrize("problem, name", EMBEDDINGS + [("fixtures", n) for n in FIXTURE_EMBEDDINGS])
@@ -106,7 +102,7 @@ def test_coset_fixers_match_decomposing_fixers_on_every_piece(problem, name):
 def test_infinite_index_examples():
     assert fixtures.commutator_subgroup_embedding().infinite_index()
     assert fixtures.primitive_cyclic_embedding().infinite_index()
-    assert fixtures.gaussian_units_subgroup_embedding().infinite_index()
+    assert zoo("gaussian-hnn").embeddings["units"].infinite_index()
     assert fixtures.trivial_subgroup_embedding().infinite_index()
     assert not fixtures.even_integers_embedding().infinite_index()
     assert not fixtures.improper_embedding().infinite_index()
@@ -161,7 +157,7 @@ embeddings = st.one_of(
               st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                        min_size=1, max_size=3)),
     st.builds(_finite_in_cyclic, st.integers(1, 8), st.integers(0, 7), st.integers(1, 7)),
-    st.just(fixtures.gaussian_units_subgroup_embedding()),
+    st.just(zoo("gaussian-hnn").embeddings["units"]),
 )
 
 

@@ -12,9 +12,8 @@ from hightrans.action import LevelAction, plain_level_action
 from hightrans.embeddings import CyclicFreeStrategy, Embedding, FiniteImageStrategy
 from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import Element, FreeGroup, symmetric_group
-from hightrans.problem import parse_problem
 
-from conftest import PROBLEMS
+from conftest import zoo
 from oracles import per_element_search
 
 
@@ -24,7 +23,7 @@ def _s0_in_s3():
 
 
 def _engine_actions(name):
-    problem = EngineProblem(parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0])
+    problem = EngineProblem(zoo(name).build_group()[0])
     if problem.mode == "amalgam":
         return [problem.action_left, problem.action_right]
     return [problem.action_pos, problem.action_neg]
@@ -101,7 +100,7 @@ def _conjugate_cyclic():
 # cyclically reduced
 EMBEDDINGS = {
     "s0-in-S3": _s0_in_s3,
-    "units-in-GaussAff": fixtures.gaussian_units_subgroup_embedding,
+    "units-in-GaussAff": lambda: zoo("gaussian-hnn").embeddings["units"],
     "commutator-in-F2": fixtures.commutator_subgroup_embedding,
     "conjugate-in-F2": _conjugate_cyclic,
 }
@@ -130,7 +129,7 @@ def test_deferrals_act_once_per_failed_coset(name, monkeypatch):
     """Half the requirements of these finite-index problems defer after
     exhausting the ball; testing every element made about 21,000 act calls
     at 200 steps, one element per Sigma-coset makes about 340."""
-    gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    gamma = zoo(name).build_group()[0]
     acts = [0]
     act = LevelAction.act
 

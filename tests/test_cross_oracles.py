@@ -14,6 +14,7 @@ from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import FreeAbelianGroup
 from hightrans.normal_forms import parse_word
 
+from conftest import zoo
 from oracles import replay_steps
 
 
@@ -59,10 +60,9 @@ def _naive_w_signed(state, x, sign):
     return state.default_preimage(x)
 
 
-@pytest.mark.parametrize("factory", [fixtures.surface_group, fixtures.free2_hnn],
-                         ids=["surface", "hnn"])
-def test_engine_against_naive_evaluator(factory):
-    gamma = factory()
+@pytest.mark.parametrize("name", ["pi1-sigma2", "free2-hnn"], ids=["surface", "hnn"])
+def test_engine_against_naive_evaluator(name):
+    gamma = zoo(name).build_group()[0]
     problem = EngineProblem(gamma)
     cert = run_schedule(problem, Budget(steps=16), "naive")
     state = problem.new_state()
@@ -166,7 +166,7 @@ def test_cyclic_rep_minimality_brute_force(rng):
 def test_prove_finite_index_units():
     from hightrans.hcf import prove_finite_index
     assert prove_finite_index(fixtures.commutator_subgroup_embedding(), 4) is None
-    assert prove_finite_index(fixtures.gaussian_units_subgroup_embedding(), 4) is None
+    assert prove_finite_index(zoo("gaussian-hnn").embeddings["units"], 4) is None
     t = prove_finite_index(fixtures.even_integers_embedding(), 4)
     assert t is not None and len(t) == 2
     t2 = prove_finite_index(fixtures.improper_embedding(), 4)

@@ -11,9 +11,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(demo, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run(demo, ROOT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demo_finds_the_problems_from_any_directory(tmp_path):
+    """The demos read ``problems/`` relative to their own file."""
+    proc = _run(ROOT / "demos" / "04_graphs_of_groups.py", tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -9,12 +9,10 @@ from hightrans.embeddings import (
     FiniteImageStrategy,
     LatticeStrategy,
     TrivialStrategy,
-    coset_decompose,
-    subgroup_contains,
 )
 from hightrans.groups import FreeAbelianGroup, FreeGroup, UndecidedError
 
-from conftest import random_element
+from conftest import random_element, zoo
 from oracles import cyclic_power_membership
 
 
@@ -22,9 +20,8 @@ def test_strategy_selection(commutator_emb, gauss_aff):
     assert isinstance(commutator_emb.strategy, CyclicFreeStrategy)
     assert isinstance(fixtures.even_integers_embedding().strategy, LatticeStrategy)
     assert isinstance(fixtures.trivial_subgroup_embedding().strategy, TrivialStrategy)
-    assert isinstance(fixtures.gaussian_units_subgroup_embedding().strategy,
-                      FiniteImageStrategy)
-    surf = fixtures.surface_group()
+    assert isinstance(zoo("gaussian-hnn").embeddings["units"].strategy, FiniteImageStrategy)
+    surf = zoo("pi1-sigma2").build_group()[0]
     assert isinstance(surf.sigma_embedding().strategy, FactorStrategy)
 
 
@@ -39,16 +36,16 @@ def test_membership_powers_against_enumeration(commutator_emb, rng):
 
 def test_membership_examples(commutator_emb):
     c = commutator_emb.apply(commutator_emb.source.generator("c"))
-    assert subgroup_contains(commutator_emb, c ** 2)
-    assert not subgroup_contains(commutator_emb, commutator_emb.target.generator("a"))
-    assert subgroup_contains(commutator_emb, commutator_emb.target.identity())
+    assert commutator_emb.contains(c ** 2)
+    assert not commutator_emb.contains(commutator_emb.target.generator("a"))
+    assert commutator_emb.contains(commutator_emb.target.identity())
 
 
 def test_lattice_membership_and_decompose():
     even = fixtures.even_integers_embedding()
     z = even.target
     five = z.generator("a") ** 5
-    s, r = coset_decompose(even, five)
+    s, r = even.decompose(five)
     assert r == z.generator("a")
     assert even.apply(s) * r == five
     assert even.contains(z.generator("a") ** -4)
@@ -74,7 +71,7 @@ def test_cyclic_prefix_strip_example():
     c = FreeAbelianGroup("Cp2", ("c",))
     emb = Embedding("onA", c, f, [f.generator("a")])
     g = f.element_from_word([("a", 3), ("b", 1)])
-    s, r = coset_decompose(emb, g)
+    s, r = emb.decompose(g)
     assert emb.apply(s) == f.generator("a") ** 3
     assert r == f.generator("b")
 
@@ -83,9 +80,9 @@ def test_decompose_recompose_fuzz(commutator_emb, rng):
     f = commutator_emb.target
     for _ in range(200):
         g = random_element(f, rng, 7)
-        s, r = coset_decompose(commutator_emb, g)
+        s, r = commutator_emb.decompose(g)
         assert commutator_emb.apply(s) * r == g
-        s2, r2 = coset_decompose(commutator_emb, r)
+        s2, r2 = commutator_emb.decompose(r)
         assert r2 == r and s2.is_identity
 
 
@@ -101,9 +98,9 @@ def test_rep_constant_on_cosets(commutator_emb, rng):
 def test_preimage(commutator_emb):
     c_src = commutator_emb.source.generator("c")
     img = commutator_emb.apply(c_src ** -3)
-    assert commutator_emb.preimage(img) == c_src ** -3
-    with pytest.raises(ValueError):
-        commutator_emb.preimage(commutator_emb.target.generator("a"))
+    assert commutator_emb.decompose(img) == (c_src ** -3, commutator_emb.target.identity())
+    a = commutator_emb.target.generator("a")
+    assert commutator_emb.decompose(a) == (commutator_emb.source.identity(), a)
 
 
 def test_injectivity_rejected():
@@ -123,7 +120,7 @@ def test_homomorphism_rejected():
 
 
 def test_factor_strategy_on_hnn_base():
-    hnn = fixtures.free2_hnn()
+    hnn = zoo("free2-hnn").build_group()[0]
     pos = hnn.sigma_embedding(1)
     a = hnn.include(hnn.base.generator("a"))
     t = hnn.stable()

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from hightrans import action, engine, fixtures
+from hightrans import action, engine
 from hightrans.action import evaluate_pi
 from hightrans.engine import (
     Budget,
@@ -14,9 +14,8 @@ from hightrans.engine import (
     verify_certificate_report,
 )
 from hightrans.normal_forms import parse_word
-from hightrans.problem import parse_problem
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, zoo
 from oracles import amalgam_protect_list, hnn_protect_lists, replay_steps, shortlex_first_rule
 
 
@@ -36,12 +35,12 @@ def pins_of(state, before):
 
 @pytest.fixture
 def surface_problem():
-    return EngineProblem(fixtures.surface_group())
+    return EngineProblem(zoo("pi1-sigma2").build_group()[0])
 
 
 @pytest.fixture
 def hnn_problem():
-    return EngineProblem(fixtures.free2_hnn())
+    return EngineProblem(zoo("free2-hnn").build_group()[0])
 
 
 def test_extend_identity_pair(surface_problem):
@@ -149,31 +148,30 @@ def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypa
 
 
 def test_budget_zero_is_empty():
-    cert = run_schedule(fixtures.z_star_z(), Budget(steps=0), "empty")
+    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=0), "empty")
     assert cert["steps"] == [] and cert["deferred"] == []
     assert set(cert) == {"format", "problem", "group", "mode", "budget", "steps", "deferred"}
-    assert verify_certificate_report(fixtures.z_star_z(), cert) == (True, "ok")
+    assert verify_certificate_report(zoo("z-star-z").build_group()[0], cert) == (True, "ok")
 
 
-@pytest.mark.parametrize("factory", [fixtures.z_star_z, fixtures.surface_group,
-                                     fixtures.free2_hnn, fixtures.gaussian_hnn],
+@pytest.mark.parametrize("name", ["z-star-z", "pi1-sigma2", "free2-hnn", "gaussian-hnn"],
                          ids=["z*z", "surface", "f2hnn", "gauss"])
-def test_run_schedule_fifty_steps(factory):
-    cert = run_schedule(factory(), Budget(steps=50), factory.__name__)
+def test_run_schedule_fifty_steps(name):
+    cert = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
     assert len(cert["steps"]) == 50
     assert cert["deferred"] == []
-    ok, reason = verify_certificate_report(factory(), cert)
+    ok, reason = verify_certificate_report(zoo(name).build_group()[0], cert)
     assert ok, reason
 
 
 def test_run_schedule_deterministic():
-    a = run_schedule(fixtures.surface_group(), Budget(steps=30), "k")
-    b = run_schedule(fixtures.surface_group(), Budget(steps=30), "k")
+    a = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=30), "k")
+    b = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=30), "k")
     assert canon(a) == canon(b)
 
 
 def test_schedule_covers_both_kinds():
-    cert = run_schedule(fixtures.z_star_z(), Budget(steps=20), "k")
+    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=20), "k")
     kinds = {s["kind"] for s in cert["steps"]}
     assert kinds == {"transitivity", "faithfulness"}
     sizes = {s["n"] for s in cert["steps"] if s["kind"] == "transitivity"}
@@ -181,7 +179,7 @@ def test_schedule_covers_both_kinds():
 
 
 def test_schedule_eventually_multi_point():
-    cert = run_schedule(fixtures.z_star_z(), Budget(steps=120, witness_radius=512), "k")
+    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=120, witness_radius=512), "k")
     sizes = {s["n"] for s in cert["steps"] if s["kind"] == "transitivity"}
     assert 2 in sizes
     assert cert["deferred"] == []
@@ -191,25 +189,25 @@ def test_verify_rejects_tampered_anchor():
     """A fresh class in the orbit of another batch point, a missing fresh
     class, a changed witness or a wrong tuple length is rejected at its own
     step.  (Another fresh class would give another valid rewiring.)"""
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
     for field, value in [("zs", ["a1"]), ("zs", []), ("n", 2),
                          ("witnesses", {"g1": "a1", "g2": "a1", "h": "a2^2"})]:
         tampered = json.loads(canon(cert))
         step = tampered["steps"][0]
         assert step["kind"] == "transitivity" and step[field] != value
         step[field] = value
-        ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+        ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
         assert not ok and reason.startswith("step 0: "), (field, value)
 
 
 def test_verify_rejects_tampered_mover():
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
     for step in tampered["steps"]:
         if step["kind"] == "transitivity":
             step["mover"] = "a1"
             break
-    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+    ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
     assert not ok and "mover" in reason
 
 
@@ -217,18 +215,18 @@ def test_verify_rejects_tampered_mover():
     ({"witness": "b a"}, "recorded image"),
     ({"image": "b a"}, "recorded image"),
     ({"element": "b a", "image": "b a"}, "not the requirement scheduled"),
-    ({"witness": "t"}, "recorded image"),
+    ({"witness": "e0"}, "recorded image"),
 ], ids=["witness", "image", "element", "witness-is-the-image"])
 def test_verify_rejects_tampered_faithfulness_step(updates, message):
-    """The step for the stable letter t, whose witness's evaluation pins an
+    """The step for the stable letter e0, whose witness's evaluation pins an
     orbit.  Another element with its true image replays, but is not the
     element the schedule has at that index."""
-    cert = run_schedule(fixtures.free2_hnn(), Budget(steps=12), "k")
+    cert = run_schedule(zoo("free2-hnn").build_group()[0], Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
-    step = next(s for s in tampered["steps"] if s.get("element") == "t")
-    assert step["image"] == "t" and all(step[k] != v for k, v in updates.items())
+    step = next(s for s in tampered["steps"] if s.get("element") == "e0")
+    assert step["image"] == "e0" and all(step[k] != v for k, v in updates.items())
     step.update(updates)
-    ok, reason = verify_certificate_report(fixtures.free2_hnn(), tampered)
+    ok, reason = verify_certificate_report(zoo("free2-hnn").build_group()[0], tampered)
     assert not ok and reason.startswith(f"step {step['index']}: {message}")
 
 
@@ -236,8 +234,8 @@ def test_verify_pins_what_a_faithfulness_witness_touches():
     """The replay of a faithfulness witness pins the default orbits its
     evaluation touches, as the build does: a later batch that rewires one
     of them is rejected at its own step."""
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=40), "k")
-    problem = EngineProblem(fixtures.surface_group())
+    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=40), "k")
+    problem = EngineProblem(zoo("pi1-sigma2").build_group()[0])
     state = problem.new_state()
     before = dict(state.anchors)
     for k, (step, result) in enumerate(replay_steps(problem, state, cert)):
@@ -250,7 +248,7 @@ def test_verify_pins_what_a_faithfulness_witness_touches():
     later = next(s for s in cert["steps"][k + 1:] if s["kind"] == "transitivity")
     tampered = json.loads(canon(cert))
     tampered["steps"][cert["steps"].index(later)]["zs"][0] = str(pins[0][0])
-    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+    ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
     assert not ok and reason.startswith(f"step {later['index']}: batch rejected: ")
     assert "already committed" in reason
 
@@ -259,8 +257,8 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
     """In z-star-z, pi(a b^-1) fixes the point a when step 13 schedules
     that element: recorded as its witness, with the true image, the point
     is rejected."""
-    cert = run_schedule(fixtures.z_star_z(), Budget(steps=14), "k")
-    problem = EngineProblem(fixtures.z_star_z())
+    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=14), "k")
+    problem = EngineProblem(zoo("z-star-z").build_group()[0])
     state = problem.new_state()
     for step, result in replay_steps(problem, state, cert):
         assert result == (True, "ok")
@@ -270,35 +268,35 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
     assert evaluate_pi(state, parse_word(gamma, step["element"]), a) == a
     tampered = json.loads(canon(cert))
     tampered["steps"][-1].update(witness="a", image="a")
-    ok, reason = verify_certificate_report(fixtures.z_star_z(), tampered)
+    ok, reason = verify_certificate_report(zoo("z-star-z").build_group()[0], tampered)
     assert (ok, reason) == (False, "step 13: the element fixes the witness point")
 
 
 def test_verify_rejects_other_certificate_formats():
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
     for fmt in (1, None, "3", 2):
         tampered = json.loads(canon(cert))
         tampered["format"] = fmt
-        ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+        ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
         assert not ok and reason.startswith("unsupported certificate format")
 
 
 def test_verify_rejects_dropped_step():
-    cert = run_schedule(fixtures.surface_group(), Budget(steps=12), "k")
+    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
     tampered["steps"] = tampered["steps"][:-1]
-    ok, reason = verify_certificate_report(fixtures.surface_group(), tampered)
+    ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
     assert (ok, reason) == (False, "schedule: 11 steps and 0 deferrals for a budget of 12 steps")
 
 
 def test_monotone_invariant_suite():
     """Rebuild certificates step by step; after every step all previously
     discharged postconditions and equivariance hold."""
-    for factory in (fixtures.surface_group, fixtures.free2_hnn):
-        gamma = factory()
+    for name in ("pi1-sigma2", "free2-hnn"):
+        gamma = zoo(name).build_group()[0]
         cert = run_schedule(gamma, Budget(steps=40), "k")
         assert cert["deferred"] == []
-        replay_gamma = factory()
+        replay_gamma = zoo(name).build_group()[0]
         problem = EngineProblem(replay_gamma)
         state = problem.new_state()
         history = []
@@ -338,23 +336,23 @@ def test_non_core_free_edge_defers():
     # searches: the base moves no point off its own subgroup orbit, so every
     # transitivity requirement defers with a diagnostic while faithfulness
     # still works
-    bs = fixtures.bs12()
+    bs = zoo("bs12").build_group()[0]
     cert = run_schedule(bs, Budget(steps=12, witness_radius=6), "bs12")
     trans_done = [s for s in cert["steps"] if s["kind"] == "transitivity"]
     assert trans_done == []
     assert all(s["kind"] == "faithfulness" for s in cert["steps"])
     assert cert["deferred"]
     assert all("radius" in d["diagnostic"] for d in cert["deferred"])
-    ok, reason = verify_certificate_report(fixtures.bs12(), cert)
+    ok, reason = verify_certificate_report(zoo("bs12").build_group()[0], cert)
     assert ok, reason
 
 
 def test_deferral_reported_not_fatal():
-    cert = run_schedule(fixtures.z_star_z(), Budget(steps=50, witness_radius=3), "k")
+    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=50, witness_radius=3), "k")
     assert cert["deferred"]
     for item in cert["deferred"]:
         assert "diagnostic" in item
-    ok, reason = verify_certificate_report(fixtures.z_star_z(), cert)
+    ok, reason = verify_certificate_report(zoo("z-star-z").build_group()[0], cert)
     assert ok, reason
 
 
@@ -362,7 +360,7 @@ def test_deferral_reported_not_fatal():
 def test_committed_orbits_are_the_old_protect_lists(path, monkeypatch):
     """The searches test committed orbits in place; their orbit reps are
     exactly those of the anchor points once listed on every step."""
-    problem = EngineProblem(parse_problem(str(path)).build_group()[0])
+    problem = EngineProblem(zoo(path.stem).build_group()[0])
     checked = []
 
     def check(state):
@@ -408,7 +406,7 @@ def test_orbit_reps_match_the_embedding(name, monkeypatch):
         return checked
 
     monkeypatch.setattr(action, "orbit_rep_map", checked_rep_map)
-    gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    gamma = zoo(name).build_group()[0]
     with shortlex_first_rule():
         run_schedule(gamma, Budget(steps=200), name)
     assert set(queried) == {gamma.kind} and queried[gamma.kind] > 10_000

@@ -21,19 +21,21 @@ from hightrans.groups import FreeAbelianGroup, trivial_group
 from hightrans.embeddings import Embedding
 from hightrans.normal_forms import parse_word
 
+from conftest import zoo
+
 
 def test_spanning_tree_single_edge():
-    sg = fixtures.surface_graph()
+    sg = zoo("pi1-sigma2").graph
     assert spanning_tree(sg) == ["e0"]
 
 
 def test_spanning_tree_loop_is_empty():
-    gl = fixtures.gaussian_loop_graph()
+    gl = zoo("gaussian-hnn").graph
     assert spanning_tree(gl) == []
 
 
 def test_spanning_tree_theta_first_declared():
-    th = fixtures.theta_graph()
+    th = zoo("theta").graph
     assert spanning_tree(th) == ["e1"]
 
 
@@ -79,20 +81,20 @@ def test_connectivity_required():
 
 
 def test_reduce_surface_is_amalgam():
-    prob = reduce_edge(fixtures.surface_graph(), "e0")
+    prob = reduce_edge(zoo("pi1-sigma2").graph, "e0")
     assert isinstance(prob, AmalgamProblem)
     rel = parse_word(prob.gamma, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
     assert rel.is_identity
 
 
 def test_reduce_gaussian_loop_is_hnn():
-    prob = reduce_edge(fixtures.gaussian_loop_graph(), "e0")
+    prob = reduce_edge(zoo("gaussian-hnn").graph, "e0")
     assert isinstance(prob, HNNProblem)
     assert parse_word(prob.gamma, "e0 i e0^-1") == parse_word(prob.gamma, "u i u^-1")
 
 
 def test_reduce_theta_is_hnn_over_amalgam():
-    prob = reduce_edge(fixtures.theta_graph(), "e2")
+    prob = reduce_edge(zoo("theta").graph, "e2")
     assert isinstance(prob, HNNProblem)
     assert prob.gamma.base.kind == "amalgam"
     assert parse_word(prob.gamma, "e2 a2 e2^-1") == parse_word(prob.gamma, "a1")
@@ -100,26 +102,26 @@ def test_reduce_theta_is_hnn_over_amalgam():
 
 def test_reduce_bad_edge_id():
     with pytest.raises(ValueError, match="no edge"):
-        reduce_edge(fixtures.surface_graph(), "nope")
+        reduce_edge(zoo("pi1-sigma2").graph, "nope")
 
 
 def test_choose_reduction_edge_prefers_disconnecting():
-    assert choose_reduction_edge(fixtures.surface_graph()) == "e0"
-    assert choose_reduction_edge(fixtures.theta_graph()) == "e1"
-    assert choose_reduction_edge(fixtures.gaussian_loop_graph()) == "e0"
+    assert choose_reduction_edge(zoo("pi1-sigma2").graph) == "e0"
+    assert choose_reduction_edge(zoo("theta").graph) == "e1"
+    assert choose_reduction_edge(zoo("gaussian-hnn").graph) == "e0"
 
 
 def test_fundamental_group_simple_cases():
     za = FreeAbelianGroup("Solo", ("a",))
     g = GraphOfGroups("solo", {"p": za}, [], "p")
     assert fundamental_group(g) is za
-    fz = fundamental_group(fixtures.z_star_z_graph())
+    fz = fundamental_group(zoo("z-star-z").graph)
     assert fz.kind == "amalgam"
     assert fz.edge_source.is_finite() and fz.edge_source.order == 1
 
 
 def test_fundamental_group_surface_relation():
-    fg = fundamental_group(fixtures.surface_graph())
+    fg = fundamental_group(zoo("pi1-sigma2").graph)
     assert fg.kind == "amalgam"
     rel = parse_word(fg, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
     assert rel.is_identity
@@ -127,7 +129,7 @@ def test_fundamental_group_surface_relation():
 
 def test_tree_edges_collapse_theta():
     # the spanning-tree edge is e1, so only e2 survives as a stable letter
-    fg = fundamental_group(fixtures.theta_graph())
+    fg = fundamental_group(zoo("theta").graph)
     assert fg.kind == "hnn"
     assert fg.stable_label == "e2"
 
@@ -138,8 +140,8 @@ def test_theta_presentations_relate_through_tree_change():
     the surviving stable letter and the collapsed letters swap roles.
     Trivial words must map to trivial words, and the untouched vertex
     group keeps its free word problem in both presentations."""
-    g_a = reduce_edge(fixtures.theta_graph(), "e2").gamma
-    g_b = reduce_edge(fixtures.theta_graph(), "e1").gamma
+    g_a = reduce_edge(zoo("theta").graph, "e2").gamma
+    g_b = reduce_edge(zoo("theta").graph, "e1").gamma
     e1 = parse_word(g_b, "e1")
     images = {
         "a1": parse_word(g_b, "a1"),
@@ -183,8 +185,8 @@ def test_theta_presentations_relate_through_tree_change():
 
 
 def test_reduced_problem_matches_fundamental_group_word_problem():
-    whole = fundamental_group(fixtures.surface_graph())
-    piece = reduce_edge(fixtures.surface_graph(), "e0").gamma
+    whole = fundamental_group(zoo("pi1-sigma2").graph)
+    piece = reduce_edge(zoo("pi1-sigma2").graph, "e0").gamma
     labels = ["a1", "b1", "a2", "b2"]
     alphabet = [(lab, 1) for lab in labels] + [(lab, -1) for lab in labels]
     words = [()]
@@ -196,7 +198,7 @@ def test_reduced_problem_matches_fundamental_group_word_problem():
 
 
 def test_validate_surface_passes():
-    report = validate_main_hypotheses(fixtures.surface_graph())
+    report = validate_main_hypotheses(zoo("pi1-sigma2").graph)
     assert report["overall"] == "pass"
     for entry in report["vertices"].values():
         assert entry["infinite"]
@@ -206,14 +208,14 @@ def test_validate_surface_passes():
 
 
 def test_validate_flags_finite_vertex():
-    report = validate_main_hypotheses(fixtures.planted_finite_vertex_graph())
+    report = validate_main_hypotheses(zoo("planted-finite-vertex").graph)
     assert report["overall"] == "fail"
     assert report["vertices"]["p"]["status"] == "fail"
     assert report["vertices"]["q"]["status"] == "pass"
 
 
 def test_validate_flags_finite_index_edge():
-    report = validate_main_hypotheses(fixtures.planted_finite_index_edge_graph())
+    report = validate_main_hypotheses(zoo("planted-finite-index-edge").graph)
     assert report["overall"] == "fail"
     edge = report["edges"]["e0"]
     assert edge["source"]["hcf"].failed
@@ -222,7 +224,7 @@ def test_validate_flags_finite_index_edge():
 
 
 def test_validate_gaussian_loop_passes():
-    report = validate_main_hypotheses(fixtures.gaussian_loop_graph())
+    report = validate_main_hypotheses(zoo("gaussian-hnn").graph)
     assert report["overall"] == "pass"
 
 
@@ -230,10 +232,10 @@ def test_infiniteness_rules():
     from hightrans.graphs import _is_infinite
     assert _is_infinite(fixtures.free2())
     assert _is_infinite(fixtures.integers())
-    assert _is_infinite(fixtures.gaussian_units_semidirect())
-    assert _is_infinite(fixtures.bs12())
-    assert _is_infinite(fixtures.surface_group())
-    assert _is_infinite(fixtures.z2_star_z3())
+    assert _is_infinite(zoo("gaussian-hnn").groups["H"])
+    assert _is_infinite(zoo("bs12").build_group()[0])
+    assert _is_infinite(zoo("pi1-sigma2").build_group()[0])
+    assert _is_infinite(zoo("z2-z3").build_group()[0])
     assert not _is_infinite(trivial_group())
     # improper amalgam of finite groups collapses to a finite group
     from hightrans.groups import AmalgamGroup, cyclic_group

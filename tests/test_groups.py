@@ -7,30 +7,33 @@ from hightrans.groups import (
     FreeAbelianGroup,
     OwnerMismatch,
     cyclic_group,
-    enumerate_ball,
-    equal,
     symmetric_group,
     trivial_group,
 )
 
-from conftest import random_element
+from conftest import random_element, zoo
 
 
-def all_fixture_groups():
-    return [
-        fixtures.free2(),
-        fixtures.integers(),
-        cyclic_group("Z6", 6, "g"),
-        fixtures.gaussian_units_semidirect(),
-        fixtures.bs12(),
-        fixtures.surface_group(),
-        fixtures.z2_star_z3(),
-    ]
+def fixture_groups():
+    """Test-bed groups by label; the label also seeds each fuzz."""
+    return {
+        "F2": fixtures.free2(),
+        "Z": fixtures.integers(),
+        "Z6": cyclic_group("Z6", 6, "g"),
+        "GaussAff": zoo("gaussian-hnn").groups["H"],
+        "BS12": zoo("bs12").build_group()[0],
+        "Surface2": zoo("pi1-sigma2").build_group()[0],
+        "Z2*Z3": zoo("z2-z3").build_group()[0],
+    }
 
 
-@pytest.mark.parametrize("group", all_fixture_groups(), ids=lambda g: g.name)
-def test_group_axioms_fuzz(group):
-    rng = random.Random(sum(map(ord, group.name)))
+def fixture_group_params():
+    return [pytest.param(label, g, id=label) for label, g in fixture_groups().items()]
+
+
+@pytest.mark.parametrize("label, group", fixture_group_params())
+def test_group_axioms_fuzz(label, group):
+    rng = random.Random(sum(map(ord, label)))
     ident = group.identity()
     for _ in range(10_000):
         a = random_element(group, rng, 4)
@@ -46,7 +49,7 @@ def test_compose_inverse_examples(free2):
     a, b = free2.generator("a"), free2.generator("b")
     assert (a * a.inverse()).is_identity
     assert a * b * b.inverse() == a
-    assert not equal(a * b, b * a)
+    assert a * b != b * a
 
 
 def test_free_abelian_inverse():
@@ -62,24 +65,24 @@ def test_hnn_inverse_roundtrip(bs12):
 
 
 def test_ball_radius_zero():
-    for g in all_fixture_groups():
-        assert enumerate_ball(g, 0) == [g.identity()]
+    for g in fixture_groups().values():
+        assert g.ball(0) == [g.identity()]
 
 
 def test_ball_free2_radius_one(free2):
-    words = [str(e) for e in enumerate_ball(free2, 1)]
+    words = [str(e) for e in free2.ball(1)]
     assert words == ["1", "a", "a^-1", "b", "b^-1"]
 
 
 def test_ball_integers_shortlex():
     z = fixtures.integers()
-    assert [e.payload for e in enumerate_ball(z, 2)] == [(0,), (1,), (-1,), (2,), (-2,)]
+    assert [e.payload for e in z.ball(2)] == [(0,), (1,), (-1,), (2,), (-2,)]
 
 
-@pytest.mark.parametrize("group", all_fixture_groups(), ids=lambda g: g.name)
-def test_ball_nesting_and_lengths(group):
-    small = enumerate_ball(group, 2)
-    big = enumerate_ball(group, 3)
+@pytest.mark.parametrize("label, group", fixture_group_params())
+def test_ball_nesting_and_lengths(label, group):
+    small = group.ball(2)
+    big = group.ball(3)
     assert big[: len(small)] == small
     for e in big:
         assert e.length() <= 3
@@ -87,7 +90,7 @@ def test_ball_nesting_and_lengths(group):
 
 
 def test_ball_deterministic(surface):
-    twice = fixtures.surface_group()
+    twice = zoo("pi1-sigma2").build_group()[0]
     assert [str(e) for e in surface.ball(3)] == [str(e) for e in twice.ball(3)]
 
 
@@ -141,7 +144,7 @@ def test_symmetric_group_order():
 def test_trivial_group():
     e = trivial_group()
     assert e.order == 1
-    assert enumerate_ball(e, 5) == [e.identity()]
+    assert e.ball(5) == [e.identity()]
 
 
 def test_pow_matches_repeated_product(free2, rng):

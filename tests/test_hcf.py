@@ -8,6 +8,9 @@ import pytest
 
 from hightrans import fixtures, hcf
 from hightrans.action import plain_level_action
+from hightrans.groups import symmetric_group
+
+from conftest import zoo
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +136,7 @@ def test_audit_commutator_passes(comm):
 
 
 def test_audit_gaussian_units_passes():
-    emb = fixtures.gaussian_units_subgroup_embedding()
+    emb = zoo("gaussian-hnn").embeddings["units"]
     v = hcf.audit_hcf(emb, hcf.AuditBounds(2, 2, 4))
     assert v.passed
     assert hcf.replay_hcf_verdict(emb, v)
@@ -179,7 +182,7 @@ def test_pass_implies_core_free_at_bounds(comm):
 def test_structural_certificates():
     assert hcf.certify_structural(fixtures.commutator_subgroup_embedding()).passed
     assert hcf.certify_structural(fixtures.primitive_cyclic_embedding()).passed
-    assert hcf.certify_structural(fixtures.gaussian_units_subgroup_embedding()).passed
+    assert hcf.certify_structural(zoo("gaussian-hnn").embeddings["units"]).passed
     improper = hcf.certify_structural(fixtures.improper_embedding())
     assert improper.failed
     assert improper.evidence["premises"]["infinite_index"]["status"] == "fail"
@@ -233,7 +236,7 @@ def test_highly_faithful_translation_passes():
 
 
 def test_highly_faithful_perm_domain_fails():
-    dom = hcf.PermutationDomain(fixtures.finitely_supported_permutations(4))
+    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
     v = hcf.audit_highly_faithful(dom)
     assert v.failed
     cov = v.evidence["covering"]
@@ -243,7 +246,7 @@ def test_highly_faithful_perm_domain_fails():
 
 
 def test_highly_faithful_perm_tamper_rejected():
-    dom = hcf.PermutationDomain(fixtures.finitely_supported_permutations(4))
+    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
     v = hcf.audit_highly_faithful(dom)
     v.evidence["covering"]["fixers"][0] = "1"
     assert not hcf.replay_highly_faithful_verdict(dom, v)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import fixtures
 from hightrans.normal_forms import (
     amalgam_reduce,
     britton_reduce,
@@ -16,10 +15,9 @@ from hightrans.normal_forms import (
     stable_letter_count,
     syllable_length,
 )
-from hightrans.problem import parse_problem
 
 import oracles
-from conftest import problem_path
+from conftest import zoo
 from oracles import affine_bs12, all_words, psl2z_key
 
 
@@ -103,11 +101,10 @@ def test_word_problem_modular_matrix_oracle(modular):
         assert oracle_to_nf.setdefault(key, nf) == nf
 
 
-@pytest.mark.parametrize("factory", [fixtures.bs12, fixtures.surface_group,
-                                     fixtures.z2_star_z3, fixtures.gaussian_hnn],
+@pytest.mark.parametrize("name", ["bs12", "pi1-sigma2", "z2-z3", "gaussian-hnn"],
                          ids=["bs12", "surface", "modular", "gauss"])
-def test_reduction_idempotent_fuzz(factory):
-    group = factory()
+def test_reduction_idempotent_fuzz(name):
+    group = zoo(name).build_group()[0]
     rng = random.Random(1234)
     labels = group.labels
     for _ in range(10_000):
@@ -146,7 +143,7 @@ word_strategy = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(word_strategy)
 def test_surface_reduce_is_idempotent_hypothesis(word):
-    surface = fixtures.surface_group()
+    surface = zoo("pi1-sigma2").build_group()[0]
     elt = reduce_word(surface, word)
     assert reduce_word(surface, elt.word()) == elt
 
@@ -154,7 +151,7 @@ def test_surface_reduce_is_idempotent_hypothesis(word):
 @settings(max_examples=200, deadline=None)
 @given(word_strategy, word_strategy)
 def test_surface_concat_matches_product_hypothesis(w1, w2):
-    surface = fixtures.surface_group()
+    surface = zoo("pi1-sigma2").build_group()[0]
     lhs = reduce_word(surface, w1 + w2)
     rhs = reduce_word(surface, w1) * reduce_word(surface, w2)
     assert lhs == rhs
@@ -168,22 +165,21 @@ def test_parse_word_round_trip(surface, bs12):
 
 
 def test_gaussian_hnn_conjugation():
-    g = fixtures.gaussian_hnn()
-    lhs = parse_word(g, "t i t^-1")
+    g = zoo("gaussian-hnn").build_group()[0]
+    lhs = parse_word(g, "e0 i e0^-1")
     rhs = parse_word(g, "u i u^-1")
     assert lhs == rhs
-    assert stable_letter_count(parse_word(g, "t u t^-1")) == 2
+    assert stable_letter_count(parse_word(g, "e0 u e0^-1")) == 2
 
 
 # -- the one-syllable fold against the two-phase reducers -----------------
 
 FOLD_GROUPS = {
-    "surface": fixtures.surface_group,
-    "modular": fixtures.z2_star_z3,
-    "bs12": fixtures.bs12,
-    "gaussian-hnn": fixtures.gaussian_hnn,
-    "z2-z3": lambda: parse_problem(problem_path("z2-z3.json")).build_group()[0],
-    "theta": lambda: parse_problem(problem_path("theta.json")).build_group()[0],
+    "surface": "pi1-sigma2",
+    "bs12": "bs12",
+    "gaussian-hnn": "gaussian-hnn",
+    "z2-z3": "z2-z3",
+    "theta": "theta",
 }
 
 
@@ -194,7 +190,7 @@ def fold_case(name):
     Good tokens are short factor (base) elements and edge-subgroup
     elements, which merge, absorb or pinch; malformed ones live in the
     wrong group or carry a bad stable exponent."""
-    group = FOLD_GROUPS[name]()
+    group = zoo(FOLD_GROUPS[name]).build_group()[0]
     edge_ball = group.edge_source.ball(2)
     if group.kind == "amalgam":
         good = [(side, x) for side in (0, 1)

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import fixtures, graphs
+from hightrans import graphs
 from hightrans.action import IntertwinerState
 from hightrans.embeddings import CyclicFreeStrategy, Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.groups import AmalgamGroup, FreeAbelianGroup, FreeGroup, cyclic_group
 from hightrans.normal_forms import _raw_tokens, reduce_amalgam_tokens, reduce_hnn_tokens
-from hightrans.problem import parse_problem
 
 import oracles
-from conftest import PROBLEMS
+from conftest import zoo
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +84,12 @@ def _modular():
 
 
 def _problem_group(name):
-    return parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    return zoo(name).build_group()[0]
 
 
 GROUPS = {
-    "surface": fixtures.surface_group(),
-    "theta-base": graphs.reduce_edge(fixtures.theta_graph(), "e2").gamma.base,
+    "surface": _problem_group("pi1-sigma2"),
+    "theta-base": graphs.reduce_edge(zoo("theta").graph, "e2").gamma.base,
     "z2-z3": _problem_group("z2-z3"),
     "modular": _modular(),
     "theta": _problem_group("theta"),
@@ -125,7 +124,7 @@ def test_factor_runs_fold_like_single_letters(name, data):
 def _build(name, steps):
     """The problem's acting group, its certificate at ``steps`` and the
     state the build left."""
-    prob = parse_problem(str(PROBLEMS / f"{name}.json"))
+    prob = zoo(name)
     problem = EngineProblem(prob.build_group()[0])
     states = []
     new_state = problem.new_state

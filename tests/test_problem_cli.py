@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans import cli, engine
+from hightrans.groups import MAX_FINITE_ORDER
 from hightrans.problem import (
     ProblemError,
     build_problem,
@@ -18,7 +19,7 @@ from hightrans.problem import (
     problem_hash,
 )
 
-from conftest import problem_path
+from conftest import problem_path, zoo
 
 
 ALL_PROBLEMS = ["pi1-sigma2.json", "gaussian-hnn.json", "free2-hnn.json",
@@ -95,8 +96,19 @@ def _node(obj, path):
     ("bs12.json", ("target",), {"BS12": 1}, "target: unknown group"),
     ("gaussian-hnn.json", ("groups", "H", "matrices", "1"), [[0, -1]], "2 x 2 integers"),
     ("gaussian-hnn.json", ("groups", "H", "matrices"), "rot", "matrices must be an object"),
+    ("gaussian-hnn.json", ("groups", "H", "matrices", "7"), "junk",
+     "keyed by exactly the indices 0 to 3"),
+    ("gaussian-hnn.json", ("groups", "H", "translations"), "uv",
+     "translations must be a list of strings"),
+    ("pi1-sigma2.json", ("groups", "F1", "generators"), "ab", "generators must be a list of strings"),
+    ("pi1-sigma2.json", ("groups", "F1", "generators"), {"a1": 0, "b1": 1},
+     "generators must be a list of strings"),
+    ("bs12.json", ("groups", "Z", "generators"), "a", "generators must be a list of strings"),
+    ("bs12.json", ("groups", "BS12", "edge"), "rs", "edge must be a list of strings"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
-        "target-object", "short-matrix", "matrices-string"])
+        "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
+        "translations-string", "generators-string", "generators-object",
+        "free-abelian-generators-string", "edge-string"])
 def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
     doc = _document(name)
     *parent, key = path
@@ -118,7 +130,11 @@ def test_cli_audit_of_a_zero_order_is_a_usage_error(tmp_path, capsys):
 ODD_FIELDS = [None, True, 0, -1, 2, 1.5, 10**9, "", "x", "a^-1", [], {}, [[]], [[0]],
               [1, 2], {"x": 1}, ["a"], ["a", "a"]]
 
-problem_mutations = st.lists(st.tuples(st.sampled_from(["odd", "transplant", "delete"]),
+# an integer leaf also gets the values just past its bounds; a uniform
+# draw over every node and every odd field seldom puts 0 on an order
+INTEGER_EXTREMES = [0, -1, MAX_FINITE_ORDER + 1, 10**9]
+
+problem_mutations = st.lists(st.tuples(st.sampled_from(["odd", "extreme", "transplant", "delete"]),
                                        st.integers(0, 10**6), st.integers(0, 10**6)),
                              min_size=1, max_size=3)
 
@@ -126,17 +142,22 @@ problem_mutations = st.lists(st.tuples(st.sampled_from(["odd", "transplant", "de
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(ALL_PROBLEMS), ops=problem_mutations)
 def test_mutated_problem_file_builds_or_is_a_problem_error(name, ops):
-    """Put a value of the wrong type or size, or another node of the same
-    document, anywhere in a bundled problem, or delete a node: building
-    the problem returns it or raises ProblemError, and nothing else."""
+    """Put a value of the wrong type or size, an integer extreme in place
+    of an integer, or another node of the same document, anywhere in a
+    bundled problem, or delete a node: building the problem returns it or
+    raises ProblemError, and nothing else."""
     doc = _document(name)
     for op, a, b in ops:
         paths = list(_nodes(doc))[1:]
+        if op == "extreme":
+            paths = [path for path in paths if type(_node(doc, path)) is int]
         if not paths:
-            break
+            continue
         *parent, key = paths[a % len(paths)]
         if op == "delete":
             del _node(doc, parent)[key]
+        elif op == "extreme":
+            _node(doc, parent)[key] = INTEGER_EXTREMES[b % len(INTEGER_EXTREMES)]
         else:
             value = ODD_FIELDS[b % len(ODD_FIELDS)] if op == "odd" else \
                 _node(doc, paths[b % len(paths)])
@@ -148,14 +169,14 @@ def test_mutated_problem_file_builds_or_is_a_problem_error(name, ops):
 
 
 def test_surface_problem_shape():
-    prob = parse_problem(problem_path("pi1-sigma2.json"))
+    prob = zoo("pi1-sigma2")
     assert prob.graph is not None
     assert len(prob.graph.vertices) == 2
     assert len(prob.graph.edges) == 1
 
 
 def test_gaussian_problem_shape():
-    prob = parse_problem(problem_path("gaussian-hnn.json"))
+    prob = zoo("gaussian-hnn")
     assert len(prob.graph.vertices) == 1
     e = prob.graph.edges[0]
     assert e.source == e.range
@@ -172,8 +193,7 @@ def test_parse_print_parse_idempotent():
 
 
 def test_certificate_roundtrip(tmp_path):
-    from hightrans import engine, fixtures
-    cert = engine.run_schedule(fixtures.z_star_z(), engine.Budget(steps=10), "key")
+    cert = engine.run_schedule(zoo("z-star-z").build_group()[0], engine.Budget(steps=10), "key")
     path = tmp_path / "cert.json"
     emit_certificate(cert, str(path))
     loaded = load_certificate(str(path))

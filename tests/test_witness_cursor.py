@@ -11,9 +11,9 @@ from hightrans.action import LevelAction, allocate_fresh_orbits, plain_level_act
 from hightrans.embeddings import Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.groups import cyclic_group, symmetric_group
-from hightrans.problem import canonical_text, parse_problem
+from hightrans.problem import canonical_text
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, zoo
 from oracles import allocate_by_rescan, evaluate_by_formula, shortlex_first_search
 
 NAMES = sorted(p.stem for p in PROBLEMS.glob("*.json"))
@@ -89,7 +89,7 @@ def test_without_a_cursor_the_search_is_shortlex_first():
 
 
 def test_two_runs_of_one_engine_problem_give_equal_bytes():
-    gamma = parse_problem(str(PROBLEMS / "pi1-sigma2.json")).build_group()[0]
+    gamma = zoo("pi1-sigma2").build_group()[0]
     problem = EngineProblem(gamma)
     first = canonical_text(run_schedule(problem, Budget(steps=120), "k"))
     second = canonical_text(run_schedule(problem, Budget(steps=120), "k"))
@@ -104,7 +104,7 @@ def test_incremental_bookkeeping_matches_the_scans(name, monkeypatch):
     orbit it found; in the final state the
     evaluation fast path equals the formula at every anchor, forward and
     inverse."""
-    gamma = parse_problem(str(PROBLEMS / f"{name}.json")).build_group()[0]
+    gamma = zoo(name).build_group()[0]
     problem = EngineProblem(gamma)
     states = []
 
@@ -140,7 +140,7 @@ def test_incremental_bookkeeping_matches_the_scans(name, monkeypatch):
 def test_searches_stay_short():
     """Acts per search, per tuple entry, on a long surface-group build: the
     shortlex-first rule needed about 90 at 300 steps, and more each step."""
-    gamma = parse_problem(str(PROBLEMS / "pi1-sigma2.json")).build_group()[0]
+    gamma = zoo("pi1-sigma2").build_group()[0]
     acts, per_search = [0], []
     act, search = LevelAction.act, engine.search_E_set
 
