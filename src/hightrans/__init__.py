@@ -36,14 +36,7 @@ from .groups import (
     trivial_group,
 )
 from .embeddings import Embedding
-from .normal_forms import (
-    amalgam_reduce,
-    britton_reduce,
-    parse_word,
-    reduce_word,
-    stable_letter_count,
-    syllable_length,
-)
+from .normal_forms import parse_word, stable_letter_count, syllable_length
 from .hcf import (
     AuditBounds,
     AuditVerdict,
@@ -62,7 +55,6 @@ from .action import (
     LevelAction,
     allocate_fresh_orbits,
     evaluate_pi,
-    plain_level_action,
 )
 from .engine import (
     Budget,

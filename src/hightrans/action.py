@@ -76,12 +76,6 @@ class LevelAction:
         return self.left_multiply(h, x)
 
 
-def plain_level_action(sigma_embedding):
-    """H acting on itself, with Sigma-orbits from the given embedding."""
-    return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding,
-                       sigma_embedding)
-
-
 class StateError(ValueError):
     """A rewiring request violated a state invariant."""
 
@@ -97,16 +91,12 @@ class IntertwinerState:
     mode; r and s, with t r(a) t^-1 = s(a), in HNN mode).
     """
 
-    def __init__(self, gamma, mode, sigma_src, sigma_dst, stable=None):
-        if mode not in ("amalgam", "hnn"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "hnn" and stable is None:
-            raise ValueError("hnn mode needs the stable letter")
+    def __init__(self, gamma, sigma_src, sigma_dst):
         self.gamma = gamma
-        self.mode = mode
+        self.mode = gamma.kind
         self.sigma_src = sigma_src
         self.sigma_dst = sigma_dst
-        self.stable = stable
+        self.stable = gamma.stable() if self.mode == "hnn" else None
         self.src_split = orbit_map(sigma_src)
         self.dst_split = orbit_map(sigma_dst)
         self.src_orbit = orbit_rep_map(sigma_src)
@@ -119,27 +109,12 @@ class IntertwinerState:
         # the builder's witness-search cursors, one per LevelAction
         self.cursors = {}
 
-    @classmethod
-    def for_group(cls, gamma):
-        if gamma.kind == "amalgam":
-            sig = gamma.sigma_embedding()
-            return cls(gamma, "amalgam", sig, sig)
-        if gamma.kind == "hnn":
-            return cls(gamma, "hnn", gamma.sigma_embedding(1), gamma.sigma_embedding(-1),
-                       stable=gamma.stable())
-        raise ValueError(f"{gamma.name!r} is neither an amalgam nor an HNN group")
-
     # -- structure ----------------------------------------------------------
 
     def twist(self, s):
         if self.mode == "amalgam":
             return s
         return self.stable * s * self.stable.inverse()
-
-    def untwist(self, s):
-        if self.mode == "amalgam":
-            return s
-        return self.stable.inverse() * s * self.stable
 
     def default_image(self, x):
         """t . x in hnn mode, x itself in amalgam mode."""

@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 
 from . import engine, graphs, hcf
-from .engine import Budget, run_schedule, verify_certificate_report
+from .engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from .groups import UndecidedError
 from .normal_forms import parse_word, syllable_length
 from .problem import ProblemError, canonical_text, emit_certificate, load_certificate, parse_problem
@@ -182,10 +182,15 @@ def _engine_log(verbose):
 def cmd_build(args):
     problem = _load(args.problem)
     gamma, source = _build_group(problem, args.edge)
+    try:
+        acting = EngineProblem(gamma)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     steps = args.budget if args.budget is not None else problem.budget.steps
     budget = Budget(steps=steps, witness_radius=problem.budget.witness_radius)
     with _engine_log(args.verbose):
-        cert = run_schedule(gamma, budget, problem.digest())
+        cert = run_schedule(acting, budget, problem.digest())
     cert["source"] = source
     if args.seedless:
         gamma2, _ = problem.build_group(source)

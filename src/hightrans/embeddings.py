@@ -26,6 +26,10 @@ from . import groups
 from .groups import Element, UndecidedError
 
 
+# A checked embedding must be injective on the source ball of this radius.
+INJECTIVITY_BOUND = 4
+
+
 def _as_word(src, s):
     """An element of the source as (generator index, exponent) syllables."""
     if src.kind == "free":
@@ -75,16 +79,9 @@ class FiniteImageStrategy:
 
     def _image_map(self):
         if self._map is None:
-            src = self.emb.source
             table = {}
-            count = 0
-            for s in src.iter_shortlex():
-                img = self.emb.apply(s)
-                if img not in table:
-                    table[img] = s
-                count += 1
-                if count >= src.order:
-                    break
+            for s in self.emb.source.iter_shortlex():
+                table.setdefault(self.emb.apply(s), s)
             self._map = table
         return self._map
 
@@ -401,11 +398,10 @@ def _choose_strategy(emb):
 class Embedding:
     """A monomorphism source -> target given by generator images."""
 
-    def __init__(self, name, source, target, images, check=True, injectivity_bound=4):
+    def __init__(self, name, source, target, images, check=True):
         self.name = name
         self.source = source
         self.target = target
-        self.injectivity_bound = injectivity_bound
         images = tuple(images)
         if len(images) != len(source.labels):
             raise ValueError(f"{name}: one image per source generator required")
@@ -463,15 +459,14 @@ class Embedding:
     def infinite_index(self):
         """True only when the membership strategy proves infinite index.
 
-        A finite image in an infinite group (every free, free-abelian and
-        semidirect handle is infinite), a nontrivial cyclic subgroup of a
+        A finite image in an infinite group, a nontrivial cyclic subgroup of a
         free group of rank >= 2 (Lyndon-Schupp, ch. I), and a lattice of
         rank below the target's rank all have infinite index.  False means
         only "not proved here".
         """
         s, tgt = self.strategy, self.target
         if isinstance(s, (TrivialStrategy, FiniteImageStrategy)):
-            return tgt.kind in ("free", "free_abelian", "semidirect")
+            return not tgt.is_finite()
         if isinstance(s, CyclicFreeStrategy):
             return tgt.rank >= 2
         if isinstance(s, LatticeStrategy):
@@ -504,10 +499,10 @@ class Embedding:
 
     def _check_injectivity(self):
         seen = {}
-        for s in self.source.ball(self.injectivity_bound):
+        for s in self.source.ball(INJECTIVITY_BOUND):
             img = self.apply(s)
             if img in seen and seen[img] != s:
                 raise ValueError(
-                    f"{self.name}: not injective at bound {self.injectivity_bound} "
+                    f"{self.name}: not injective at bound {INJECTIVITY_BOUND} "
                     f"({seen[img]!r} and {s!r} share an image)")
             seen[img] = s

@@ -76,11 +76,17 @@ class Requirement:
 
 
 class EngineProblem:
-    """An amalgam or HNN group wired up for the engine."""
+    """An infinite amalgam or HNN group wired up for the engine.
+
+    A finite one fixes a vertex of its tree, and its points run out, so
+    it is refused rather than searched for ever.
+    """
 
     def __init__(self, gamma):
         if gamma.kind not in ("amalgam", "hnn"):
             raise ValueError(f"{gamma.name!r} is neither an amalgam nor an HNN group")
+        if gamma.is_finite():
+            raise ValueError(f"{gamma.name!r} is finite, so it fixes a vertex of its tree")
         self.gamma = gamma
         self.mode = gamma.kind
         if self.mode == "amalgam":
@@ -89,14 +95,17 @@ class EngineProblem:
                                            sigma, gamma.edge_left)
             self.action_right = LevelAction(gamma.right, lambda h, g: gamma.include(1, h, g),
                                             sigma, gamma.edge_right)
+            self._sigmas = (sigma, sigma)
         else:
             self.action_pos = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(1),
                                           gamma.edge_r)
             self.action_neg = LevelAction(gamma.base, gamma.include, gamma.sigma_embedding(-1),
                                           gamma.edge_s)
+            self._sigmas = (self.action_pos.sigma, self.action_neg.sigma)
 
     def new_state(self):
-        return IntertwinerState.for_group(self.gamma)
+        """A fresh intertwiner over the embeddings of Sigma chosen above."""
+        return IntertwinerState(self.gamma, *self._sigmas)
 
 
 def _check_tuples(xs, ys):

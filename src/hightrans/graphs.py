@@ -92,9 +92,6 @@ def spanning_tree(graph):
 @dataclass
 class AmalgamProblem:
     gamma: AmalgamGroup
-    edge_id: str
-    left_vertices: tuple
-    right_vertices: tuple
     inclusions: dict = field(repr=False, default_factory=dict)
 
     kind = "amalgam"
@@ -103,7 +100,6 @@ class AmalgamProblem:
 @dataclass
 class HNNProblem:
     gamma: HnnGroup
-    edge_id: str
     inclusions: dict = field(repr=False, default_factory=dict)
 
     kind = "hnn"
@@ -139,7 +135,7 @@ def reduce_edge(graph, edge_id):
         gamma = HnnGroup(f"hnn[{graph.name}:{edge_id}]", base_handle, e_r, e_s,
                          stable_label=edge_id)
         inclusions = {v: _chain(incl[v], gamma.include) for v in graph.vertices}
-        return HNNProblem(gamma, edge_id, inclusions)
+        return HNNProblem(gamma, inclusions)
     left_vs = sorted(comp)
     right_vs = sorted(set(graph.vertices).difference(comp))
     left_sub = _subgraph(graph, left_vs, edge_id, e.source)
@@ -155,7 +151,7 @@ def reduce_edge(graph, edge_id):
         inclusions[v] = _chain(incl_l[v], lambda x: gamma.include(0, x))
     for v in right_vs:
         inclusions[v] = _chain(incl_r[v], lambda x: gamma.include(1, x))
-    return AmalgamProblem(gamma, edge_id, tuple(left_vs), tuple(right_vs), inclusions)
+    return AmalgamProblem(gamma, inclusions)
 
 
 def _chain(first, second):
@@ -192,34 +188,12 @@ def choose_reduction_edge(graph):
     return graph.edges[0].id
 
 
-def _is_infinite(handle):
-    kind = handle.kind
-    if kind == "finite":
-        return False
-    if kind in ("free", "free_abelian", "semidirect"):
-        return True
-    if kind == "hnn":
-        return True
-    if kind == "amalgam":
-        if _is_infinite(handle.left) or _is_infinite(handle.right):
-            return True
-        return _finite_proper(handle.edge_left) and _finite_proper(handle.edge_right)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _finite_proper(emb):
-    """Whether a finite-target embedding misses at least one element."""
-    for g in emb.target.elements():
-        if not emb.contains(g):
-            return True
-    return False
-
-
 def validate_main_hypotheses(graph, bounds=None):
     """Per-vertex infiniteness and per-edge core-freeness diagnostics.
 
-    Vertex infiniteness is structural; each edge map gets the bounded
-    core-freeness audit plus the structural certificate as corroboration.
+    Vertex infiniteness is the group's own ``is_finite``; each edge map
+    gets the bounded core-freeness audit plus the structural certificate
+    as corroboration.
     The overall status is fail if anything fails, undecided if anything is
     undecided, else pass.
     """
@@ -227,7 +201,7 @@ def validate_main_hypotheses(graph, bounds=None):
     report = {"vertices": {}, "edges": {}, "graph": {}}
     statuses = []
     for vid, handle in sorted(graph.vertices.items()):
-        infinite = _is_infinite(handle)
+        infinite = not handle.is_finite()
         report["vertices"][vid] = {
             "group": handle.name,
             "infinite": infinite,

@@ -154,14 +154,17 @@ class Group:
     ``structural`` operate on payloads and must keep results in canonical
     normal form, and the constructor sets ``identity_payload`` once.
     Payloads are ints or tuples of canonical parts, so ``==`` on payloads
-    is equality in the group.
+    is equality in the group.  Each kind states whether it is finite, once:
+    the shortlex walk asks at the end of every layer.
     """
 
     kind = "abstract"
+    _finite = False
 
     def __init__(self, name, labels):
         self.name = name
         self.labels = _check_labels(labels)
+        self._indices = {lab: i for i, lab in enumerate(self.labels)}
         self._letters = None
         self._layers = None       # finalized shortlex layers by canonical length
         self._pending = None
@@ -184,7 +187,7 @@ class Group:
         raise NotImplementedError
 
     def is_finite(self):
-        return False
+        return self._finite
 
     # -- elements -----------------------------------------------------------
 
@@ -197,13 +200,17 @@ class Group:
     def generator(self, label):
         raise NotImplementedError
 
+    def _index(self, label):
+        """The position of a generator label among ``labels``."""
+        try:
+            return self._indices[label]
+        except KeyError:
+            raise ValueError(f"unknown generator {label!r} in group {self.name!r}") from None
+
     def element_from_word(self, word):
-        """Multiply out a list of (label, exponent) syllables."""
+        """The normal form of a list of (label, exponent) syllables."""
         x = self.identity()
-        by_label = {lab: i for i, lab in enumerate(self.labels)}
         for lab, exp in word:
-            if lab not in by_label:
-                raise ValueError(f"unknown generator {lab!r} in group {self.name!r}")
             x = x * (self.generator(lab) ** exp)
         return x
 
@@ -299,9 +306,9 @@ class FiniteGroup(Group):
     """
 
     kind = "finite"
+    _finite = True
 
-    def __init__(self, name, table, generator_labels, generator_indices,
-                 element_names=None):
+    def __init__(self, name, table, generator_labels, generator_indices):
         super().__init__(name, generator_labels)
         table = tuple(tuple(row) for row in table)
         n = len(table)
@@ -339,7 +346,6 @@ class FiniteGroup(Group):
         if len(gen_idx) != len(self.labels):
             raise ValueError(f"{name}: one index per generator label required")
         self.gen_indices = gen_idx
-        self.element_names = tuple(element_names) if element_names else None
         self._bfs_words = None
         if len(self._words()) != n:
             raise ValueError(f"{name}: declared generators do not generate the group")
@@ -365,9 +371,6 @@ class FiniteGroup(Group):
             self._bfs_words = words
         return self._bfs_words
 
-    def is_finite(self):
-        return True
-
     def multiply(self, p, q):
         return self.table[p][q]
 
@@ -381,7 +384,7 @@ class FiniteGroup(Group):
         return (p,)
 
     def generator(self, label):
-        i = self.labels.index(label)
+        i = self._index(label)
         return Element(self, self.gen_indices[i])
 
     def elements(self):
@@ -465,7 +468,7 @@ class FreeAbelianGroup(Group):
         return p
 
     def generator(self, label):
-        i = self.labels.index(label)
+        i = self._index(label)
         vec = [0] * self.rank
         vec[i] = 1
         return Element(self, tuple(vec))
@@ -516,8 +519,14 @@ class FreeGroup(Group):
         return tuple(out)
 
     def generator(self, label):
-        i = self.labels.index(label)
+        i = self._index(label)
         return Element(self, ((i, 1),))
+
+    def element_from_word(self, word):
+        """One ``multiply`` folds the raw syllables; a zero exponent is
+        dropped, since ``multiply`` keeps every syllable it cannot merge."""
+        syllables = [(self._index(lab), exp) for lab, exp in word]
+        return Element(self, self.multiply((), tuple(s for s in syllables if s[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +621,7 @@ class SemidirectGroup(Group):
 
     def generator(self, label):
         nq = len(self.q_group.labels)
-        i = self.labels.index(label)
+        i = self._index(label)
         if i < nq:
             return Element(self, (self.q_group.gen_indices[i], (0,) * self.rank))
         vec = [0] * self.rank
@@ -621,7 +630,7 @@ class SemidirectGroup(Group):
 
 
 # ---------------------------------------------------------------------------
-# composite kinds; reduction lives in normal_forms
+# composite kinds; the token folds live in normal_forms
 
 
 class AmalgamGroup(Group):
@@ -630,6 +639,12 @@ class AmalgamGroup(Group):
     Payloads are ``(sigma, syllables)``: an edge-group element pushed
     maximally to the left, then alternating non-identity right-coset
     representatives tagged 0 (left factor) or 1 (right factor).
+
+    The amalgam is finite exactly when both factors are and one edge
+    embedding is onto its factor: it is then the other factor.  Otherwise
+    a factor is infinite, or elements a and b of the two factors outside
+    the edge group make a b of infinite order.  Finite factors have a
+    finite edge group, whose membership test is exact.
     """
 
     kind = "amalgam"
@@ -648,6 +663,9 @@ class AmalgamGroup(Group):
         self.edge_right = edge_right
         self.edge_source = edge_left.source
         self.identity_payload = (self.edge_source.identity(), ())
+        self._finite = left.is_finite() and right.is_finite() and any(
+            all(edge.contains(g) for g in edge.target.generators())
+            for edge in (edge_left, edge_right))
 
     def factor(self, side):
         return self.left if side == 0 else self.right
@@ -690,6 +708,11 @@ class AmalgamGroup(Group):
         if label in self.left.labels:
             return self.include(0, self.left.generator(label))
         return self.include(1, self.right.generator(label))
+
+    def element_from_word(self, word):
+        """One fold of the word's factor runs, each reduced in its factor."""
+        return Element(self, normal_forms.reduce_amalgam_tokens(
+            self, normal_forms._raw_tokens(self, word)))
 
     def include(self, side, x, onto=None):
         """The canonical injection of a factor element; x * onto when an
@@ -787,6 +810,12 @@ class HnnGroup(Group):
 
     def stable(self):
         return Element(self, (self.base.identity(), ((1, self.base.identity()),)))
+
+    def element_from_word(self, word):
+        """One Britton fold of the word's base runs, each reduced in the
+        base, and its stable letters."""
+        return Element(self, normal_forms.reduce_hnn_tokens(
+            self, normal_forms._raw_tokens(self, word)))
 
     def include(self, x, onto=None):
         """The canonical injection of a base element; x * onto when an

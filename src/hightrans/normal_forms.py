@@ -15,7 +15,8 @@ factor or base element rewrites only its leading syllable:
     entry's base part joins the head, otherwise (d, r) is prepended.
 
 A product p q folds only the tokens of p onto q's payload, so its cost
-follows the length of p, not of q.
+follows the length of p, not of q, and a composite group's
+``element_from_word`` is one fold of the word's tokens.
 
 Coset decompositions that are only boundedly decidable raise
 UndecidedError, which propagates to the caller untouched.
@@ -26,7 +27,6 @@ from __future__ import annotations
 from itertools import groupby
 
 from . import groups
-from .groups import Element
 
 
 # The largest |exponent| a parsed word may carry.  A stable-letter power t^N
@@ -95,37 +95,14 @@ def _raw_tokens(handle, word):
     toks = []
     for part, run in groupby(word, key=lambda syl: part_of.get(syl[0])):
         if part is None:
-            raise ValueError(f"unknown generator {next(run)[0]!r} in {handle.name!r}")
+            raise ValueError(f"unknown generator {next(run)[0]!r} in group {handle.name!r}")
         if part == "t":
             for _, exp in run:
                 toks.extend([("t", 1 if exp > 0 else -1)] * abs(exp))
         else:
             factor = handle.base if part == "b" else handle.factor(part)
-            toks.append((part, reduce_word(factor, list(run))))
+            toks.append((part, factor.element_from_word(run)))
     return toks
-
-
-def britton_reduce(handle, word):
-    """Normal form of a raw (label, exponent) word in an HNN group."""
-    if handle.kind != "hnn":
-        raise ValueError(f"{handle.name!r} is not an HNN group")
-    return Element(handle, reduce_hnn_tokens(handle, _raw_tokens(handle, word)))
-
-
-def amalgam_reduce(handle, word):
-    """Normal form of a raw (label, exponent) word in an amalgam."""
-    if handle.kind != "amalgam":
-        raise ValueError(f"{handle.name!r} is not an amalgam")
-    return Element(handle, reduce_amalgam_tokens(handle, _raw_tokens(handle, word)))
-
-
-def reduce_word(handle, word):
-    """Normal form of a raw word in any group kind."""
-    if handle.kind == "hnn":
-        return britton_reduce(handle, word)
-    if handle.kind == "amalgam":
-        return amalgam_reduce(handle, word)
-    return handle.element_from_word(word)
 
 
 def syllable_length(g):
@@ -183,4 +160,4 @@ def parse_word(handle, text):
         else:
             lab, exp = tok, 1
         word.append((lab, exp))
-    return reduce_word(handle, word)
+    return handle.element_from_word(word)

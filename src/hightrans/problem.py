@@ -294,14 +294,21 @@ def _build_graph(spec, groups, embeddings):
     edges = []
     for e in spec["edges"]:
         edges.append(GraphEdge(
-            id=e["id"],
-            source=e["source"],
-            range=e["range"],
+            id=_string(e, "id"),
+            source=_string(e, "source"),
+            range=_string(e, "range"),
             group=groups[e["group"]],
             source_map=embeddings[e["source_map"]],
             range_map=embeddings[e["range_map"]],
         ))
-    return GraphOfGroups(spec.get("name", "graph"), vertices, edges, spec.get("base"))
+    return GraphOfGroups(_string(spec, "name", "graph"), vertices, edges, spec.get("base"))
+
+
+def _string(spec, key, default=None):
+    value = spec[key] if default is None else spec.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

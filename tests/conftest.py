@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from hightrans import fixtures
 from hightrans.problem import parse_problem
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def zoo(name):
@@ -61,3 +65,12 @@ def rng():
 
 def problem_path(name):
     return str(PROBLEMS / name)
+
+
+def run_cli(*args, timeout=20):
+    """``hightrans`` with the given arguments in a fresh interpreter,
+    killed after ``timeout`` seconds: a hang fails the calling test with
+    ``subprocess.TimeoutExpired`` instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "hightrans.cli", *map(str, args)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)

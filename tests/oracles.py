@@ -2,7 +2,9 @@
 
 Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
-cross-check and disagreement localizes a reduction bug.  The walk over
+cross-check and disagreement localizes a reduction bug.  The product of
+a word one letter at a time is the slow path of
+``Group.element_from_word``.  The walk over
 every power of a cyclic coset in reach and the parse with one token per
 syllable are the slow paths of the closed-form cyclic decomposition and
 of the one-token-per-run parse.  The two-phase token reducers below are
@@ -10,8 +12,10 @@ the slow path the one-syllable fold replaced; they reduce a whole token
 list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
 instead of skipping failed Sigma-cosets, allocation by a scan from
-scratch, intertwiner evaluation by the equivariance formula alone, and
-the step-by-step replay of a certificate against its schedule.
+scratch, intertwiner evaluation by the equivariance formula alone (with
+``untwist``, the inverse of ``IntertwinerState.twist``), H acting on
+itself by left multiplication, and the step-by-step replay of a
+certificate against its schedule.
 The audit oracles at the end are the slow paths the exact audit
 shortcuts replaced: a finite-index walk that always walks, coset fixers
 by coset decomposition, and structural certificates that build every
@@ -23,8 +27,23 @@ from fractions import Fraction
 from itertools import chain, product
 
 from hightrans import engine, groups
+from hightrans.action import LevelAction
 from hightrans.groups import UndecidedError
 from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict, search_E_set
+
+
+def word_by_letters(group, word):
+    """The product of (label, exponent) syllables, one generator or
+    inverse generator at a time."""
+    x = group.identity()
+    for lab, exp in word:
+        if lab not in group.labels:
+            raise ValueError(f"unknown generator {lab!r} in group {group.name!r}")
+        g = group.generator(lab)
+        letter = g if exp > 0 else g.inverse()
+        for _ in range(abs(exp)):
+            x = x * letter
+    return x
 
 
 def affine_bs12(word):
@@ -411,7 +430,20 @@ def evaluate_by_formula(state, x, inverse=False):
     if pair is None:
         return state.default_preimage(x)
     x0, y0 = pair
-    return state.untwist(x * y0.inverse()) * x0
+    return untwist(state, x * y0.inverse()) * x0
+
+
+def untwist(state, s):
+    """t^-1 s t in HNN mode, s itself in amalgam mode."""
+    if state.mode == "amalgam":
+        return s
+    return state.stable.inverse() * s * state.stable
+
+
+def plain_level_action(sigma_embedding):
+    """H acting on itself, with Sigma-orbits from the given embedding."""
+    return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding,
+                       sigma_embedding)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ import json
 import time
 
 from hightrans import fixtures, graphs, hcf
-from hightrans.action import evaluate_pi, plain_level_action
+from hightrans.action import evaluate_pi
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.groups import symmetric_group
-from hightrans.normal_forms import parse_word, reduce_word
+from hightrans.normal_forms import parse_word
 
 from conftest import problem_path, zoo
-from oracles import affine_bs12, all_words, psl2z_key, replay_steps
+from oracles import affine_bs12, all_words, plain_level_action, psl2z_key, replay_steps
 
 
 def report(n, text):
@@ -27,7 +27,7 @@ def partitions_agree(group, labels, oracle, max_len):
     nf_to_key, key_to_nf = {}, {}
     count = 0
     for w in all_words(labels, max_len):
-        nf = reduce_word(group, list(w))
+        nf = group.element_from_word(list(w))
         key = oracle(w)
         assert nf_to_key.setdefault(nf, key) == key, f"equal words split by oracle: {w}"
         assert key_to_nf.setdefault(key, nf) == nf, f"distinct words merged: {w}"

@@ -1,18 +1,19 @@
 import pytest
 
-from hightrans.action import IntertwinerState, StateError, allocate_fresh_orbits, evaluate_pi
+from hightrans.action import StateError, allocate_fresh_orbits, evaluate_pi
+from hightrans.engine import EngineProblem
 
 from conftest import random_element, zoo
 
 
 @pytest.fixture
 def amalgam_state(surface):
-    return IntertwinerState.for_group(surface)
+    return EngineProblem(surface).new_state()
 
 
 @pytest.fixture
 def hnn_state():
-    return IntertwinerState.for_group(zoo("free2-hnn").build_group()[0])
+    return EngineProblem(zoo("free2-hnn").build_group()[0]).new_state()
 
 
 def random_point(gamma, rng):

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans import fixtures, hcf
-from hightrans.action import LevelAction, plain_level_action
+from hightrans.action import LevelAction
 from hightrans.embeddings import CyclicFreeStrategy, Embedding, FiniteImageStrategy
 from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import Element, FreeGroup, symmetric_group
 
 from conftest import zoo
-from oracles import per_element_search
+from oracles import per_element_search, plain_level_action
 
 
 def _s0_in_s3():

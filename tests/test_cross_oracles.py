@@ -15,7 +15,7 @@ from hightrans.groups import FreeAbelianGroup
 from hightrans.normal_forms import parse_word
 
 from conftest import zoo
-from oracles import replay_steps
+from oracles import replay_steps, untwist
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def _naive_w_signed(state, x, sign):
     for x0, y0 in state.dst_index.values():
         s = x * y0.inverse()
         if state.sigma_dst.contains(s):
-            return state.untwist(s) * x0
+            return untwist(state, s) * x0
     return state.default_preimage(x)
 
 

@@ -17,7 +17,7 @@ from hightrans.graphs import (
     spanning_tree,
     validate_main_hypotheses,
 )
-from hightrans.groups import FreeAbelianGroup, trivial_group
+from hightrans.groups import AmalgamGroup, FreeAbelianGroup, HnnGroup, cyclic_group, trivial_group
 from hightrans.embeddings import Embedding
 from hightrans.normal_forms import parse_word
 
@@ -229,19 +229,33 @@ def test_validate_gaussian_loop_passes():
 
 
 def test_infiniteness_rules():
-    from hightrans.graphs import _is_infinite
-    assert _is_infinite(fixtures.free2())
-    assert _is_infinite(fixtures.integers())
-    assert _is_infinite(zoo("gaussian-hnn").groups["H"])
-    assert _is_infinite(zoo("bs12").build_group()[0])
-    assert _is_infinite(zoo("pi1-sigma2").build_group()[0])
-    assert _is_infinite(zoo("z2-z3").build_group()[0])
-    assert not _is_infinite(trivial_group())
+    assert not fixtures.free2().is_finite()
+    assert not fixtures.integers().is_finite()
+    assert not zoo("gaussian-hnn").groups["H"].is_finite()
+    assert not zoo("bs12").build_group()[0].is_finite()
+    assert not zoo("pi1-sigma2").build_group()[0].is_finite()
+    assert not zoo("z2-z3").build_group()[0].is_finite()
+    assert not zoo("theta").build_group()[0].is_finite()
+    assert trivial_group().is_finite()
     # improper amalgam of finite groups collapses to a finite group
-    from hightrans.groups import AmalgamGroup, cyclic_group
     z2 = cyclic_group("Y2", 2, "x")
     z2b = cyclic_group("Y2b", 2, "y")
     e_l = Embedding("fl", z2, z2, [z2.generator("x")])
     e_r = Embedding("fr", z2, z2b, [z2b.generator("y")])
     improper = AmalgamGroup("Imp", z2, z2b, e_l, e_r)
-    assert not _is_infinite(improper)
+    assert improper.is_finite()
+    assert len(list(improper.iter_shortlex())) == 2
+    # nested: a finite amalgam as a factor.  An edge onto it on one side
+    # makes the whole finite (here Z4); over the trivial group it is the
+    # infinite dihedral group, and an HNN extension is never finite
+    z2c = cyclic_group("Y2c", 2, "z")
+    z4 = cyclic_group("Y4", 4, "w")
+    onto = Embedding("on", z2c, improper, [improper.generator("y")])
+    into = Embedding("in", z2c, z4, [z4.element_from_word([("w", 2)])])
+    assert AmalgamGroup("Nest", improper, z4, onto, into).is_finite()
+    one = trivial_group("One")
+    dihedral = AmalgamGroup("Dih", improper, z2c, Embedding("t0", one, improper, []),
+                            Embedding("t1", one, z2c, []))
+    assert not dihedral.is_finite()
+    loop = Embedding("loop", z2c, improper, [improper.generator("x")])
+    assert not HnnGroup("Loop", improper, loop, loop, stable_label="s").is_finite()

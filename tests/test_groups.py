@@ -11,7 +11,8 @@ from hightrans.groups import (
     trivial_group,
 )
 
-from conftest import random_element, zoo
+import oracles
+from conftest import PROBLEMS, random_element, zoo
 
 
 def fixture_groups():
@@ -156,3 +157,44 @@ def test_pow_matches_repeated_product(free2, rng):
         for _ in range(abs(n)):
             expected = expected * step
         assert x ** n == expected
+
+
+# -- one word path: element_from_word against the letter-by-letter product --
+
+
+def _zoo_groups(name):
+    """Every group of a problem file, its acting group, and the factors,
+    bases and edge groups below them, each once."""
+    problem = zoo(name)
+    stack = [*problem.groups.values(), problem.build_group()[0]]
+    seen = {}
+    while stack:
+        group = stack.pop()
+        if id(group) in seen:
+            continue
+        seen[id(group)] = group
+        if group.kind == "amalgam":
+            stack += [group.left, group.right, group.edge_source]
+        elif group.kind == "hnn":
+            stack += [group.base, group.edge_source]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.json")))
+def test_element_from_word_matches_the_letter_product(name):
+    """Zero exponents, cancelling powers and random words give the normal
+    form of the product taken one letter at a time, in every group of the
+    zoo; an unknown label raises whatever its exponent."""
+    rng = random.Random(name)
+    for group in _zoo_groups(name):
+        words = [[(rng.choice(group.labels), rng.randint(-3, 3))
+                  for _ in range(rng.randrange(7))] for _ in range(40)] if group.labels else []
+        for a in group.labels:
+            words += [[(a, 0)], [(a, 2), (a, -2)], [(a, 1), (a, 0), (a, -1)]]
+        for word in words:
+            assert group.element_from_word(word) == oracles.word_by_letters(group, word), \
+                (group.name, word)
+        for bad in ([("nope", 1)], [("nope", 0)], [(lab, 1) for lab in group.labels[:1]]
+                    + [("nope", -2)]):
+            with pytest.raises(ValueError, match="unknown generator"):
+                group.element_from_word(bad)

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from hightrans import fixtures, hcf
-from hightrans.action import plain_level_action
 from hightrans.groups import symmetric_group
 
 from conftest import zoo
+from oracles import plain_level_action
 
 
 @pytest.fixture(scope="module")

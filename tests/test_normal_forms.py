@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans.normal_forms import (
-    amalgam_reduce,
-    britton_reduce,
     parse_word,
     reduce_amalgam_tokens,
     reduce_hnn_tokens,
-    reduce_word,
     stable_letter_count,
     syllable_length,
 )
@@ -22,21 +19,21 @@ from oracles import affine_bs12, all_words, psl2z_key
 
 
 def nf_key(group, word):
-    return reduce_word(group, list(word))
+    return group.element_from_word(list(word))
 
 
 def test_britton_pinch_examples(bs12):
-    assert britton_reduce(bs12, [("t", 1), ("t", -1)]).is_identity
-    squared = britton_reduce(bs12, [("t", 1), ("a", 1), ("t", -1)])
-    assert squared == britton_reduce(bs12, [("a", 2)])
-    stuck = britton_reduce(bs12, [("t", -1), ("a", 1), ("t", 1)])
+    assert bs12.element_from_word([("t", 1), ("t", -1)]).is_identity
+    squared = bs12.element_from_word([("t", 1), ("a", 1), ("t", -1)])
+    assert squared == bs12.element_from_word([("a", 2)])
+    stuck = bs12.element_from_word([("t", -1), ("a", 1), ("t", 1)])
     assert stable_letter_count(stuck) == 2
 
 
 def test_britton_parity_oracle(bs12, rng):
     # t^-1 a^k t pinches exactly when k is even
     for k in range(-6, 7):
-        w = britton_reduce(bs12, [("t", -1), ("a", k), ("t", 1)])
+        w = bs12.element_from_word([("t", -1), ("a", k), ("t", 1)])
         if k % 2 == 0:
             assert stable_letter_count(w) == 0
         else:
@@ -44,30 +41,29 @@ def test_britton_parity_oracle(bs12, rng):
 
 
 def test_surface_relation(surface):
-    rel = amalgam_reduce(
-        surface,
+    rel = surface.element_from_word(
         [("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
          ("b2", 1), ("a2", 1), ("b2", -1), ("a2", -1)])
     assert rel.is_identity
 
 
 def test_amalgam_single_factor_word(surface):
-    w = amalgam_reduce(surface, [("a1", 2), ("b1", -1)])
+    w = surface.element_from_word([("a1", 2), ("b1", -1)])
     assert syllable_length(w) == 1
 
 
 def test_modular_torsion_word(modular):
-    w = amalgam_reduce(modular, [("x", 1), ("y", 1)] * 3)
+    w = modular.element_from_word([("x", 1), ("y", 1)] * 3)
     assert not w.is_identity
     assert syllable_length(w) == 6
-    assert amalgam_reduce(modular, [("x", 2)]).is_identity
-    assert amalgam_reduce(modular, [("y", 3)]).is_identity
+    assert modular.element_from_word([("x", 2)]).is_identity
+    assert modular.element_from_word([("y", 3)]).is_identity
 
 
 def test_syllable_length_examples(bs12, surface):
     assert syllable_length(bs12.identity()) == 0
-    assert syllable_length(britton_reduce(bs12, [("t", 1), ("a", 1), ("t", -1)])) == 1
-    assert syllable_length(amalgam_reduce(surface, [("a1", 1), ("a2", 1)])) == 2
+    assert syllable_length(bs12.element_from_word([("t", 1), ("a", 1), ("t", -1)])) == 1
+    assert syllable_length(surface.element_from_word([("a1", 1), ("a2", 1)])) == 2
     assert syllable_length(surface.identity()) == 0
 
 
@@ -109,8 +105,8 @@ def test_reduction_idempotent_fuzz(name):
     labels = group.labels
     for _ in range(10_000):
         word = [(rng.choice(labels), rng.choice((-1, 1))) for _ in range(rng.randrange(7))]
-        elt = reduce_word(group, word)
-        again = reduce_word(group, elt.word())
+        elt = group.element_from_word(word)
+        again = group.element_from_word(elt.word())
         assert again == elt
 
 
@@ -130,7 +126,7 @@ def test_pinch_free_words_stay_irreducible(bs12, rng):
         has_pinch = any(
             eps[i] == -eps[i + 1] and (eps[i] == 1 or mids[i] % 2 == 0)
             for i in range(count - 1))
-        w = britton_reduce(bs12, word)
+        w = bs12.element_from_word(word)
         if not has_pinch:
             assert stable_letter_count(w) == count
 
@@ -144,16 +140,16 @@ word_strategy = st.lists(
 @given(word_strategy)
 def test_surface_reduce_is_idempotent_hypothesis(word):
     surface = zoo("pi1-sigma2").build_group()[0]
-    elt = reduce_word(surface, word)
-    assert reduce_word(surface, elt.word()) == elt
+    elt = surface.element_from_word(word)
+    assert surface.element_from_word(elt.word()) == elt
 
 
 @settings(max_examples=200, deadline=None)
 @given(word_strategy, word_strategy)
 def test_surface_concat_matches_product_hypothesis(w1, w2):
     surface = zoo("pi1-sigma2").build_group()[0]
-    lhs = reduce_word(surface, w1 + w2)
-    rhs = reduce_word(surface, w1) * reduce_word(surface, w2)
+    lhs = surface.element_from_word(w1 + w2)
+    rhs = surface.element_from_word(w1) * surface.element_from_word(w2)
     assert lhs == rhs
 
 

@@ -163,10 +163,10 @@ def test_evaluation_matches_the_formula_off_the_anchors(name):
 
 def test_verify_does_not_conjugate_by_the_stable_letter(monkeypatch):
     """Replaying theta at 150 steps evaluates by orbit coordinates only: no
-    ``twist`` or ``untwist`` call, one equivariance check per transitivity
+    ``twist`` call, one equivariance check per transitivity
     step (the conjugating formula made 456 twist calls)."""
     prob, cert, _ = _build("theta", 150)
-    calls = {"twist": 0, "untwist": 0, "check_equivariance": 0}
+    calls = {"twist": 0, "check_equivariance": 0}
     for attr in calls:
         original = getattr(IntertwinerState, attr)
 
@@ -176,5 +176,5 @@ def test_verify_does_not_conjugate_by_the_stable_letter(monkeypatch):
         monkeypatch.setattr(IntertwinerState, attr, counting)
     assert verify_certificate_report(prob.build_group()[0], cert) == (True, "ok")
     transitivity = sum(step["kind"] == "transitivity" for step in cert["steps"])
-    assert calls == {"twist": 0, "untwist": 0, "check_equivariance": transitivity}
+    assert calls == {"twist": 0, "check_equivariance": transitivity}
     assert transitivity == 75

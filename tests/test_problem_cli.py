@@ -19,7 +19,7 @@ from hightrans.problem import (
     problem_hash,
 )
 
-from conftest import problem_path, zoo
+from conftest import problem_path, run_cli, zoo
 
 
 ALL_PROBLEMS = ["pi1-sigma2.json", "gaussian-hnn.json", "free2-hnn.json",
@@ -105,10 +105,15 @@ def _node(obj, path):
      "generators must be a list of strings"),
     ("bs12.json", ("groups", "Z", "generators"), "a", "generators must be a list of strings"),
     ("bs12.json", ("groups", "BS12", "edge"), "rs", "edge must be a list of strings"),
+    ("pi1-sigma2.json", ("graph", "name"), 5, "name must be a string, got 5"),
+    ("pi1-sigma2.json", ("graph", "edges", 0, "id"), 5, "id must be a string, got 5"),
+    ("pi1-sigma2.json", ("graph", "edges", 0, "source"), 5, "source must be a string, got 5"),
+    ("pi1-sigma2.json", ("graph", "edges", 0, "range"), ["q"], "range must be a string"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
         "translations-string", "generators-string", "generators-object",
-        "free-abelian-generators-string", "edge-string"])
+        "free-abelian-generators-string", "edge-string", "graph-name-number",
+        "edge-id-number", "edge-source-number", "edge-range-list"])
 def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
     doc = _document(name)
     *parent, key = path
@@ -531,3 +536,71 @@ def test_parse_word_bad_exponent():
         parse_word(fixtures.free2(), "a^x")
     with pytest.raises(ValueError, match="unknown generator"):
         parse_word(fixtures.free2(), "q")
+
+
+# ---------------------------------------------------------------------------
+# a finite acting group: a clean error, not an endless shortlex walk
+
+_CYCLIC_TWOS = {
+    "A": {"kind": "cyclic", "order": 2, "generator": "x"},
+    "B": {"kind": "cyclic", "order": 2, "generator": "y"},
+    "E": {"kind": "cyclic", "order": 2, "generator": "e"},
+}
+# Z2 *_{Z2} Z2 with both edge maps onto: the group Z2
+FINITE_AMALGAM = {
+    "groups": {**_CYCLIC_TWOS,
+               "G": {"kind": "amalgam", "left": "A", "right": "B", "edge": ["ex", "ey"]}},
+    "embeddings": {"ex": {"source": "E", "target": "A", "images": ["x"]},
+                   "ey": {"source": "E", "target": "B", "images": ["y"]}},
+    "target": "G",
+    "budget": {"steps": 4},
+}
+# Z2 *_{Z2} Z4 as a graph: onto the left vertex group only, and still Z4
+FINITE_GRAPH = {
+    "groups": {**_CYCLIC_TWOS, "B": {"kind": "cyclic", "order": 4, "generator": "y"}},
+    "embeddings": {"ex": {"source": "E", "target": "A", "images": ["x"]},
+                   "ey": {"source": "E", "target": "B", "images": ["y^2"]}},
+    "graph": {"name": "onto", "vertices": {"p": "A", "q": "B"},
+              "edges": [{"id": "e0", "source": "p", "range": "q", "group": "E",
+                         "source_map": "ex", "range_map": "ey"}]},
+}
+
+
+def test_cli_build_of_a_finite_amalgam_is_a_usage_error(tmp_path):
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(FINITE_AMALGAM))
+    proc = run_cli("build", path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "'G' is finite" in proc.stderr
+
+
+def test_cli_verify_of_a_finite_amalgam_fails(tmp_path):
+    """A forged certificate whose entries match the schedule's head for
+    the two points 1 and x: the replay would need a third point."""
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(FINITE_AMALGAM))
+    faithful = {"kind": "faithfulness", "element": "x", "witness": "1", "image": "x"}
+    cert = {"format": 3, "problem": problem_hash(FINITE_AMALGAM), "group": "G",
+            "mode": "amalgam", "source": {"target": "G"},
+            "budget": {"steps": 4, "witness_radius": 64},
+            "steps": [{"index": 1, **faithful}, {"index": 3, **faithful}],
+            "deferred": [{"index": 0, "kind": "transitivity", "xs": ["1"], "ys": ["1"],
+                          "diagnostic": "forged"},
+                         {"index": 2, "kind": "transitivity", "xs": ["1"], "ys": ["x"],
+                          "diagnostic": "forged"}]}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    proc = run_cli("verify", path, cert_path)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("verify: FAIL (") and "'G' is finite" in proc.stdout
+
+
+def test_cli_finite_graph_reduces_but_does_not_build(tmp_path):
+    path = tmp_path / "onto.json"
+    path.write_text(json.dumps(FINITE_GRAPH))
+    proc = run_cli("build", path)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ")
+    assert "'amalgam[onto:e0]' is finite" in proc.stderr
+    proc = run_cli("reduce", path)
+    assert proc.returncode == 2
+    assert "vertex p (A): FINITE -> fail" in proc.stdout

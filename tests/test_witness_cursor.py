@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans import engine, fixtures, hcf
-from hightrans.action import LevelAction, allocate_fresh_orbits, plain_level_action
+from hightrans.action import LevelAction, allocate_fresh_orbits
 from hightrans.embeddings import Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.groups import cyclic_group, symmetric_group
 from hightrans.problem import canonical_text
 
 from conftest import PROBLEMS, zoo
-from oracles import allocate_by_rescan, evaluate_by_formula, shortlex_first_search
+from oracles import (allocate_by_rescan, evaluate_by_formula, plain_level_action,
+                     shortlex_first_search)
 
 NAMES = sorted(p.stem for p in PROBLEMS.glob("*.json"))
 
