@@ -15,25 +15,25 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 print("== one geometric edge: the surface graph ==")
 sg = parse_problem(PROBLEMS / "pi1-sigma2.json").graph
 print(f"  spanning tree: {graphs.spanning_tree(sg)}")
-prob = graphs.reduce_edge(sg, "e0")
-print(f"  removing e0 disconnects -> {prob.kind} of "
-      f"{prob.gamma.left.name} and {prob.gamma.right.name}")
+gamma, _ = graphs.reduce_edge(sg, "e0")
+print(f"  removing e0 disconnects -> {gamma.kind} of "
+      f"{gamma.left.name} and {gamma.right.name}")
 
 print("\n== a loop: the Gaussian-integer affine group ==")
 gl = parse_problem(PROBLEMS / "gaussian-hnn.json").graph
-prob = graphs.reduce_edge(gl, "e0")
-print(f"  removing the loop keeps one vertex -> {prob.kind}, "
-      f"stable letter {prob.gamma.stable_label!r}")
-lhs = parse_word(prob.gamma, "e0 i e0^-1")
+gamma, _ = graphs.reduce_edge(gl, "e0")
+print(f"  removing the loop keeps one vertex -> {gamma.kind}, "
+      f"stable letter {gamma.stable_label!r}")
+lhs = parse_word(gamma, "e0 i e0^-1")
 print(f"  e0 i e0^-1 = {lhs}  (the conjugated unit)")
 
 print("\n== theta graph: two vertices, two geometric edges ==")
 th = parse_problem(PROBLEMS / "theta.json").graph
 print(f"  spanning tree: {graphs.spanning_tree(th)}")
-prob = graphs.reduce_edge(th, "e2")
-print(f"  removing e2 -> {prob.kind} over a base of kind "
-      f"{prob.gamma.base.kind}")
-print(f"  e2 a2 e2^-1 = {parse_word(prob.gamma, 'e2 a2 e2^-1')}")
+gamma, _ = graphs.reduce_edge(th, "e2")
+print(f"  removing e2 -> {gamma.kind} over a base of kind "
+      f"{gamma.base.kind}")
+print(f"  e2 a2 e2^-1 = {parse_word(gamma, 'e2 a2 e2^-1')}")
 fg = graphs.fundamental_group(th)
 print(f"  fundamental group handle: {fg.name} ({fg.kind})")
 

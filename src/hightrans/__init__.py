@@ -9,7 +9,7 @@ The package splits into:
   * :mod:`hightrans.normal_forms` -- Britton and alternating-syllable
     reduction, the word problem for composite groups;
   * :mod:`hightrans.hcf` -- bounded audits of the highly core-free
-    condition with replayable verdicts;
+    condition, whose evidence re-verifies by direct evaluation;
   * :mod:`hightrans.action` / :mod:`hightrans.engine` -- the countable set
     X = Gamma, the partially built intertwiner, and the certified
     requirement engine for an action on X that is both faithful and highly
@@ -47,7 +47,6 @@ from .hcf import (
     audit_highly_faithful,
     certify_structural,
     search_E_set,
-    search_G_set,
     search_H_set,
 )
 from .action import (

@@ -146,7 +146,7 @@ class IntertwinerState:
                 if not commit:
                     return self.default_image(x)
                 pair = (rep, self.default_image(rep))
-                self.commit_pair(*pair)
+                self.commit_batch([pair])
                 if log is not None:
                     log.append(pair)
             x0, y0 = pair
@@ -159,7 +159,7 @@ class IntertwinerState:
                 return pre
             srep = self.src_orbit(pre)
             pair = (srep, self.default_image(srep))
-            self.commit_pair(*pair)
+            self.commit_batch([pair])
             if log is not None:
                 log.append(pair)
         x0, y0 = pair
@@ -173,9 +173,6 @@ class IntertwinerState:
         return embedding.apply(sigma * sigma0.inverse()) * point
 
     # -- mutation -------------------------------------------------------------
-
-    def commit_pair(self, x0, y0):
-        self.commit_batch([(x0, y0)])
 
     def commit_batch(self, pairs):
         """Extend the rewiring by a batch of anchor pairs.

@@ -1,7 +1,8 @@
 """Command-line interface: audit, nf, reduce, build, verify.
 
-Exit codes: 0 all verdicts pass / run complete, 1 usage or schema error,
-2 a fail verdict, 3 undecided verdicts or deferred requirements.
+Exit codes: 0 all verdicts pass / run complete, 1 usage, argument or
+schema error, 2 a fail verdict, 3 undecided verdicts or deferred
+requirements.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ EXIT_UNDECIDED = 3
 
 
 def _parse_bounds(text):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) not in (3, 4):
-        raise argparse.ArgumentTypeError("bounds are n,rho,r or n,rho,r,pieces")
-    names = ["tuple_size_max", "point_radius", "witness_radius", "covering_piece_max"]
-    return hcf.AuditBounds(**dict(zip(names, parts)))
+    try:
+        parts = [int(p) for p in text.split(",")]
+        if len(parts) not in (3, 4):
+            raise ValueError("bounds are n,rho,r or n,rho,r,pieces")
+        names = ["tuple_size_max", "point_radius", "witness_radius", "covering_piece_max"]
+        return hcf.AuditBounds(**dict(zip(names, parts)))
+    except ValueError as exc:
+        # argparse shows the message of an ArgumentTypeError only
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser():
@@ -182,13 +187,13 @@ def _engine_log(verbose):
 def cmd_build(args):
     problem = _load(args.problem)
     gamma, source = _build_group(problem, args.edge)
+    steps = args.budget if args.budget is not None else problem.budget.steps
     try:
         acting = EngineProblem(gamma)
+        budget = Budget(steps=steps, witness_radius=problem.budget.witness_radius)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    steps = args.budget if args.budget is not None else problem.budget.steps
-    budget = Budget(steps=steps, witness_radius=problem.budget.witness_radius)
     with _engine_log(args.verbose):
         cert = run_schedule(acting, budget, problem.digest())
     cert["source"] = source
@@ -232,7 +237,11 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a bad argument, a usage error
+        return EXIT_USAGE if exc.code else EXIT_PASS
     handlers = {
         "audit": cmd_audit,
         "nf": cmd_nf,

@@ -29,6 +29,9 @@ from .groups import Element, UndecidedError
 # A checked embedding must be injective on the source ball of this radius.
 INJECTIVITY_BOUND = 4
 
+# BoundedStrategy tabulates the images of the source ball of this radius.
+BOUNDED_IMAGE_RADIUS = 8
+
 
 def _as_word(src, s):
     """An element of the source as (generator index, exponent) syllables."""
@@ -335,15 +338,14 @@ class FactorStrategy:
 class BoundedStrategy:
     """Last-resort bounded image enumeration; undecided instead of wrong."""
 
-    def __init__(self, emb, bound=8):
+    def __init__(self, emb):
         self.emb = emb
-        self.bound = bound
         self._map = None
 
     def _image_map(self):
         if self._map is None:
             table = {}
-            for s in self.emb.source.ball(self.bound):
+            for s in self.emb.source.ball(BOUNDED_IMAGE_RADIUS):
                 table.setdefault(self.emb.apply(s), s)
             self._map = table
         return self._map
@@ -352,16 +354,14 @@ class BoundedStrategy:
         if g in self._image_map():
             return True
         raise UndecidedError(
-            f"membership in {self.emb.name!r} undecided at bound {self.bound}",
-            bound=self.bound)
+            f"membership in {self.emb.name!r} undecided at bound {BOUNDED_IMAGE_RADIUS}")
 
     def decompose(self, g):
         table = self._image_map()
         if g in table:
             return (table[g], self.emb.target.identity())
-        raise UndecidedError(
-            f"coset decomposition in {self.emb.name!r} undecided at bound {self.bound}",
-            bound=self.bound)
+        raise UndecidedError(f"coset decomposition in {self.emb.name!r} undecided "
+                             f"at bound {BOUNDED_IMAGE_RADIUS}")
 
 
 def _factor_route(emb):

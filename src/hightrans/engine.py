@@ -51,9 +51,7 @@ class EngineError(RuntimeError):
 
 
 class DeferredRequirement(Exception):
-    def __init__(self, message):
-        super().__init__(message)
-        self.diagnostic = message
+    """A witness search exhausted its ball; the message is the diagnostic."""
 
 
 # the certificate layout: points are words of Gamma, steps record choices only
@@ -65,14 +63,15 @@ class Budget:
     steps: int
     witness_radius: int = 64
 
+    def __post_init__(self):
+        if type(self.steps) is not int or self.steps < 0:
+            raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
+        if type(self.witness_radius) is not int or self.witness_radius < 1:
+            raise ValueError(f"witness_radius must be a positive integer, "
+                             f"got {self.witness_radius!r}")
+
     def as_dict(self):
         return {"steps": self.steps, "witness_radius": self.witness_radius}
-
-
-@dataclass(frozen=True)
-class Requirement:
-    kind: str
-    payload: tuple
 
 
 class EngineProblem:
@@ -84,7 +83,7 @@ class EngineProblem:
 
     def __init__(self, gamma):
         if gamma.kind not in ("amalgam", "hnn"):
-            raise ValueError(f"{gamma.name!r} is neither an amalgam nor an HNN group")
+            raise ValueError(f"group {gamma.name!r} is neither an amalgam nor an HNN extension")
         if gamma.is_finite():
             raise ValueError(f"{gamma.name!r} is finite, so it fixes a vertex of its tree")
         self.gamma = gamma
@@ -293,12 +292,13 @@ def transitivity_descriptors():
 
 
 def requirement_stream(problem):
-    """Alternate transitivity and faithfulness requirements forever."""
+    """Alternate transitivity and faithfulness requirements forever, as
+    (kind, payload)."""
     trans = transitivity_descriptors()
     faith = (g for g in problem.gamma.iter_shortlex() if not g.is_identity)
     while True:
-        yield Requirement("transitivity", next(trans))
-        yield Requirement("faithfulness", (next(faith),))
+        yield "transitivity", next(trans)
+        yield "faithfulness", (next(faith),)
 
 
 class _PointTable:
@@ -323,17 +323,17 @@ def _schedule(problem, steps):
     points = _PointTable(problem.gamma)
     stream = requirement_stream(problem)
     for index in range(steps):
-        req = next(stream)
-        head = {"index": index, "kind": req.kind}
-        if req.kind == "transitivity":
-            n, it, jt = req.payload
+        kind, payload = next(stream)
+        head = {"index": index, "kind": kind}
+        if kind == "transitivity":
+            n, it, jt = payload
             xs = [points.get(i) for i in it]
             ys = [points.get(j) for j in jt]
             head.update(xs=[str(p) for p in xs], ys=[str(p) for p in ys])
             yield head, (n, xs, ys)
         else:
-            head["element"] = str(req.payload[0])
-            yield head, req.payload
+            head["element"] = str(payload[0])
+            yield head, payload
 
 
 def run_schedule(problem, budget, problem_key=""):
@@ -355,7 +355,7 @@ def run_schedule(problem, budget, problem_key=""):
                 mover, witnesses, zs = extend_transitivity(
                     problem, state, xs, ys, budget.witness_radius)
             except DeferredRequirement as exc:
-                deferred.append({**head, "diagnostic": exc.diagnostic})
+                deferred.append({**head, "diagnostic": str(exc)})
                 continue
             except UndecidedError as exc:
                 deferred.append({**head, "diagnostic": f"membership oracle gave up: {exc}"})

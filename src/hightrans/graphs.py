@@ -14,7 +14,7 @@ collapse, non-tree edges conjugate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import Embedding
 from .groups import AmalgamGroup, HnnGroup
@@ -89,22 +89,6 @@ def spanning_tree(graph):
     return list(_reach(graph, graph.base).values())[1:]
 
 
-@dataclass
-class AmalgamProblem:
-    gamma: AmalgamGroup
-    inclusions: dict = field(repr=False, default_factory=dict)
-
-    kind = "amalgam"
-
-
-@dataclass
-class HNNProblem:
-    gamma: HnnGroup
-    inclusions: dict = field(repr=False, default_factory=dict)
-
-    kind = "hnn"
-
-
 def _subgraph(graph, vertices, skip_edge, base):
     vs = {v: graph.vertices[v] for v in vertices}
     es = [e for e in graph.edges
@@ -118,7 +102,8 @@ def _compose_into(inner, include, name, target):
 
 
 def reduce_edge(graph, edge_id):
-    """Remove one geometric edge and present the fundamental group.
+    """Remove one geometric edge and present the fundamental group: its
+    handle, and the inclusion of each vertex group into it.
 
     Connected remainder: HNN over the remainder's fundamental group, with
     the range map giving the conjugated subgroup and the source map its
@@ -135,7 +120,7 @@ def reduce_edge(graph, edge_id):
         gamma = HnnGroup(f"hnn[{graph.name}:{edge_id}]", base_handle, e_r, e_s,
                          stable_label=edge_id)
         inclusions = {v: _chain(incl[v], gamma.include) for v in graph.vertices}
-        return HNNProblem(gamma, inclusions)
+        return gamma, inclusions
     left_vs = sorted(comp)
     right_vs = sorted(set(graph.vertices).difference(comp))
     left_sub = _subgraph(graph, left_vs, edge_id, e.source)
@@ -151,7 +136,7 @@ def reduce_edge(graph, edge_id):
         inclusions[v] = _chain(incl_l[v], lambda x: gamma.include(0, x))
     for v in right_vs:
         inclusions[v] = _chain(incl_r[v], lambda x: gamma.include(1, x))
-    return AmalgamProblem(gamma, inclusions)
+    return gamma, inclusions
 
 
 def _chain(first, second):
@@ -167,8 +152,7 @@ def _fundamental_group(graph):
     tree = set(spanning_tree(graph))
     non_tree = [e for e in graph.edges if e.id not in tree]
     target = non_tree[0] if non_tree else graph.edges[0]
-    problem = reduce_edge(graph, target.id)
-    return problem.gamma, problem.inclusions
+    return reduce_edge(graph, target.id)
 
 
 def fundamental_group(graph):

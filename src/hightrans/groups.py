@@ -29,12 +29,8 @@ class UndecidedError(Exception):
     """A bounded decision procedure ran out of budget.
 
     Raised instead of guessing.  Callers that audit at fixed bounds catch
-    this and report an ``undecided`` verdict carrying the bound.
+    this and report an ``undecided`` verdict whose reason is the message.
     """
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
 
 
 class OwnerMismatch(ValueError):

@@ -15,7 +15,8 @@ Verdicts therefore come in three flavours:
                   up; the evidence records the covering shape that a genuine
                   failure would produce.
 
-All evidence re-verifies by direct evaluation (see ``replay_*``).
+All evidence re-verifies by direct evaluation; the test suite's oracles
+replay it, and no command does.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .groups import UndecidedError
 PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
+
+# the radius to which CosetDomain tries to prove a finite index, and so an
+# exact (finite) coset space
+COSET_PROBE_RADIUS = 6
 
 
 @dataclass(frozen=True)
@@ -44,24 +49,12 @@ class AuditBounds:
         if self.witness_radius < self.point_radius:
             raise ValueError("witness_radius must be >= point_radius")
 
-    def as_dict(self):
-        return {
-            "tuple_size_max": self.tuple_size_max,
-            "point_radius": self.point_radius,
-            "witness_radius": self.witness_radius,
-            "covering_piece_max": self.covering_piece_max,
-        }
-
 
 @dataclass
 class AuditVerdict:
     status: str
     bounds: AuditBounds
     evidence: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.status == PASS
 
     @property
     def failed(self):
@@ -108,24 +101,6 @@ def search_H_set(emb, xs, F, radius, memo=None):
                 break
         else:
             return h
-    return None
-
-
-def search_G_set(emb, xs, F, radius):
-    """First shortlex h with h x_i outside Sigma F and all pairwise
-    h x_i x_j^-1 h^-1 outside Sigma; entries must be pairwise distinct."""
-    if len(set(xs)) != len(xs):
-        raise ValueError("G-set tuples live off the large diagonal")
-    f_reps = {emb.rep(f) for f in F}
-    diffs = [xs[i] * xs[j].inverse() for i in range(len(xs))
-             for j in range(len(xs)) if i != j]
-    for h in emb.target.iter_shortlex(radius):
-        if any(emb.rep(h * x) in f_reps for x in xs):
-            continue
-        hinv = h.inverse()
-        if any(emb.contains(h * d * hinv) for d in diffs):
-            continue
-        return h
     return None
 
 
@@ -182,50 +157,6 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
             cursor.position = (d, i + 1)
         return h
     return None
-
-
-# ---------------------------------------------------------------------------
-# transports between the witness sets (the equivalence constructions)
-
-
-def hset_instance_for_gset(xs, F):
-    """Shrink a G-set instance to the H-set instance whose witnesses are
-    also G-set witnesses: y_ij = x_i x_j^-1, F' = the union of F x_i^-1."""
-    ys, seen = [], set()
-    for i, xi in enumerate(xs):
-        for j, xj in enumerate(xs):
-            if i != j:
-                y = xi * xj.inverse()
-                if y not in seen:
-                    seen.add(y)
-                    ys.append(y)
-    f2, fseen = [], set()
-    for f in F:
-        for xi in xs:
-            c = f * xi.inverse()
-            if c not in fseen:
-                fseen.add(c)
-                f2.append(c)
-    return ys, f2
-
-
-def gset_instance_for_eset(action, xs, F):
-    """Shrink an E-set instance over H to a G-set instance in H whose
-    witnesses transport: F' collects the protected orbit representatives,
-    ybar is the tuple, padded to two entries when it has one."""
-    f2, fseen = [], set()
-    for f in F:
-        t = action.orbit_rep(f)
-        if t not in fseen:
-            fseen.add(t)
-            f2.append(t)
-    if len(xs) >= 2:
-        return list(xs), f2
-    y = xs[0]
-    for cand in action.group.iter_shortlex():
-        if cand != y:
-            return [y, cand], f2
-    raise RuntimeError("unreachable: the group has at least two elements")
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +497,13 @@ class CosetDomain:
     undecided but not fail.
     """
 
-    def __init__(self, emb, probe_radius=6):
+    def __init__(self, emb):
         self.emb = emb
         self.group = emb.target
         self._zones = {}
         self._fixed = {}
         try:
-            self.transversal = prove_finite_index(emb, probe_radius)
+            self.transversal = prove_finite_index(emb, COSET_PROBE_RADIUS)
         except UndecidedError:
             self.transversal = None
 
@@ -621,75 +552,3 @@ class CosetDomain:
             else:
                 return h, exact
         return None, exact
-
-
-# ---------------------------------------------------------------------------
-# evidence replay
-
-
-def replay_hcf_verdict(emb, verdict):
-    """Re-derive a verdict's evidence by direct evaluation."""
-    from .normal_forms import parse_word
-
-    ev = verdict.evidence
-    if verdict.status == PASS:
-        if "witnesses" not in ev:
-            return emb.is_trivial()
-        ball = emb.target.ball(verdict.bounds.point_radius)
-        f_reps = {emb.rep(f) for f in ball}
-        for item in ev["witnesses"]:
-            xs = [parse_word(emb.target, w) for w in item["tuple"]]
-            h = parse_word(emb.target, item["witness"])
-            for x in xs:
-                if emb.rep(h * x) in f_reps or emb.contains(h * x * h.inverse()):
-                    return False
-        return True
-    if verdict.status == FAIL:
-        cov = ev["covering"]
-        transversal = [parse_word(emb.target, w) for w in cov["F"]]
-        cores = [parse_word(emb.target, w) for w in cov["cores"]]
-        if any(c.is_identity for c in cores):
-            return False
-        for piece, core in zip(cov["pieces"], cores):
-            for member in piece["members"]:
-                h = parse_word(emb.target, member)
-                if not emb.contains(h * core * h.inverse()):
-                    return False
-        t_reps = {emb.rep(t) for t in transversal}
-        return all(emb.rep(g) in t_reps
-                   for g in emb.target.ball(verdict.bounds.witness_radius))
-    return True
-
-
-def replay_highly_faithful_verdict(domain, verdict):
-    from .normal_forms import parse_word
-
-    if verdict.status != FAIL:
-        return True
-    cov = verdict.evidence["covering"]
-    fixers = [parse_word(domain.group, w) for w in cov["fixers"]]
-    if any(f.is_identity for f in fixers):
-        return False
-    for piece, fixer in zip(cov["pieces"], fixers):
-        if "members" in piece:
-            pts = [_parse_domain_point(domain, m) for m in piece["members"]]
-            if not all(domain.fixes(fixer, x) for x in pts):
-                return False
-        else:
-            excluded = {_parse_domain_point(domain, m) for m in piece["complement_of"]}
-            _, exact = domain.cofinite_fixer(excluded, verdict.bounds)
-            if not exact:
-                return False
-            pts = [x for x in domain.zone(verdict.bounds.point_radius + 2)
-                   if x not in excluded]
-            if not all(domain.fixes(fixer, x) for x in pts):
-                return False
-    return True
-
-
-def _parse_domain_point(domain, value):
-    from .normal_forms import parse_word
-
-    if isinstance(value, int):
-        return value
-    return domain.emb.rep(parse_word(domain.group, value))

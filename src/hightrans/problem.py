@@ -52,9 +52,6 @@ class ProblemFile:
     bounds: AuditBounds
     budget: Budget
 
-    def canonical_text(self):
-        return canonical_text(self.raw)
-
     def digest(self):
         return problem_hash(self.raw)
 
@@ -64,23 +61,21 @@ class ProblemFile:
         reduced at that edge, ``{"target": name}`` for the target group.
 
         With no tag, a graph is reduced at ``choose_reduction_edge``, else
-        the target is taken.  A tag that names nothing, or a group that is
-        neither an amalgam nor an HNN extension, raises ProblemError.
+        the target is taken.  A tag that names nothing raises ProblemError;
+        whether the engine takes the group is EngineProblem's to decide.
         """
         kind, name = _source_tag(self._default_source() if source is None else source)
         if kind == "edge":
             if self.graph is None:
                 raise ProblemError([f"source edge {name!r}: the problem has no graph"])
             try:
-                gamma = reduce_edge(self.graph, name).gamma
+                gamma, _ = reduce_edge(self.graph, name)
             except ValueError as exc:
                 raise ProblemError([str(exc)])
         else:
             if name != self.target:
                 raise ProblemError([f"source target {name!r} is not the problem's target"])
             gamma = self.groups[name]
-        if gamma.kind not in ("amalgam", "hnn"):
-            raise ProblemError([f"group {gamma.name!r} is neither an amalgam nor an HNN extension"])
         return gamma, {kind: name}
 
     def _default_source(self):
@@ -192,9 +187,11 @@ def build_problem(data):
     except (TypeError, ValueError) as exc:
         errors.append(f"bounds: {exc}")
         bounds = AuditBounds()
+    budget_spec = data.get("budget", {})
     try:
-        budget_spec = dict(data.get("budget", {}))
-        budget = Budget(steps=budget_spec.pop("steps", 50), **budget_spec)
+        if not isinstance(budget_spec, dict):
+            raise ValueError(f"budget must be an object, got {budget_spec!r}")
+        budget = Budget(**{"steps": 50, **budget_spec})
     except (TypeError, ValueError) as exc:
         errors.append(f"budget: {exc}")
         budget = Budget(steps=50)

@@ -16,10 +16,12 @@ scratch, intertwiner evaluation by the equivariance formula alone (with
 ``untwist``, the inverse of ``IntertwinerState.twist``), H acting on
 itself by left multiplication, and the step-by-step replay of a
 certificate against its schedule.
-The audit oracles at the end are the slow paths the exact audit
-shortcuts replaced: a finite-index walk that always walks, coset fixers
-by coset decomposition, and structural certificates that build every
-conjugacy ball twice.
+The audit oracles are the slow paths the exact audit shortcuts
+replaced: a finite-index walk that always walks, coset fixers by coset
+decomposition, and structural certificates that build every conjugacy
+ball twice.  Last come the G-set search and the transports between the
+H-, G- and E-set instances, which the program never runs but the
+equivalence cross-checks do, and the replays of audit evidence.
 """
 
 from contextlib import contextmanager
@@ -29,7 +31,9 @@ from itertools import chain, product
 from hightrans import engine, groups
 from hightrans.action import LevelAction
 from hightrans.groups import UndecidedError
-from hightrans.hcf import FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict, search_E_set
+from hightrans.hcf import (COSET_PROBE_RADIUS, FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict,
+                           search_E_set)
+from hightrans.normal_forms import parse_word
 
 
 def word_by_letters(group, word):
@@ -471,12 +475,12 @@ class ActCosetDomain:
     """The coset action with h . (Sigma g) computed as the canonical
     representative of Sigma g h^-1, and fixing tested by comparing it."""
 
-    def __init__(self, emb, probe_radius=6):
+    def __init__(self, emb):
         self.emb = emb
         self.group = emb.target
         self._act_cache = {}
         try:
-            self.transversal = prove_finite_index_by_walk(emb, probe_radius)
+            self.transversal = prove_finite_index_by_walk(emb, COSET_PROBE_RADIUS)
         except UndecidedError:
             self.transversal = None
 
@@ -582,3 +586,128 @@ def certify_structural_two_balls(emb, bounds=None):
     statuses = [p["status"] for p in premises.values()]
     overall = FAIL if FAIL in statuses else (UNDECIDED if UNDECIDED in statuses else PASS)
     return AuditVerdict(overall, bounds, {"premises": premises})
+
+
+# ---------------------------------------------------------------------------
+# the G-set search, the transports between the witness sets (the paper's
+# equivalence constructions) and the replays of audit evidence
+
+
+def search_G_set(emb, xs, F, radius):
+    """First shortlex h with h x_i outside Sigma F and all pairwise
+    h x_i x_j^-1 h^-1 outside Sigma; entries must be pairwise distinct."""
+    if len(set(xs)) != len(xs):
+        raise ValueError("G-set tuples live off the large diagonal")
+    f_reps = {emb.rep(f) for f in F}
+    diffs = [xs[i] * xs[j].inverse() for i in range(len(xs))
+             for j in range(len(xs)) if i != j]
+    for h in emb.target.iter_shortlex(radius):
+        if any(emb.rep(h * x) in f_reps for x in xs):
+            continue
+        hinv = h.inverse()
+        if any(emb.contains(h * d * hinv) for d in diffs):
+            continue
+        return h
+    return None
+
+
+def hset_instance_for_gset(xs, F):
+    """Shrink a G-set instance to the H-set instance whose witnesses are
+    also G-set witnesses: y_ij = x_i x_j^-1, F' = the union of F x_i^-1."""
+    ys, seen = [], set()
+    for i, xi in enumerate(xs):
+        for j, xj in enumerate(xs):
+            if i != j:
+                y = xi * xj.inverse()
+                if y not in seen:
+                    seen.add(y)
+                    ys.append(y)
+    f2, fseen = [], set()
+    for f in F:
+        for xi in xs:
+            c = f * xi.inverse()
+            if c not in fseen:
+                fseen.add(c)
+                f2.append(c)
+    return ys, f2
+
+
+def gset_instance_for_eset(action, xs, F):
+    """Shrink an E-set instance over H to a G-set instance in H whose
+    witnesses transport: F' collects the protected orbit representatives,
+    ybar is the tuple, padded to two entries when it has one."""
+    f2, fseen = [], set()
+    for f in F:
+        t = action.orbit_rep(f)
+        if t not in fseen:
+            fseen.add(t)
+            f2.append(t)
+    if len(xs) >= 2:
+        return list(xs), f2
+    y = xs[0]
+    for cand in action.group.iter_shortlex():
+        if cand != y:
+            return [y, cand], f2
+    raise RuntimeError("unreachable: the group has at least two elements")
+
+
+def replay_hcf_verdict(emb, verdict):
+    """Re-derive a verdict's evidence by direct evaluation."""
+    ev = verdict.evidence
+    if verdict.status == PASS:
+        if "witnesses" not in ev:
+            return emb.is_trivial()
+        ball = emb.target.ball(verdict.bounds.point_radius)
+        f_reps = {emb.rep(f) for f in ball}
+        for item in ev["witnesses"]:
+            xs = [parse_word(emb.target, w) for w in item["tuple"]]
+            h = parse_word(emb.target, item["witness"])
+            for x in xs:
+                if emb.rep(h * x) in f_reps or emb.contains(h * x * h.inverse()):
+                    return False
+        return True
+    if verdict.status == FAIL:
+        cov = ev["covering"]
+        transversal = [parse_word(emb.target, w) for w in cov["F"]]
+        cores = [parse_word(emb.target, w) for w in cov["cores"]]
+        if any(c.is_identity for c in cores):
+            return False
+        for piece, core in zip(cov["pieces"], cores):
+            for member in piece["members"]:
+                h = parse_word(emb.target, member)
+                if not emb.contains(h * core * h.inverse()):
+                    return False
+        t_reps = {emb.rep(t) for t in transversal}
+        return all(emb.rep(g) in t_reps
+                   for g in emb.target.ball(verdict.bounds.witness_radius))
+    return True
+
+
+def replay_highly_faithful_verdict(domain, verdict):
+    if verdict.status != FAIL:
+        return True
+    cov = verdict.evidence["covering"]
+    fixers = [parse_word(domain.group, w) for w in cov["fixers"]]
+    if any(f.is_identity for f in fixers):
+        return False
+    for piece, fixer in zip(cov["pieces"], fixers):
+        if "members" in piece:
+            pts = [_parse_domain_point(domain, m) for m in piece["members"]]
+            if not all(domain.fixes(fixer, x) for x in pts):
+                return False
+        else:
+            excluded = {_parse_domain_point(domain, m) for m in piece["complement_of"]}
+            _, exact = domain.cofinite_fixer(excluded, verdict.bounds)
+            if not exact:
+                return False
+            pts = [x for x in domain.zone(verdict.bounds.point_radius + 2)
+                   if x not in excluded]
+            if not all(domain.fixes(fixer, x) for x in pts):
+                return False
+    return True
+
+
+def _parse_domain_point(domain, value):
+    if isinstance(value, int):
+        return value
+    return domain.emb.rep(parse_word(domain.group, value))

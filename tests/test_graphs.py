@@ -6,10 +6,8 @@ import pytest
 import oracles
 from hightrans import fixtures
 from hightrans.graphs import (
-    AmalgamProblem,
     GraphEdge,
     GraphOfGroups,
-    HNNProblem,
     _reach,
     choose_reduction_edge,
     fundamental_group,
@@ -81,23 +79,23 @@ def test_connectivity_required():
 
 
 def test_reduce_surface_is_amalgam():
-    prob = reduce_edge(zoo("pi1-sigma2").graph, "e0")
-    assert isinstance(prob, AmalgamProblem)
-    rel = parse_word(prob.gamma, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
+    gamma, _ = reduce_edge(zoo("pi1-sigma2").graph, "e0")
+    assert isinstance(gamma, AmalgamGroup)
+    rel = parse_word(gamma, "a1 b1 a1^-1 b1^-1 b2 a2 b2^-1 a2^-1")
     assert rel.is_identity
 
 
 def test_reduce_gaussian_loop_is_hnn():
-    prob = reduce_edge(zoo("gaussian-hnn").graph, "e0")
-    assert isinstance(prob, HNNProblem)
-    assert parse_word(prob.gamma, "e0 i e0^-1") == parse_word(prob.gamma, "u i u^-1")
+    gamma, _ = reduce_edge(zoo("gaussian-hnn").graph, "e0")
+    assert isinstance(gamma, HnnGroup)
+    assert parse_word(gamma, "e0 i e0^-1") == parse_word(gamma, "u i u^-1")
 
 
 def test_reduce_theta_is_hnn_over_amalgam():
-    prob = reduce_edge(zoo("theta").graph, "e2")
-    assert isinstance(prob, HNNProblem)
-    assert prob.gamma.base.kind == "amalgam"
-    assert parse_word(prob.gamma, "e2 a2 e2^-1") == parse_word(prob.gamma, "a1")
+    gamma, _ = reduce_edge(zoo("theta").graph, "e2")
+    assert isinstance(gamma, HnnGroup)
+    assert gamma.base.kind == "amalgam"
+    assert parse_word(gamma, "e2 a2 e2^-1") == parse_word(gamma, "a1")
 
 
 def test_reduce_bad_edge_id():
@@ -140,8 +138,8 @@ def test_theta_presentations_relate_through_tree_change():
     the surviving stable letter and the collapsed letters swap roles.
     Trivial words must map to trivial words, and the untouched vertex
     group keeps its free word problem in both presentations."""
-    g_a = reduce_edge(zoo("theta").graph, "e2").gamma
-    g_b = reduce_edge(zoo("theta").graph, "e1").gamma
+    g_a = reduce_edge(zoo("theta").graph, "e2")[0]
+    g_b = reduce_edge(zoo("theta").graph, "e1")[0]
     e1 = parse_word(g_b, "e1")
     images = {
         "a1": parse_word(g_b, "a1"),
@@ -186,7 +184,7 @@ def test_theta_presentations_relate_through_tree_change():
 
 def test_reduced_problem_matches_fundamental_group_word_problem():
     whole = fundamental_group(zoo("pi1-sigma2").graph)
-    piece = reduce_edge(zoo("pi1-sigma2").graph, "e0").gamma
+    piece = reduce_edge(zoo("pi1-sigma2").graph, "e0")[0]
     labels = ["a1", "b1", "a2", "b2"]
     alphabet = [(lab, 1) for lab in labels] + [(lab, -1) for lab in labels]
     words = [()]
@@ -203,8 +201,8 @@ def test_validate_surface_passes():
     for entry in report["vertices"].values():
         assert entry["infinite"]
     edge = report["edges"]["e0"]
-    assert edge["source"]["hcf"].passed and edge["range"]["hcf"].passed
-    assert edge["source"]["structural"].passed
+    assert edge["source"]["hcf"].status == "pass" and edge["range"]["hcf"].status == "pass"
+    assert edge["source"]["structural"].status == "pass"
 
 
 def test_validate_flags_finite_vertex():

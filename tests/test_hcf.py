@@ -10,7 +10,8 @@ from hightrans import fixtures, hcf
 from hightrans.groups import symmetric_group
 
 from conftest import zoo
-from oracles import plain_level_action
+from oracles import (gset_instance_for_eset, hset_instance_for_gset, plain_level_action,
+                     replay_hcf_verdict, replay_highly_faithful_verdict, search_G_set)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_search_h_rejects_identity_entries(comm):
 def test_search_g_example(comm):
     f = comm.target
     xs = [f.identity(), f.generator("a")]
-    h = hcf.search_G_set(comm, xs, [f.identity()], 4)
+    h = search_G_set(comm, xs, [f.identity()], 4)
     assert h is not None
     assert g_set_conditions(comm, h, xs, [f.identity()])
     # the worked example witness is valid too
@@ -84,7 +85,7 @@ def test_search_g_example(comm):
 def test_search_g_rejects_diagonal(comm):
     a = comm.target.generator("a")
     with pytest.raises(ValueError):
-        hcf.search_G_set(comm, [a, a], [], 2)
+        search_G_set(comm, [a, a], [], 2)
 
 
 def test_search_e_basic(comm):
@@ -125,21 +126,21 @@ def test_search_e_same_orbit_normal_subgroup(even):
 
 def test_audit_trivial_passes():
     v = hcf.audit_hcf(fixtures.trivial_subgroup_embedding())
-    assert v.passed
-    assert hcf.replay_hcf_verdict(fixtures.trivial_subgroup_embedding(), v)
+    assert v.status == "pass"
+    assert replay_hcf_verdict(fixtures.trivial_subgroup_embedding(), v)
 
 
 def test_audit_commutator_passes(comm):
     v = hcf.audit_hcf(comm, hcf.AuditBounds(2, 2, 4))
-    assert v.passed
-    assert hcf.replay_hcf_verdict(comm, v)
+    assert v.status == "pass"
+    assert replay_hcf_verdict(comm, v)
 
 
 def test_audit_gaussian_units_passes():
     emb = zoo("gaussian-hnn").embeddings["units"]
     v = hcf.audit_hcf(emb, hcf.AuditBounds(2, 2, 4))
-    assert v.passed
-    assert hcf.replay_hcf_verdict(emb, v)
+    assert v.status == "pass"
+    assert replay_hcf_verdict(emb, v)
 
 
 def test_audit_even_fails_with_covering(even):
@@ -148,7 +149,7 @@ def test_audit_even_fails_with_covering(even):
     cov = v.evidence["covering"]
     assert cov["pieces"] == [{"members": ["1"]}]
     assert len(cov["F"]) == 2
-    assert hcf.replay_hcf_verdict(even, v)
+    assert replay_hcf_verdict(even, v)
 
 
 def test_audit_finite_group_subgroup_fails():
@@ -164,14 +165,14 @@ def test_audit_finite_group_subgroup_fails():
 def test_tampered_fail_evidence_rejected(even):
     v = hcf.audit_hcf(even)
     v.evidence["covering"]["cores"] = ["1"]
-    assert not hcf.replay_hcf_verdict(even, v)
+    assert not replay_hcf_verdict(even, v)
 
 
 def test_pass_implies_core_free_at_bounds(comm):
     # a pass leaves no nontrivial small element inside every conjugate of
     # the subgroup over the witness ball
     bounds = hcf.AuditBounds(2, 2, 4)
-    assert hcf.audit_hcf(comm, bounds).passed
+    assert hcf.audit_hcf(comm, bounds).status == "pass"
     ball_r = comm.target.ball(bounds.witness_radius)
     for g in comm.target.ball(bounds.point_radius):
         if g.is_identity:
@@ -180,9 +181,9 @@ def test_pass_implies_core_free_at_bounds(comm):
 
 
 def test_structural_certificates():
-    assert hcf.certify_structural(fixtures.commutator_subgroup_embedding()).passed
-    assert hcf.certify_structural(fixtures.primitive_cyclic_embedding()).passed
-    assert hcf.certify_structural(zoo("gaussian-hnn").embeddings["units"]).passed
+    assert hcf.certify_structural(fixtures.commutator_subgroup_embedding()).status == "pass"
+    assert hcf.certify_structural(fixtures.primitive_cyclic_embedding()).status == "pass"
+    assert hcf.certify_structural(zoo("gaussian-hnn").embeddings["units"]).status == "pass"
     improper = hcf.certify_structural(fixtures.improper_embedding())
     assert improper.failed
     assert improper.evidence["premises"]["infinite_index"]["status"] == "fail"
@@ -232,7 +233,7 @@ def test_structural_flags_finite_index(even):
 
 def test_highly_faithful_translation_passes():
     dom = hcf.TranslationDomain(fixtures.integers())
-    assert hcf.audit_highly_faithful(dom).passed
+    assert hcf.audit_highly_faithful(dom).status == "pass"
 
 
 def test_highly_faithful_perm_domain_fails():
@@ -242,22 +243,22 @@ def test_highly_faithful_perm_domain_fails():
     cov = v.evidence["covering"]
     assert cov["pieces"][0] == {"members": [0, 1]}
     assert cov["pieces"][1] == {"complement_of": [0, 1]}
-    assert hcf.replay_highly_faithful_verdict(dom, v)
+    assert replay_highly_faithful_verdict(dom, v)
 
 
 def test_highly_faithful_perm_tamper_rejected():
     dom = hcf.PermutationDomain(symmetric_group("S4", 4))
     v = hcf.audit_highly_faithful(dom)
     v.evidence["covering"]["fixers"][0] = "1"
-    assert not hcf.replay_highly_faithful_verdict(dom, v)
+    assert not replay_highly_faithful_verdict(dom, v)
 
 
 def test_highly_faithful_coset_cross_checks(comm, even):
     # condition-5 cross-check: the coset action mirrors the core audit
-    assert hcf.audit_highly_faithful(hcf.CosetDomain(comm)).passed
+    assert hcf.audit_highly_faithful(hcf.CosetDomain(comm)).status == "pass"
     v = hcf.audit_highly_faithful(hcf.CosetDomain(even))
     assert v.failed
-    assert hcf.replay_highly_faithful_verdict(hcf.CosetDomain(even), v)
+    assert replay_highly_faithful_verdict(hcf.CosetDomain(even), v)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_hset_transports_into_gset(comm):
     F = f.ball(1)
     checked = 0
     for xs in itertools.combinations(nontrivial, 2):
-        ys, f2 = hcf.hset_instance_for_gset(list(xs), F)
+        ys, f2 = hset_instance_for_gset(list(xs), F)
         h = hcf.search_H_set(comm, ys, f2, 6)
         assert h is not None
         assert g_set_conditions(comm, h, list(xs), F)
@@ -285,8 +286,8 @@ def test_gset_transports_into_eset(comm):
     F = f.ball(1)
     checked = 0
     for xs in itertools.combinations(F, 2):
-        ys, f2 = hcf.gset_instance_for_eset(action, list(xs), F)
-        h = hcf.search_G_set(comm, ys, f2, 6)
+        ys, f2 = gset_instance_for_eset(action, list(xs), F)
+        h = search_G_set(comm, ys, f2, 6)
         assert h is not None
         assert e_set_conditions(action, h, list(xs), F)
         checked += 1
@@ -298,9 +299,9 @@ def test_gset_transport_single_group_part(comm):
     f = comm.target
     # a one-point tuple is padded to a G-set pair
     xs = [f.generator("a")]
-    ys, f2 = hcf.gset_instance_for_eset(action, xs, [f.identity()])
+    ys, f2 = gset_instance_for_eset(action, xs, [f.identity()])
     assert len(ys) == 2 and ys[0] == xs[0] != ys[1]
-    h = hcf.search_G_set(comm, ys, f2, 6)
+    h = search_G_set(comm, ys, f2, 6)
     assert h is not None
     assert e_set_conditions(action, h, xs, [f.identity()])
 

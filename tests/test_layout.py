@@ -1,0 +1,68 @@
+"""``src/`` keeps only what the program runs.
+
+Every function, class and method defined in ``src/hightrans`` must be
+named somewhere in ``src/``, ``bench/`` or ``demos/`` other than its own
+definition and the package's re-exports.  Code that only the tests call
+belongs in ``tests/oracles.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hightrans"
+
+# bench/tracer.py lists fixtures in MODULES and tests/test_bench_hooks.py
+# asserts that every listed module imports, so the test-bed embeddings stay
+# in src/ until the benchmark drops that entry
+EXEMPT_MODULES = {"fixtures.py"}
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _referenced_names(path):
+    """Identifiers a file refers to: names, attributes, imported names and
+    the words of its string literals (``bench/tracer.py`` hooks by string),
+    leaving out comments and docstrings."""
+    tree = ast.parse(path.read_text(), str(path))
+    skip = {id(node) for node in _docstrings(tree)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in skip:
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def _definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield path.name, node.lineno, node.name
+
+
+def test_every_definition_in_src_is_used_outside_tests():
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    used = set().union(*(_referenced_names(p) for p in files))
+    unused = [f"{module}:{line} {name}" for module, line, name in _definitions()
+              if name not in used]
+    assert not unused, "defined in src/ but used only by tests (move to tests/oracles.py " \
+                       "or delete): " + ", ".join(unused)

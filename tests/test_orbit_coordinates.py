@@ -89,7 +89,7 @@ def _problem_group(name):
 
 GROUPS = {
     "surface": _problem_group("pi1-sigma2"),
-    "theta-base": graphs.reduce_edge(zoo("theta").graph, "e2").gamma.base,
+    "theta-base": graphs.reduce_edge(zoo("theta").graph, "e2")[0].base,
     "z2-z3": _problem_group("z2-z3"),
     "modular": _modular(),
     "theta": _problem_group("theta"),

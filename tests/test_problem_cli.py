@@ -109,17 +109,50 @@ def _node(obj, path):
     ("pi1-sigma2.json", ("graph", "edges", 0, "id"), 5, "id must be a string, got 5"),
     ("pi1-sigma2.json", ("graph", "edges", 0, "source"), 5, "source must be a string, got 5"),
     ("pi1-sigma2.json", ("graph", "edges", 0, "range"), ["q"], "range must be a string"),
+    ("bs12.json", ("budget", "witness_radius"), -1, "witness_radius must be a positive integer"),
+    ("bs12.json", ("budget", "witness_radius"), [1, 2], "witness_radius must be a positive"),
+    ("bs12.json", ("budget", "witness_radius"), 0, "witness_radius must be a positive integer"),
+    ("bs12.json", ("budget", "steps"), "x", "steps must be a non-negative integer"),
+    ("bs12.json", ("budget", "steps"), True, "steps must be a non-negative integer"),
+    ("bs12.json", ("budget",), [["steps", 5]], "budget must be an object"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
         "translations-string", "generators-string", "generators-object",
         "free-abelian-generators-string", "edge-string", "graph-name-number",
-        "edge-id-number", "edge-source-number", "edge-range-list"])
+        "edge-id-number", "edge-source-number", "edge-range-list",
+        "witness-radius-negative", "witness-radius-list", "witness-radius-0",
+        "steps-string", "steps-bool", "budget-pairs"])
 def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
     doc = _document(name)
     *parent, key = path
     _node(doc, parent)[key] = value
     with pytest.raises(ProblemError, match=reason):
         build_problem(doc)
+
+
+def test_cli_build_negative_budget_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    rc = cli.main(["build", problem_path("z-star-z.json"), "--budget", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "non-negative integer" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["build", "{p}", "--budget", "abc"], "invalid int value: 'abc'"),
+    (["audit", "{p}", "--bounds", "2,0,4"], "all audit bounds must be positive"),
+    (["verify", "{p}"], "the following arguments are required: certificate"),
+], ids=["budget-not-a-number", "bounds-out-of-range", "missing-argument"])
+def test_cli_argument_error_returns_usage_exit(argv, reason, capsys):
+    argv = [a.format(p=problem_path("z-star-z.json")) for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert reason in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["build", "--help"]) == cli.EXIT_PASS
+    assert "--budget" in capsys.readouterr().out
 
 
 def test_cli_audit_of_a_zero_order_is_a_usage_error(tmp_path, capsys):
