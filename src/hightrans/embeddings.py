@@ -33,31 +33,8 @@ INJECTIVITY_BOUND = 4
 BOUNDED_IMAGE_RADIUS = 8
 
 
-def _as_word(src, s):
-    """An element of the source as (generator index, exponent) syllables."""
-    if src.kind == "free":
-        return list(s.payload)
-    if src.kind == "free_abelian":
-        return [(i, v) for i, v in enumerate(s.payload) if v]
-    word = []
-    for rank in s.spelling():
-        idx, exp = rank >> 1, -1 if rank & 1 else 1
-        if word and word[-1][0] == idx and (word[-1][1] > 0) == (exp > 0):
-            word[-1] = (idx, word[-1][1] + exp)
-        else:
-            word.append((idx, exp))
-    return word
-
-
 def _is_infinite_cyclic(g):
     return (g.kind == "free_abelian" or g.kind == "free") and g.rank == 1
-
-
-def _source_from_coords(src, coords):
-    if src.kind == "free_abelian":
-        return Element(src, tuple(coords))
-    gen = src.generators()[0]
-    return gen ** coords[0]
 
 
 class TrivialStrategy:
@@ -113,8 +90,7 @@ class LatticeStrategy:
 
     def __init__(self, emb):
         self.emb = emb
-        src = emb.source
-        cols = [list(_to_vector(emb.target, img)) for img in emb.images]
+        cols = [list(img.payload) for img in emb.images]
         k = len(cols)
         u_cols = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
         rank_t = emb.target.rank
@@ -189,11 +165,11 @@ class LatticeStrategy:
         return out
 
     def contains(self, g):
-        return self._solve(_to_vector(self.emb.target, g)) is not None
+        return self._solve(g.payload) is not None
 
     def decompose(self, g):
         tgt = self.emb.target
-        vec = _to_vector(tgt, g)
+        vec = g.payload
         res = self._residue(vec)
         m = sum(abs(a) for a in res)
         # the zero lattice vector keeps the residue itself among the candidates
@@ -205,13 +181,8 @@ class LatticeStrategy:
         for c, ucol in zip(coeffs, self.transform):
             for j in range(len(coords)):
                 coords[j] += c * ucol[j]
-        return (_source_from_coords(self.emb.source, coords), best)
-
-
-def _to_vector(target, g):
-    if target.kind != "free_abelian":
-        raise ValueError("lattice arithmetic needs a free-abelian target")
-    return g.payload
+        src = self.emb.source
+        return (src.element_from_word(zip(src.labels, coords)), best)
 
 
 def _leading_periods(spelling, period):
@@ -236,22 +207,14 @@ class CyclicFreeStrategy:
 
     def __init__(self, emb):
         self.emb = emb
-        c = emb.images[0]
-        letters = []
-        for gen, exp in c.payload:
-            step = 1 if exp > 0 else -1
-            letters.extend([(gen, step)] * abs(exp))
-        u = []
-        lo, hi = 0, len(letters) - 1
-        while lo < hi and letters[lo] == (letters[hi][0], -letters[hi][1]):
-            u.append(letters[lo])
-            lo += 1
-            hi -= 1
+        sp = emb.images[0].spelling()
+        lo, hi = 0, len(sp) - 1
+        while lo < hi and sp[lo] == sp[hi] ^ 1:
+            lo, hi = lo + 1, hi - 1
         tgt = emb.target
-        self.u = tgt.element_from_word([(tgt.labels[g], e) for g, e in u])
-        self.core = tgt.element_from_word([(tgt.labels[g], e) for g, e in letters[lo:hi + 1]])
-        self.len_u = len(u)
-        self.len_core = hi + 1 - lo
+        self.u = tgt.element_from_word(groups.syllables(sp[:lo], tgt.labels))
+        self.core = tgt.element_from_word(groups.syllables(sp[lo:hi + 1], tgt.labels))
+        self.len_u, self.len_core = lo, hi + 1 - lo
         self._u_inv = self.u.inverse()
         self._core_spell = self.core.spelling()
         self._core_inv_spell = self.core.inverse().spelling()
@@ -284,9 +247,10 @@ class CyclicFreeStrategy:
         mates = [(self._power(k) * g, k) for k in (k0 - 1, k0, k0 + 1)]
         best, best_k = min(mates, key=lambda m: m[0].sort_key())
         cache, src = self.emb._decompose_cache, self.emb.source
+        gen = src.labels[0]
         for m, k in mates:
-            cache[m.payload] = (_source_from_coords(src, (k - best_k,)), best)
-        return (_source_from_coords(src, (-best_k,)), best)
+            cache[m.payload] = (src.element_from_word([(gen, k - best_k)]), best)
+        return (src.element_from_word([(gen, -best_k)]), best)
 
 
 class FactorStrategy:
@@ -425,8 +389,8 @@ class Embedding:
         cached = self._apply_cache.get(s.payload)
         if cached is None:
             out = self.target.identity()
-            for idx, exp in _as_word(self.source, s):
-                out = out * (self.images[idx] ** exp)
+            for img, exp in groups.syllables(s.spelling(), self.images):
+                out = out * (img ** exp)
             self._apply_cache[s.payload] = out
             cached = out
         return cached

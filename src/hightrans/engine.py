@@ -384,6 +384,11 @@ def run_schedule(problem, budget, problem_key=""):
 # verification
 
 
+def _same(recorded, expected):
+    """Equality that tells JSON ``true`` and ``1.0`` from ``1``."""
+    return type(recorded) is type(expected) and recorded == expected
+
+
 def verify_certificate_report(gamma, cert):
     """Check that the steps and deferrals are the schedule's first
     budget.steps requirements, each once and in order; rebuild the state
@@ -396,7 +401,7 @@ def verify_certificate_report(gamma, cert):
     scheduled payload.  Only the choices are parsed; a claimed mover or
     image must be the canonical text of the value the replay computes,
     which is exact because normal forms are unique."""
-    if cert.get("format") != CERTIFICATE_FORMAT:
+    if not _same(cert.get("format"), CERTIFICATE_FORMAT):
         return False, f"unsupported certificate format {cert.get('format')!r}"
     budget, steps, deferred = cert.get("budget"), cert.get("steps"), cert.get("deferred")
     total = budget.get("steps") if isinstance(budget, dict) else None
@@ -421,18 +426,18 @@ def verify_certificate_report(gamma, cert):
         # entries cover range(total) once, each list in increasing order
         for head, payload in _schedule(problem, total):
             index = head["index"]
-            if i < len(steps) and steps[i]["index"] == index:
+            if i < len(steps) and _same(steps[i]["index"], index):
                 entry, i = steps[i], i + 1
                 verify_step = (_verify_transitivity_step if head["kind"] == "transitivity"
                                else _verify_faithfulness_step)
-            elif j < len(deferred) and deferred[j]["index"] == index:
+            elif j < len(deferred) and _same(deferred[j]["index"], index):
                 entry, j, verify_step = deferred[j], j + 1, None
                 # ensure_faithful has no deferral path: a witness always exists
                 if head["kind"] != "transitivity":
                     return False, f"schedule: faithfulness step {index} is deferred"
             else:
                 return False, f"schedule: no step or deferral has index {index}"
-            if any(entry.get(key) != value for key, value in head.items()):
+            if not all(_same(entry.get(key), value) for key, value in head.items()):
                 return False, f"step {index}: not the requirement scheduled at this index"
             if verify_step is not None:
                 ok, reason = verify_step(problem, state, payload, entry, postconditions)
@@ -458,7 +463,7 @@ def _verify_transitivity_step(problem, state, payload, step, postconditions=None
     postcondition goes to ``postconditions`` for the persistence pass."""
     gamma = problem.gamma
     n, xs, ys = payload
-    if step["n"] != n:
+    if not _same(step["n"], n):
         return False, "n is not the scheduled tuple length"
     zs = [parse_word(gamma, p) for p in step["zs"]]
     if len(zs) != (n if problem.mode == "amalgam" else 0):

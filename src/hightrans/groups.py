@@ -106,32 +106,35 @@ class Element:
         return len(self.spelling())
 
     def sort_key(self):
+        """The shortlex key (length, spelling); a spelling is a word for its
+        element, so distinct elements of one group have distinct keys."""
         sp = self.spelling()
-        return (len(sp), sp, self.owner.structural(self.payload))
-
-    def __lt__(self, other):
-        if other.owner is not self.owner:
-            raise OwnerMismatch("cannot order elements of different groups")
-        return self.sort_key() < other.sort_key()
+        return (len(sp), sp)
 
     def word(self):
         """The spelling as a list of (label, exponent) syllables."""
-        out = []
-        labels = self.owner.labels
-        for rank in self.spelling():
-            lab = labels[rank >> 1]
-            exp = -1 if rank & 1 else 1
-            if out and out[-1][0] == lab and (out[-1][1] > 0) == (exp > 0):
-                out[-1] = (lab, out[-1][1] + exp)
-            else:
-                out.append((lab, exp))
-        return out
+        return syllables(self.spelling(), self.owner.labels)
 
     def __repr__(self):
         return f"<{self.owner.name}: {format_word(self.word())}>"
 
     def __str__(self):
         return format_word(self.word())
+
+
+def syllables(ranks, names):
+    """Alphabet ranks merged into (names[i], exponent) syllables, one per run
+    of equal ranks; rank 2i is generator i and rank 2i + 1 its inverse."""
+    out = []
+    last = None
+    for rank in ranks:
+        if rank == last:
+            name, exp = out[-1]
+            out[-1] = (name, exp - 1 if rank & 1 else exp + 1)
+        else:
+            out.append((names[rank >> 1], -1 if rank & 1 else 1))
+            last = rank
+    return out
 
 
 def format_word(word):
@@ -146,12 +149,13 @@ def format_word(word):
 class Group:
     """Base class for group handles.
 
-    Subclass contract: ``multiply``, ``inverse_payload``, ``spell`` and
-    ``structural`` operate on payloads and must keep results in canonical
-    normal form, and the constructor sets ``identity_payload`` once.
-    Payloads are ints or tuples of canonical parts, so ``==`` on payloads
-    is equality in the group.  Each kind states whether it is finite, once:
-    the shortlex walk asks at the end of every layer.
+    Subclass contract: on payloads, ``multiply`` and ``inverse_payload``
+    keep results in canonical normal form, and ``spell`` returns a word for
+    the element as a tuple of alphabet ranks, which fixes its shortlex key.
+    The constructor sets ``identity_payload`` once.  Payloads are ints or
+    tuples of canonical parts, so ``==`` on payloads is equality in the
+    group.  Each kind states whether it is finite, once: the shortlex walk
+    asks at the end of every layer.
     """
 
     kind = "abstract"
@@ -177,9 +181,6 @@ class Group:
         raise NotImplementedError
 
     def spell(self, p):
-        raise NotImplementedError
-
-    def structural(self, p):
         raise NotImplementedError
 
     def is_finite(self):
@@ -312,8 +313,8 @@ class FiniteGroup(Group):
             raise ValueError(f"{name}: order {n} exceeds {MAX_FINITE_ORDER}")
         if any(len(row) != n for row in table):
             raise ValueError(f"{name}: multiplication table must be square")
-        if any(not (0 <= v < n) for row in table for v in row):
-            raise ValueError(f"{name}: table entries out of range")
+        if any(type(v) is not int or not 0 <= v < n for row in table for v in row):
+            raise ValueError(f"{name}: table entries must be integers from 0 to {n - 1}")
         ident = None
         for e in range(n):
             if all(table[e][j] == j and table[j][e] == j for j in range(n)):
@@ -341,6 +342,8 @@ class FiniteGroup(Group):
         gen_idx = tuple(generator_indices)
         if len(gen_idx) != len(self.labels):
             raise ValueError(f"{name}: one index per generator label required")
+        if any(type(i) is not int or not 0 <= i < n for i in gen_idx):
+            raise ValueError(f"{name}: generator indices must be integers from 0 to {n - 1}")
         self.gen_indices = gen_idx
         self._bfs_words = None
         if len(self._words()) != n:
@@ -351,15 +354,11 @@ class FiniteGroup(Group):
         if self._bfs_words is None:
             words = {self.id_index: ()}
             frontier = [self.id_index]
-            ranked = []
-            for i, gi in enumerate(self.gen_indices):
-                ranked.append((2 * i, gi))
-                ranked.append((2 * i + 1, self.inv_table[gi]))
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for rank, g in ranked:
-                        y = self.table[x][g]
+                    for rank, g in self.letters():
+                        y = self.table[x][g.payload]
                         if y not in words:
                             words[y] = words[x] + (rank,)
                             nxt.append(y)
@@ -375,9 +374,6 @@ class FiniteGroup(Group):
 
     def spell(self, p):
         return self._words()[p]
-
-    def structural(self, p):
-        return (p,)
 
     def generator(self, label):
         i = self._index(label)
@@ -460,13 +456,17 @@ class FreeAbelianGroup(Group):
             out.extend([rank] * abs(v))
         return tuple(out)
 
-    def structural(self, p):
-        return p
-
     def generator(self, label):
         i = self._index(label)
         vec = [0] * self.rank
         vec[i] = 1
+        return Element(self, tuple(vec))
+
+    def element_from_word(self, word):
+        """The vector of each generator's exponent sum."""
+        vec = [0] * self.rank
+        for lab, exp in word:
+            vec[self._index(lab)] += exp
         return Element(self, tuple(vec))
 
 
@@ -506,12 +506,6 @@ class FreeGroup(Group):
         for gen, exp in p:
             rank = 2 * gen if exp > 0 else 2 * gen + 1
             out.extend([rank] * abs(exp))
-        return tuple(out)
-
-    def structural(self, p):
-        out = []
-        for pair in p:
-            out.extend(pair)
         return tuple(out)
 
     def generator(self, label):
@@ -612,9 +606,6 @@ class SemidirectGroup(Group):
             out.extend([rank] * abs(c))
         return tuple(out)
 
-    def structural(self, p):
-        return (p[0],) + p[1]
-
     def generator(self, label):
         nq = len(self.q_group.labels)
         i = self._index(label)
@@ -694,11 +685,6 @@ class AmalgamGroup(Group):
             else:
                 out.extend(r + off_right for r in x.spelling())
         return tuple(out)
-
-    def structural(self, p):
-        sigma, syls = p
-        return (self.edge_source.structural(sigma.payload),
-                tuple((side, self.factor(side).structural(x.payload)) for side, x in syls))
 
     def generator(self, label):
         if label in self.left.labels:
@@ -793,11 +779,6 @@ class HnnGroup(Group):
             out.append(t_rank if eps == 1 else t_rank + 1)
             out.extend(r.spelling())
         return tuple(out)
-
-    def structural(self, p):
-        head, tail = p
-        return (self.base.structural(head.payload),
-                tuple((eps, self.base.structural(r.payload)) for eps, r in tail))
 
     def generator(self, label):
         if label == self.stable_label:

@@ -43,8 +43,10 @@ class AuditBounds:
     covering_piece_max: int = 4
 
     def __post_init__(self):
-        if min(self.tuple_size_max, self.point_radius,
-               self.witness_radius, self.covering_piece_max) < 1:
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(vars(self).values()) < 1:
             raise ValueError("all audit bounds must be positive")
         if self.witness_radius < self.point_radius:
             raise ValueError("witness_radius must be >= point_radius")

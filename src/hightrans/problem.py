@@ -106,18 +106,26 @@ def problem_hash(data):
     return hashlib.sha256(canonical_text(data).encode("utf-8")).hexdigest()
 
 
+def _read_json(path):
+    """The JSON document in a file; ValueError if it is not UTF-8 JSON or nests too deeply."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 def parse_problem(path):
     """Load and validate a problem file; raises ProblemError with one
     message per schema violation."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        data = _read_json(path)
     except OSError as exc:
         raise ProblemError([f"cannot read {path}: {exc}"])
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemError([f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"])
+    except ValueError as exc:
+        raise ProblemError([f"{path}: {exc}"])
     return build_problem(data)
 
 
@@ -279,7 +287,7 @@ def _try_build_embedding(name, spec, groups):
         raise ValueError("embedding spec must be an object")
     source = _need_group(groups, spec["source"])
     target = _need_group(groups, spec["target"])
-    images = [parse_word(target, w) for w in spec["images"]]
+    images = [parse_word(target, w) for w in _labels(spec, "images")]
     return Embedding(name, source, target, images)
 
 
@@ -320,8 +328,7 @@ def emit_certificate(cert, path):
 
 
 def load_certificate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
+    cert = _read_json(path)
     if not isinstance(cert, dict):
         raise ValueError("a certificate must be a JSON object")
     return cert

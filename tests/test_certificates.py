@@ -253,6 +253,23 @@ def test_verify_rejects_an_entry_off_the_schedule(built_cursor):
             assert not ok and reason.startswith("schedule: "), (k, index, reason)
 
 
+@pytest.mark.parametrize("path, value, reason", [
+    (("steps", 1, "index"), True, "schedule: no step or deferral has index 1"),
+    (("steps", 2, "index"), 2.0, "schedule: no step or deferral has index 2"),
+    (("steps", 0, "n"), 1.0, "step 0: n is not the scheduled tuple length"),
+    (("format",), 3.0, "unsupported certificate format 3.0"),
+], ids=["index-true", "index-float", "n-float", "format-float"])
+def test_verify_compares_the_head_by_type(built_cursor, path, value, reason):
+    """JSON ``true`` and ``1.0`` equal ``1`` under ``==``; in a recorded
+    index, tuple length or format they are not the scheduled value."""
+    cert = load_certificate(built_cursor["z-star-z"])
+    gamma = parse_problem(problem_path("z-star-z.json")).build_group()[0]
+    *parent, key = path
+    assert _get(cert, path) == value
+    _get(cert, parent)[key] = value
+    assert verify_certificate_report(gamma, cert) == (False, reason)
+
+
 # ---------------------------------------------------------------------------
 # a total verifier: mutated real certificates give OK or FAIL, never raise
 

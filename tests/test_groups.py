@@ -184,7 +184,9 @@ def _zoo_groups(name):
 def test_element_from_word_matches_the_letter_product(name):
     """Zero exponents, cancelling powers and random words give the normal
     form of the product taken one letter at a time, in every group of the
-    zoo; an unknown label raises whatever its exponent."""
+    zoo; an unknown label raises whatever its exponent.  Every element of
+    the ball of radius 3 is the element of its word, so distinct elements
+    have distinct spellings and distinct shortlex keys."""
     rng = random.Random(name)
     for group in _zoo_groups(name):
         words = [[(rng.choice(group.labels), rng.randint(-3, 3))
@@ -198,3 +200,7 @@ def test_element_from_word_matches_the_letter_product(name):
                     + [("nope", -2)]):
             with pytest.raises(ValueError, match="unknown generator"):
                 group.element_from_word(bad)
+        ball = group.ball(3)
+        for g in ball:
+            assert group.element_from_word(g.word()) == g, (group.name, g.word())
+        assert len({g.sort_key() for g in ball}) == len(ball), group.name

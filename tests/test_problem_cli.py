@@ -115,19 +115,56 @@ def _node(obj, path):
     ("bs12.json", ("budget", "steps"), "x", "steps must be a non-negative integer"),
     ("bs12.json", ("budget", "steps"), True, "steps must be a non-negative integer"),
     ("bs12.json", ("budget",), [["steps", 5]], "budget must be an object"),
+    ("bs12.json", ("bounds", "point_radius"), 2.5, "point_radius must be an integer, got 2.5"),
+    ("bs12.json", ("bounds", "point_radius"), True, "point_radius must be an integer, got True"),
+    ("bs12.json", ("embeddings", "s", "images"), "a", "images must be a list of strings"),
+    ("bs12.json", ("embeddings", "s", "images"), {"a": 1}, "images must be a list of strings"),
+    ("z2-z3.json", ("groups", "Z2"),
+     {"kind": "finite", "table": [[0, 1], [1, 0]], "generators": {"x": True}},
+     "generator indices must be integers from 0 to 1"),
+    ("z2-z3.json", ("groups", "Z2"),
+     {"kind": "finite", "table": [[0, 1], [1, 0]], "generators": {"x": -1}},
+     "generator indices must be integers from 0 to 1"),
+    ("z2-z3.json", ("groups", "Z2"),
+     {"kind": "finite", "table": [[0, 1], [1, 0]], "generators": {"x": 2}},
+     "generator indices must be integers from 0 to 1"),
+    ("z2-z3.json", ("groups", "Z2"),
+     {"kind": "finite", "table": [[0, True], [True, 0]], "generators": {"x": 1}},
+     "table entries must be integers from 0 to 1"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
         "translations-string", "generators-string", "generators-object",
         "free-abelian-generators-string", "edge-string", "graph-name-number",
         "edge-id-number", "edge-source-number", "edge-range-list",
         "witness-radius-negative", "witness-radius-list", "witness-radius-0",
-        "steps-string", "steps-bool", "budget-pairs"])
+        "steps-string", "steps-bool", "budget-pairs", "bounds-float", "bounds-bool",
+        "images-string", "images-object", "finite-index-bool", "finite-index-negative",
+        "finite-index-too-large", "finite-table-bool"])
 def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
     doc = _document(name)
     *parent, key = path
     _node(doc, parent)[key] = value
     with pytest.raises(ProblemError, match=reason):
         build_problem(doc)
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+], ids=["nested", "not-utf-8"])
+def test_unreadable_problem_json_is_a_usage_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    assert cli.main(["audit", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and reason in captured.err
+
+
+def test_deeply_nested_certificate_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["verify", problem_path("theta.json"), str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: cannot load certificate: JSON nested too deeply\n"
 
 
 def test_cli_build_negative_budget_is_a_usage_error(tmp_path, capsys):
