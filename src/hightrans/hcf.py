@@ -21,6 +21,7 @@ replay it, and no command does.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -371,43 +372,54 @@ def certify_structural(emb, bounds=None):
                 "status": PASS if growing else UNDECIDED,
                 "transversal_counts": counts}
 
-        ball_small = tgt.ball(bounds.point_radius)
-        sigma_members = [g for g in ball_small if not g.is_identity and emb.contains(g)]
-        # one conjugacy ball per element, shared by both premises; shortlex
-        # balls nest, so the conjugates over the radius r-1 ball are a
-        # prefix of those over the radius r ball
+        ball_small = [g for g in tgt.ball(bounds.point_radius) if not g.is_identity]
+        member = {g: emb.contains(g) for g in ball_small}
+        # one conjugacy ball per pair {g, g^-1}, shared by both premises:
+        # h g^-1 h^-1 = (h g h^-1)^-1 and Sigma holds c exactly when it holds
+        # c^-1, so g^-1 has every count and flag of g.  Shortlex balls nest,
+        # so the conjugates over the radius r-1 ball are a prefix of those
+        # over the radius r ball
         conjugators = [(h, h.inverse()) for h in tgt.ball(bounds.witness_radius)]
         n_prev = len(tgt.ball(bounds.witness_radius - 1))
-        conjugates = {g: [h * g * hinv for h, hinv in conjugators]
-                      for g in ball_small if not g.is_identity}
-        icc = {"status": PASS, "per_element": []}
-        for s in sigma_members:
-            conj = conjugates[s]
+        facts = {}
+        for g in ball_small:
+            twin = facts.get(g.inverse())
+            if twin is not None:
+                facts[g] = twin
+                continue
+            conj = [h * g * hinv for h, hinv in conjugators]
             # an ordered set: the early exit below must not follow set order,
             # which id()-based hashes make differ between processes
             cur = dict.fromkeys(conj)
-            closed = all((letter * c * letter.inverse()) in cur
-                         for c in cur for _, letter in tgt.letters())
+            closed = member[g] and all((letter * c * letter.inverse()) in cur
+                                       for c in cur for _, letter in tgt.letters())
+            inside = {c: emb.contains(c) for c in cur}
+            prev_in = {c for c in conj[:n_prev] if inside[c]}
+            cur_in = {c for c, m in inside.items() if m}
+            facts[g] = (len(cur), len(set(conj[:n_prev])), closed,
+                        len(cur_in), prev_in == cur_in)
+
+        icc = {"status": PASS, "per_element": []}
+        for s in (g for g in ball_small if member[g]):
+            n_cur, n_before, closed, _, _ = facts[s]
             if closed:
                 status = FAIL
-            elif len(cur) > len(set(conj[:n_prev])):
+            elif n_cur > n_before:
                 status = PASS
             else:
                 status = UNDECIDED
-            icc["per_element"].append({"element": str(s), "conjugates": len(cur),
+            icc["per_element"].append({"element": str(s), "conjugates": n_cur,
                                        "status": status})
             if status == FAIL or (status == UNDECIDED and icc["status"] == PASS):
                 icc["status"] = status
         premises["relative_icc"] = icc
 
         stab = {"status": PASS, "per_element": []}
-        for h, conj in conjugates.items():
-            inside = {c: emb.contains(c) for c in dict.fromkeys(conj)}
-            prev_in = {c for c in conj[:n_prev] if inside[c]}
-            cur_in = {c for c, member in inside.items() if member}
-            status = PASS if prev_in == cur_in else UNDECIDED
+        for h in ball_small:
+            _, _, _, n_in, stable = facts[h]
+            status = PASS if stable else UNDECIDED
             stab["per_element"].append({"element": str(h),
-                                        "intersection": len(cur_in),
+                                        "intersection": n_in,
                                         "status": status})
             if status == UNDECIDED and stab["status"] == PASS:
                 stab["status"] = status
@@ -497,13 +509,24 @@ class CosetDomain:
     provable the space is finite and cofinite fixers are exact; otherwise
     they are only boundedly refutable, so the audit can pass or stay
     undecided but not fail.
+
+    The audit asks for a cofinite fixer of many pieces over one sample
+    zone, so each nontrivial h of the witness ball is filed once, under
+    the last zone coset it moves (found by scanning the zone from its
+    longest representatives), or under None when it fixes the whole zone.
+    h fixes every sample coset outside a piece P only if its filed coset
+    is None or lies in P: the filed coset is moved, and every later one is
+    fixed.  So a query reads only the h filed under None and under P's
+    cosets, and confirms each of the latter with the full check.  The
+    first h to pass, in shortlex order, is the first a walk over the whole
+    ball would find, so the answer does not change.
     """
 
     def __init__(self, emb):
         self.emb = emb
         self.group = emb.target
         self._zones = {}
-        self._fixed = {}
+        self._movers = {}
         try:
             self.transversal = prove_finite_index(emb, COSET_PROBE_RADIUS)
         except UndecidedError:
@@ -535,22 +558,28 @@ class CosetDomain:
                 return h
         return None
 
+    def _mover_index(self, zone_radius, radius):
+        """The nontrivial h of the ball of ``radius`` as (shortlex position,
+        h, last) triples, listed under ``last``: the last coset of the zone
+        that h moves, or None."""
+        index = self._movers.get((zone_radius, radius))
+        if index is None:
+            index = self._movers[zone_radius, radius] = {}
+            backwards = self.zone(zone_radius)[::-1]
+            for pos, h in enumerate(self.group.iter_shortlex(radius)):
+                if not h.is_identity:
+                    last = next((r for r in backwards if not self.fixes(h, r)), None)
+                    index.setdefault(last, []).append((pos, h, last))
+        return index
+
     def cofinite_fixer(self, excluded, bounds):
         exact = self.transversal is not None
+        zone_radius = bounds.point_radius + 2
+        index = self._mover_index(zone_radius, bounds.witness_radius)
         excluded = set(excluded)
-        sample = [r for r in self.zone(bounds.point_radius + 2) if r not in excluded]
-        # the audit asks about many pieces over one zone, so each (h, coset)
-        # answer is kept for the life of the domain
-        fixed = self._fixed
-        for h in self.group.iter_shortlex(bounds.witness_radius):
-            if h.is_identity:
-                continue
-            for r in sample:
-                fixes = fixed.get((h, r))
-                if fixes is None:
-                    fixes = fixed[h, r] = self.fixes(h, r)
-                if not fixes:
-                    break
-            else:
+        candidates = heapq.merge(*(index.get(r, ()) for r in (None, *excluded)))
+        for _, h, last in candidates:
+            if last is None or all(self.fixes(h, r) for r in self.zone(zone_radius)
+                                   if r not in excluded):
                 return h, exact
         return None, exact

@@ -133,6 +133,7 @@ def build_problem(data):
     errors = []
     if not isinstance(data, dict):
         raise ProblemError(["problem document must be a JSON object"])
+    errors += [f"unknown top-level key {key!r}" for key in sorted(set(data) - _PROBLEM_KEYS)]
     group_specs = data.get("groups")
     if not isinstance(group_specs, dict) or not group_specs:
         raise ProblemError(["missing groups"])
@@ -214,6 +215,31 @@ class _NotReady(Exception):
     pass
 
 
+# the keys each part of a problem file may carry: exactly those the loader reads
+_PROBLEM_KEYS = {"groups", "embeddings", "graph", "target", "bounds", "budget"}
+_GROUP_KEYS = {
+    "free": {"generators"},
+    "free_abelian": {"generators"},
+    "trivial": set(),
+    "cyclic": {"order", "generator"},
+    "symmetric": {"degree"},
+    "finite": {"generators", "table"},
+    "semidirect": {"acting", "matrices", "translations"},
+    "amalgam": {"edge", "left", "right"},
+    "hnn": {"edge", "base", "stable"},
+}
+_EMBEDDING_KEYS = {"source", "target", "images"}
+_GRAPH_KEYS = {"name", "vertices", "edges", "base"}
+_EDGE_KEYS = {"id", "source", "range", "group", "source_map", "range_map"}
+
+
+def _known_keys(spec, allowed, where=""):
+    """ValueError naming the first key of ``spec`` outside ``allowed``."""
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ValueError(f"{where}unknown key {unknown[0]!r}")
+
+
 def _need_group(groups, name):
     if name not in groups:
         raise _NotReady
@@ -224,6 +250,9 @@ def _try_build_group(name, spec, groups, embeddings):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec needs a kind")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    _known_keys(spec, {"kind"} | _GROUP_KEYS[kind])
     if kind == "free":
         return FreeGroup(name, _labels(spec, "generators"))
     if kind == "free_abelian":
@@ -265,7 +294,6 @@ def _try_build_group(name, spec, groups, embeddings):
         base = _need_group(groups, spec["base"])
         return HnnGroup(name, base, embeddings[e_r], embeddings[e_s],
                         stable_label=spec.get("stable", "t"))
-    raise ValueError(f"unknown group kind {kind!r}")
 
 
 def _labels(spec, key):
@@ -285,6 +313,7 @@ def _integer(spec, key):
 def _try_build_embedding(name, spec, groups):
     if not isinstance(spec, dict):
         raise ValueError("embedding spec must be an object")
+    _known_keys(spec, _EMBEDDING_KEYS)
     source = _need_group(groups, spec["source"])
     target = _need_group(groups, spec["target"])
     images = [parse_word(target, w) for w in _labels(spec, "images")]
@@ -295,9 +324,13 @@ def _build_graph(spec, groups, embeddings):
     if not isinstance(spec, dict) or not isinstance(spec.get("vertices"), dict) \
             or not isinstance(spec.get("edges"), list):
         raise ValueError("a graph is an object with a vertices object and an edges list")
+    _known_keys(spec, _GRAPH_KEYS)
     vertices = {vid: groups[gname] for vid, gname in spec["vertices"].items()}
     edges = []
-    for e in spec["edges"]:
+    for i, e in enumerate(spec["edges"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"edges[{i}] must be an object")
+        _known_keys(e, _EDGE_KEYS, f"edges[{i}]: ")
         edges.append(GraphEdge(
             id=_string(e, "id"),
             source=_string(e, "source"),

@@ -99,6 +99,27 @@ def test_coset_fixers_match_decomposing_fixers_on_every_piece(problem, name):
             slow.nontrivial_fixer_of(piece, bounds.witness_radius)
 
 
+def test_coset_action_audit_asks_each_h_about_few_cosets(monkeypatch):
+    # the mover index asks about each nontrivial h until it finds the last
+    # zone coset h moves; scanning from the longest representatives finds
+    # it at once here, and no piece's query needs a confirming check
+    calls = []
+    fixes = hcf.CosetDomain.fixes
+
+    def counted(self, h, rep):
+        calls.append(h)
+        return fixes(self, h, rep)
+
+    monkeypatch.setattr(hcf.CosetDomain, "fixes", counted)
+    parsed = zoo("theta")
+    bounds = parsed.bounds
+    for name, emb in sorted(parsed.embeddings.items()):
+        calls.clear()
+        hcf.audit_highly_faithful(hcf.CosetDomain(emb), bounds)
+        nontrivial = len(emb.target.ball(bounds.witness_radius)) - 1
+        assert len(calls) <= 2 * nontrivial, name
+
+
 def test_infinite_index_examples():
     assert fixtures.commutator_subgroup_embedding().infinite_index()
     assert fixtures.primitive_cyclic_embedding().infinite_index()
@@ -178,3 +199,20 @@ def test_structural_certificate_matches_two_balls_on_random_embeddings(emb, rho,
     bounds = hcf.AuditBounds(1, rho, rho + extra)
     _same_verdict(hcf.certify_structural(emb, bounds),
                   oracles.certify_structural_two_balls(emb, bounds))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(embeddings, st.integers(1, 2), st.integers(0, 1), st.data())
+def test_cofinite_fixer_matches_decomposing_fixers_on_any_excluded_set(emb, rho, extra, data):
+    # any subset of the sample zone and its complement, not only the
+    # audit's pieces: so the last coset an h moves often lies inside the
+    # excluded set, where the mover index must confirm h by the full check
+    bounds = hcf.AuditBounds(1, rho, rho + extra)
+    fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
+    zone = fast.zone(rho + 2)
+    mask = data.draw(st.lists(st.booleans(), min_size=len(zone), max_size=len(zone)))
+    kept = data.draw(st.sets(st.sampled_from(zone), max_size=2))
+    for excluded in ([r for r, out in zip(zone, mask) if out],
+                     [r for r, out in zip(zone, mask) if not out],
+                     [r for r in zone if r not in kept]):
+        assert fast.cofinite_fixer(excluded, bounds) == slow.cofinite_fixer(excluded, bounds)

@@ -131,6 +131,11 @@ def _node(obj, path):
     ("z2-z3.json", ("groups", "Z2"),
      {"kind": "finite", "table": [[0, True], [True, 0]], "generators": {"x": 1}},
      "table entries must be integers from 0 to 1"),
+    ("theta.json", ("note",), "anything", "unknown top-level key 'note'"),
+    ("theta.json", ("groups", "T1", "junk"), 1, "groups.T1: unknown key 'junk'"),
+    ("theta.json", ("embeddings", "e1s", "junk"), 1, "embeddings.e1s: unknown key 'junk'"),
+    ("theta.json", ("graph", "junk"), 1, "graph: unknown key 'junk'"),
+    ("theta.json", ("graph", "edges", 0, "junk"), 1, r"graph: edges\[0\]: unknown key 'junk'"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
         "translations-string", "generators-string", "generators-object",
@@ -139,7 +144,8 @@ def _node(obj, path):
         "witness-radius-negative", "witness-radius-list", "witness-radius-0",
         "steps-string", "steps-bool", "budget-pairs", "bounds-float", "bounds-bool",
         "images-string", "images-object", "finite-index-bool", "finite-index-negative",
-        "finite-index-too-large", "finite-table-bool"])
+        "finite-index-too-large", "finite-table-bool", "unknown-top-level-key",
+        "unknown-group-key", "unknown-embedding-key", "unknown-graph-key", "unknown-edge-key"])
 def test_hostile_problem_field_is_a_problem_error(name, path, value, reason):
     doc = _document(name)
     *parent, key = path
