@@ -31,23 +31,38 @@ def orbit_map(embedding):
     x = e(sigma) rep and rep the canonical representative of the orbit
     (image subgroup) . x, where e is the embedding.
 
-    For an amalgam's own edge subgroup Sigma the coordinates are read off
-    the normal form: a payload (sigma, syls) carries its Sigma part in
-    front and its leading syllable is already a canonical coset
-    representative, so (sigma, syls) = e(sigma) (1, syls).  Any other
-    embedding splits the point by ``Embedding.decompose``.
+    For the edge subgroup Sigma of an amalgam or HNN group the coordinates
+    are read off the normal form.  An amalgam payload (sigma, syls) carries
+    its Sigma part in front and its leading syllable is already a canonical
+    coset representative, so (sigma, syls) = e(sigma) (1, syls).  Sigma
+    moves only the head of an HNN payload (head, tail), and the least mate
+    keeps the tail, so with head = edge(s) r in the base,
+    (head, tail) = e(s) (r, tail).  Any other embedding splits the point by
+    ``Embedding.decompose``.
     """
     gamma = embedding.target
-    if gamma.kind != "amalgam" or embedding is not gamma.sigma_embedding():
-        return embedding.decompose
-    one = gamma.identity_payload[0]
+    if gamma.kind == "amalgam" and embedding is gamma.sigma_embedding():
+        one = gamma.identity_payload[0]
 
-    def split(x):
-        sigma, syls = x.payload
-        if sigma.is_identity:
-            return sigma, x
-        return sigma, Element(gamma, (one, syls))
-    return split
+        def split(x):
+            sigma, syls = x.payload
+            if sigma.is_identity:
+                return sigma, x
+            return sigma, Element(gamma, (one, syls))
+        return split
+    if gamma.kind == "hnn":
+        for eps in (1, -1):
+            if embedding is gamma.sigma_embedding(eps):
+                decompose = gamma.sigma_edge(eps).decompose
+
+                def split(x):
+                    head, tail = x.payload
+                    s, r = decompose(head)
+                    if s.is_identity:
+                        return s, x
+                    return s, Element(gamma, (r, tail))
+                return split
+    return embedding.decompose
 
 
 def orbit_rep_map(embedding):

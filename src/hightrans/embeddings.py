@@ -22,6 +22,8 @@ are stable across a whole run.
 
 from __future__ import annotations
 
+import math
+
 from . import groups
 from .groups import Element, UndecidedError
 
@@ -436,6 +438,15 @@ class Embedding:
         if isinstance(s, LatticeStrategy):
             return len(s.basis) < tgt.rank
         return False
+
+    def finite_index(self):
+        """The index of the image when the membership strategy knows it
+        exactly, else None: a full-rank lattice has index the product of
+        its pivots (the determinant of its echelon basis)."""
+        s = self.strategy
+        if isinstance(s, LatticeStrategy) and len(s.basis) == self.target.rank:
+            return math.prod(col[row] for row, col in zip(s.pivot_rows, s.basis))
+        return None
 
     # -- construction-time sanity -------------------------------------------
 

@@ -155,7 +155,10 @@ def _pin_mover(state, mover, xs, ys):
 def _cursor(state, action):
     """The run's search cursor for one LevelAction.  It lives on the state,
     not on the action, because one EngineProblem can serve several runs."""
-    return state.cursors.setdefault(action, SearchCursor())
+    cursor = state.cursors.get(action)
+    if cursor is None:
+        cursor = state.cursors[action] = SearchCursor()
+    return cursor
 
 
 def _discharge(problem, state, xs, ys, witnesses, zs):
@@ -400,13 +403,21 @@ def verify_certificate_report(gamma, cert):
     anything is replayed, and the replay takes the points from the
     scheduled payload.  Only the choices are parsed; a claimed mover or
     image must be the canonical text of the value the replay computes,
-    which is exact because normal forms are unique."""
+    which is exact because normal forms are unique.  Each object holds
+    only the keys the builder writes, and group and mode are the acting
+    group's."""
     if not _same(cert.get("format"), CERTIFICATE_FORMAT):
         return False, f"unsupported certificate format {cert.get('format')!r}"
+    unknown = _unknown_key(cert, _CERTIFICATE_KEYS)
+    if unknown is not None:
+        return False, f"unknown top-level key {unknown!r}"
     budget, steps, deferred = cert.get("budget"), cert.get("steps"), cert.get("deferred")
     total = budget.get("steps") if isinstance(budget, dict) else None
     if type(total) is not int or total < 0:
         return False, f"budget.steps must be a non-negative integer, got {total!r}"
+    unknown = _unknown_key(budget, _BUDGET_KEYS)
+    if unknown is not None:
+        return False, f"budget: unknown key {unknown!r}"
     if not isinstance(steps, list) or not isinstance(deferred, list):
         return False, "steps and deferred must be lists"
     if len(steps) + len(deferred) != total:
@@ -416,6 +427,9 @@ def verify_certificate_report(gamma, cert):
         problem = EngineProblem(gamma)
     except ValueError as exc:
         return False, str(exc)
+    for key, value in (("group", gamma.name), ("mode", problem.mode)):
+        if not _same(cert.get(key), value):
+            return False, f"{key} is {cert.get(key)!r}, not {value!r}"
     state = problem.new_state()
     # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
     # taken from the replay and re-evaluated in the final state
@@ -439,6 +453,9 @@ def verify_certificate_report(gamma, cert):
                 return False, f"schedule: no step or deferral has index {index}"
             if not all(_same(entry.get(key), value) for key, value in head.items()):
                 return False, f"step {index}: not the requirement scheduled at this index"
+            unknown = _unknown_key(entry, _ENTRY_KEYS[head["kind"], verify_step is None])
+            if unknown is not None:
+                return False, f"step {index}: unknown key {unknown!r}"
             if verify_step is not None:
                 ok, reason = verify_step(problem, state, payload, entry, postconditions)
                 if not ok:
@@ -450,6 +467,23 @@ def verify_certificate_report(gamma, cert):
     except (UndecidedError, ValueError, KeyError, TypeError) as exc:
         return False, f"replay error: {exc}"
     return True, "ok"
+
+
+# the keys run_schedule writes, and the verifier reads: of a certificate
+# (``source`` is the CLI's), its budget, and a step or deferral of each kind
+_CERTIFICATE_KEYS = {"format", "problem", "group", "mode", "budget", "steps", "deferred",
+                     "source"}
+_BUDGET_KEYS = {"steps", "witness_radius"}
+_ENTRY_KEYS = {
+    ("transitivity", False): {"index", "kind", "xs", "ys", "n", "witnesses", "zs", "mover"},
+    ("transitivity", True): {"index", "kind", "xs", "ys", "diagnostic"},
+    ("faithfulness", False): {"index", "kind", "element", "witness", "image"},
+}
+
+
+def _unknown_key(obj, allowed):
+    """The first key of the object that is not allowed, or None."""
+    return next((key for key in obj if key not in allowed), None)
 
 
 # the factor each recorded witness is parsed in, per mode
@@ -468,6 +502,9 @@ def _verify_transitivity_step(problem, state, payload, step, postconditions=None
     zs = [parse_word(gamma, p) for p in step["zs"]]
     if len(zs) != (n if problem.mode == "amalgam" else 0):
         return False, "an amalgam step needs one fresh class per entry, an HNN step none"
+    unknown = _unknown_key(step["witnesses"], dict(_WITNESS_FACTORS[problem.mode]))
+    if unknown is not None:
+        return False, f"witnesses: unknown key {unknown!r}"
     witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
     batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)

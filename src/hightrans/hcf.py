@@ -109,12 +109,19 @@ def search_H_set(emb, xs, F, radius, memo=None):
 
 class SearchCursor:
     """Where a run's next witness search over one group starts: a
-    (layer, index) position in the group's cached shortlex layers."""
+    (layer, index) position in the group's cached shortlex layers; and
+    ``blocked``, the pairs (h, x) whose orbit of h x a search found in the
+    protected container.
 
-    __slots__ = ("position",)
+    A cursor serves one protected container, which may only grow, so a
+    pair once blocked stays blocked and later searches fail it without
+    acting."""
+
+    __slots__ = ("position", "blocked")
 
     def __init__(self):
         self.position = (0, 0)
+        self.blocked = set()
 
 
 def search_E_set(action, xs, F, radius, protected=(), cursor=None):
@@ -137,14 +144,18 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
     candidate fails, a later one in its coset is skipped untested, and each
     element of the ball is either tested itself or covered by a tested,
     failed element of its coset.  Coset keys are computed only after the
-    first failure.
+    first failure, and once every coset of a finite-index edge has failed
+    the walk stops.  A candidate fails at its first point that fails, and
+    without acting when the cursor has a pair (h, x) of it blocked.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
     f_reps = {action.orbit_rep(f) for f in F}
     start = (0, 0) if cursor is None else cursor.position
+    blocked = set() if cursor is None else cursor.blocked
     walk = action.group.walk_shortlex
     coset_rep = action.edge.rep
+    index = action.edge.finite_index()
     failed = set()
     for d, i, h in itertools.chain(walk(start, max_radius=radius),
                                    walk(stop=start, max_radius=radius)):
@@ -152,13 +163,23 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
             key = coset_rep(h)
             if key in failed:
                 continue
-        reps = [action.orbit_rep(action.act(h, x)) for x in xs]
-        if any(r in f_reps or r in protected for r in reps) or len(set(reps)) != len(reps):
-            failed.add(key if failed else coset_rep(h))
-            continue
-        if cursor is not None:
-            cursor.position = (d, i + 1)
-        return h
+        if all((h, x) not in blocked for x in xs):
+            reps = set()
+            for x in xs:
+                r = action.orbit_rep(action.act(h, x))
+                if r in protected:
+                    blocked.add((h, x))
+                    break
+                if r in f_reps or r in reps:
+                    break
+                reps.add(r)
+            else:
+                if cursor is not None:
+                    cursor.position = (d, i + 1)
+                return h
+        failed.add(key if failed else coset_rep(h))
+        if len(failed) == index:
+            return None
     return None
 
 

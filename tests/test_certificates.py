@@ -270,6 +270,32 @@ def test_verify_compares_the_head_by_type(built_cursor, path, value, reason):
     assert verify_certificate_report(gamma, cert) == (False, reason)
 
 
+@pytest.mark.parametrize("name, path, key, value, reason", [
+    ("theta", (), "note", "anything", "unknown top-level key 'note'"),
+    ("theta", ("budget",), "junk", 1, "budget: unknown key 'junk'"),
+    ("theta", ("steps", 2), "junk", [1, 2], "step 2: unknown key 'junk'"),
+    ("theta", ("steps", 3), "junk", [1, 2], "step 3: unknown key 'junk'"),
+    ("theta", ("steps", 2, "witnesses"), "g1", "1", "step 2: witnesses: unknown key 'g1'"),
+    ("bs12", ("deferred", 0), "junk", None, "step 0: unknown key 'junk'"),
+    ("theta", ("steps", 4), "", 0, "step 4: unknown key ''"),
+    ("theta", (), "group", "G", "group is 'G', not 'hnn[theta:e1]'"),
+    ("theta", (), "mode", "amalgam", "mode is 'amalgam', not 'hnn'"),
+], ids=["top-level", "budget", "transitivity", "faithfulness", "witnesses", "deferral",
+        "empty-key", "group", "mode"])
+def test_verify_rejects_a_key_it_does_not_read(built_cursor, tmp_path, capsys,
+                                               name, path, key, value, reason):
+    """Two files that differ in a key the verifier ignores would verify
+    as one certificate; so every key is one it reads, and group and mode
+    must be the problem's."""
+    cert = load_certificate(built_cursor[name])
+    _get(cert, path)[key] = value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", problem_path(f"{name}.json"), str(tampered)]) == cli.EXIT_FAIL
+    assert capsys.readouterr().out == f"verify: FAIL ({reason})\n"
+
+
 # ---------------------------------------------------------------------------
 # a total verifier: mutated real certificates give OK or FAIL, never raise
 

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans import graphs
-from hightrans.action import IntertwinerState
+from hightrans.action import IntertwinerState, orbit_map
 from hightrans.embeddings import CyclicFreeStrategy, Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.groups import AmalgamGroup, FreeAbelianGroup, FreeGroup, cyclic_group
 from hightrans.normal_forms import _raw_tokens, reduce_amalgam_tokens, reduce_hnn_tokens
 
 import oracles
-from conftest import zoo
+from conftest import PROBLEMS, zoo
 
 
 # ---------------------------------------------------------------------------
@@ -178,3 +178,24 @@ def test_verify_does_not_conjugate_by_the_stable_letter(monkeypatch):
     transitivity = sum(step["kind"] == "transitivity" for step in cert["steps"])
     assert calls == {"twist": 0, "check_equivariance": transitivity}
     assert transitivity == 75
+
+
+# ---------------------------------------------------------------------------
+# HNN orbit coordinates from the normal form
+
+
+HNN_PROBLEMS = sorted(p.stem for p in PROBLEMS.glob("*.json")
+                      if _problem_group(p.stem).kind == "hnn")
+
+
+@pytest.mark.parametrize("name", HNN_PROBLEMS)
+@pytest.mark.parametrize("eps", [1, -1])
+def test_hnn_orbit_coordinates_match_the_decomposition(name, eps):
+    """Splitting the head of (head, tail) in the base gives the
+    coordinates that ``Embedding.decompose`` finds in the whole group."""
+    gamma = _problem_group(name)
+    sigma = gamma.sigma_embedding(eps)
+    split = orbit_map(sigma)
+    assert split != sigma.decompose
+    for x in gamma.ball(4):
+        assert split(x) == sigma.decompose(x)

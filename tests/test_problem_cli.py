@@ -401,6 +401,16 @@ def test_cli_build_verify_cycle(tmp_path, capsys):
     assert rc == 0 and "OK" in out
 
 
+@pytest.mark.parametrize("name", ["z-star-z", "bs12"])
+def test_cli_seedless_build_with_deferrals_is_byte_identical(name, capsys):
+    """Exhausted searches lean on the cursor's memo of protected pairs;
+    a second run on fresh handles writes the same bytes."""
+    rc = cli.main(["build", problem_path(f"{name}.json"), "--budget", "200", "--seedless"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_UNDECIDED
+    assert "determinism: double run byte-identical" in out
+
+
 def test_cli_build_verbose_logs_steps_and_keeps_certificate_bytes(tmp_path, capsys):
     """``build -v`` logs each step to standard error; the certificate is
     byte-identical to a quiet build's."""
