@@ -8,8 +8,9 @@ Run:  python3 demos/03_build_surface_action.py
 import json
 from pathlib import Path
 
-from hightrans import EngineProblem, evaluate_pi, parse_problem, parse_word
-from hightrans.engine import Budget, run_schedule, transitivity_batch, verify_certificate_report
+from hightrans import EngineProblem, parse_problem, parse_word
+from hightrans.engine import (Budget, faithfulness_step, run_schedule, transitivity_step,
+                              verify_certificate_report)
 
 SURFACE = Path(__file__).resolve().parent.parent / "problems" / "pi1-sigma2.json"
 
@@ -33,8 +34,8 @@ example = faith[0]
 print("\na faithfulness witness, on the same set as the transitivity tuples:")
 print(f"  element {example['element']} moves {example['witness']} to {example['image']}")
 
-# the certificate records choices only: replaying them derives every batch,
-# every pin and the final state
+# the certificate records choices only: the builder's own step functions,
+# fed those choices, derive every batch, every pin and the final state
 problem = EngineProblem(parse_problem(SURFACE).build_group()[0])
 gamma, state = problem.gamma, problem.new_state()
 for step in cert["steps"]:
@@ -42,13 +43,10 @@ for step in cert["steps"]:
         xs, ys, zs = ([parse_word(gamma, w) for w in step[key]] for key in ("xs", "ys", "zs"))
         witnesses = {key: parse_word(gamma.right if key == "h" else gamma.left, word)
                      for key, word in step["witnesses"].items()}
-        batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
-        state.commit_batch(batch)
-        for x in xs:
-            evaluate_pi(state, mover, x, commit=True)
+        transitivity_step(problem, state, xs, ys, witnesses, zs)
     else:
-        evaluate_pi(state, parse_word(gamma, step["element"]),
-                    parse_word(gamma, step["witness"]), commit=True)
+        faithfulness_step(state, parse_word(gamma, step["element"]),
+                          parse_word(gamma, step["witness"]))
 print(f"\nreplayed final state: {len(state.anchors)} committed orbits")
 
 ok, reason = verify_certificate_report(parse_problem(SURFACE).build_group()[0], cert)

@@ -60,8 +60,6 @@ from .engine import (
     EngineProblem,
     ensure_faithful,
     extend_transitivity,
-    extend_transitivity_amalgam,
-    extend_transitivity_hnn,
     run_schedule,
     verify_certificate_report,
 )

@@ -26,13 +26,16 @@ States only ever extend.  Postcondition replays pin every default orbit
 they touch, so once a requirement is discharged it holds in all later
 states.  A certificate records only the choices of each step: the
 witnesses and fresh classes of a transitivity step, the witness point of a
-faithfulness step, and the mover or image that the step claims.  The
-verifier re-derives the schedule, every batch, every pin and the final
-state from them without re-running any search.
+faithfulness step, and the mover or image that the step claims.  One step
+function per kind applies the choices to the state, and one function per
+kind writes the entry.  The builder searches for the choices and calls
+both; the verifier parses the recorded choices, calls the same two and
+compares the rebuilt certificate with the recorded one as canonical text.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 
@@ -47,7 +50,8 @@ logger = logging.getLogger(__name__)
 
 
 class EngineError(RuntimeError):
-    """An internal engine invariant failed; indicates a bug, not an input."""
+    """A step's choices do not discharge it, or another engine invariant
+    failed: a bug in the builder, a FAIL in the verifier."""
 
 
 class DeferredRequirement(Exception):
@@ -107,23 +111,14 @@ class EngineProblem:
         return IntertwinerState(self.gamma, *self._sigmas)
 
 
-def _check_tuples(xs, ys):
-    if len(xs) != len(ys):
-        raise ValueError("transitivity tuples must have the same length")
-    if not xs:
-        raise ValueError("transitivity tuples must be non-empty")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError("tuple entries must be pairwise distinct")
-
-
 def transitivity_batch(problem, state, xs, ys, witnesses, zs):
     """The swap batch and the mover of one transitivity step; pure.
 
     Amalgam mode, witnesses g1, g2 in the left factor and h in the right
     one, fresh classes zs: the four-way swap of g1 xs, zs, g2^-1 ys and
     h zs, mover g2 h g1.  HNN mode, witnesses g, h in the base: the
-    two-way swap of h xs with g^-1 ys, mover g t h.  The builder and the
-    verifier both take the batch and the mover from here.
+    two-way swap of h xs with g^-1 ys, mover g t h.  ``transitivity_step``
+    takes the batch and the mover from here.
     """
     gamma = problem.gamma
     if problem.mode == "amalgam":
@@ -141,15 +136,50 @@ def transitivity_batch(problem, state, xs, ys, witnesses, zs):
     return batch, gamma.include(g) * gamma.stable() * gamma.include(h)
 
 
-def _pin_mover(state, mover, xs, ys):
-    """Evaluate the mover on xs, pinning every default orbit it touches;
-    returns the pinned pairs and the first entry not carried to its
-    target (None when every entry is)."""
-    auto = []
+def transitivity_step(problem, state, xs, ys, witnesses, zs):
+    """Apply the choices of one transitivity step: commit the swap batch of
+    its witnesses and fresh classes, then evaluate the mover on xs, pinning
+    every default orbit it touches.  Returns the mover and every anchor
+    pair the step committed; EngineError when the choices do not carry xs
+    to ys.  The builder and the verifier both apply a step through here."""
+    if len(zs) != (len(xs) if problem.mode == "amalgam" else 0):
+        raise EngineError("an amalgam step needs one fresh class per entry, an HNN step none")
+    batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
+    try:
+        state.commit_batch(batch)
+    except StateError as exc:
+        raise EngineError(f"batch rejected: {exc}") from None
+    pins = []
     for k, (x, y) in enumerate(zip(xs, ys)):
-        if evaluate_pi(state, mover, x, commit=True, log=auto) != y:
-            return auto, k
-    return auto, None
+        if evaluate_pi(state, mover, x, commit=True, log=pins) != y:
+            raise EngineError(f"mover does not carry entry {k} to its target")
+    return mover, batch + pins
+
+
+def faithfulness_step(state, g, witness):
+    """Apply the choice of one faithfulness step: evaluate pi(g) at the
+    witness point, pinning the default orbits the evaluation touches, so
+    the image stays put forever.  Returns the image; EngineError when it is
+    the witness itself."""
+    image = evaluate_pi(state, g, witness, commit=True)
+    if image == witness:
+        raise EngineError("the element fixes the witness point")
+    return image
+
+
+# the certificate entries, each written only here: the scheduled head, then
+# the choices and the claim as canonical text
+def _transitivity_entry(head, mover, witnesses, zs):
+    return {**head, "n": len(head["xs"]), "witnesses": {k: str(w) for k, w in witnesses.items()},
+            "zs": [str(z) for z in zs], "mover": str(mover)}
+
+
+def _faithfulness_entry(head, witness, image):
+    return {**head, "witness": str(witness), "image": str(image)}
+
+
+def _deferral_entry(head, diagnostic):
+    return {**head, "diagnostic": diagnostic}
 
 
 def _cursor(state, action):
@@ -161,23 +191,10 @@ def _cursor(state, action):
     return cursor
 
 
-def _discharge(problem, state, xs, ys, witnesses, zs):
-    batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
-    state.commit_batch(batch)
-    _, lost = _pin_mover(state, mover, xs, ys)
-    if lost is not None:
-        raise EngineError(f"postcondition failed at entry {lost}")
-    return mover, {key: str(w) for key, w in witnesses.items()}, zs
-
-
-def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
-    """One extension step in amalgam mode.
-
-    Searches g1, g2 in the left factor and h in the right factor so that
-    the four families of orbits are fresh and pairwise disjoint, commits the
-    four-way swap batch, and returns the mover g2 h g1.
-    """
-    _check_tuples(xs, ys)
+def _search_amalgam(problem, state, xs, ys, witness_radius):
+    """Witnesses g1, g2 in the left factor and h in the right one, and fresh
+    classes, so that the four families of orbits of the batch are fresh
+    and pairwise disjoint."""
     # the default is the identity and a batch permutes the default images of
     # its sources, so the committed target orbits are the committed source
     # orbits: state.anchors protects both
@@ -200,12 +217,11 @@ def extend_transitivity_amalgam(problem, state, xs, ys, witness_radius=64):
     if h is None:
         raise DeferredRequirement(
             f"no right-factor witness for the fresh classes within radius {witness_radius}")
-    return _discharge(problem, state, xs, ys, {"g1": g1, "g2": g2inv.inverse(), "h": h}, zs)
+    return {"g1": g1, "g2": g2inv.inverse(), "h": h}, zs
 
 
-def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
-    """One extension step in HNN mode: mover g t h with a two-way swap batch."""
-    _check_tuples(xs, ys)
+def _search_hnn(problem, state, xs, ys, witness_radius):
+    """Witnesses g, h in the base; an HNN step takes no fresh classes."""
     # a batch permutes the default images t x0 of its sources, so the target
     # orbits of y0 and t x0 are state.dst_index, and the source orbits of x0
     # and t^-1 y0 are state.anchors
@@ -221,31 +237,38 @@ def extend_transitivity_hnn(problem, state, xs, ys, witness_radius=64):
     if h is None:
         raise DeferredRequirement(
             f"no witness for the source tuple within radius {witness_radius}")
-    return _discharge(problem, state, xs, ys, {"g": ginv.inverse(), "h": h}, [])
+    return {"g": ginv.inverse(), "h": h}, []
 
 
 def extend_transitivity(problem, state, xs, ys, witness_radius=64):
-    if problem.mode == "amalgam":
-        return extend_transitivity_amalgam(problem, state, xs, ys, witness_radius)
-    return extend_transitivity_hnn(problem, state, xs, ys, witness_radius)
+    """One extension step: search the witnesses (and, in amalgam mode, the
+    fresh classes) that move xs to ys, and apply them.  Returns the mover,
+    the witnesses and the fresh classes; DeferredRequirement when a search
+    exhausts its ball."""
+    if len(xs) != len(ys):
+        raise ValueError("transitivity tuples must have the same length")
+    if not xs:
+        raise ValueError("transitivity tuples must be non-empty")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise ValueError("tuple entries must be pairwise distinct")
+    search = _search_amalgam if problem.mode == "amalgam" else _search_hnn
+    witnesses, zs = search(problem, state, xs, ys, witness_radius)
+    mover, _ = transitivity_step(problem, state, xs, ys, witnesses, zs)
+    return mover, witnesses, zs
 
 
 def ensure_faithful(problem, state, g, witness_radius=64):
     """The shortlex-first point x of the ball with pi(g) x != x, and its
-    image, which the witness's evaluation makes permanent by pinning the
-    default orbits it touches.
-
-    Candidates are evaluated without pinning, so only the witness's own
-    evaluation commits anything and a replay of the witness alone rebuilds
-    the same state.
-    """
+    image, which ``faithfulness_step`` makes permanent.  Candidates are
+    evaluated without pinning, so only the witness's own evaluation commits
+    anything and a replay of the witness alone rebuilds the same state."""
     if g.owner is not problem.gamma:
         raise ValueError("the element must live in the acting group")
     if g.is_identity:
         raise ValueError("faithfulness witnesses exist only for nontrivial elements")
     for x in problem.gamma.iter_shortlex(witness_radius):
         if evaluate_pi(state, g, x) != x:
-            return x, evaluate_pi(state, g, x, commit=True)
+            return x, faithfulness_step(state, g, x)
     raise EngineError(f"pi({g}) fixes every point within radius {witness_radius}")
 
 
@@ -339,6 +362,12 @@ def _schedule(problem, steps):
             yield head, payload
 
 
+def _header(problem, budget, problem_key):
+    """The top level of a certificate, but for its steps and deferrals."""
+    return {"format": CERTIFICATE_FORMAT, "problem": problem_key, "group": problem.gamma.name,
+            "mode": problem.mode, "budget": budget.as_dict()}
+
+
 def run_schedule(problem, budget, problem_key=""):
     """Dovetail requirements within the step budget and emit a certificate.
 
@@ -358,132 +387,52 @@ def run_schedule(problem, budget, problem_key=""):
                 mover, witnesses, zs = extend_transitivity(
                     problem, state, xs, ys, budget.witness_radius)
             except DeferredRequirement as exc:
-                deferred.append({**head, "diagnostic": str(exc)})
+                deferred.append(_deferral_entry(head, str(exc)))
                 continue
             except UndecidedError as exc:
-                deferred.append({**head, "diagnostic": f"membership oracle gave up: {exc}"})
+                deferred.append(_deferral_entry(head, f"membership oracle gave up: {exc}"))
                 continue
-            steps.append({**head, "n": n, "witnesses": witnesses,
-                          "zs": [str(p) for p in zs], "mover": str(mover)})
+            steps.append(_transitivity_entry(head, mover, witnesses, zs))
             logger.info("step %d: transitivity n=%d discharged, mover %s",
                         head["index"], n, mover)
         else:
             (g,) = payload
             witness, image = ensure_faithful(problem, state, g, budget.witness_radius)
-            steps.append({**head, "witness": str(witness), "image": str(image)})
+            steps.append(_faithfulness_entry(head, witness, image))
             logger.info("step %d: faithfulness of %s witnessed at %s", head["index"], g, witness)
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "problem": problem_key,
-        "group": problem.gamma.name,
-        "mode": problem.mode,
-        "budget": budget.as_dict(),
-        "steps": steps,
-        "deferred": deferred,
-    }
+    return {**_header(problem, budget, problem_key), "steps": steps, "deferred": deferred}
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _same(recorded, expected):
-    """Equality that tells JSON ``true`` and ``1.0`` from ``1``."""
-    return type(recorded) is type(expected) and recorded == expected
+# the canonical text of a JSON value, which tells true and 1.0 from 1; left
+# unescaped, which changes no comparison and saves a third of the time
+_text = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
-def verify_certificate_report(gamma, cert):
-    """Check that the steps and deferrals are the schedule's first
-    budget.steps requirements, each once and in order; rebuild the state
-    from the recorded choices and re-check every postcondition.  Returns
-    (ok, reason of the first failure).
-
-    The schedule is the only source of a scheduled point: an entry must
-    repeat its head (index, kind and the xs/ys or element text) before
-    anything is replayed, and the replay takes the points from the
-    scheduled payload.  Only the choices are parsed; a claimed mover or
-    image must be the canonical text of the value the replay computes,
-    which is exact because normal forms are unique.  Each object holds
-    only the keys the builder writes, and group and mode are the acting
-    group's."""
-    if not _same(cert.get("format"), CERTIFICATE_FORMAT):
-        return False, f"unsupported certificate format {cert.get('format')!r}"
-    unknown = _unknown_key(cert, _CERTIFICATE_KEYS)
-    if unknown is not None:
-        return False, f"unknown top-level key {unknown!r}"
-    budget, steps, deferred = cert.get("budget"), cert.get("steps"), cert.get("deferred")
-    total = budget.get("steps") if isinstance(budget, dict) else None
-    if type(total) is not int or total < 0:
-        return False, f"budget.steps must be a non-negative integer, got {total!r}"
-    unknown = _unknown_key(budget, _BUDGET_KEYS)
-    if unknown is not None:
-        return False, f"budget: unknown key {unknown!r}"
-    if not isinstance(steps, list) or not isinstance(deferred, list):
-        return False, "steps and deferred must be lists"
-    if len(steps) + len(deferred) != total:
-        return False, (f"schedule: {len(steps)} steps and {len(deferred)} deferrals "
-                       f"for a budget of {total} steps")
-    try:
-        problem = EngineProblem(gamma)
-    except ValueError as exc:
-        return False, str(exc)
-    for key, value in (("group", gamma.name), ("mode", problem.mode)):
-        if not _same(cert.get(key), value):
-            return False, f"{key} is {cert.get(key)!r}, not {value!r}"
-    state = problem.new_state()
-    # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
-    # taken from the replay and re-evaluated in the final state
-    postconditions = []
-    i = j = 0
-    try:
-        # each index takes the next step or the next deferral, so the
-        # entries cover range(total) once, each list in increasing order
-        for head, payload in _schedule(problem, total):
-            index = head["index"]
-            if i < len(steps) and _same(steps[i]["index"], index):
-                entry, i = steps[i], i + 1
-                verify_step = (_verify_transitivity_step if head["kind"] == "transitivity"
-                               else _verify_faithfulness_step)
-            elif j < len(deferred) and _same(deferred[j]["index"], index):
-                entry, j, verify_step = deferred[j], j + 1, None
-                # ensure_faithful has no deferral path: a witness always exists
-                if head["kind"] != "transitivity":
-                    return False, f"schedule: faithfulness step {index} is deferred"
-            else:
-                return False, f"schedule: no step or deferral has index {index}"
-            if not all(_same(entry.get(key), value) for key, value in head.items()):
-                return False, f"step {index}: not the requirement scheduled at this index"
-            unknown = _unknown_key(entry, _ENTRY_KEYS[head["kind"], verify_step is None])
-            if unknown is not None:
-                return False, f"step {index}: unknown key {unknown!r}"
-            if verify_step is not None:
-                ok, reason = verify_step(problem, state, payload, entry, postconditions)
-                if not ok:
-                    return False, f"step {index}: {reason}"
-        for index, message, triples in postconditions:
-            for g, x, y in triples:
-                if evaluate_pi(state, g, x) != y:
-                    return False, f"persistence of step {index}: {message}"
-    except (UndecidedError, ValueError, KeyError, TypeError) as exc:
-        return False, f"replay error: {exc}"
-    return True, "ok"
+def _difference(recorded, rebuilt):
+    """None when two JSON objects have the same canonical text; else the
+    first key, in sorted order, at which they differ, as a reason."""
+    if _text(recorded) == _text(rebuilt):
+        return None
+    for key in sorted(recorded.keys() | rebuilt.keys()):
+        if key not in rebuilt:
+            return f"unknown key {key!r}"
+        if key not in recorded:
+            return f"missing key {key!r}"
+        mine, theirs = recorded[key], rebuilt[key]
+        if _text(mine) != _text(theirs):
+            if isinstance(mine, dict) and isinstance(theirs, dict):
+                return f"{key}: {_difference(mine, theirs)}"
+            return f"{key} does not match the rebuilt value {theirs!r}"
 
 
-# the keys run_schedule writes, and the verifier reads: of a certificate
-# (``source`` is the CLI's), its budget, and a step or deferral of each kind
-_CERTIFICATE_KEYS = {"format", "problem", "group", "mode", "budget", "steps", "deferred",
-                     "source"}
-_BUDGET_KEYS = {"steps", "witness_radius"}
-_ENTRY_KEYS = {
-    ("transitivity", False): {"index", "kind", "xs", "ys", "n", "witnesses", "zs", "mover"},
-    ("transitivity", True): {"index", "kind", "xs", "ys", "diagnostic"},
-    ("faithfulness", False): {"index", "kind", "element", "witness", "image"},
-}
-
-
-def _unknown_key(obj, allowed):
-    """The first key of the object that is not allowed, or None."""
-    return next((key for key in obj if key not in allowed), None)
+def _records(entries, k, index):
+    """Whether entries[k] is an object that records this index, an integer."""
+    return (k < len(entries) and isinstance(entries[k], dict)
+            and type(entries[k].get("index")) is int and entries[k]["index"] == index)
 
 
 # the factor each recorded witness is parsed in, per mode
@@ -491,59 +440,108 @@ _WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
                     "hnn": (("g", "base"), ("h", "base"))}
 
 
-def _verify_transitivity_step(problem, state, payload, step, postconditions=None):
-    """Replay one transitivity step of the scheduled payload (n, xs, ys)
-    from its recorded witnesses and fresh classes; when it holds, its
+def _rebuild(problem, state, head, payload, entry, postconditions):
+    """Apply the choices an entry records through the builder's step
+    function and return the entry the builder writes for them; the step's
     postcondition goes to ``postconditions`` for the persistence pass."""
     gamma = problem.gamma
-    n, xs, ys = payload
-    if not _same(step["n"], n):
-        return False, "n is not the scheduled tuple length"
-    zs = [parse_word(gamma, p) for p in step["zs"]]
-    if len(zs) != (n if problem.mode == "amalgam" else 0):
-        return False, "an amalgam step needs one fresh class per entry, an HNN step none"
-    unknown = _unknown_key(step["witnesses"], dict(_WITNESS_FACTORS[problem.mode]))
-    if unknown is not None:
-        return False, f"witnesses: unknown key {unknown!r}"
-    witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
+    if head["kind"] == "faithfulness":
+        (g,) = payload
+        witness = parse_word(gamma, entry["witness"])
+        image = faithfulness_step(state, g, witness)
+        # image != witness is settled, so the witness persists while pi(g)
+        # still carries it to the image
+        postconditions.append((head["index"], "faithfulness witness lost", [(g, witness, image)]))
+        return _faithfulness_entry(head, witness, image)
+    _, xs, ys = payload
+    witnesses = {key: parse_word(getattr(gamma, factor), entry["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
-    batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
+    zs = [parse_word(gamma, p) for p in entry["zs"]]
+    mover, committed = transitivity_step(problem, state, xs, ys, witnesses, zs)
+    # anchors are committed only by a step and never change afterwards, so the
+    # law needs checking once per anchor; default pins keep it by construction
+    if not state.check_equivariance(committed):
+        raise EngineError("equivariance fails at a committed anchor")
+    postconditions.append((head["index"], "mover postcondition lost",
+                           [(mover, x, y) for x, y in zip(xs, ys)]))
+    return _transitivity_entry(head, mover, witnesses, zs)
+
+
+def verify_certificate_report(gamma, cert):
+    """Rebuild the certificate from its recorded choices and compare the
+    two as canonical text; returns (ok, reason of the first failure).
+
+    The steps and deferrals must be the schedule's first budget.steps
+    requirements, each once and in order, and each entry must repeat its
+    scheduled head (index, kind and the xs/ys or element text) before any
+    of it is parsed or replayed.  Only the choices are parsed; the builder's
+    step function applies them, and the entry is written as the builder
+    writes it.  So an entry passes only as its own canonical text: any
+    non-canonical spelling, or a missing, extra or retyped key, FAILs with
+    the step and the first key that differs.  A deferral is its head and a
+    diagnostic string, and the top level holds a valid budget and the acting
+    group's name and mode.  Each pair a transitivity step commits is checked
+    for equivariance, and every postcondition again in the final state."""
+    if _text(cert.get("format")) != _text(CERTIFICATE_FORMAT):
+        return False, f"unsupported certificate format {cert.get('format')!r}"
+    recorded = cert.get("budget") if isinstance(cert.get("budget"), dict) else {}
     try:
-        state.commit_batch(batch)
-    except StateError as exc:
-        return False, f"batch rejected: {exc}"
-    if str(mover) != step["mover"]:
-        return False, "mover does not match the recorded witnesses"
-    auto, lost = _pin_mover(state, mover, xs, ys)
-    if lost is not None:
-        return False, f"mover does not carry entry {lost} to its target"
-    # anchors are committed only here, and never change afterwards, so the
-    # law needs checking once per anchor: at the pairs this step committed
-    if not state.check_equivariance(batch + auto):
-        return False, "equivariance fails at a committed anchor"
-    if postconditions is not None:
-        postconditions.append((step.get("index"), "mover postcondition lost",
-                               [(mover, x, y) for x, y in zip(xs, ys)]))
-    return True, "ok"
-
-
-def _verify_faithfulness_step(problem, state, payload, step, postconditions=None):
-    """Replay one faithfulness step of the scheduled payload (g,) from its
-    witness point, pinning the default orbits its evaluation touches; see
-    ``_verify_transitivity_step``.
-
-    Default pins are equivariant by construction, so unlike a transitivity
-    batch they need no equivariance check."""
-    (g,) = payload
-    witness = parse_word(problem.gamma, step["witness"])
-    image = evaluate_pi(state, g, witness, commit=True)
-    if str(image) != step["image"]:
-        return False, "recorded image is not the evaluated image"
-    if image == witness:
-        return False, "the element fixes the witness point"
-    if postconditions is not None:
-        # image != witness is settled, so the witness persists while
-        # pi(g) still carries it to the image
-        postconditions.append((step.get("index"), "faithfulness witness lost",
-                               [(g, witness, image)]))
+        budget = Budget(recorded.get("steps"), recorded.get("witness_radius"))
+    except ValueError as exc:  # its message starts with the field's name
+        return False, f"budget.{exc}"
+    steps, deferred = cert.get("steps"), cert.get("deferred")
+    if not isinstance(steps, list) or not isinstance(deferred, list):
+        return False, "steps and deferred must be lists"
+    if len(steps) + len(deferred) != budget.steps:
+        return False, (f"schedule: {len(steps)} steps and {len(deferred)} deferrals "
+                       f"for a budget of {budget.steps} steps")
+    try:
+        problem = EngineProblem(gamma)
+    except ValueError as exc:
+        return False, str(exc)
+    state = problem.new_state()
+    # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
+    # taken from the replay and re-evaluated in the final state
+    postconditions = []
+    i, j, where = 0, 0, ""
+    try:
+        # the CLI checks the problem digest and the source tag; here the
+        # digest need only be a string
+        top = {key: value for key, value in cert.items()
+               if key not in ("steps", "deferred", "source")}
+        reason = _difference(top, _header(problem, budget, str(cert.get("problem"))))
+        if reason is not None:
+            return False, reason
+        # each index takes the next step or the next deferral, so the
+        # entries cover range(budget.steps) once, each list in increasing order
+        for head, payload in _schedule(problem, budget.steps):
+            index = head["index"]
+            where = f"step {index}: "
+            if _records(steps, i, index):
+                entry, i, rebuilt = steps[i], i + 1, None
+            elif _records(deferred, j, index):
+                entry, j = deferred[j], j + 1
+                # ensure_faithful has no deferral path: a witness always exists
+                if head["kind"] != "transitivity":
+                    return False, f"schedule: faithfulness step {index} is deferred"
+                rebuilt = _deferral_entry(head, str(entry.get("diagnostic")))
+            else:
+                return False, f"schedule: no step or deferral has index {index}"
+            # the index is the head's only number, and it matched as an integer
+            if any(entry.get(key) != value for key, value in head.items()):
+                return False, f"step {index}: not the requirement scheduled at this index"
+            if rebuilt is None:
+                rebuilt = _rebuild(problem, state, head, payload, entry, postconditions)
+            reason = _difference(entry, rebuilt)
+            if reason is not None:
+                return False, f"step {index}: {reason}"
+        where = ""
+        for index, message, triples in postconditions:
+            for g, x, y in triples:
+                if evaluate_pi(state, g, x) != y:
+                    return False, f"persistence of step {index}: {message}"
+    except EngineError as exc:
+        return False, f"{where}{exc}"
+    except (UndecidedError, ValueError, KeyError, TypeError) as exc:
+        return False, f"{where}replay error: {exc}"
     return True, "ok"

@@ -394,20 +394,33 @@ def shortlex_first_rule():
 
 
 def replay_steps(problem, state, cert):
-    """Replay the recorded steps of ``cert`` on ``state`` as the verifier
-    does, each with the payload that ``engine._schedule`` has at its
-    index; yields (step, (ok, reason)) after each replay.  Deferrals are
+    """Replay the recorded steps of ``cert`` on ``state`` through the
+    engine's step functions, each with the payload that ``engine._schedule``
+    has at its index; yields (step, (ok, reason)) after each replay, ok when
+    the claimed mover or image is the replayed one and every pair a
+    transitivity step committed keeps the equivariance law.  Choices that do
+    not discharge their step raise ``engine.EngineError``.  Deferrals are
     skipped, and nothing checks that a step repeats its head."""
+    gamma = problem.gamma
     steps = iter(cert["steps"])
     step = next(steps, None)
     for head, payload in engine._schedule(problem, cert["budget"]["steps"]):
         if step is None:
             return
-        if head["index"] == step["index"]:
-            verify_step = (engine._verify_transitivity_step if head["kind"] == "transitivity"
-                           else engine._verify_faithfulness_step)
-            yield step, verify_step(problem, state, payload, step)
-            step = next(steps, None)
+        if head["index"] != step["index"]:
+            continue
+        if head["kind"] == "transitivity":
+            _, xs, ys = payload
+            witnesses = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
+                         for key, factor in engine._WITNESS_FACTORS[problem.mode]}
+            zs = [parse_word(gamma, z) for z in step["zs"]]
+            mover, committed = engine.transitivity_step(problem, state, xs, ys, witnesses, zs)
+            ok = str(mover) == step["mover"] and state.check_equivariance(committed)
+        else:
+            witness = parse_word(gamma, step["witness"])
+            ok = str(engine.faithfulness_step(state, *payload, witness)) == step["image"]
+        yield step, ((True, "ok") if ok else (False, "the claim is not the replayed one"))
+        step = next(steps, None)
 
 
 def allocate_by_rescan(state, count):

@@ -5,6 +5,7 @@ set X = Gamma that carries both transitivity and faithfulness."""
 import copy
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -256,7 +257,7 @@ def test_verify_rejects_an_entry_off_the_schedule(built_cursor):
 @pytest.mark.parametrize("path, value, reason", [
     (("steps", 1, "index"), True, "schedule: no step or deferral has index 1"),
     (("steps", 2, "index"), 2.0, "schedule: no step or deferral has index 2"),
-    (("steps", 0, "n"), 1.0, "step 0: n is not the scheduled tuple length"),
+    (("steps", 0, "n"), 1.0, "step 0: n does not match the rebuilt value 1"),
     (("format",), 3.0, "unsupported certificate format 3.0"),
 ], ids=["index-true", "index-float", "n-float", "format-float"])
 def test_verify_compares_the_head_by_type(built_cursor, path, value, reason):
@@ -271,15 +272,15 @@ def test_verify_compares_the_head_by_type(built_cursor, path, value, reason):
 
 
 @pytest.mark.parametrize("name, path, key, value, reason", [
-    ("theta", (), "note", "anything", "unknown top-level key 'note'"),
+    ("theta", (), "note", "anything", "unknown key 'note'"),
     ("theta", ("budget",), "junk", 1, "budget: unknown key 'junk'"),
     ("theta", ("steps", 2), "junk", [1, 2], "step 2: unknown key 'junk'"),
     ("theta", ("steps", 3), "junk", [1, 2], "step 3: unknown key 'junk'"),
     ("theta", ("steps", 2, "witnesses"), "g1", "1", "step 2: witnesses: unknown key 'g1'"),
     ("bs12", ("deferred", 0), "junk", None, "step 0: unknown key 'junk'"),
     ("theta", ("steps", 4), "", 0, "step 4: unknown key ''"),
-    ("theta", (), "group", "G", "group is 'G', not 'hnn[theta:e1]'"),
-    ("theta", (), "mode", "amalgam", "mode is 'amalgam', not 'hnn'"),
+    ("theta", (), "group", "G", "group does not match the rebuilt value 'hnn[theta:e1]'"),
+    ("theta", (), "mode", "amalgam", "mode does not match the rebuilt value 'hnn'"),
 ], ids=["top-level", "budget", "transitivity", "faithfulness", "witnesses", "deferral",
         "empty-key", "group", "mode"])
 def test_verify_rejects_a_key_it_does_not_read(built_cursor, tmp_path, capsys,
@@ -289,6 +290,38 @@ def test_verify_rejects_a_key_it_does_not_read(built_cursor, tmp_path, capsys,
     must be the problem's."""
     cert = load_certificate(built_cursor[name])
     _get(cert, path)[key] = value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", problem_path(f"{name}.json"), str(tampered)]) == cli.EXIT_FAIL
+    assert capsys.readouterr().out == f"verify: FAIL ({reason})\n"
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("name, path, key, value, reason", [
+    ("theta", ("budget",), "witness_radius", -3,
+     "budget.witness_radius must be a positive integer, got -3"),
+    ("theta", ("budget",), "witness_radius", "x",
+     "budget.witness_radius must be a positive integer, got 'x'"),
+    ("theta", ("budget",), "witness_radius", MISSING,
+     "budget.witness_radius must be a positive integer, got None"),
+    ("bs12", ("deferred", 0), "diagnostic", MISSING, "step 0: missing key 'diagnostic'"),
+    ("bs12", ("deferred", 0), "diagnostic", [1],
+     "step 0: diagnostic does not match the rebuilt value '[1]'"),
+], ids=["radius-negative", "radius-string", "radius-missing", "diagnostic-missing",
+        "diagnostic-list"])
+def test_verify_rejects_a_value_the_builder_does_not_write(built_cursor, tmp_path, capsys,
+                                                           name, path, key, value, reason):
+    """The replay reads neither the budget's witness_radius nor a
+    deferral's diagnostic, but the rebuilt certificate holds both: the
+    radius of a valid ``Budget`` and a diagnostic string."""
+    cert = load_certificate(built_cursor[name])
+    if value is MISSING:
+        del _get(cert, path)[key]
+    else:
+        _get(cert, path)[key] = value
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(cert))
     capsys.readouterr()
@@ -415,6 +448,55 @@ def test_verify_of_mutated_certificate_never_raises(real_certificate, ops, tampe
         assert reason.startswith("unsupported certificate format")
 
 
+SWEEP_BUDGET = 20
+
+
+@pytest.fixture(scope="module", params=["pi1-sigma2", "theta", "bs12"])
+def sweep_certificate(request):
+    """An amalgam, an HNN and a deferring certificate of 20 steps."""
+    gamma = parse_problem(problem_path(f"{request.param}.json")).build_group()[0]
+    return gamma, run_schedule(gamma, Budget(steps=SWEEP_BUDGET), "k")
+
+
+def _single_mutations(cert):
+    """(path, certificate) for each single mutation at each JSON path: an
+    unknown key added to an object, a key or list entry deleted, an
+    integer turned into a float or a bool.  The path is the changed one."""
+    for path in [(), *_paths(cert)]:
+        node = _get(cert, path)
+        if isinstance(node, dict):
+            mutated = copy.deepcopy(cert)
+            _get(mutated, path)["unknown"] = 0
+            yield path + ("unknown",), mutated
+        if path:
+            mutated = copy.deepcopy(cert)
+            del _get(mutated, path[:-1])[path[-1]]
+            yield path, mutated
+        if type(node) is int:
+            for value in (float(node), bool(node)):
+                mutated = copy.deepcopy(cert)
+                _get(mutated, path[:-1])[path[-1]] = value
+                yield path, mutated
+
+
+def test_verify_rejects_every_single_mutation(sweep_certificate):
+    """Every single mutation FAILs without raising; one inside a step or
+    deferral names its index."""
+    gamma, cert = sweep_certificate
+    assert verify_certificate_report(gamma, cert) == (True, "ok")
+    kinds = {s["kind"] for s in cert["steps"]} | {d["kind"] for d in cert["deferred"]}
+    assert kinds == {"transitivity", "faithfulness"}
+    swept = 0
+    for path, mutated in _single_mutations(cert):
+        ok, reason = verify_certificate_report(gamma, mutated)
+        assert ok is False and isinstance(reason, str), (path, reason)
+        if path[0] in ("steps", "deferred") and len(path) > 2:
+            index = _get(cert, path[:2])["index"]
+            assert re.search(rf"\b(step|index) {index}\b", reason), (path, reason)
+        swept += 1
+    assert swept > 10 * SWEEP_BUDGET
+
+
 def _choices(step):
     """The words a step records as choices: the witnesses and fresh classes
     of a transitivity step, the witness point of a faithfulness step."""
@@ -447,20 +529,38 @@ def test_verify_parses_each_word_once(real_certificate, monkeypatch):
         word for step in cert["steps"] for word in _choices(step))
 
 
-@pytest.mark.parametrize("field", ["mover", "image"])
+def _words(gamma, step, field):
+    """(node, key, group) of each word a step records at ``field``, with
+    the group the verifier parses it in."""
+    value = step.get(field)
+    if isinstance(value, dict):
+        factors = dict(engine._WITNESS_FACTORS[gamma.kind])
+        return [(value, key, getattr(gamma, factors[key])) for key in value]
+    if isinstance(value, list):
+        return [(value, k, gamma) for k in range(len(value))]
+    return [] if value is None else [(step, field, gamma)]
+
+
+# an HNN step records no fresh classes
+@pytest.mark.parametrize("real_certificate, field", [
+    *(("pi1-sigma2", field) for field in ("mover", "image", "witnesses", "zs", "witness")),
+    *(("free2-hnn", field) for field in ("mover", "image", "witnesses", "witness")),
+], indirect=["real_certificate"])
 def test_verify_rejects_a_non_canonical_spelling_of_the_claim(real_certificate, field):
-    """A claimed mover or image is compared as canonical text: the right
-    element spelled with a cancelling pair in front fails."""
+    """A claimed mover or image, and every recorded choice (a witness, a
+    fresh class, a faithfulness witness point), must be its own canonical
+    text: the right element spelled with a cancelling pair in front (the
+    pair alone for the identity) fails, naming the step and the field."""
     gamma, cert = real_certificate
     tampered = copy.deepcopy(cert)
-    step = next(s for s in tampered["steps"] if s.get(field, "1") != "1")
-    lab = gamma.labels[0]
-    spelled = f"{lab} {lab}^-1 {step[field]}"
-    assert parse_word(gamma, spelled) == parse_word(gamma, step[field])
-    step[field] = spelled
+    step, node, key, group = next((s, *word) for s in tampered["steps"]
+                                  for word in _words(gamma, s, field))
+    lab = group.labels[0]
+    spelled = f"{lab} {lab}^-1" + ("" if node[key] == "1" else f" {node[key]}")
+    assert parse_word(group, spelled) == parse_word(group, node[key])
+    node[key] = spelled
     ok, reason = verify_certificate_report(gamma, tampered)
-    claim = "mover does not match" if field == "mover" else "recorded image is not"
-    assert not ok and reason.startswith(f"step {step['index']}: {claim}"), reason
+    assert not ok and reason.startswith(f"step {step['index']}: {field}"), reason
 
 
 @pytest.mark.parametrize("field, value", [("xs", None), ("element", None), ("element", "1")],

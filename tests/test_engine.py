@@ -212,10 +212,10 @@ def test_verify_rejects_tampered_mover():
 
 
 @pytest.mark.parametrize("updates, message", [
-    ({"witness": "b a"}, "recorded image"),
-    ({"image": "b a"}, "recorded image"),
+    ({"witness": "b a"}, "image does not match"),
+    ({"image": "b a"}, "image does not match"),
     ({"element": "b a", "image": "b a"}, "not the requirement scheduled"),
-    ({"witness": "e0"}, "recorded image"),
+    ({"witness": "e0"}, "image does not match"),
 ], ids=["witness", "image", "element", "witness-is-the-image"])
 def test_verify_rejects_tampered_faithfulness_step(updates, message):
     """The step for the stable letter e0, whose witness's evaluation pins an

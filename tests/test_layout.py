@@ -1,9 +1,10 @@
 """``src/`` keeps only what the program runs.
 
-Every function, class and method defined in ``src/hightrans`` must be
-named somewhere in ``src/``, ``bench/`` or ``demos/`` other than its own
+Every function, class and method defined in ``src/hightrans``, and every
+name a module assigns at its top level (dunders aside), must be named
+somewhere in ``src/``, ``bench/`` or ``demos/`` other than its own
 definition and the package's re-exports.  Code that only the tests call
-belongs in ``tests/oracles.py``.
+belongs in ``tests/oracles.py``, and a table nothing reads goes.
 """
 
 import ast
@@ -36,7 +37,7 @@ def _referenced_names(path):
     skip = {id(node) for node in _docstrings(tree)}
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -48,14 +49,27 @@ def _referenced_names(path):
     return out
 
 
+def _module_assignments(tree):
+    """(line, name) of each name a module assigns at its top level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
 def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in EXEMPT_MODULES:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield path.name, node.lineno, node.name
+        tree = ast.parse(path.read_text(), str(path))
+        defined = [(node.lineno, node.name) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for line, name in defined + list(_module_assignments(tree)):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield path.name, line, name
 
 
 def test_every_definition_in_src_is_used_outside_tests():

@@ -327,7 +327,8 @@ def test_cli_verify_exponent_above_the_bound_fails_fast(tmp_path, capsys):
     rc = cli.main(["verify", problem_path("free2-hnn.json"), str(cert_path)])
     elapsed = time.monotonic() - start
     out = capsys.readouterr().out
-    assert rc == cli.EXIT_FAIL and out.startswith("verify: FAIL (replay error: ")
+    assert rc == cli.EXIT_FAIL
+    assert out.startswith(f"verify: FAIL (step {step['index']}: replay error: ")
     assert "exceeds" in out and elapsed < 1.0
 
 
@@ -490,7 +491,7 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, reason", [
-    ("mover", None, "mover does not match the recorded witnesses"),
+    ("mover", None, "mover does not match the rebuilt value"),
     ("xs", [["1"]], "not the requirement scheduled at this index"),
     ("zs", [["1", 0]], "a word must be a string"),
     ("ys", ["a1^10001"], "not the requirement scheduled at this index"),
