@@ -219,20 +219,19 @@ class IntertwinerState:
             self.anchors[srep] = (x0, y0)
             self.dst_index[drep] = (x0, y0)
 
-    def check_equivariance(self, pairs=None):
-        """Re-derive the defining law for every subgroup generator at the
-        given anchor pairs, by default at every anchor; exact.
-
-        An orbit's anchor pair never changes once committed, so the law at
-        an anchor is settled when it is committed.  The verifier checks each
-        anchor once, at its commit, which keeps replay linear in the steps;
-        the full sweep is the invariant suite's oracle.
-        """
-        for x0, y0 in self.anchors.values() if pairs is None else pairs:
-            for gen in self.sigma_src.source.generators():
-                if self.evaluate(self.sigma_src.apply(gen) * x0) != self.sigma_dst.apply(gen) * y0:
-                    return False
-            if self.evaluate(x0) != y0 or self.evaluate(y0, inverse=True) != x0:
+    def check_equivariance(self, pairs):
+        """The equivariance law at the given anchor pairs; exact.  With x0 =
+        e_src(sigma0) rep0, each generator a of Sigma must move x0 to the split
+        (a sigma0, rep0), and w(x0) = y0 and w^-1(y0) = x0 must hold.  As
+        ``apply`` is a homomorphism, w(e_src(a) x0) = e_dst(a) y0 follows, so
+        this is at least as strict as evaluating both sides, at one Gamma
+        product per a.  No certificate field reaches it: it is a law of the
+        orbit map and two lookups."""
+        for x0, y0 in pairs:
+            sigma0, rep0 = self.src_split(x0)
+            moved = (self.src_split(self.sigma_src.apply(a) * x0) == (a * sigma0, rep0)
+                     for a in self.sigma_src.source.generators())
+            if not all(moved) or self.evaluate(x0) != y0 or self.evaluate(y0, inverse=True) != x0:
                 return False
         return True
 

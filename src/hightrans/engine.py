@@ -479,9 +479,10 @@ def verify_certificate_report(gamma, cert):
     writes it.  So an entry passes only as its own canonical text: any
     non-canonical spelling, or a missing, extra or retyped key, FAILs with
     the step and the first key that differs.  A deferral is its head and a
-    diagnostic string, and the top level holds a valid budget and the acting
-    group's name and mode.  Each pair a transitivity step commits is checked
-    for equivariance, and every postcondition again in the final state."""
+    diagnostic string, the top level a valid budget and the acting group's
+    name and mode.  Each committed pair passes the orbit-map law and two
+    lookups, which imply equivariance (``apply`` is a homomorphism) and read
+    no certificate field; postconditions are checked again at the end."""
     if _text(cert.get("format")) != _text(CERTIFICATE_FORMAT):
         return False, f"unsupported certificate format {cert.get('format')!r}"
     recorded = cert.get("budget") if isinstance(cert.get("budget"), dict) else {}

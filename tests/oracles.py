@@ -13,7 +13,8 @@ list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
 instead of skipping failed Sigma-cosets, allocation by a scan from
 scratch, intertwiner evaluation by the equivariance formula alone (with
-``untwist``, the inverse of ``IntertwinerState.twist``), H acting on
+``untwist``, the inverse of ``IntertwinerState.twist``), the equivariance
+law with both sides evaluated at every anchor, H acting on
 itself by left multiplication, and the step-by-step replay of a
 certificate against its schedule.
 The audit oracles are the slow paths the exact audit shortcuts
@@ -448,6 +449,20 @@ def evaluate_by_formula(state, x, inverse=False):
         return state.default_preimage(x)
     x0, y0 = pair
     return untwist(state, x * y0.inverse()) * x0
+
+
+def equivariance_by_evaluation(state, pairs=None):
+    """The equivariance law with both sides evaluated: w(e_src(a) x0) =
+    e_dst(a) y0 for every generator a of Sigma, w(x0) = y0 and
+    w^-1(y0) = x0, at the given anchor pairs or by default at every anchor;
+    the slow path of ``IntertwinerState.check_equivariance``."""
+    for x0, y0 in state.anchors.values() if pairs is None else pairs:
+        for a in state.sigma_src.source.generators():
+            if state.evaluate(state.sigma_src.apply(a) * x0) != state.sigma_dst.apply(a) * y0:
+                return False
+        if state.evaluate(x0) != y0 or state.evaluate(y0, inverse=True) != x0:
+            return False
+    return True
 
 
 def untwist(state, s):

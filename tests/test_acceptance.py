@@ -14,8 +14,8 @@ from hightrans.groups import symmetric_group
 from hightrans.normal_forms import parse_word
 
 from conftest import problem_path, zoo
-from oracles import (affine_bs12, all_words, gset_instance_for_eset, hset_instance_for_gset,
-                     plain_level_action, psl2z_key, replay_hcf_verdict,
+from oracles import (affine_bs12, all_words, equivariance_by_evaluation, gset_instance_for_eset,
+                     hset_instance_for_gset, plain_level_action, psl2z_key, replay_hcf_verdict,
                      replay_highly_faithful_verdict, replay_steps, search_G_set)
 
 
@@ -196,7 +196,7 @@ def test_criterion_8_monotone_invariants():
             assert ok, f"{name} step {step['index']}: {reason}"
             history.append(step)
             steps_checked += 1
-            assert state.check_equivariance(), f"{name}: equivariance"
+            assert equivariance_by_evaluation(state), f"{name}: equivariance"
             for past in history:
                 if past["kind"] == "transitivity":
                     mover = parse_word(gamma, past["mover"])

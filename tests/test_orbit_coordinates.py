@@ -1,7 +1,8 @@
-"""Evaluation from orbit coordinates, the closed-form cyclic coset
-decomposition and the one-token parse of factor and base runs, each
-checked against the slow path it replaced in ``oracles``: the
-equivariance formula, the power walk and the letter-by-letter parse."""
+"""Evaluation from orbit coordinates, the per-step equivariance check in
+orbit coordinates, the closed-form cyclic coset decomposition and the
+one-token parse of factor and base runs, each checked against the slow
+path it replaced in ``oracles``: the equivariance formula, the law with
+both sides evaluated, the power walk and the letter-by-letter parse."""
 
 from itertools import islice
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import graphs
+from hightrans import graphs, normal_forms
 from hightrans.action import IntertwinerState, orbit_map
 from hightrans.embeddings import CyclicFreeStrategy, Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
@@ -178,6 +179,98 @@ def test_verify_does_not_conjugate_by_the_stable_letter(monkeypatch):
     transitivity = sum(step["kind"] == "transitivity" for step in cert["steps"])
     assert calls == {"twist": 0, "check_equivariance": transitivity}
     assert transitivity == 75
+
+
+# ---------------------------------------------------------------------------
+# the per-step equivariance check in orbit coordinates
+
+
+def _verify_with(name, steps, monkeypatch, around):
+    """Build ``name`` at ``steps`` and verify the certificate on a fresh
+    group, with ``around(state, pairs, check)`` in place of every
+    ``check_equivariance(pairs)`` call, ``check`` being the method itself."""
+    prob, cert, _ = _build(name, steps)
+    check = IntertwinerState.check_equivariance
+    monkeypatch.setattr(IntertwinerState, "check_equivariance",
+                        lambda self, pairs: around(self, pairs, check))
+    assert verify_certificate_report(prob.build_group()[0], cert) == (True, "ok")
+    return cert
+
+
+@pytest.mark.parametrize("name, steps", [(p.stem, 200) for p in sorted(PROBLEMS.glob("*.json"))]
+                         + [("pi1-sigma2", 300)])
+def test_orbit_coordinate_check_agrees_with_evaluating_both_sides(name, steps, monkeypatch):
+    """At every pair a transitivity step commits in a verify, the
+    orbit-coordinate check and the check that evaluates both sides of the
+    law both hold; after the last step the evaluating sweep holds at every
+    anchor."""
+    checked, states = [], []
+
+    def both(state, pairs, check):
+        for pair in pairs:
+            assert check(state, [pair])
+            assert oracles.equivariance_by_evaluation(state, [pair])
+        checked.extend(pairs)
+        states.append(state)
+        return check(state, pairs)
+
+    cert = _verify_with(name, steps, monkeypatch, both)
+    transitivity = sum(step["kind"] == "transitivity" for step in cert["steps"])
+    assert len(states) == transitivity and len(checked) >= transitivity
+    if states:
+        assert oracles.equivariance_by_evaluation(states[-1])
+
+
+@pytest.mark.parametrize("name", ["pi1-sigma2", "theta"])
+@pytest.mark.parametrize("mutation", ["sigma", "rep"])
+def test_a_wrong_split_of_the_moved_point_fails_the_check(name, mutation):
+    """With the split of every point but the anchor's x0 off by one extra
+    generator of Sigma, or naming another committed orbit, the check fails
+    at each of the first 20 anchors."""
+    _, _, state = _build(name, 40)
+    split = state.src_split
+    extra = state.sigma_src.source.generators()[0]
+    for x0, y0 in list(state.anchors.values())[:20]:
+        assert state.check_equivariance([(x0, y0)])
+        rep0 = split(x0)[1]
+        other = next(rep for rep in state.anchors if rep != rep0)
+
+        def wrong(x, x0=x0, other=other):
+            sigma, rep = split(x)
+            if x == x0:
+                return sigma, rep
+            return (sigma * extra, rep) if mutation == "sigma" else (sigma, other)
+        state.src_split = wrong
+        assert not state.check_equivariance([(x0, y0)])
+        state.src_split = split
+
+
+@pytest.mark.parametrize("name, steps", [("theta", 150), ("pi1-sigma2", 300)])
+def test_the_check_makes_one_product_in_gamma_per_generator(name, steps, monkeypatch):
+    """In a verify, ``check_equivariance`` runs the reducers on the acting
+    group at most once per committed pair and generator of Sigma; evaluating
+    both sides of the law at the same pairs takes at least three times as
+    many."""
+    counts = {"check": 0, "oracle": 0, "bound": 0}
+    charge = [None, None]   # the acting group and the counter its reductions go to
+    for reducer in ("reduce_amalgam_tokens", "reduce_hnn_tokens"):
+        def counting(handle, *args, _original=getattr(normal_forms, reducer)):
+            if handle is charge[0]:
+                counts[charge[1]] += 1
+            return _original(handle, *args)
+        monkeypatch.setattr(normal_forms, reducer, counting)
+
+    def counted(state, pairs, check):
+        counts["bound"] += len(pairs) * len(state.sigma_src.source.labels)
+        charge[:] = state.gamma, "check"
+        ok = check(state, pairs)
+        charge[1] = "oracle"
+        assert oracles.equivariance_by_evaluation(state, pairs)
+        charge[0] = None
+        return ok
+
+    _verify_with(name, steps, monkeypatch, counted)
+    assert 0 < counts["check"] <= counts["bound"] and counts["oracle"] >= 3 * counts["bound"]
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
     ("zs", [["1", 0]], "a word must be a string"),
     ("ys", ["a1^10001"], "not the requirement scheduled at this index"),
     ("witnesses", {"g1": "a1^10001", "g2": "1", "h": "1"}, "exceeds 10000"),
-])
+], ids=["mover", "xs", "zs", "ys", "witnesses"])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
     """Words of the wrong shape, and words with an exponent above the bound,
     are FAILs with a reason, not tracebacks: a scheduled point that is not
