@@ -17,6 +17,7 @@ queries are cheap.
 from __future__ import annotations
 
 import math
+from operator import add, mul, neg
 
 
 # The largest order of a table group.  A table of order n has n^2 entries
@@ -523,34 +524,34 @@ class FreeGroup(Group):
 # semidirect products Q |x Z^rank, Q finite acting by integer matrices
 
 
-def _matvec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
 def _matmul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
 def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    """Fraction-free (Bareiss) elimination: exact, in n^3 steps where cofactors take n!."""
+    a = [list(row) for row in m]
+    sign, pivot = 1, 1
+    for k in range(len(a) - 1):
+        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if swap is None:
+            return 0
+        a[k], a[swap] = a[swap], a[k]
+        sign = sign if swap == k else -sign
+        for row in a[k + 1:]:
+            row[k + 1:] = [(x * a[k][k] - row[k] * y) // pivot
+                           for x, y in zip(row[k + 1:], a[k][k + 1:])]
+        pivot = a[k][k]
+    return sign * a[-1][-1]
 
 
 class SemidirectGroup(Group):
     """Q |x Z^rank with Q finite; payloads are (q index, translation vector).
 
     The action map ``matrices[q]`` satisfies q v q^-1 = A_q v, so
-    (q1, v1)(q2, v2) = (q1 q2, A_{q2^-1} v1 + v2).
+    (q1, v1)(q2, v2) = (q1 q2, A_{q2^-1} v1 + v2).  The twist table holds,
+    at q2, the rows of A_{q2^-1}, or None where that is the identity, which
+    products and inverses then skip.
     """
 
     kind = "semidirect"
@@ -568,34 +569,33 @@ class SemidirectGroup(Group):
         if any(len(m) != self.rank or any(len(row) != self.rank for row in m) for m in mats) \
                 or any(type(a) is not int for m in mats for row in m for a in row):
             raise ValueError(f"{name}: action matrices must be {self.rank} x {self.rank} integers")
-        ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
-                      for i in range(self.rank))
+        ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
         if mats[q_group.id_index] != ident:
             raise ValueError(f"{name}: identity of Q must act trivially")
         for m in mats:
             if _det(m) not in (1, -1):
                 raise ValueError(f"{name}: action matrix is not invertible over Z")
-        for a in range(q_group.order):
+        for a in q_group.gen_indices:
             for b in range(q_group.order):
                 if _matmul(mats[a], mats[b]) != mats[q_group.table[a][b]]:
                     raise ValueError(f"{name}: matrices do not define an action of Q")
         self.matrices = mats
+        self._twists = tuple(None if mats[i] == ident else mats[i] for i in q_group.inv_table)
         self.identity_payload = (q_group.id_index, (0,) * self.rank)
 
-    def _act(self, q_idx, v):
-        return _matvec(self.matrices[q_idx], v)
+    def _act(self, q2, v):
+        """A_{q2^-1} v."""
+        rows = self._twists[q2]
+        return v if rows is None else tuple(sum(map(mul, row, v)) for row in rows)
 
     def multiply(self, p, q):
         q1, v1 = p
         q2, v2 = q
-        twisted = self._act(self.q_group.inv_table[q2], v1)
-        return (self.q_group.table[q1][q2],
-                tuple(a + b for a, b in zip(twisted, v2)))
+        return (self.q_group.table[q1][q2], tuple(map(add, self._act(q2, v1), v2)))
 
     def inverse_payload(self, p):
-        q, v = p
-        return (self.q_group.inv_table[q],
-                tuple(-a for a in self._act(q, v)))
+        q_inv = self.q_group.inv_table[p[0]]
+        return (q_inv, tuple(map(neg, self._act(q_inv, p[1]))))
 
     def spell(self, p):
         q, v = p

@@ -4,7 +4,10 @@ Most never touch the normal-form machinery: words are evaluated directly
 in faithful matrix or affine representations, so agreement is a genuine
 cross-check and disagreement localizes a reduction bug.  The product of
 a word one letter at a time is the slow path of
-``Group.element_from_word``.  The walk over
+``Group.element_from_word``; the semidirect product by its matrices,
+twist or no twist, the action law over every pair of Q and the
+determinant by cofactors are the slow paths of
+``SemidirectGroup.multiply`` and of its checks.  The walk over
 every power of a cyclic coset in reach and the parse with one token per
 syllable are the slow paths of the closed-form cyclic decomposition and
 of the one-token-per-run parse.  The two-phase token reducers below are
@@ -102,6 +105,33 @@ def psl2z_key(word):
                 flat = tuple(-v for v in flat)
             break
     return flat
+
+
+def semidirect_multiply_by_matrices(group, p, q):
+    """(q1, v1)(q2, v2) = (q1 q2, A_{q2^-1} v1 + v2) in a semidirect
+    product, with A read from ``group.matrices`` and a matrix-vector
+    product taken entry by entry, whatever the matrix."""
+    (q1, v1), (q2, v2) = p, q
+    m = group.matrices[group.q_group.inv_table[q2]]
+    twisted = tuple(sum(m[i][j] * v1[j] for j in range(len(v1))) for i in range(len(m)))
+    return (group.q_group.table[q1][q2], tuple(a + b for a, b in zip(twisted, v2)))
+
+
+def is_action_by_all_pairs(q_group, matrices):
+    """Whether A_a A_b = A_{ab} for every pair (a, b) of a table group,
+    with each product taken entry by entry."""
+    n = len(matrices[0])
+    return all(tuple(tuple(sum(ma[i][k] * mb[k][j] for k in range(n)) for j in range(n))
+                     for i in range(n)) == tuple(map(tuple, matrices[q_group.table[a][b]]))
+               for a, ma in enumerate(matrices) for b, mb in enumerate(matrices))
+
+
+def det_by_cofactors(m):
+    """The determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det_by_cofactors([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
 def all_words(labels, max_len):

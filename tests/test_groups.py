@@ -1,11 +1,16 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hightrans import fixtures
 from hightrans.groups import (
     FreeAbelianGroup,
     OwnerMismatch,
+    SemidirectGroup,
+    _det,
     cyclic_group,
     symmetric_group,
     trivial_group,
@@ -134,6 +139,93 @@ def test_semidirect_conjugation_matches_matrix(gauss_aff):
     # i u i^-1 should be the 90-degree rotation of the first basis vector
     assert i * u * i.inverse() == v
     assert i * v * i.inverse() == u.inverse()
+
+
+# -- the semidirect kernel against the product by matrices --
+
+
+@pytest.fixture(scope="module")
+def semidirect_groups():
+    """gaussian-hnn's H, where U4 twists by the identity and by rotations,
+    and S3 permuting the coordinates of Z^3: Q is non-abelian, rank 3."""
+    s3 = symmetric_group("S3p", 3)
+    perm_matrices = [tuple(tuple(int(i == p[j]) for j in range(3)) for i in range(3))
+                     for p in s3.perms]
+    return {"GaussAff": zoo("gaussian-hnn").groups["H"],
+            "S3xZ3": SemidirectGroup("S3xZ3", s3, ("x", "y", "z"), perm_matrices)}
+
+
+SEMIDIRECT_LABELS = ["GaussAff", "S3xZ3"]
+
+
+@pytest.mark.parametrize("label", SEMIDIRECT_LABELS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_semidirect_kernel_matches_the_product_by_matrices(semidirect_groups, label, data):
+    group = semidirect_groups[label]
+    payloads = st.tuples(st.integers(0, group.q_group.order - 1),
+                         st.tuples(*[st.integers(-50, 50)] * group.rank))
+    p, q = data.draw(payloads), data.draw(payloads)
+    assert group.multiply(p, q) == oracles.semidirect_multiply_by_matrices(group, p, q)
+    inv = group.inverse_payload(p)
+    assert oracles.semidirect_multiply_by_matrices(group, p, inv) == group.identity_payload
+    assert oracles.semidirect_multiply_by_matrices(group, inv, p) == group.identity_payload
+
+
+@pytest.mark.parametrize("label", SEMIDIRECT_LABELS)
+def test_semidirect_axioms_over_the_ball(semidirect_groups, label):
+    group = semidirect_groups[label]
+    ident = group.identity()
+    ball = group.ball(3)
+    letters = group.ball(1)
+    for a in ball:
+        assert a * a.inverse() == ident and a.inverse() * a == ident
+        for b in ball:
+            ab = a * b
+            for c in letters:
+                assert ab * c == a * (b * c)
+
+
+def test_semidirect_accepts_exactly_the_actions_of_q():
+    """The constructor multiplies each generator of Q against every
+    element, not every pair.  Over every assignment of signed permutation
+    matrices it accepts exactly the actions: the two of S3 on Z and the
+    eight of Z/4 on Z^2."""
+    signed = {1: [((1,),), ((-1,),)],
+              2: [m for a, b in product((1, -1), repeat=2)
+                  for m in (((a, 0), (0, b)), ((0, a), (b, 0)))]}
+    for q_group, rank, actions in ((symmetric_group("S3a", 3), 1, 2),
+                                   (cyclic_group("C4a", 4, "g"), 2, 8)):
+        ident = signed[rank][0]
+        accepted = 0
+        for rest in product(signed[rank], repeat=q_group.order - 1):
+            mats = list(rest)
+            mats.insert(q_group.id_index, ident)
+            try:
+                SemidirectGroup("H", q_group, ("x", "y")[:rank], mats)
+            except ValueError:
+                assert not oracles.is_action_by_all_pairs(q_group, mats)
+            else:
+                assert oracles.is_action_by_all_pairs(q_group, mats)
+                accepted += 1
+        assert accepted == actions
+
+
+def _singular(rows):
+    """``rows`` with its last row replaced by a combination of the others."""
+    *head, _ = rows
+    return head + [[sum(r[j] for r in head) for j in range(len(rows))]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_det_matches_cofactor_expansion(data):
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        rows = _singular(rows)
+    assert _det(rows) == oracles.det_by_cofactors(rows)
 
 
 def test_symmetric_group_order():

@@ -691,3 +691,20 @@ def test_cli_finite_graph_reduces_but_does_not_build(tmp_path):
     proc = run_cli("reduce", path)
     assert proc.returncode == 2
     assert "vertex p (A): FINITE -> fail" in proc.stdout
+
+
+def test_cli_a_high_rank_semidirect_group_parses_in_polynomial_time(tmp_path):
+    """z-star-z with one more declared group, Z^13 as a semidirect product
+    over the trivial group: 1.3 KB of text.  Every command validates every
+    declared group, and a determinant by cofactor expansion takes 13!
+    steps; at rank 10 that took 5 s."""
+    rank = 13
+    doc = json.loads(Path(problem_path("z-star-z.json")).read_text())
+    doc["groups"]["H"] = {
+        "kind": "semidirect", "acting": "E", "translations": [f"x{i}" for i in range(rank)],
+        "matrices": {"0": [[int(i == j) for j in range(rank)] for i in range(rank)]}}
+    path = tmp_path / "rank13.json"
+    path.write_text(json.dumps(doc))
+    for command in ("reduce", "audit"):
+        proc = run_cli(command, path, timeout=20)
+        assert proc.returncode == 0, (command, proc.stderr)
