@@ -8,7 +8,6 @@ Run:  python3 demos/01_normal_forms.py
 from pathlib import Path
 
 from hightrans import parse_problem, parse_word, syllable_length
-from hightrans.normal_forms import stable_letter_count
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -19,7 +18,7 @@ bs = parse_problem(PROBLEMS / "bs12.json").build_group()[0]
 print("== BS(1,2) ==")
 for text in ["t t^-1", "t a t^-1", "t^-1 a t", "t^-1 a^2 t", "t a^3 t^-1 a"]:
     w = parse_word(bs, text)
-    print(f"  {text:16s} ->  {w}   (stable letters: {stable_letter_count(w)})")
+    print(f"  {text:16s} ->  {w}   (syllables: {syllable_length(w)})")
 
 # The conjugation relation seen as arithmetic: t^k a t^-k = a^(2^k).
 for k in range(1, 5):

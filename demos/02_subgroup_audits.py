@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
-"""Bounded audits of the highly core-free condition, with both a passing
-and a failing cast, plus the highly-faithful action audit.
+"""Bounded audits of the highly core-free condition on embeddings from the
+problem files, with both a passing and a failing cast, plus the
+highly-faithful audit of each coset action.
 
 Run:  python3 demos/02_subgroup_audits.py
 """
 
 from pathlib import Path
 
-from hightrans import fixtures, hcf, parse_problem, symmetric_group
+from hightrans import hcf, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 bounds = hcf.AuditBounds(tuple_size_max=2, point_radius=2, witness_radius=4)
 
 print("== core-freeness audits ==")
-cases = [
-    ("<[a,b]> inside F2", fixtures.commutator_subgroup_embedding()),
-    ("trivial subgroup of Z", fixtures.trivial_subgroup_embedding()),
-    ("unit subgroup of Z4 |x Z^2",
-     parse_problem(PROBLEMS / "gaussian-hnn.json").embeddings["units"]),
-    ("2Z inside Z", fixtures.even_integers_embedding()),
-]
+cases = [(label, parse_problem(PROBLEMS / f"{stem}.json").embeddings[name])
+         for label, stem, name in [
+             ("<[a,b]> inside F2", "pi1-sigma2", "cL"),
+             ("trivial subgroup of Z", "z-star-z", "tL"),
+             ("unit subgroup of Z4 |x Z^2", "gaussian-hnn", "units"),
+             ("2Z inside Z", "planted-finite-index-edge", "qL")]]
 for label, emb in cases:
     verdict = hcf.audit_hcf(emb, bounds)
     print(f"  {label:30s} {verdict}")
@@ -37,20 +37,13 @@ for label, emb in cases:
         if "premises" in verdict.evidence else {}
     print(f"  {label:30s} {verdict}  {premises}")
 
-print("\n== highly faithful actions ==")
-# Translations never fix a point, so every covering piece is fine.
-dom = hcf.TranslationDomain(fixtures.integers())
-print(f"  Z translating Z:          {hcf.audit_highly_faithful(dom, bounds)}")
-
-# Finitely supported permutations: split N as {0,1} and the rest; each
-# piece has a nontrivial fixer, so the action is not highly faithful.
-perm = hcf.PermutationDomain(symmetric_group("S4", 4))
-verdict = hcf.audit_highly_faithful(perm, bounds)
-print(f"  finitely supported perms: {verdict}")
-print(f"      covering: {verdict.evidence['covering']}")
-
-# The coset action mirrors the core audit (the fifth equivalent condition).
-print(f"  cosets of <[a,b]>:        "
-      f"{hcf.audit_highly_faithful(hcf.CosetDomain(cases[0][1]), bounds)}")
-print(f"  cosets of 2Z:             "
-      f"{hcf.audit_highly_faithful(hcf.CosetDomain(cases[3][1]), bounds)}")
+# The coset action mirrors the core audit (the fifth equivalent condition):
+# the cosets of the trivial subgroup of Z are Z translating itself, which
+# fixes no point; 2Z is normal of index two, so a^2 fixes both of its cosets
+# and the covering by the one piece "every coset" has a nontrivial fixer.
+print("\n== highly faithful coset actions ==")
+for label, emb in cases:
+    verdict = hcf.audit_highly_faithful(hcf.CosetDomain(emb), bounds)
+    print(f"  cosets of {label:30s} coset-action={verdict}")
+    if verdict.failed:
+        print(f"      covering: {verdict.evidence['covering']}")

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Graphs of groups: spanning trees, edge reduction, fundamental groups
-and hypothesis validation.
+"""Graphs of groups: spanning trees, edge reduction, the acting group of a
+problem file and hypothesis validation.
 
 Run:  python3 demos/04_graphs_of_groups.py
 """
@@ -34,8 +34,8 @@ gamma, _ = graphs.reduce_edge(th, "e2")
 print(f"  removing e2 -> {gamma.kind} over a base of kind "
       f"{gamma.base.kind}")
 print(f"  e2 a2 e2^-1 = {parse_word(gamma, 'e2 a2 e2^-1')}")
-fg = graphs.fundamental_group(th)
-print(f"  fundamental group handle: {fg.name} ({fg.kind})")
+fg, source = parse_problem(PROBLEMS / "theta.json").build_group()
+print(f"  acting group handle: {fg.name} ({fg.kind}), reduced at edge {source['edge']}")
 
 print("\n== hypothesis validation ==")
 for name, stem in [("surface", "pi1-sigma2"), ("gaussian loop", "gaussian-hnn"),

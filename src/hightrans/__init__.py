@@ -36,13 +36,11 @@ from .groups import (
     trivial_group,
 )
 from .embeddings import Embedding
-from .normal_forms import parse_word, stable_letter_count, syllable_length
+from .normal_forms import parse_word, syllable_length
 from .hcf import (
     AuditBounds,
     AuditVerdict,
     CosetDomain,
-    PermutationDomain,
-    TranslationDomain,
     audit_hcf,
     audit_highly_faithful,
     certify_structural,
@@ -66,7 +64,6 @@ from .engine import (
 from .graphs import (
     GraphEdge,
     GraphOfGroups,
-    fundamental_group,
     reduce_edge,
     spanning_tree,
     validate_main_hypotheses,

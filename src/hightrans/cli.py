@@ -22,6 +22,7 @@ EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNDECIDED = 3
+STATUS_EXIT = {hcf.PASS: EXIT_PASS, hcf.FAIL: EXIT_FAIL, hcf.UNDECIDED: EXIT_UNDECIDED}
 
 
 def _parse_bounds(text):
@@ -94,14 +95,6 @@ def _build_group(problem, edge):
         _usage_error(exc)
 
 
-def _status_exit(statuses):
-    if "fail" in statuses:
-        return EXIT_FAIL
-    if "undecided" in statuses:
-        return EXIT_UNDECIDED
-    return EXIT_PASS
-
-
 def cmd_audit(args):
     problem = _load(args.problem)
     bounds = args.bounds or problem.bounds
@@ -116,7 +109,7 @@ def cmd_audit(args):
         for verdict, tag in ((hv, "hcf"), (cv, "coset-action")):
             if verdict.failed and "covering" in verdict.evidence:
                 print(f"  {tag} counterexample: {verdict.evidence['covering']}")
-    return _status_exit(statuses)
+    return STATUS_EXIT[hcf.worst(statuses)]
 
 
 def cmd_nf(args):
@@ -163,7 +156,7 @@ def cmd_reduce(args):
             print(f"  edge {eid}.{tag} ({e['embedding']}): hcf={e['hcf'].status} "
                   f"structural={e['structural'].status}")
     print(f"hypotheses: {report['overall']}")
-    return _status_exit([report["overall"]])
+    return STATUS_EXIT[report["overall"]]
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .embeddings import Embedding
 from .groups import AmalgamGroup, HnnGroup
-from .hcf import AuditBounds, audit_hcf, certify_structural
+from .hcf import AuditBounds, audit_hcf, certify_structural, worst
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,6 @@ def _fundamental_group(graph):
     return reduce_edge(graph, target.id)
 
 
-def fundamental_group(graph):
-    """The fundamental group as nested amalgam / HNN handles."""
-    handle, _ = _fundamental_group(graph)
-    return handle
-
-
 def choose_reduction_edge(graph):
     """First geometric edge whose removal disconnects (the amalgam form is
     cheaper downstream), else the first edge."""
@@ -178,11 +172,10 @@ def validate_main_hypotheses(graph, bounds=None):
     Vertex infiniteness is the group's own ``is_finite``; each edge map
     gets the bounded core-freeness audit plus the structural certificate
     as corroboration.
-    The overall status is fail if anything fails, undecided if anything is
-    undecided, else pass.
+    The overall status is the worst of the vertex and hcf statuses.
     """
     bounds = bounds or AuditBounds()
-    report = {"vertices": {}, "edges": {}, "graph": {}}
+    report = {"vertices": {}, "edges": {}}
     statuses = []
     for vid, handle in sorted(graph.vertices.items()):
         infinite = not handle.is_finite()
@@ -204,11 +197,5 @@ def validate_main_hypotheses(graph, bounds=None):
             }
             statuses.append(hcf_verdict.status)
         report["edges"][e.id] = entry
-    report["graph"]["nontrivial"] = bool(graph.edges)
-    overall = "pass"
-    if "fail" in statuses:
-        overall = "fail"
-    elif "undecided" in statuses:
-        overall = "undecided"
-    report["overall"] = overall
+    report["overall"] = worst(statuses)
     return report

@@ -397,11 +397,9 @@ def trivial_group(name="1"):
 
 
 def symmetric_group(name, degree, labels=None):
-    """S_n as a table group generated by adjacent transpositions.
-
-    Index 0 is the identity; ``perm_of(i)`` recovers the permutation tuple
-    of element i, which is what domain actions key on.
-    """
+    """S_n as a table group generated by adjacent transpositions; element i
+    is the i-th permutation in lexicographic order, so index 0 is the
+    identity."""
     import itertools as _it
 
     # min(): S_d with d > MAX_FINITE_ORDER is larger still, and d! is not computed
@@ -423,9 +421,7 @@ def symmetric_group(name, degree, labels=None):
         gens.append(index[tuple(t)])
     if labels is None:
         labels = tuple(f"s{k}" for k in range(degree - 1))
-    g = FiniteGroup(name, table, labels, tuple(gens))
-    g.perms = perms
-    return g
+    return FiniteGroup(name, table, labels, tuple(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,14 @@ PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
 
+
+def worst(statuses):
+    """fail if any status fails, else undecided if any is undecided, else
+    pass (so also for none at all)."""
+    statuses = set(statuses)
+    return FAIL if FAIL in statuses else UNDECIDED if UNDECIDED in statuses else PASS
+
+
 # the radius to which CosetDomain tries to prove a finite index, and so an
 # exact (finite) coset space
 COSET_PROBE_RADIUS = 6
@@ -81,7 +89,7 @@ class HSetMemo:
         self.clear = {}
 
 
-def search_H_set(emb, xs, F, radius, memo=None):
+def search_H_set(emb, xs, F, radius, memo):
     """First shortlex h with h x_i outside Sigma F and h x_i h^-1 outside
     Sigma, for every i; None when the ball at ``radius`` is exhausted.
 
@@ -91,8 +99,6 @@ def search_H_set(emb, xs, F, radius, memo=None):
     for x in xs:
         if x.is_identity:
             raise ValueError("H-set entries must be nontrivial")
-    if memo is None:
-        memo = HSetMemo(emb, F)
     f_reps, clear = memo.f_reps, memo.clear
     for h in emb.target.iter_shortlex(radius):
         for x in xs:
@@ -124,7 +130,7 @@ class SearchCursor:
         self.blocked = set()
 
 
-def search_E_set(action, xs, F, radius, protected=(), cursor=None):
+def search_E_set(action, xs, F, radius, protected, cursor):
     """An h moving the points off the protected orbits with pairwise
     disjoint subgroup orbits; None when the ball of ``radius`` holds none.
 
@@ -134,10 +140,10 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
     them) that is tested in place, so orbits committed once need not be
     listed again on every search.
 
-    Without a cursor the answer is the first such h in shortlex order.  A
-    ``cursor`` (a SearchCursor) starts the walk at its position, wraps to
-    the identity, and is moved just past the h returned.  Either way None
-    comes only after every element of the ball has been covered.
+    The walk starts at the position of ``cursor`` (a SearchCursor), wraps
+    to the identity, and moves the cursor just past the h returned, so a
+    fresh cursor gives the first such h in shortlex order.  None comes only
+    after every element of the ball has been covered.
 
     The verdict on h depends only on its coset Sigma h in the acting group
     (``action.edge``): s h x_i and h x_i share a Sigma-orbit.  So once a
@@ -151,8 +157,7 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
     f_reps = {action.orbit_rep(f) for f in F}
-    start = (0, 0) if cursor is None else cursor.position
-    blocked = set() if cursor is None else cursor.blocked
+    start, blocked = cursor.position, cursor.blocked
     walk = action.group.walk_shortlex
     coset_rep = action.edge.rep
     index = action.edge.finite_index()
@@ -174,8 +179,7 @@ def search_E_set(action, xs, F, radius, protected=(), cursor=None):
                     break
                 reps.add(r)
             else:
-                if cursor is not None:
-                    cursor.position = (d, i + 1)
+                cursor.position = (d, i + 1)
                 return h
         failed.add(key if failed else coset_rep(h))
         if len(failed) == index:
@@ -420,7 +424,7 @@ def certify_structural(emb, bounds=None):
             facts[g] = (len(cur), len(set(conj[:n_prev])), closed,
                         len(cur_in), prev_in == cur_in)
 
-        icc = {"status": PASS, "per_element": []}
+        icc = []
         for s in (g for g in ball_small if member[g]):
             n_cur, n_before, closed, _, _ = facts[s]
             if closed:
@@ -429,96 +433,26 @@ def certify_structural(emb, bounds=None):
                 status = PASS
             else:
                 status = UNDECIDED
-            icc["per_element"].append({"element": str(s), "conjugates": n_cur,
-                                       "status": status})
-            if status == FAIL or (status == UNDECIDED and icc["status"] == PASS):
-                icc["status"] = status
-        premises["relative_icc"] = icc
+            icc.append({"element": str(s), "conjugates": n_cur, "status": status})
+        premises["relative_icc"] = {"status": worst(e["status"] for e in icc),
+                                    "per_element": icc}
 
-        stab = {"status": PASS, "per_element": []}
+        stab = []
         for h in ball_small:
             _, _, _, n_in, stable = facts[h]
             status = PASS if stable else UNDECIDED
-            stab["per_element"].append({"element": str(h),
-                                        "intersection": n_in,
-                                        "status": status})
-            if status == UNDECIDED and stab["status"] == PASS:
-                stab["status"] = status
-        premises["class_intersections"] = stab
+            stab.append({"element": str(h), "intersection": n_in, "status": status})
+        premises["class_intersections"] = {"status": worst(e["status"] for e in stab),
+                                           "per_element": stab}
     except UndecidedError as exc:
         return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
 
-    statuses = [p["status"] for p in premises.values()]
-    overall = FAIL if FAIL in statuses else (UNDECIDED if UNDECIDED in statuses else PASS)
+    overall = worst(p["status"] for p in premises.values())
     return AuditVerdict(overall, bounds, {"premises": premises})
 
 
 # ---------------------------------------------------------------------------
-# pointed actions for the high-faithfulness audit
-
-
-class PermutationDomain:
-    """Finitely supported permutations of N with a bounded generated zone.
-
-    Backed by a finite table group whose elements carry permutation tuples;
-    everything at or beyond the degree is fixed, so supports are exact and
-    cofinite fixers are decidable."""
-
-    def __init__(self, group):
-        if not hasattr(group, "perms"):
-            raise ValueError("the group must carry permutation data")
-        self.group = group
-        self.degree = len(group.perms[0])
-
-    def zone(self, radius):
-        return list(range(radius + 1))
-
-    def describe(self, x):
-        return x
-
-    def fixes(self, h, x):
-        return x >= self.degree or self.group.perms[h.payload][x] == x
-
-    def nontrivial_fixer_of(self, points, radius):
-        for h in self.group.iter_shortlex():
-            if h.is_identity:
-                continue
-            if all(self.fixes(h, x) for x in points):
-                return h
-        return None
-
-    def cofinite_fixer(self, excluded, bounds):
-        allowed = set(excluded)
-        for h in self.group.iter_shortlex():
-            if h.is_identity:
-                continue
-            p = self.group.perms[h.payload]
-            support = {k for k in range(self.degree) if p[k] != k}
-            if support <= allowed:
-                return h, True
-        return None, True
-
-
-class TranslationDomain:
-    """The integers translating the integer line: fixed-point free."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def zone(self, radius):
-        return list(range(-radius, radius + 1))
-
-    def describe(self, x):
-        return x
-
-    def fixes(self, h, x):
-        return h.payload[0] == 0
-
-    def nontrivial_fixer_of(self, points, radius):
-        return None
-
-    def cofinite_fixer(self, excluded, bounds):
-        return None, True
+# the coset action, the pointed action the high-faithfulness audit runs on
 
 
 class CosetDomain:

@@ -129,12 +129,6 @@ def syllable_length(g):
     raise ValueError(f"{handle.name!r} is not a composite group")
 
 
-def stable_letter_count(g):
-    if g.owner.kind != "hnn":
-        raise ValueError("stable letters only exist in HNN groups")
-    return len(g.payload[1])
-
-
 def parse_word(handle, text):
     """Parse a word string like ``a b^-2 t`` into a normal-form element.
 

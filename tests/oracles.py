@@ -20,6 +20,10 @@ scratch, intertwiner evaluation by the equivariance formula alone (with
 law with both sides evaluated at every anchor, H acting on
 itself by left multiplication, and the step-by-step replay of a
 certificate against its schedule.
+Then come test beds that no command runs: the integers translating the
+line and the finitely supported permutations, two pointed actions for the
+high-faithfulness audit besides the coset action; the stable-letter count
+of an HNN normal form; and the fundamental group of a whole graph.
 The audit oracles are the slow paths the exact audit shortcuts
 replaced: a finite-index walk that always walks, coset fixers by coset
 decomposition, and structural certificates that build every conjugacy
@@ -30,13 +34,14 @@ equivalence cross-checks do, and the replays of audit evidence.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, permutations, product
 
 from hightrans import engine, groups
 from hightrans.action import LevelAction
+from hightrans.graphs import _fundamental_group
 from hightrans.groups import UndecidedError
 from hightrans.hcf import (COSET_PROBE_RADIUS, FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict,
-                           search_E_set)
+                           SearchCursor, search_E_set)
 from hightrans.normal_forms import parse_word
 
 
@@ -392,7 +397,7 @@ def shortlex_first_search(action, xs, F, radius, protected=(), cursor=None):
     shortlex order, the rule the engine followed before wrap-around
     cursors.  Patched in as ``engine.search_E_set`` it rebuilds the old
     certificates."""
-    return search_E_set(action, xs, F, radius, protected)
+    return search_E_set(action, xs, F, radius, protected, SearchCursor())
 
 
 def per_element_search(action, xs, F, radius, protected=(), cursor=None):
@@ -506,6 +511,93 @@ def plain_level_action(sigma_embedding):
     """H acting on itself, with Sigma-orbits from the given embedding."""
     return LevelAction(sigma_embedding.target, lambda h, g: h * g, sigma_embedding,
                        sigma_embedding)
+
+
+# ---------------------------------------------------------------------------
+# test beds no command runs: two pointed actions for the high-faithfulness
+# audit, the stable letters of an HNN normal form and the fundamental group
+# of a whole graph
+
+
+def lexicographic_permutations(degree):
+    """The permutations of range(degree) in lexicographic order: element i
+    of ``groups.symmetric_group`` is the i-th of them."""
+    return sorted(permutations(range(degree)))
+
+
+class PermutationDomain:
+    """Finitely supported permutations of N with a bounded generated zone.
+
+    Backed by ``groups.symmetric_group`` of the given degree; everything at
+    or beyond the degree is fixed, so supports are exact and cofinite
+    fixers are decidable."""
+
+    def __init__(self, degree):
+        self.group = groups.symmetric_group(f"S{degree}", degree)
+        self.degree = degree
+        self.perms = lexicographic_permutations(degree)
+
+    def zone(self, radius):
+        return list(range(radius + 1))
+
+    def describe(self, x):
+        return x
+
+    def fixes(self, h, x):
+        return x >= self.degree or self.perms[h.payload][x] == x
+
+    def nontrivial_fixer_of(self, points, radius):
+        for h in self.group.iter_shortlex():
+            if h.is_identity:
+                continue
+            if all(self.fixes(h, x) for x in points):
+                return h
+        return None
+
+    def cofinite_fixer(self, excluded, bounds):
+        allowed = set(excluded)
+        for h in self.group.iter_shortlex():
+            if h.is_identity:
+                continue
+            p = self.perms[h.payload]
+            support = {k for k in range(self.degree) if p[k] != k}
+            if support <= allowed:
+                return h, True
+        return None, True
+
+
+class TranslationDomain:
+    """The integers translating the integer line: fixed-point free."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def zone(self, radius):
+        return list(range(-radius, radius + 1))
+
+    def describe(self, x):
+        return x
+
+    def fixes(self, h, x):
+        return h.payload[0] == 0
+
+    def nontrivial_fixer_of(self, points, radius):
+        return None
+
+    def cofinite_fixer(self, excluded, bounds):
+        return None, True
+
+
+def stable_letter_count(g):
+    if g.owner.kind != "hnn":
+        raise ValueError("stable letters only exist in HNN groups")
+    return len(g.payload[1])
+
+
+def fundamental_group(graph):
+    """The fundamental group of the whole graph as nested amalgam / HNN
+    handles."""
+    return _fundamental_group(graph)[0]
 
 
 # ---------------------------------------------------------------------------

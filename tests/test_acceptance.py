@@ -10,13 +10,13 @@ import time
 from hightrans import fixtures, graphs, hcf
 from hightrans.action import evaluate_pi
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
-from hightrans.groups import symmetric_group
 from hightrans.normal_forms import parse_word
 
 from conftest import problem_path, zoo
-from oracles import (affine_bs12, all_words, equivariance_by_evaluation, gset_instance_for_eset,
-                     hset_instance_for_gset, plain_level_action, psl2z_key, replay_hcf_verdict,
-                     replay_highly_faithful_verdict, replay_steps, search_G_set)
+from oracles import (PermutationDomain, affine_bs12, all_words, equivariance_by_evaluation,
+                     gset_instance_for_eset, hset_instance_for_gset, plain_level_action, psl2z_key,
+                     replay_hcf_verdict, replay_highly_faithful_verdict, replay_steps,
+                     search_G_set)
 
 
 def report(n, text):
@@ -83,7 +83,7 @@ def test_criterion_4_negative_fixtures():
     assert sorted(v.evidence["covering"]["F"]) == ["1", "a"]
     assert replay_hcf_verdict(even, v)
 
-    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
+    dom = PermutationDomain(4)
     w = hcf.audit_highly_faithful(dom)
     assert w.failed
     assert w.evidence["covering"]["pieces"][0] == {"members": [0, 1]}
@@ -104,7 +104,7 @@ def test_criterion_5_equivalence_cross_checks():
     total = transported = 0
     for xs in itertools.combinations(nontrivial, 2):
         ys, f2 = hset_instance_for_gset(list(xs), F)
-        h = hcf.search_H_set(emb, ys, f2, 6)
+        h = hcf.search_H_set(emb, ys, f2, 6, hcf.HSetMemo(emb, f2))
         assert h is not None
         assert all(emb.rep(h * x) not in f_reps for x in xs)
         hinv = h.inverse()

@@ -81,7 +81,8 @@ def _cursor(start):
 @given(searches())
 def test_coset_skipping_agrees_with_the_per_element_search(case):
     action, xs, F, protected, radius, start = case
-    skipping, oracle = _cursor(start), _cursor(start)
+    # a fresh cursor starts at the identity, as the oracle does without one
+    skipping, oracle = _cursor(start) or hcf.SearchCursor(), _cursor(start)
     got = hcf.search_E_set(action, xs, F, radius, protected, cursor=skipping)
     expected = per_element_search(action, xs, F, radius, protected, cursor=oracle)
     assert got == expected

@@ -10,7 +10,6 @@ from hightrans.graphs import (
     GraphOfGroups,
     _reach,
     choose_reduction_edge,
-    fundamental_group,
     reduce_edge,
     spanning_tree,
     validate_main_hypotheses,
@@ -20,6 +19,7 @@ from hightrans.embeddings import Embedding
 from hightrans.normal_forms import parse_word
 
 from conftest import zoo
+from oracles import fundamental_group
 
 
 def test_spanning_tree_single_edge():

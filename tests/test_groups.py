@@ -150,7 +150,7 @@ def semidirect_groups():
     and S3 permuting the coordinates of Z^3: Q is non-abelian, rank 3."""
     s3 = symmetric_group("S3p", 3)
     perm_matrices = [tuple(tuple(int(i == p[j]) for j in range(3)) for i in range(3))
-                     for p in s3.perms]
+                     for p in oracles.lexicographic_permutations(3)]
     return {"GaussAff": zoo("gaussian-hnn").groups["H"],
             "S3xZ3": SemidirectGroup("S3xZ3", s3, ("x", "y", "z"), perm_matrices)}
 

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from hightrans import fixtures, hcf
-from hightrans.groups import symmetric_group
+from hightrans.hcf import HSetMemo, SearchCursor
 
 from conftest import zoo
-from oracles import (gset_instance_for_eset, hset_instance_for_gset, plain_level_action,
-                     replay_hcf_verdict, replay_highly_faithful_verdict, search_G_set)
+from oracles import (PermutationDomain, TranslationDomain, gset_instance_for_eset,
+                     hset_instance_for_gset, plain_level_action, replay_hcf_verdict,
+                     replay_highly_faithful_verdict, search_G_set)
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +49,15 @@ def e_set_conditions(action, h, xs, F):
 def test_search_h_trivial_subgroup():
     triv = fixtures.trivial_subgroup_embedding()
     z = triv.target
-    h = hcf.search_H_set(triv, [z.generator("a")], [z.identity()], 2)
+    F = [z.identity()]
+    h = hcf.search_H_set(triv, [z.generator("a")], F, 2, HSetMemo(triv, F))
     assert h is not None and h.is_identity
 
 
 def test_search_h_commutator(comm):
     f = comm.target
-    h = hcf.search_H_set(comm, [f.generator("a")], [f.identity()], 2)
+    h = hcf.search_H_set(comm, [f.generator("a")], [f.identity()], 2,
+                         HSetMemo(comm, [f.identity()]))
     assert h is not None
     assert h_set_conditions(comm, h, [f.generator("a")], [f.identity()])
 
@@ -64,12 +67,12 @@ def test_search_h_finite_index_always_empty(even):
     two = z.generator("a") ** 2
     F = [z.identity(), z.generator("a")]
     for radius in (2, 4, 8):
-        assert hcf.search_H_set(even, [two], F, radius) is None
+        assert hcf.search_H_set(even, [two], F, radius, HSetMemo(even, F)) is None
 
 
 def test_search_h_rejects_identity_entries(comm):
     with pytest.raises(ValueError):
-        hcf.search_H_set(comm, [comm.target.identity()], [], 2)
+        hcf.search_H_set(comm, [comm.target.identity()], [], 2, HSetMemo(comm, []))
 
 
 def test_search_g_example(comm):
@@ -93,7 +96,7 @@ def test_search_e_basic(comm):
     f = comm.target
     xs = [f.identity(), f.generator("a")]
     F = [f.identity()]
-    h = hcf.search_E_set(action, xs, F, 2)
+    h = hcf.search_E_set(action, xs, F, 2, (), SearchCursor())
     assert h is not None
     assert e_set_conditions(action, h, xs, F)
 
@@ -102,12 +105,12 @@ def test_search_e_protected_reps_act_like_protected_points(comm):
     action = plain_level_action(comm)
     f = comm.target
     xs = [f.identity(), f.generator("a")]
-    first = hcf.search_E_set(action, xs, [], 3)
+    first = hcf.search_E_set(action, xs, [], 3, (), SearchCursor())
     taken = [action.act(first, x) for x in xs]
     reps = {action.orbit_rep(p) for p in taken}
-    h = hcf.search_E_set(action, xs, [], 3, protected=reps)
+    h = hcf.search_E_set(action, xs, [], 3, reps, SearchCursor())
     assert h is not None and h != first
-    assert h == hcf.search_E_set(action, xs, taken, 3)
+    assert h == hcf.search_E_set(action, xs, taken, 3, (), SearchCursor())
     assert e_set_conditions(action, h, xs, taken)
 
 
@@ -117,7 +120,7 @@ def test_search_e_same_orbit_normal_subgroup(even):
     action = plain_level_action(even)
     z = even.target
     xs = [z.identity(), z.generator("a") ** 2]
-    assert hcf.search_E_set(action, xs, [], 6) is None
+    assert hcf.search_E_set(action, xs, [], 6, (), SearchCursor()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +235,12 @@ def test_structural_flags_finite_index(even):
 
 
 def test_highly_faithful_translation_passes():
-    dom = hcf.TranslationDomain(fixtures.integers())
+    dom = TranslationDomain(fixtures.integers())
     assert hcf.audit_highly_faithful(dom).status == "pass"
 
 
 def test_highly_faithful_perm_domain_fails():
-    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
+    dom = PermutationDomain(4)
     v = hcf.audit_highly_faithful(dom)
     assert v.failed
     cov = v.evidence["covering"]
@@ -247,7 +250,7 @@ def test_highly_faithful_perm_domain_fails():
 
 
 def test_highly_faithful_perm_tamper_rejected():
-    dom = hcf.PermutationDomain(symmetric_group("S4", 4))
+    dom = PermutationDomain(4)
     v = hcf.audit_highly_faithful(dom)
     v.evidence["covering"]["fixers"][0] = "1"
     assert not replay_highly_faithful_verdict(dom, v)
@@ -273,7 +276,7 @@ def test_hset_transports_into_gset(comm):
     checked = 0
     for xs in itertools.combinations(nontrivial, 2):
         ys, f2 = hset_instance_for_gset(list(xs), F)
-        h = hcf.search_H_set(comm, ys, f2, 6)
+        h = hcf.search_H_set(comm, ys, f2, 6, HSetMemo(comm, f2))
         assert h is not None
         assert g_set_conditions(comm, h, list(xs), F)
         checked += 1
@@ -315,3 +318,11 @@ def test_undecided_propagates_to_verdict():
     v = hcf.audit_hcf(emb, hcf.AuditBounds(1, 2, 4))
     assert v.status == "undecided"
     assert "undecided" in v.evidence["reason"]
+
+
+def test_worst_status_folds_fail_over_undecided_over_pass():
+    assert hcf.worst([]) == "pass"
+    assert hcf.worst(["pass", "pass"]) == "pass"
+    assert hcf.worst(["pass", "undecided", "pass"]) == "undecided"
+    assert hcf.worst(["undecided", "fail", "pass"]) == "fail"
+    assert hcf.worst(s for s in ["pass", "fail"]) == "fail"

@@ -2,9 +2,11 @@
 
 Every function, class and method defined in ``src/hightrans``, and every
 name a module assigns at its top level (dunders aside), must be named
-somewhere in ``src/``, ``bench/`` or ``demos/`` other than its own
-definition and the package's re-exports.  Code that only the tests call
-belongs in ``tests/oracles.py``, and a table nothing reads goes.
+somewhere in ``src/`` or ``bench/`` other than its own definition and the
+package's re-exports: the command line and the benchmark are the users.
+A name that only the demos or the tests call belongs in
+``tests/oracles.py`` (the demos drive the program's own paths instead),
+and a table nothing reads goes.
 """
 
 import ast
@@ -16,7 +18,7 @@ PACKAGE = ROOT / "src" / "hightrans"
 
 # bench/tracer.py lists fixtures in MODULES and tests/test_bench_hooks.py
 # asserts that every listed module imports, so the test-bed embeddings stay
-# in src/ until the benchmark drops that entry
+# in src/ until the benchmark drops that entry (ROADMAP item 8)
 EXEMPT_MODULES = {"fixtures.py"}
 
 
@@ -74,7 +76,7 @@ def _definitions():
 
 def test_every_definition_in_src_is_used_outside_tests():
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*(_referenced_names(p) for p in files))
     unused = [f"{module}:{line} {name}" for module, line, name in _definitions()
               if name not in used]

@@ -9,13 +9,12 @@ from hightrans.normal_forms import (
     parse_word,
     reduce_amalgam_tokens,
     reduce_hnn_tokens,
-    stable_letter_count,
     syllable_length,
 )
 
 import oracles
 from conftest import zoo
-from oracles import affine_bs12, all_words, psl2z_key
+from oracles import affine_bs12, all_words, psl2z_key, stable_letter_count
 
 
 def nf_key(group, word):

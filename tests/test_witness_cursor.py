@@ -78,12 +78,12 @@ def test_cursor_search_agrees_with_the_shortlex_oracle(case):
     assert got == h and cursor.position == (d, i + 1)
 
 
-def test_without_a_cursor_the_search_is_shortlex_first():
+def test_a_fresh_cursor_gives_the_shortlex_first_witness():
     action = ACTIONS[-1]
     xs = [action.group.identity()]
     taken = []
     for _ in range(6):
-        h = hcf.search_E_set(action, xs, taken, 3)
+        h = hcf.search_E_set(action, xs, taken, 3, (), hcf.SearchCursor())
         first = next(g for g in action.group.ball(3) if _e_set_ok(action, g, xs, taken, ()))
         assert h == first
         taken.append(action.act(h, xs[0]))
