@@ -144,15 +144,14 @@ class IntertwinerState:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, x, inverse=False, commit=False, log=None):
+    def evaluate(self, x, inverse=False, commit=False):
         """w(x) (or its inverse image); a bijection of X for every state.
 
         With ``commit=True`` an untouched orbit is pinned to its default
         image before evaluating, so the value can never change in a later
-        state; the pinned pair is appended to ``log``.  In the orbit of an
-        anchor (x0, y0), x = e_src(sigma) r and x0 = e_src(sigma0) r give
-        w(x) = e_dst(sigma sigma0^-1) y0, and symmetrically for the
-        inverse.
+        state.  In the orbit of an anchor (x0, y0), x = e_src(sigma) r and
+        x0 = e_src(sigma0) r give w(x) = e_dst(sigma sigma0^-1) y0, and
+        symmetrically for the inverse.
         """
         if not inverse:
             sigma, rep = self.src_split(x)
@@ -162,8 +161,6 @@ class IntertwinerState:
                     return self.default_image(x)
                 pair = (rep, self.default_image(rep))
                 self.commit_batch([pair])
-                if log is not None:
-                    log.append(pair)
             x0, y0 = pair
             return self._carry(self.sigma_dst, sigma, self.src_split(x0)[0], y0)
         sigma, rep = self.dst_split(x)
@@ -175,8 +172,6 @@ class IntertwinerState:
             srep = self.src_orbit(pre)
             pair = (srep, self.default_image(srep))
             self.commit_batch([pair])
-            if log is not None:
-                log.append(pair)
         x0, y0 = pair
         return self._carry(self.sigma_src, sigma, self.dst_split(y0)[0], x0)
 
@@ -236,7 +231,7 @@ class IntertwinerState:
         return True
 
 
-def evaluate_pi(state, g, x, commit=False, log=None):
+def evaluate_pi(state, g, x, commit=False):
     """Evaluate the induced homomorphism at g on the point x.
 
     Amalgam mode: left-factor syllables act by left multiplication, right-
@@ -255,9 +250,9 @@ def evaluate_pi(state, g, x, commit=False, log=None):
             if side == 0:
                 cur = gamma.include(0, r, cur)
             else:
-                cur = state.evaluate(cur, commit=commit, log=log)
+                cur = state.evaluate(cur, commit=commit)
                 cur = gamma.include(1, r, cur)
-                cur = state.evaluate(cur, inverse=True, commit=commit, log=log)
+                cur = state.evaluate(cur, inverse=True, commit=commit)
         if not sigma.is_identity:
             cur = gamma.include(0, gamma.edge_left.apply(sigma), cur)
         return cur
@@ -265,7 +260,7 @@ def evaluate_pi(state, g, x, commit=False, log=None):
     for eps, r in reversed(tail):
         if not r.is_identity:
             cur = gamma.include(r, cur)
-        cur = state.evaluate(cur, inverse=(eps == -1), commit=commit, log=log)
+        cur = state.evaluate(cur, inverse=(eps == -1), commit=commit)
     if not head.is_identity:
         cur = gamma.include(head, cur)
     return cur

@@ -28,10 +28,9 @@ STATUS_EXIT = {hcf.PASS: EXIT_PASS, hcf.FAIL: EXIT_FAIL, hcf.UNDECIDED: EXIT_UND
 def _parse_bounds(text):
     try:
         parts = [int(p) for p in text.split(",")]
-        if len(parts) not in (3, 4):
-            raise ValueError("bounds are n,rho,r or n,rho,r,pieces")
-        names = ["tuple_size_max", "point_radius", "witness_radius", "covering_piece_max"]
-        return hcf.AuditBounds(**dict(zip(names, parts)))
+        if len(parts) != 3:
+            raise ValueError("bounds are n,rho,r")
+        return hcf.AuditBounds(*parts)
     except ValueError as exc:
         # argparse shows the message of an ArgumentTypeError only
         raise argparse.ArgumentTypeError(str(exc))

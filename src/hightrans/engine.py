@@ -139,9 +139,9 @@ def transitivity_batch(problem, state, xs, ys, witnesses, zs):
 def transitivity_step(problem, state, xs, ys, witnesses, zs):
     """Apply the choices of one transitivity step: commit the swap batch of
     its witnesses and fresh classes, then evaluate the mover on xs, pinning
-    every default orbit it touches.  Returns the mover and every anchor
-    pair the step committed; EngineError when the choices do not carry xs
-    to ys.  The builder and the verifier both apply a step through here."""
+    every default orbit it touches.  Returns the mover and the batch;
+    EngineError when the choices do not carry xs to ys.  The builder and
+    the verifier both apply a step through here."""
     if len(zs) != (len(xs) if problem.mode == "amalgam" else 0):
         raise EngineError("an amalgam step needs one fresh class per entry, an HNN step none")
     batch, mover = transitivity_batch(problem, state, xs, ys, witnesses, zs)
@@ -149,11 +149,10 @@ def transitivity_step(problem, state, xs, ys, witnesses, zs):
         state.commit_batch(batch)
     except StateError as exc:
         raise EngineError(f"batch rejected: {exc}") from None
-    pins = []
     for k, (x, y) in enumerate(zip(xs, ys)):
-        if evaluate_pi(state, mover, x, commit=True, log=pins) != y:
+        if evaluate_pi(state, mover, x, commit=True) != y:
             raise EngineError(f"mover does not carry entry {k} to its target")
-    return mover, batch + pins
+    return mover, batch
 
 
 def faithfulness_step(state, g, witness):
@@ -182,13 +181,15 @@ def _deferral_entry(head, diagnostic):
     return {**head, "diagnostic": diagnostic}
 
 
-def _cursor(state, action):
-    """The run's search cursor for one LevelAction.  It lives on the state,
-    not on the action, because one EngineProblem can serve several runs."""
-    cursor = state.cursors.get(action)
-    if cursor is None:
-        cursor = state.cursors[action] = SearchCursor()
-    return cursor
+def _witness(state, action, xs, F, protected, radius, what):
+    """``search_E_set`` from the run's cursor for this LevelAction, which
+    lives on the state because one EngineProblem can serve several runs;
+    DeferredRequirement naming ``what`` when the ball holds no witness."""
+    cursor = state.cursors.setdefault(action, SearchCursor())
+    witness = search_E_set(action, xs, F, radius, protected, cursor)
+    if witness is None:
+        raise DeferredRequirement(f"no {what} within radius {radius}")
+    return witness
 
 
 def _search_amalgam(problem, state, xs, ys, witness_radius):
@@ -198,25 +199,17 @@ def _search_amalgam(problem, state, xs, ys, witness_radius):
     # the default is the identity and a batch permutes the default images of
     # its sources, so the committed target orbits are the committed source
     # orbits: state.anchors protects both
-    left = _cursor(state, problem.action_left)
+    left = problem.action_left
     f1 = list(xs) + list(ys)
-    g1 = search_E_set(problem.action_left, xs, f1, witness_radius, state.anchors, cursor=left)
-    if g1 is None:
-        raise DeferredRequirement(
-            f"no left-factor witness for the source tuple within radius {witness_radius}")
-    f2 = f1 + [problem.action_left.act(g1, x) for x in xs]
-    g2inv = search_E_set(problem.action_left, ys, f2, witness_radius, state.anchors,
-                         cursor=left)
-    if g2inv is None:
-        raise DeferredRequirement(
-            f"no left-factor witness for the target tuple within radius {witness_radius}")
-    f3 = f2 + [problem.action_left.act(g2inv, y) for y in ys]
+    g1 = _witness(state, left, xs, f1, state.anchors, witness_radius,
+                  "left-factor witness for the source tuple")
+    f2 = f1 + [left.act(g1, x) for x in xs]
+    g2inv = _witness(state, left, ys, f2, state.anchors, witness_radius,
+                     "left-factor witness for the target tuple")
+    f3 = f2 + [left.act(g2inv, y) for y in ys]
     zs = allocate_fresh_orbits(state, len(xs), avoid=f3)
-    h = search_E_set(problem.action_right, zs, f3 + list(zs), witness_radius, state.anchors,
-                     cursor=_cursor(state, problem.action_right))
-    if h is None:
-        raise DeferredRequirement(
-            f"no right-factor witness for the fresh classes within radius {witness_radius}")
+    h = _witness(state, problem.action_right, zs, f3 + list(zs), state.anchors, witness_radius,
+                 "right-factor witness for the fresh classes")
     return {"g1": g1, "g2": g2inv.inverse(), "h": h}, zs
 
 
@@ -225,22 +218,16 @@ def _search_hnn(problem, state, xs, ys, witness_radius):
     # a batch permutes the default images t x0 of its sources, so the target
     # orbits of y0 and t x0 are state.dst_index, and the source orbits of x0
     # and t^-1 y0 are state.anchors
-    ginv = search_E_set(problem.action_neg, ys, list(ys) + list(xs), witness_radius,
-                        state.dst_index, cursor=_cursor(state, problem.action_neg))
-    if ginv is None:
-        raise DeferredRequirement(
-            f"no witness for the target tuple within radius {witness_radius}")
-    f_src = (list(xs) + list(ys)
-             + [state.default_preimage(problem.action_neg.act(ginv, y)) for y in ys])
-    h = search_E_set(problem.action_pos, xs, f_src, witness_radius, state.anchors,
-                     cursor=_cursor(state, problem.action_pos))
-    if h is None:
-        raise DeferredRequirement(
-            f"no witness for the source tuple within radius {witness_radius}")
+    neg = problem.action_neg
+    ginv = _witness(state, neg, ys, list(ys) + list(xs), state.dst_index, witness_radius,
+                    "witness for the target tuple")
+    f_src = list(xs) + list(ys) + [state.default_preimage(neg.act(ginv, y)) for y in ys]
+    h = _witness(state, problem.action_pos, xs, f_src, state.anchors, witness_radius,
+                 "witness for the source tuple")
     return {"g": ginv.inverse(), "h": h}, []
 
 
-def extend_transitivity(problem, state, xs, ys, witness_radius=64):
+def extend_transitivity(problem, state, xs, ys, witness_radius):
     """One extension step: search the witnesses (and, in amalgam mode, the
     fresh classes) that move xs to ys, and apply them.  Returns the mover,
     the witnesses and the fresh classes; DeferredRequirement when a search
@@ -257,7 +244,7 @@ def extend_transitivity(problem, state, xs, ys, witness_radius=64):
     return mover, witnesses, zs
 
 
-def ensure_faithful(problem, state, g, witness_radius=64):
+def ensure_faithful(problem, state, g, witness_radius):
     """The shortlex-first point x of the ball with pi(g) x != x, and its
     image, which ``faithfulness_step`` makes permanent.  Candidates are
     evaluated without pinning, so only the witness's own evaluation commits
@@ -457,10 +444,10 @@ def _rebuild(problem, state, head, payload, entry, postconditions):
     witnesses = {key: parse_word(getattr(gamma, factor), entry["witnesses"][key])
                  for key, factor in _WITNESS_FACTORS[problem.mode]}
     zs = [parse_word(gamma, p) for p in entry["zs"]]
-    mover, committed = transitivity_step(problem, state, xs, ys, witnesses, zs)
+    mover, batch = transitivity_step(problem, state, xs, ys, witnesses, zs)
     # anchors are committed only by a step and never change afterwards, so the
     # law needs checking once per anchor; default pins keep it by construction
-    if not state.check_equivariance(committed):
+    if not state.check_equivariance(batch):
         raise EngineError("equivariance fails at a committed anchor")
     postconditions.append((head["index"], "mover postcondition lost",
                            [(mover, x, y) for x, y in zip(xs, ys)]))

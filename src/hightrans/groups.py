@@ -694,9 +694,8 @@ class AmalgamGroup(Group):
 
     def include(self, side, x, onto=None):
         """The canonical injection of a factor element; x * onto when an
-        element ``onto`` is given, by one fold step onto its normal form."""
-        if x.owner is not self.factor(side):
-            raise OwnerMismatch(f"{x!r} is not in factor {side} of {self.name!r}")
+        element ``onto`` is given, by one fold step onto its normal form.
+        The fold raises OwnerMismatch for an x outside the factor."""
         if onto is None:
             onto = self.identity()
         elif onto.owner is not self:
@@ -792,9 +791,8 @@ class HnnGroup(Group):
 
     def include(self, x, onto=None):
         """The canonical injection of a base element; x * onto when an
-        element ``onto`` is given, which rewrites only its head."""
-        if x.owner is not self.base:
-            raise OwnerMismatch(f"{x!r} is not in the base of {self.name!r}")
+        element ``onto`` is given, which rewrites only its head.  The
+        product x * head raises OwnerMismatch for an x outside the base."""
         if onto is None:
             onto = self.identity()
         elif onto.owner is not self:

@@ -49,7 +49,6 @@ class AuditBounds:
     tuple_size_max: int = 2
     point_radius: int = 2
     witness_radius: int = 4
-    covering_piece_max: int = 4
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -318,23 +317,22 @@ def _faithful_verdict(domain, bounds):
         if exact:
             return AuditVerdict(FAIL, bounds, verdict)
         candidates.append(verdict)
-    if bounds.covering_piece_max >= 2:
-        for P in _finite_piece_candidates(zone):
-            cof, exact = domain.cofinite_fixer(P, bounds)
-            if cof is None:
-                continue
-            fin = domain.nontrivial_fixer_of(P, bounds.witness_radius)
-            if fin is None:
-                continue
-            verdict = {"covering": {
-                "F": [],
-                "pieces": [{"members": [domain.describe(p) for p in P]},
-                           {"complement_of": [domain.describe(p) for p in P]}],
-                "fixers": [str(fin), str(cof)],
-            }}
-            if exact:
-                return AuditVerdict(FAIL, bounds, verdict)
-            candidates.append(verdict)
+    for P in _finite_piece_candidates(zone):
+        cof, exact = domain.cofinite_fixer(P, bounds)
+        if cof is None:
+            continue
+        fin = domain.nontrivial_fixer_of(P, bounds.witness_radius)
+        if fin is None:
+            continue
+        verdict = {"covering": {
+            "F": [],
+            "pieces": [{"members": [domain.describe(p) for p in P]},
+                       {"complement_of": [domain.describe(p) for p in P]}],
+            "fixers": [str(fin), str(cof)],
+        }}
+        if exact:
+            return AuditVerdict(FAIL, bounds, verdict)
+        candidates.append(verdict)
     if candidates:
         return AuditVerdict(UNDECIDED, bounds, {
             "reason": "covering candidates found but cofinite fixers are only bounded",

@@ -142,43 +142,27 @@ def build_problem(data):
         raise ProblemError(["embeddings must be an object"])
 
     groups, embeddings = {}, {}
-    pending_groups = dict(group_specs)
-    pending_embs = dict(emb_specs)
+    # each section: its resolved handles, its pending specs and its builder;
+    # a pass resolves what it can, until a pass resolves nothing
+    sections = [("groups", groups, dict(group_specs),
+                 lambda name, spec: _try_build_group(name, spec, groups, embeddings)),
+                ("embeddings", embeddings, dict(emb_specs),
+                 lambda name, spec: _try_build_embedding(name, spec, groups))]
     progress = True
-    while progress and (pending_groups or pending_embs):
+    while progress:
         progress = False
-        for name in sorted(pending_groups):
-            spec = pending_groups[name]
-            try:
-                handle = _try_build_group(name, spec, groups, embeddings)
-            except _NotReady:
-                continue
-            except (ValueError, KeyError, TypeError) as exc:
-                errors.append(f"groups.{name}: {exc}")
-                del pending_groups[name]
+        for section, built, pending, build in sections:
+            for name in sorted(pending):
+                try:
+                    built[name] = build(name, pending[name])
+                except _NotReady:
+                    continue
+                except (ValueError, KeyError, TypeError) as exc:
+                    errors.append(f"{section}.{name}: {exc}")
+                del pending[name]
                 progress = True
-                continue
-            groups[name] = handle
-            del pending_groups[name]
-            progress = True
-        for name in sorted(pending_embs):
-            spec = pending_embs[name]
-            try:
-                emb = _try_build_embedding(name, spec, groups)
-            except _NotReady:
-                continue
-            except (ValueError, KeyError, TypeError) as exc:
-                errors.append(f"embeddings.{name}: {exc}")
-                del pending_embs[name]
-                progress = True
-                continue
-            embeddings[name] = emb
-            del pending_embs[name]
-            progress = True
-    for name in sorted(pending_groups):
-        errors.append(f"groups.{name}: unresolved references")
-    for name in sorted(pending_embs):
-        errors.append(f"embeddings.{name}: unresolved references")
+    for section, _, pending, _ in sections:
+        errors += [f"{section}.{name}: unresolved references" for name in sorted(pending)]
 
     graph = None
     if "graph" in data and not errors:

@@ -176,14 +176,14 @@ def test_commit_mode_pins_defaults(amalgam_state, rng):
     surface = amalgam_state.gamma
     g = surface.generator("a2") * surface.generator("b1")
     p = surface.generator("a1")
-    log = []
+    anchors = dict(amalgam_state.anchors)
     before = evaluate_pi(amalgam_state, g, p)
-    after = evaluate_pi(amalgam_state, g, p, commit=True, log=log)
+    after = evaluate_pi(amalgam_state, g, p, commit=True)
     assert before == after
-    assert log, "right-factor syllables must pin the orbits they touch"
-    for rep, img in log:
-        assert rep in amalgam_state.anchors
-        assert amalgam_state.anchors[rep] == (rep, img)
+    pins = {rep: pair for rep, pair in amalgam_state.anchors.items() if rep not in anchors}
+    assert pins, "right-factor syllables must pin the orbits they touch"
+    for rep, pair in pins.items():
+        assert pair == (rep, amalgam_state.default_image(rep))
 
 
 def test_allocate_fresh_orbits_policy(amalgam_state):

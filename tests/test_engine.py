@@ -20,6 +20,10 @@ from oracles import (amalgam_protect_list, equivariance_by_evaluation, hnn_prote
                      replay_steps, shortlex_first_rule)
 
 
+# the builder's witness radius, for the tests that call a step directly
+RADIUS = Budget(steps=0).witness_radius
+
+
 def canon(cert):
     return json.dumps(cert, sort_keys=True)
 
@@ -47,7 +51,7 @@ def hnn_problem():
 def test_extend_identity_pair(surface_problem):
     state = surface_problem.new_state()
     x = surface_problem.gamma.identity()
-    mover, _, _ = extend_transitivity(surface_problem, state, [x], [x])
+    mover, _, _ = extend_transitivity(surface_problem, state, [x], [x], RADIUS)
     assert evaluate_pi(state, mover, x) == x
 
 
@@ -56,7 +60,7 @@ def test_extend_moves_point_hnn(hnn_problem):
     gamma = hnn_problem.gamma
     x = gamma.identity()
     y = gamma.include(gamma.base.generator("b"))
-    mover, _, _ = extend_transitivity(hnn_problem, state, [x], [y])
+    mover, _, _ = extend_transitivity(hnn_problem, state, [x], [y], RADIUS)
     assert evaluate_pi(state, mover, x) == y
 
 
@@ -66,7 +70,7 @@ def test_extend_pair_surface(surface_problem):
     xs = [gamma.identity(), gamma.generator("a1")]
     ys = [gamma.generator("b2"), gamma.generator("b1")]
     before = len(state.anchors)
-    mover, witnesses, zs = extend_transitivity(surface_problem, state, xs, ys)
+    mover, witnesses, zs = extend_transitivity(surface_problem, state, xs, ys, RADIUS)
     assert len(zs) == 2
     assert len(rewired(state)) == 8
     assert len(state.anchors) >= before + 8
@@ -81,11 +85,11 @@ def test_extend_rejects_bad_tuples(surface_problem):
     q = gamma.generator("a1")
     r = gamma.generator("b1")
     with pytest.raises(ValueError, match="distinct"):
-        extend_transitivity(surface_problem, state, [p, p], [q, r])
+        extend_transitivity(surface_problem, state, [p, p], [q, r], RADIUS)
     with pytest.raises(ValueError, match="length"):
-        extend_transitivity(surface_problem, state, [p], [q, r])
+        extend_transitivity(surface_problem, state, [p], [q, r], RADIUS)
     with pytest.raises(ValueError, match="non-empty"):
-        extend_transitivity(surface_problem, state, [], [])
+        extend_transitivity(surface_problem, state, [], [], RADIUS)
 
 
 def test_prior_postconditions_survive(surface_problem, rng):
@@ -96,7 +100,7 @@ def test_prior_postconditions_survive(surface_problem, rng):
     pairs = [([pts[0]], [pts[1]]), ([pts[2]], [pts[3]]),
              ([pts[1], pts[4]], [pts[5], pts[0]]), ([pts[6]], [pts[6]])]
     for xs, ys in pairs:
-        mover, _, _ = extend_transitivity(surface_problem, state, xs, ys)
+        mover, _, _ = extend_transitivity(surface_problem, state, xs, ys, RADIUS)
         discharged.append((mover, xs, ys))
         for m, mxs, mys in discharged:
             for x, y in zip(mxs, mys):
@@ -109,29 +113,29 @@ def test_ensure_faithful(surface_problem):
     gamma = surface_problem.gamma
     g = gamma.generator("a1")
     # on an empty state pi(g) is left multiplication: the identity moves
-    witness, image = ensure_faithful(surface_problem, state, g)
+    witness, image = ensure_faithful(surface_problem, state, g, RADIUS)
     assert witness == gamma.identity() and image == g
     assert not state.anchors
     # a transitivity step commits orbits; the witness is the first point
     # in shortlex order that pi(g) moves, and the pins keep it moved
     xs, ys = [gamma.identity()], [gamma.generator("b2")]
-    mover, *_ = extend_transitivity(surface_problem, state, xs, ys)
+    mover, *_ = extend_transitivity(surface_problem, state, xs, ys, RADIUS)
     g = gamma.generator("b1")
     first = next(x for x in gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
     before = dict(state.anchors)
-    witness, image = ensure_faithful(surface_problem, state, g)
+    witness, image = ensure_faithful(surface_problem, state, g, RADIUS)
     assert witness == first and image == evaluate_pi(state, g, witness) != witness
     assert all(y0 == state.default_image(x0) for x0, y0 in pins_of(state, before))
     assert evaluate_pi(state, mover, xs[0]) == ys[0]
     with pytest.raises(ValueError):
-        ensure_faithful(surface_problem, state, gamma.identity())
+        ensure_faithful(surface_problem, state, gamma.identity(), RADIUS)
 
 
 def test_ensure_faithful_syllable_word(hnn_problem):
     state = hnn_problem.new_state()
     gamma = hnn_problem.gamma
     g = gamma.stable() * gamma.include(gamma.base.generator("a")) * gamma.stable()
-    witness, image = ensure_faithful(hnn_problem, state, g)
+    witness, image = ensure_faithful(hnn_problem, state, g, RADIUS)
     assert witness == gamma.identity() and image == g
     # the stable letters pinned the orbits they passed through
     pins = pins_of(state, {})
@@ -325,7 +329,7 @@ def test_extend_triple_tuple(surface_problem):
     pts = gamma.ball(1)
     xs = [pts[0], pts[1], pts[3]]
     ys = [pts[5], pts[2], pts[0]]
-    mover, _, zs = extend_transitivity(surface_problem, state, xs, ys)
+    mover, _, zs = extend_transitivity(surface_problem, state, xs, ys, RADIUS)
     assert len(zs) == 3 and len(rewired(state)) == 12
     for x, y in zip(xs, ys):
         assert evaluate_pi(state, mover, x) == y

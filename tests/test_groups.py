@@ -107,6 +107,19 @@ def test_owner_mismatch():
         a * b
 
 
+def test_include_refuses_an_element_outside_the_factor(surface, bs12):
+    """The amalgam fold and the HNN base product check the owner, so an
+    include of a foreign element raises even when it is the identity."""
+    with pytest.raises(OwnerMismatch):
+        surface.include(0, surface.right.generator(surface.right.labels[0]))
+    with pytest.raises(OwnerMismatch):
+        surface.include(1, surface.left.identity(), surface.identity())
+    with pytest.raises(OwnerMismatch):
+        bs12.include(bs12.stable())
+    with pytest.raises(OwnerMismatch):
+        bs12.include(fixtures.free2().identity(), bs12.identity())
+
+
 def test_finite_table_validation():
     from hightrans.groups import FiniteGroup
     with pytest.raises(ValueError, match="inverse"):

@@ -58,6 +58,36 @@ def test_bad_embedding_image():
         })
 
 
+def test_loader_reports_errors_by_pass_then_unresolved_by_section():
+    """Each pass resolves the groups, then the embeddings, in sorted order,
+    and reports a bad spec as it meets it; G waits one pass for its edge
+    maps.  What is still pending at the end is unresolved, groups first."""
+    doc = {
+        "groups": {
+            "A": {"kind": "free", "generators": ["a"]},
+            "B": {"kind": "free", "generators": ["b"]},
+            "Bad": {"kind": "nope"},
+            "C": {"kind": "trivial"},
+            "G": {"kind": "amalgam", "left": "A", "right": "B", "edge": ["eA", "eB"]},
+            "U": {"kind": "amalgam", "left": "A", "right": "Nowhere", "edge": ["eA", "eB"]},
+        },
+        "embeddings": {
+            "bad": {"source": "A", "target": "B", "images": ["zz"]},
+            "dangling": {"source": "C", "target": "Nowhere", "images": []},
+            "eA": {"source": "C", "target": "A", "images": []},
+            "eB": {"source": "C", "target": "B", "images": []},
+        },
+    }
+    with pytest.raises(ProblemError) as info:
+        build_problem(doc)
+    assert info.value.errors == [
+        "groups.Bad: unknown group kind 'nope'",
+        "embeddings.bad: unknown generator 'zz' in group 'B'",
+        "groups.U: unresolved references",
+        "embeddings.dangling: unresolved references",
+    ]
+
+
 @pytest.mark.parametrize("name", ALL_PROBLEMS)
 def test_bundled_problems_parse(name):
     parse_problem(problem_path(name))
@@ -185,12 +215,24 @@ def test_cli_build_negative_budget_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, reason", [
     (["build", "{p}", "--budget", "abc"], "invalid int value: 'abc'"),
     (["audit", "{p}", "--bounds", "2,0,4"], "all audit bounds must be positive"),
+    (["audit", "{p}", "--bounds", "2,2,4,4"], "bounds are n,rho,r"),
     (["verify", "{p}"], "the following arguments are required: certificate"),
-], ids=["budget-not-a-number", "bounds-out-of-range", "missing-argument"])
+], ids=["budget-not-a-number", "bounds-out-of-range", "bounds-four-fields", "missing-argument"])
 def test_cli_argument_error_returns_usage_exit(argv, reason, capsys):
     argv = [a.format(p=problem_path("z-star-z.json")) for a in argv]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert reason in capsys.readouterr().err
+
+
+def test_cli_a_covering_piece_bound_in_the_file_is_a_usage_error(tmp_path, capsys):
+    doc = _document("z-star-z.json")
+    doc.setdefault("bounds", {})["covering_piece_max"] = 4
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["audit", str(path)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: bounds: ") and "covering_piece_max" in captured.err
 
 
 def test_cli_help_exits_zero(capsys):
