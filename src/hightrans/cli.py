@@ -192,7 +192,7 @@ def cmd_build(args):
     if args.seedless:
         gamma2, _ = problem.build_group(source)
         with _engine_log(args.verbose):
-            cert2 = run_schedule(gamma2, budget, problem.digest())
+            cert2 = run_schedule(EngineProblem(gamma2), budget, problem.digest())
         cert2["source"] = source
         if canonical_text(cert) != canonical_text(cert2):
             print("error: double run produced different certificates", file=sys.stderr)

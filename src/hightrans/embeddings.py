@@ -242,16 +242,24 @@ class CyclicFreeStrategy:
         when u^-1 g begins with m whole periods of d^-1 and -m when it
         begins with m of d: c^k0 g = u h' with h' beginning with neither
         d nor d^-1, so g's projection onto the axis lies within one period
-        of the orbit point of c^-k0.  The other two candidates are cached
-        as coset-mates, (gen^(k - best_k), best)."""
-        h = (self._u_inv * g).spelling()
+        of the orbit point of c^-k0.  A mate's letter length is its sum of
+        |exponent|; only mates tied at the least are spelled, so the order
+        stays shortlex.  The others are cached as (gen^(k - best_k), best)."""
+        tgt = self.emb.target
+        h = tgt.spell(tgt.multiply(self._u_inv.payload, g.payload) if self.len_u else g.payload)
         k0 = _leading_periods(h, self._core_inv_spell) or -_leading_periods(h, self._core_spell)
-        mates = [(self._power(k) * g, k) for k in (k0 - 1, k0, k0 + 1)]
-        best, best_k = min(mates, key=lambda m: m[0].sort_key())
+        mates = [(tgt.multiply(self._power(k).payload, g.payload), k) for k in (k0 - 1, k0, k0 + 1)]
+        lengths = [sum(abs(exp) for _, exp in m) for m, _ in mates]
+        tied = [mate for mate, n in zip(mates, lengths) if n == min(lengths)]
+        spelling, (best_p, best_k) = None, tied[0]
+        if len(tied) > 1:
+            spelling, best_p, best_k = min((tgt.spell(m), m, k) for m, k in tied)
+        best = Element(tgt, best_p)
+        best._spell = spelling
         cache, src = self.emb._decompose_cache, self.emb.source
         gen = src.labels[0]
         for m, k in mates:
-            cache[m.payload] = (src.element_from_word([(gen, k - best_k)]), best)
+            cache[m] = (src.element_from_word([(gen, k - best_k)]), best)
         return (src.element_from_word([(gen, -best_k)]), best)
 
 

@@ -315,7 +315,7 @@ def requirement_stream(problem):
 
 
 class _PointTable:
-    """Lazily materialized points in shortlex order, 1-indexed."""
+    """Lazily materialized points in shortlex order, 1-indexed, each beside its text."""
 
     def __init__(self, gamma):
         self._iter = gamma.iter_shortlex()
@@ -323,7 +323,8 @@ class _PointTable:
 
     def get(self, index):
         while len(self._points) < index:
-            self._points.append(next(self._iter))
+            point = next(self._iter)
+            self._points.append((point, str(point)))
         return self._points[index - 1]
 
 
@@ -342,8 +343,8 @@ def _schedule(problem, steps):
             n, it, jt = payload
             xs = [points.get(i) for i in it]
             ys = [points.get(j) for j in jt]
-            head.update(xs=[str(p) for p in xs], ys=[str(p) for p in ys])
-            yield head, (n, xs, ys)
+            head.update(xs=[text for _, text in xs], ys=[text for _, text in ys])
+            yield head, (n, [p for p, _ in xs], [p for p, _ in ys])
         else:
             head["element"] = str(payload[0])
             yield head, payload

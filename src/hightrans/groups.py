@@ -484,16 +484,15 @@ class FreeGroup(Group):
         self.identity_payload = ()
 
     def multiply(self, p, q):
-        word = list(p)
-        for gen, exp in q:
-            if word and word[-1][0] == gen:
-                merged = word[-1][1] + exp
-                word.pop()
-                if merged:
-                    word.append((gen, merged))
-            else:
-                word.append((gen, exp))
-        return tuple(word)
+        """Only p's last and q's first syllables of reduced p and q cancel:
+        walk the junction, then splice once, with at most one merged syllable."""
+        i, j, n = len(p), 0, len(q)
+        while i and j < n and p[i - 1][0] == q[j][0]:
+            exp = p[i - 1][1] + q[j][1]
+            if exp:
+                return p[:i - 1] + ((q[j][0], exp),) + q[j + 1:]
+            i, j = i - 1, j + 1
+        return p[:i] + q[j:]
 
     def inverse_payload(self, p):
         return tuple((gen, -exp) for gen, exp in reversed(p))
@@ -510,10 +509,16 @@ class FreeGroup(Group):
         return Element(self, ((i, 1),))
 
     def element_from_word(self, word):
-        """One ``multiply`` folds the raw syllables; a zero exponent is
-        dropped, since ``multiply`` keeps every syllable it cannot merge."""
-        syllables = [(self._index(lab), exp) for lab, exp in word]
-        return Element(self, self.multiply((), tuple(s for s in syllables if s[1])))
+        """Free reduction of raw syllables on a stack; a zero exponent is
+        dropped once its label is checked."""
+        out = []
+        for lab, exp in word:
+            gen = self._index(lab)
+            if out and out[-1][0] == gen:
+                exp += out.pop()[1]
+            if exp:
+                out.append((gen, exp))
+        return Element(self, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +700,14 @@ class AmalgamGroup(Group):
     def include(self, side, x, onto=None):
         """The canonical injection of a factor element; x * onto when an
         element ``onto`` is given, by one fold step onto its normal form.
-        The fold raises OwnerMismatch for an x outside the factor."""
-        if onto is None:
-            onto = self.identity()
-        elif onto.owner is not self:
+        The step raises OwnerMismatch for an x outside the factor."""
+        if onto is not None and onto.owner is not self:
             raise OwnerMismatch(f"{onto!r} is not in {self.name!r}")
-        return Element(self, normal_forms.reduce_amalgam_tokens(self, [(side, x)], onto.payload))
+        lead, syls = self.identity_payload if onto is None else onto.payload
+        lead, r, consumed = normal_forms.amalgam_step(self, side, x, lead,
+                                                      syls[0] if syls else None)
+        syls = syls[1:] if consumed else syls
+        return Element(self, (lead, syls if r.is_identity else ((side, r),) + syls))
 
     def sigma_embedding(self):
         """The edge subgroup included into the amalgam itself."""
@@ -793,11 +800,9 @@ class HnnGroup(Group):
         """The canonical injection of a base element; x * onto when an
         element ``onto`` is given, which rewrites only its head.  The
         product x * head raises OwnerMismatch for an x outside the base."""
-        if onto is None:
-            onto = self.identity()
-        elif onto.owner is not self:
+        if onto is not None and onto.owner is not self:
             raise OwnerMismatch(f"{onto!r} is not in {self.name!r}")
-        head, tail = onto.payload
+        head, tail = self.identity_payload if onto is None else onto.payload
         return Element(self, (x * head, tail))
 
     def sigma_embedding(self, eps):

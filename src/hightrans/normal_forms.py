@@ -5,10 +5,10 @@ already canonical.  By the normal-form theorem for amalgams and Britton's
 lemma (Lyndon-Schupp, ch. IV), left-multiplying a normal form by one
 factor or base element rewrites only its leading syllable:
 
-  * amalgam, token x on side s: m = x e_s(lead), times the first syllable
-    when that syllable is on side s too (it is then consumed); the coset
-    decomposition m = e_s(lead') r gives the new lead, and (s, r) is
-    prepended unless r = 1.
+  * amalgam (``amalgam_step``), token x on side s: m = x e_s(lead), just
+    x for lead = 1, times the first syllable when it is on side s too (it
+    is then consumed); m = e_s(lead') r gives the new lead, and (s, r) is
+    prepended unless r = 1.  ``AmalgamGroup.include`` is this one step.
   * HNN, base token b: head = b head.  Stable letter t^d: decompose
     head = e_d(s) r and carry s through the letter, head = e_-d(s); when
     r = 1 and the tail starts with t^-d the two letters pinch and that
@@ -36,22 +36,31 @@ from . import groups
 MAX_EXPONENT = 10_000
 
 
+def amalgam_step(handle, side, x, lead, head):
+    """x on side ``side`` times a normal form with edge part ``lead`` and
+    leading syllable ``head`` (or None): the new lead, the representative r
+    that leads unless r = 1, and whether ``head`` was consumed."""
+    if x.owner is not handle.factor(side):
+        raise groups.OwnerMismatch(
+            f"token {x!r} does not live in factor {side} of {handle.name!r}")
+    if x.is_identity:
+        return lead, x, False
+    edge = handle.edge(side)
+    m = x if lead.is_identity else x * edge.apply(lead)
+    consumed = head is not None and head[0] == side
+    lead, r = edge.decompose(m * head[1] if consumed else m)
+    return lead, r, consumed
+
+
 def reduce_amalgam_tokens(handle, tokens, payload=None):
     """Fold (side, factor element) tokens, right to left, onto a canonical
     amalgam payload (the identity by default)."""
     lead, syls = handle.identity_payload if payload is None else payload
     stack = list(reversed(syls))   # the leading syllable is on top
     for side, x in reversed(tokens):
-        if x.owner is not handle.factor(side):
-            raise groups.OwnerMismatch(
-                f"token {x!r} does not live in factor {side} of {handle.name!r}")
-        if x.is_identity:
-            continue
-        edge = handle.edge(side)
-        m = x * edge.apply(lead)
-        if stack and stack[-1][0] == side:
-            m = m * stack.pop()[1]
-        lead, r = edge.decompose(m)
+        lead, r, consumed = amalgam_step(handle, side, x, lead, stack[-1] if stack else None)
+        if consumed:
+            stack.pop()
         if not r.is_identity:
             stack.append((side, r))
     return (lead, tuple(reversed(stack)))

@@ -8,9 +8,10 @@ a word one letter at a time is the slow path of
 twist or no twist, the action law over every pair of Q and the
 determinant by cofactors are the slow paths of
 ``SemidirectGroup.multiply`` and of its checks.  The walk over
-every power of a cyclic coset in reach and the parse with one token per
-syllable are the slow paths of the closed-form cyclic decomposition and
-of the one-token-per-run parse.  The two-phase token reducers below are
+every power of a cyclic coset in reach, the three candidate powers
+compared by their whole shortlex keys, and the parse with one token per
+syllable are the slow paths of the closed-form cyclic decomposition, of
+its pick by letter length and of the one-token-per-run parse.  The two-phase token reducers below are
 the slow path the one-syllable fold replaced; they reduce a whole token
 list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
@@ -36,7 +37,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, permutations, product
 
-from hightrans import engine, groups
+from hightrans import embeddings, engine, groups
 from hightrans.action import LevelAction
 from hightrans.graphs import _fundamental_group
 from hightrans.groups import UndecidedError
@@ -182,6 +183,23 @@ def cyclic_decompose_by_power_walk(strategy, g):
                     best, best_k, best_key = cand, sign * k, key
             k += 1
     return (strategy.emb.source.generators()[0] ** -best_k, best)
+
+
+def cyclic_decompose_by_sort_key(strategy, g, cache):
+    """``CyclicFreeStrategy.decompose`` on elements: the three candidate
+    powers c^k g are built as elements and the least is taken by the
+    whole shortlex key, spelling every candidate.  Writes the same
+    coset-mate entries into ``cache``."""
+    h = (strategy._u_inv * g).spelling()
+    k0 = (embeddings._leading_periods(h, strategy._core_inv_spell)
+          or -embeddings._leading_periods(h, strategy._core_spell))
+    mates = [(strategy._power(k) * g, k) for k in (k0 - 1, k0, k0 + 1)]
+    best, best_k = min(mates, key=lambda m: m[0].sort_key())
+    src = strategy.emb.source
+    gen = src.labels[0]
+    for m, k in mates:
+        cache[m.payload] = (src.element_from_word([(gen, k - best_k)]), best)
+    return (src.element_from_word([(gen, -best_k)]), best)
 
 
 def spanning_tree_by_rescan(graph):

@@ -13,6 +13,7 @@ from hightrans.engine import (
     run_schedule,
     verify_certificate_report,
 )
+from hightrans.groups import Element
 from hightrans.normal_forms import parse_word
 
 from conftest import PROBLEMS, zoo
@@ -181,6 +182,22 @@ def test_schedule_covers_both_kinds():
     assert kinds == {"transitivity", "faithfulness"}
     sizes = {s["n"] for s in cert["steps"] if s["kind"] == "transitivity"}
     assert 1 in sizes
+
+
+def test_schedule_formats_each_point_once(monkeypatch):
+    """The point table keeps each point's text: at 300 steps on pi1-sigma2
+    the transitivity requirements name 510 points, 9 of them distinct, and
+    each distinct point is formatted once, as is each faithfulness element."""
+    problem = EngineProblem(zoo("pi1-sigma2").build_group()[0])
+    formatted = Counter()
+    to_text = Element.__str__
+    monkeypatch.setattr(Element, "__str__", lambda x: formatted.update([x]) or to_text(x))
+    heads = [head for head, _ in engine._schedule(problem, 300)]
+    points = {p for h in heads if h["kind"] == "transitivity" for p in h["xs"] + h["ys"]}
+    elements = [h["element"] for h in heads if h["kind"] == "faithfulness"]
+    named = sum(len(h["xs"]) + len(h["ys"]) for h in heads if h["kind"] == "transitivity")
+    assert (named, len(points)) == (510, 9)
+    assert sum(formatted.values()) == len(points) + len(elements)
 
 
 def test_schedule_eventually_multi_point():

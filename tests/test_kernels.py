@@ -1,0 +1,179 @@
+"""The free-group and cyclic-coset kernels against their slow paths.
+
+* ``FreeGroup.multiply`` splices two reduced words at the junction; it is
+  checked against ``element_from_word`` of the concatenated words, and
+  that free reduction against a letter-by-letter cancellation.
+* ``CyclicFreeStrategy.decompose`` picks the coset representative by
+  letter length and spells only the tied mates; it is checked against
+  ``oracles.cyclic_decompose_by_sort_key``, which spells every mate,
+  return value and cache entries alike.
+* ``AmalgamGroup.include`` is one fold step on the normal form; it is
+  checked against the fold and against the two-phase token oracle.  Its
+  owner check is ``test_groups.py::test_include_refuses_an_element_outside_the_factor``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hightrans.embeddings import CyclicFreeStrategy, Embedding
+from hightrans.groups import Element, FreeGroup
+from hightrans.normal_forms import parse_word, reduce_amalgam_tokens
+
+import oracles
+from conftest import PROBLEMS, zoo
+
+F3 = FreeGroup("F3", ("a", "b", "c"))
+
+raw_words = st.lists(st.tuples(st.sampled_from(F3.labels), st.integers(-3, 3)), max_size=8)
+
+
+def _by_letters(word):
+    """Free reduction one letter at a time: +-(i + 1) for generator i."""
+    stack = []
+    for lab, exp in word:
+        letter = F3.labels.index(lab) + 1
+        for _ in range(abs(exp)):
+            step = letter if exp > 0 else -letter
+            if stack and stack[-1] == -step:
+                stack.pop()
+            else:
+                stack.append(step)
+    out = []
+    for step in stack:
+        gen, sign = abs(step) - 1, 1 if step > 0 else -1
+        if out and out[-1][0] == gen:
+            out[-1] = (gen, out[-1][1] + sign)
+        else:
+            out.append((gen, sign))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_words)
+def test_free_reduction_matches_letter_cancellation(word):
+    assert F3.element_from_word(word).payload == _by_letters(word)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_words, st.integers(0, 8), st.integers(-2, 2), raw_words)
+def test_junction_splice_matches_reduction_of_the_concatenation(left, cancel, nudge, tail):
+    """q starts with the inverse of p's last ``cancel`` syllables, the
+    innermost one nudged, so the junction cancels fully, merges or stops."""
+    p = F3.element_from_word(left)
+    back = [(lab, -exp) for lab, exp in reversed(p.word()[len(p.word()) - cancel:])]
+    if back and nudge:
+        back[-1] = (back[-1][0], back[-1][1] + nudge)
+    q = F3.element_from_word(back + tail)
+    assert (p * q).payload == F3.element_from_word(p.word() + q.word()).payload
+
+
+@pytest.mark.parametrize("p, q, want", [
+    ("a b^2", "b^-2 a^-1", ""),              # full cancellation
+    ("a b^2", "b^-2 a^-1 c", "c"),           # full cancellation of p only
+    ("a b^2", "b^-1 c", "a b c"),            # partial merge
+    ("a b^2", "b^-1", "a b"),                # partial merge, q used up
+    ("a b c^-1", "c a", "a b a"),            # cancel one syllable, stop at b, a
+    ("a b", "a^-1", "a b a^-1"),             # nothing cancels
+    ("", "a b", "a b"),                      # empty sides
+    ("a b", "", "a b"),
+    ("", "", ""),
+])
+def test_junction_splice_cases(p, q, want):
+    p, q, want = (parse_word(F3, text).payload for text in (p, q, want))
+    assert F3.multiply(p, q) == want
+
+
+def test_a_zero_exponent_is_dropped_but_its_label_still_checked():
+    assert F3.element_from_word([("a", 1), ("b", 0), ("a", -1)]).is_identity
+    with pytest.raises(ValueError, match="unknown generator"):
+        F3.element_from_word([("z", 0)])
+
+
+# -- cyclic coset representative ---------------------------------------------
+
+
+def _cyclic_cases():
+    """(id, problem name, embedding name) for every embedding of the
+    problem files with a CyclicFreeStrategy."""
+    return [(f"{path.stem}:{name}", path.stem, name)
+            for path in sorted(PROBLEMS.glob("*.json"))
+            for name, emb in sorted(zoo(path.stem).embeddings.items())
+            if isinstance(emb.strategy, CyclicFreeStrategy)]
+
+
+CYCLIC = _cyclic_cases()
+
+# Subgroups <c> of F(a, b) whose tied mates differ first in the exponent
+# of one generator, as a and a^-1 for c = a^2, so a tie broken by payload
+# order picks a^-1 where shortlex picks a; on the problem files the tied
+# mates differ first in their generators, where both orders agree.
+BUILT = ("a^2", "b a^2 b^-1", "a b^-1")
+
+
+def _cyclic_embedding(problem, name):
+    if problem is None:
+        target = FreeGroup("F", ("a", "b"))
+        return Embedding(name, FreeGroup("C", ("c",)), target, [parse_word(target, name)])
+    return zoo(problem).embeddings[name]
+
+
+def test_cyclic_cases_cover_the_problems():
+    assert {problem for _, problem, _ in CYCLIC} >= {"pi1-sigma2", "theta", "free2-hnn"}
+    assert all(isinstance(_cyclic_embedding(None, c).strategy, CyclicFreeStrategy) for c in BUILT)
+
+
+@pytest.mark.parametrize("problem, name", [c[1:] for c in CYCLIC] + [(None, c) for c in BUILT],
+                         ids=[c[0] for c in CYCLIC] + [f"F:<{c}>" for c in BUILT])
+def test_cyclic_representative_matches_the_sort_key_oracle(problem, name):
+    emb = _cyclic_embedding(problem, name)
+    for g in emb.target.ball(4):
+        emb._decompose_cache.clear()
+        got = emb.strategy.decompose(g)
+        got_cache = dict(emb._decompose_cache)
+        want_cache = {}
+        want = oracles.cyclic_decompose_by_sort_key(emb.strategy, g, want_cache)
+        assert got == want, g
+        assert got_cache == want_cache, g
+        rep = got[1]
+        if rep._spell is not None:   # spelled only to break a length tie
+            assert rep._spell == emb.target.spell(rep.payload)
+
+
+def test_pi1_sigma2_ball_has_the_documented_ties():
+    """54 of the 485 elements of F(a1, b1)'s ball of radius 5 leave two
+    mates tied at the least letter length."""
+    emb = _cyclic_embedding("pi1-sigma2", "cL")
+    ball = emb.target.ball(5)
+    tied = sum(emb.strategy.decompose(g)[1]._spell is not None for g in ball)
+    assert (tied, len(ball)) == (54, 485)
+
+
+# -- include as one fold step ------------------------------------------------
+
+
+@pytest.mark.parametrize("problem", ["pi1-sigma2", "z-star-z"])
+def test_include_matches_the_fold_and_the_two_phase_oracle(problem):
+    gamma = zoo(problem).build_group()[0]
+    # a normal form with a nontrivial lead is longer than 3 letters
+    leads = [gamma.sigma_embedding().apply(s) * y
+             for s in gamma.edge_source.ball(2) for y in gamma.ball(1)]
+    seen = set()
+    for onto in gamma.ball(3) + leads:
+        lead, syls = onto.payload
+        for side in (0, 1):
+            for x in gamma.factor(side).ball(2):
+                got = gamma.include(side, x, onto)
+                assert got.payload == reduce_amalgam_tokens(gamma, [(side, x)], onto.payload)
+                assert got.payload == oracles.reduce_amalgam_tokens(
+                    gamma, [(side, x)] + gamma.tokens(onto.payload))
+                seen.add("identity x" if x.is_identity else
+                         "identity onto" if onto.is_identity else
+                         "identity lead" if lead.is_identity else "lead")
+                if syls and syls[0][0] == side and not x.is_identity:
+                    seen.add("same-side head")
+    # z-star-z amalgamates over the trivial group, so every lead is trivial
+    assert seen - {"lead"} == {"identity x", "identity onto", "identity lead", "same-side head"}
+    assert ("lead" in seen) == (problem == "pi1-sigma2")
+    x = gamma.factor(0).generators()[0]
+    assert gamma.include(0, x) == Element(gamma, reduce_amalgam_tokens(gamma, [(0, x)]))

@@ -454,6 +454,21 @@ def test_cli_seedless_build_with_deferrals_is_byte_identical(name, capsys):
     assert "determinism: double run byte-identical" in out
 
 
+def test_cli_seedless_build_gives_both_runs_an_engine_problem(monkeypatch, capsys):
+    """The second run goes through the same acting-group gate as the first."""
+    seen = []
+
+    def recording(problem, *args):
+        seen.append(type(problem))
+        return run_schedule(problem, *args)
+
+    run_schedule = cli.run_schedule
+    monkeypatch.setattr(cli, "run_schedule", recording)
+    assert cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6", "--seedless"]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    assert seen == [engine.EngineProblem, engine.EngineProblem]
+
+
 def test_cli_build_verbose_logs_steps_and_keeps_certificate_bytes(tmp_path, capsys):
     """``build -v`` logs each step to standard error; the certificate is
     byte-identical to a quiet build's."""
