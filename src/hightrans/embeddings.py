@@ -223,19 +223,24 @@ class CyclicFreeStrategy:
         self._powers = {}
 
     def _power(self, k):
+        """(c^k, the source generator to the power k), each built once."""
         out = self._powers.get(k)
         if out is None:
-            out = self._powers[k] = self.u * (self.core ** k) * self._u_inv
+            src = self.emb.source
+            out = self._powers[k] = (self.u * (self.core ** k) * self._u_inv,
+                                     src.element_from_word([(src.labels[0], k)]))
         return out
 
     def contains(self, g):
-        if g.is_identity:
+        """A letter length is the sum of |exponent| over the payload."""
+        p = g.payload
+        if not p:
             return True
-        rem = g.length() - 2 * self.len_u
+        rem = sum(abs(exp) for _, exp in p) - 2 * self.len_u
         if rem <= 0 or rem % self.len_core:
             return False
         k = rem // self.len_core
-        return g == self._power(k) or g == self._power(-k)
+        return p == self._power(k)[0].payload or p == self._power(-k)[0].payload
 
     def decompose(self, g):
         """The least of c^k g for k in {k0 - 1, k0, k0 + 1}, with k0 = +m
@@ -248,7 +253,8 @@ class CyclicFreeStrategy:
         tgt = self.emb.target
         h = tgt.spell(tgt.multiply(self._u_inv.payload, g.payload) if self.len_u else g.payload)
         k0 = _leading_periods(h, self._core_inv_spell) or -_leading_periods(h, self._core_spell)
-        mates = [(tgt.multiply(self._power(k).payload, g.payload), k) for k in (k0 - 1, k0, k0 + 1)]
+        mates = [(tgt.multiply(self._power(k)[0].payload, g.payload), k)
+                 for k in (k0 - 1, k0, k0 + 1)]
         lengths = [sum(abs(exp) for _, exp in m) for m, _ in mates]
         tied = [mate for mate, n in zip(mates, lengths) if n == min(lengths)]
         spelling, (best_p, best_k) = None, tied[0]
@@ -256,11 +262,10 @@ class CyclicFreeStrategy:
             spelling, best_p, best_k = min((tgt.spell(m), m, k) for m, k in tied)
         best = Element(tgt, best_p)
         best._spell = spelling
-        cache, src = self.emb._decompose_cache, self.emb.source
-        gen = src.labels[0]
+        cache = self.emb._decompose_cache
         for m, k in mates:
-            cache[m] = (src.element_from_word([(gen, k - best_k)]), best)
-        return (src.element_from_word([(gen, -best_k)]), best)
+            cache[m] = (self._power(k - best_k)[1], best)
+        return (self._power(-best_k)[1], best)
 
 
 class FactorStrategy:

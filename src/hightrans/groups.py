@@ -9,9 +9,10 @@ shortlex order over the declared generator alphabet, with letters ordered
 ``g0 < g0^-1 < g1 < g1^-1 < ...``.  Ball enumeration, coset representatives
 and witness searches all derive from this single order.
 
-Handles cache ball layers and spelling tables; caches are append-only maps
-keyed by immutable payloads, so concurrent readers are safe and repeated
-queries are cheap.
+Handles cache the shortlex ball layers and the conjugacy balls of
+``Group.conjugates``, which every embedding into one target shares;
+elements cache their spelling.  Caches are append-only maps keyed by
+immutable payloads, so repeated queries are cheap.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class Group:
     The constructor sets ``identity_payload`` once.  Payloads are ints or
     tuples of canonical parts, so ``==`` on payloads is equality in the
     group.  Each kind states whether it is finite, once: the shortlex walk
-    asks at the end of every layer.
+    asks at the end of every layer.  Shortlex and conjugacy balls, which
+    handles cache, need nothing beyond that protocol.
     """
 
     kind = "abstract"
@@ -172,6 +174,8 @@ class Group:
         self._frontier = None
         self._seen = None
         self._bfs_depth = 0
+        self._conjugators = {}    # radius -> [(length of h, h, h^-1) over ball(radius)]
+        self._conjugates = {}     # (x, radius) -> the conjugates of x, see conjugates
 
     # -- payload protocol ---------------------------------------------------
 
@@ -269,6 +273,26 @@ class Group:
         for d in range(radius + 1):
             out.extend(self._layers[d])
         return out
+
+    def conjugates(self, x, radius):
+        """The distinct conjugates h x h^-1 over ``ball(radius)`` in order of
+        first appearance, each mapped to the length of its first conjugator
+        h; balls nest, so those mapped below ``radius`` are the conjugates
+        over ``ball(radius - 1)``.  Products run on payloads with one inverse
+        per conjugator, and only distinct conjugates become elements."""
+        if x.owner is not self:
+            raise OwnerMismatch(f"{x!r} is not in {self.name!r}")
+        key = (x.payload, radius)
+        if key not in self._conjugates:
+            if radius not in self._conjugators:
+                self._conjugators[radius] = [
+                    (d, h.payload, self.inverse_payload(h.payload))
+                    for d in range(radius + 1) for h in self.shortlex_layer(d)]
+            first, mul = {}, self.multiply
+            for d, h, hinv in self._conjugators[radius]:
+                first.setdefault(mul(mul(h, x.payload), hinv), d)
+            self._conjugates[key] = {Element(self, c): d for c, d in first.items()}
+        return self._conjugates[key]
 
     def iter_shortlex(self, max_radius=None):
         """Yield elements in shortlex order, layer by layer."""

@@ -399,28 +399,24 @@ def certify_structural(emb, bounds=None):
         member = {g: emb.contains(g) for g in ball_small}
         # one conjugacy ball per pair {g, g^-1}, shared by both premises:
         # h g^-1 h^-1 = (h g h^-1)^-1 and Sigma holds c exactly when it holds
-        # c^-1, so g^-1 has every count and flag of g.  Shortlex balls nest,
-        # so the conjugates over the radius r-1 ball are a prefix of those
-        # over the radius r ball
-        conjugators = [(h, h.inverse()) for h in tgt.ball(bounds.witness_radius)]
-        n_prev = len(tgt.ball(bounds.witness_radius - 1))
+        # c^-1, so g^-1 has every count and flag of g.  The ball is target-only
+        # work, cached on the target for every embedding into it, and ordered,
+        # so the early exit below never follows id()-based set order.  Shortlex
+        # balls nest, so the conjugates over the radius r-1 ball are those
+        # whose first conjugator is shorter than r
+        r = bounds.witness_radius
         facts = {}
         for g in ball_small:
             twin = facts.get(g.inverse())
             if twin is not None:
                 facts[g] = twin
                 continue
-            conj = [h * g * hinv for h, hinv in conjugators]
-            # an ordered set: the early exit below must not follow set order,
-            # which id()-based hashes make differ between processes
-            cur = dict.fromkeys(conj)
+            cur = tgt.conjugates(g, r)
             closed = member[g] and all((letter * c * letter.inverse()) in cur
                                        for c in cur for _, letter in tgt.letters())
-            inside = {c: emb.contains(c) for c in cur}
-            prev_in = {c for c in conj[:n_prev] if inside[c]}
-            cur_in = {c for c, m in inside.items() if m}
-            facts[g] = (len(cur), len(set(conj[:n_prev])), closed,
-                        len(cur_in), prev_in == cur_in)
+            inside = [d for c, d in cur.items() if emb.contains(c)]
+            facts[g] = (len(cur), sum(d < r for d in cur.values()), closed,
+                        len(inside), all(d < r for d in inside))
 
         icc = []
         for s in (g for g in ball_small if member[g]):

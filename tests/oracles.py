@@ -163,6 +163,18 @@ def cyclic_power_membership(c, g, max_power):
     return False
 
 
+def cyclic_contains_by_spelling(strategy, g):
+    """``CyclicFreeStrategy.contains`` on elements: g's letter length is
+    read off its spelling, then g is compared with c^k and c^-k."""
+    if g.is_identity:
+        return True
+    rem = g.length() - 2 * strategy.len_u
+    if rem <= 0 or rem % strategy.len_core:
+        return False
+    k = rem // strategy.len_core
+    return g == strategy._power(k)[0] or g == strategy._power(-k)[0]
+
+
 def cyclic_decompose_by_power_walk(strategy, g):
     """``CyclicFreeStrategy.decompose`` as the walk over the powers c^k g
     that the length formula leaves in reach, both ways from k = 0, keeping
@@ -193,7 +205,7 @@ def cyclic_decompose_by_sort_key(strategy, g, cache):
     h = (strategy._u_inv * g).spelling()
     k0 = (embeddings._leading_periods(h, strategy._core_inv_spell)
           or -embeddings._leading_periods(h, strategy._core_spell))
-    mates = [(strategy._power(k) * g, k) for k in (k0 - 1, k0, k0 + 1)]
+    mates = [(strategy._power(k)[0] * g, k) for k in (k0 - 1, k0, k0 + 1)]
     best, best_k = min(mates, key=lambda m: m[0].sort_key())
     src = strategy.emb.source
     gen = src.labels[0]

@@ -1,4 +1,5 @@
-"""The free-group and cyclic-coset kernels against their slow paths.
+"""The free-group, cyclic-coset and conjugacy-ball kernels against their
+slow paths.
 
 * ``FreeGroup.multiply`` splices two reduced words at the junction; it is
   checked against ``element_from_word`` of the concatenated words, and
@@ -10,6 +11,12 @@
 * ``AmalgamGroup.include`` is one fold step on the normal form; it is
   checked against the fold and against the two-phase token oracle.  Its
   owner check is ``test_groups.py::test_include_refuses_an_element_outside_the_factor``.
+* ``Group.conjugates`` is one conjugacy ball per (element, radius), cached
+  on the target; it is checked against the ordered conjugates over the
+  balls of radius r and r - 1, and every embedding into one target reads
+  the same ball.
+* ``CyclicFreeStrategy.contains`` reads the letter length off the payload;
+  it is checked against ``oracles.cyclic_contains_by_spelling``.
 """
 
 import pytest
@@ -17,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hightrans.embeddings import CyclicFreeStrategy, Embedding
-from hightrans.groups import Element, FreeGroup
+from hightrans import hcf
+from hightrans.groups import Element, FreeGroup, OwnerMismatch
 from hightrans.normal_forms import parse_word, reduce_amalgam_tokens
 
 import oracles
@@ -177,3 +185,75 @@ def test_include_matches_the_fold_and_the_two_phase_oracle(problem):
     assert ("lead" in seen) == (problem == "pi1-sigma2")
     x = gamma.factor(0).generators()[0]
     assert gamma.include(0, x) == Element(gamma, reduce_amalgam_tokens(gamma, [(0, x)]))
+
+
+# -- conjugacy balls -----------------------------------------------------------
+
+
+def _targets():
+    """(id, problem name, embedding names) for every target group of the
+    problem files, with the embeddings into it."""
+    out = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        into = {}
+        for name, emb in sorted(zoo(path.stem).embeddings.items()):
+            into.setdefault(emb.target.name, []).append(name)
+        out.extend((f"{path.stem}:{t}", path.stem, names) for t, names in sorted(into.items()))
+    return out
+
+
+TARGETS = _targets()
+
+
+@pytest.mark.parametrize("problem, names", [t[1:] for t in TARGETS], ids=[t[0] for t in TARGETS])
+def test_conjugates_match_the_ordered_conjugates_over_the_balls(problem, names):
+    """Radii rise on one handle, so a cache that forgets the radius fails."""
+    tgt = zoo(problem).embeddings[names[0]].target
+    for x in tgt.ball(2):
+        for r in range(1, 5):
+            got = tgt.conjugates(x, r)
+            want = {}
+            for h in tgt.ball(r):
+                want.setdefault(h * x * h.inverse(), h.length())
+            assert list(got.items()) == list(want.items()), (x, r)
+            assert [c for c, d in got.items() if d < r] == list(
+                dict.fromkeys(h * x * h.inverse() for h in tgt.ball(r - 1)))
+
+
+def test_conjugate_balls_are_shared_by_the_embeddings_into_one_target():
+    problem = zoo("theta")
+    e1s, e2s = problem.embeddings["e1s"], problem.embeddings["e2s"]
+    tgt = e1s.target
+    assert e2s.target is tgt
+    bounds = hcf.AuditBounds()
+    hcf.certify_structural(e1s, bounds)
+    rows, balls = dict(tgt._conjugators), dict(tgt._conjugates)
+    assert rows and balls
+    hcf.certify_structural(e2s, bounds)
+    assert tgt._conjugators == rows
+    assert tgt._conjugates == balls
+
+
+def test_conjugates_refuse_an_element_of_another_group():
+    problem = zoo("theta")
+    t1, t2 = problem.embeddings["e1s"].target, problem.embeddings["e1r"].target
+    assert t1 is not t2
+    with pytest.raises(OwnerMismatch):
+        t1.conjugates(t2.generators()[0], 2)
+    with pytest.raises(OwnerMismatch):
+        t1.conjugates(t2.identity(), 1)
+
+
+# -- cyclic membership -------------------------------------------------------
+
+
+@pytest.mark.parametrize("problem, name", [c[1:] for c in CYCLIC] + [(None, c) for c in BUILT],
+                         ids=[c[0] for c in CYCLIC] + [f"F:<{c}>" for c in BUILT])
+def test_cyclic_membership_matches_the_spelling_oracle(problem, name):
+    emb = _cyclic_embedding(problem, name)
+    members = 0
+    for g in emb.target.ball(6):
+        want = oracles.cyclic_contains_by_spelling(emb.strategy, g)
+        assert emb.strategy.contains(g) == want, g
+        members += want
+    assert members >= 3     # 1, c and c^-1 at least
