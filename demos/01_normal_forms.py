@@ -7,7 +7,8 @@ Run:  python3 demos/01_normal_forms.py
 
 from pathlib import Path
 
-from hightrans import parse_problem, parse_word, syllable_length
+from hightrans.normal_forms import parse_word, syllable_length
+from hightrans.problem import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

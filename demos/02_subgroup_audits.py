@@ -8,7 +8,8 @@ Run:  python3 demos/02_subgroup_audits.py
 
 from pathlib import Path
 
-from hightrans import hcf, parse_problem
+from hightrans import hcf
+from hightrans.problem import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -8,14 +8,15 @@ Run:  python3 demos/03_build_surface_action.py
 import json
 from pathlib import Path
 
-from hightrans import EngineProblem, parse_problem, parse_word
-from hightrans.engine import (Budget, faithfulness_step, run_schedule, transitivity_step,
-                              verify_certificate_report)
+from hightrans.engine import (Budget, EngineProblem, faithfulness_step, run_schedule,
+                              transitivity_step, verify_certificate_report)
+from hightrans.normal_forms import parse_word
+from hightrans.problem import parse_problem
 
 SURFACE = Path(__file__).resolve().parent.parent / "problems" / "pi1-sigma2.json"
 
 surface = parse_problem(SURFACE).build_group()[0]
-cert = run_schedule(surface, Budget(steps=50), problem_key="demo")
+cert = run_schedule(EngineProblem(surface), Budget(steps=50), problem_key="demo")
 
 print(f"discharged {len(cert['steps'])} requirements, "
       f"{len(cert['deferred'])} deferred")
@@ -53,7 +54,8 @@ ok, reason = verify_certificate_report(parse_problem(SURFACE).build_group()[0], 
 print(f"\nindependent replay: {'OK' if ok else 'FAIL'} ({reason})")
 
 # determinism: the run is a pure function of the problem and the budget
-again = run_schedule(parse_problem(SURFACE).build_group()[0], Budget(steps=50), problem_key="demo")
+again = run_schedule(EngineProblem(parse_problem(SURFACE).build_group()[0]), Budget(steps=50),
+                     problem_key="demo")
 identical = json.dumps(cert, sort_keys=True) == json.dumps(again, sort_keys=True)
 print(f"double run byte-identical: {identical}")
 

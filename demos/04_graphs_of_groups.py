@@ -7,8 +7,9 @@ Run:  python3 demos/04_graphs_of_groups.py
 
 from pathlib import Path
 
-from hightrans import graphs, parse_problem
+from hightrans import graphs
 from hightrans.normal_forms import parse_word
+from hightrans.problem import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

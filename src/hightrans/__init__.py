@@ -16,58 +16,15 @@ The package splits into:
     transitive;
   * :mod:`hightrans.graphs` -- graphs of groups, edge reduction, and
     hypothesis validation;
-  * :mod:`hightrans.problem` / :mod:`hightrans.cli` -- problem files,
-    canonical certificates and the command-line front end.
-"""
+  * :mod:`hightrans.problem` / :mod:`hightrans.cli` -- problem files, the
+    audit bounds and step budget they carry, canonical certificates and
+    the command-line front end.
 
-from .groups import (
-    AmalgamGroup,
-    Element,
-    FiniteGroup,
-    FreeAbelianGroup,
-    FreeGroup,
-    Group,
-    HnnGroup,
-    OwnerMismatch,
-    SemidirectGroup,
-    UndecidedError,
-    cyclic_group,
-    symmetric_group,
-    trivial_group,
-)
-from .embeddings import Embedding
-from .normal_forms import parse_word, syllable_length
-from .hcf import (
-    AuditBounds,
-    AuditVerdict,
-    CosetDomain,
-    audit_hcf,
-    audit_highly_faithful,
-    certify_structural,
-    search_E_set,
-    search_H_set,
-)
-from .action import (
-    IntertwinerState,
-    LevelAction,
-    allocate_fresh_orbits,
-    evaluate_pi,
-)
-from .engine import (
-    Budget,
-    EngineProblem,
-    ensure_faithful,
-    extend_transitivity,
-    run_schedule,
-    verify_certificate_report,
-)
-from .graphs import (
-    GraphEdge,
-    GraphOfGroups,
-    reduce_edge,
-    spanning_tree,
-    validate_main_hypotheses,
-)
-from .problem import emit_certificate, load_certificate, parse_problem
+Import names from the submodule that defines them, e.g.
+``from hightrans.problem import parse_problem``.  This module imports
+none of them, so each command and each caller loads only the modules its
+path runs: loading a problem and resolving its acting group needs
+``problem``, ``groups``, ``embeddings``, ``normal_forms`` and ``graphs``.
+"""
 
 __version__ = "0.1.0"

@@ -8,15 +8,14 @@ requirements.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
-from contextlib import contextmanager
 
-from . import engine, graphs, hcf
-from .engine import Budget, EngineProblem, run_schedule, verify_certificate_report
+from . import graphs, hcf
+from .engine import EngineProblem, run_schedule, verify_certificate_report
 from .groups import UndecidedError
 from .normal_forms import parse_word, syllable_length
-from .problem import ProblemError, canonical_text, emit_certificate, load_certificate, parse_problem
+from .problem import (AuditBounds, Budget, ProblemError, canonical_text, emit_certificate,
+                      load_certificate, parse_problem)
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -30,7 +29,7 @@ def _parse_bounds(text):
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 3:
             raise ValueError("bounds are n,rho,r")
-        return hcf.AuditBounds(*parts)
+        return AuditBounds(*parts)
     except ValueError as exc:
         # argparse shows the message of an ArgumentTypeError only
         raise argparse.ArgumentTypeError(str(exc))
@@ -158,22 +157,8 @@ def cmd_reduce(args):
     return STATUS_EXIT[report["overall"]]
 
 
-@contextmanager
-def _engine_log(verbose):
-    """Send the engine's info lines to standard error while a build runs;
-    the certificate does not depend on it."""
-    if not verbose:
-        yield
-        return
-    handler = logging.StreamHandler(sys.stderr)
-    level = engine.logger.level
-    engine.logger.addHandler(handler)
-    engine.logger.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        engine.logger.removeHandler(handler)
-        engine.logger.setLevel(level)
+def _to_stderr(line):
+    print(line, file=sys.stderr)
 
 
 def cmd_build(args):
@@ -186,13 +171,12 @@ def cmd_build(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with _engine_log(args.verbose):
-        cert = run_schedule(acting, budget, problem.digest())
+    on_step = _to_stderr if args.verbose else None
+    cert = run_schedule(acting, budget, problem.digest(), on_step)
     cert["source"] = source
     if args.seedless:
         gamma2, _ = problem.build_group(source)
-        with _engine_log(args.verbose):
-            cert2 = run_schedule(EngineProblem(gamma2), budget, problem.digest())
+        cert2 = run_schedule(EngineProblem(gamma2), budget, problem.digest(), on_step)
         cert2["source"] = source
         if canonical_text(cert) != canonical_text(cert2):
             print("error: double run produced different certificates", file=sys.stderr)

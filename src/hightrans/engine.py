@@ -36,17 +36,13 @@ compares the rebuilt certificate with the recorded one as canonical text.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass
 
 from .action import (IntertwinerState, LevelAction, StateError, allocate_fresh_orbits,
                      evaluate_pi)
 from .groups import UndecidedError
 from .hcf import SearchCursor, search_E_set
 from .normal_forms import parse_word
-
-
-logger = logging.getLogger(__name__)
+from .problem import Budget
 
 
 class EngineError(RuntimeError):
@@ -60,22 +56,6 @@ class DeferredRequirement(Exception):
 
 # the certificate layout: points are words of Gamma, steps record choices only
 CERTIFICATE_FORMAT = 3
-
-
-@dataclass(frozen=True)
-class Budget:
-    steps: int
-    witness_radius: int = 64
-
-    def __post_init__(self):
-        if type(self.steps) is not int or self.steps < 0:
-            raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if type(self.witness_radius) is not int or self.witness_radius < 1:
-            raise ValueError(f"witness_radius must be a positive integer, "
-                             f"got {self.witness_radius!r}")
-
-    def as_dict(self):
-        return {"steps": self.steps, "witness_radius": self.witness_radius}
 
 
 class EngineProblem:
@@ -356,16 +336,16 @@ def _header(problem, budget, problem_key):
             "mode": problem.mode, "budget": budget.as_dict()}
 
 
-def run_schedule(problem, budget, problem_key=""):
+def run_schedule(problem, budget, problem_key="", on_step=None):
     """Dovetail requirements within the step budget and emit a certificate.
 
     The certificate lists every discharged requirement with the choices
     that discharge it (witnesses and fresh classes, or a witness point)
     and the mover or image it claims, and every deferred one with a
     diagnostic; equal runs produce equal certificates byte for byte.
+    ``on_step``, when given, is called with one line of text per
+    discharged step; the certificate does not depend on it.
     """
-    if not isinstance(problem, EngineProblem):
-        problem = EngineProblem(problem)
     state = problem.new_state()
     steps, deferred = [], []
     for head, payload in _schedule(problem, budget.steps):
@@ -381,13 +361,14 @@ def run_schedule(problem, budget, problem_key=""):
                 deferred.append(_deferral_entry(head, f"membership oracle gave up: {exc}"))
                 continue
             steps.append(_transitivity_entry(head, mover, witnesses, zs))
-            logger.info("step %d: transitivity n=%d discharged, mover %s",
-                        head["index"], n, mover)
+            if on_step is not None:
+                on_step(f"step {head['index']}: transitivity n={n} discharged, mover {mover}")
         else:
             (g,) = payload
             witness, image = ensure_faithful(problem, state, g, budget.witness_radius)
             steps.append(_faithfulness_entry(head, witness, image))
-            logger.info("step %d: faithfulness of %s witnessed at %s", head["index"], g, witness)
+            if on_step is not None:
+                on_step(f"step {head['index']}: faithfulness of {g} witnessed at {witness}")
     return {**_header(problem, budget, problem_key), "steps": steps, "deferred": deferred}
 
 

@@ -14,21 +14,22 @@ collapse, non-tree edges conjugate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .embeddings import Embedding
 from .groups import AmalgamGroup, HnnGroup
-from .hcf import AuditBounds, audit_hcf, certify_structural, worst
 
 
-@dataclass(frozen=True)
 class GraphEdge:
-    id: str
-    source: str
-    range: str
-    group: object
-    source_map: Embedding
-    range_map: Embedding
+    """A geometric edge: its id, the ids of its source and range vertices,
+    its edge group, and the embeddings of that group into the two vertex
+    groups."""
+
+    def __init__(self, id, source, range, group, source_map, range_map):
+        self.id = id
+        self.source = source
+        self.range = range
+        self.group = group
+        self.source_map = source_map
+        self.range_map = range_map
 
 
 class GraphOfGroups:
@@ -173,8 +174,11 @@ def validate_main_hypotheses(graph, bounds=None):
     gets the bounded core-freeness audit plus the structural certificate
     as corroboration.
     The overall status is the worst of the vertex and hcf statuses.
+    Audits run at ``bounds``, or at the audits' defaults when it is None.
     """
-    bounds = bounds or AuditBounds()
+    # the audits load here, so parsing a problem file does not load them
+    from . import hcf
+
     report = {"vertices": {}, "edges": {}}
     statuses = []
     for vid, handle in sorted(graph.vertices.items()):
@@ -188,8 +192,8 @@ def validate_main_hypotheses(graph, bounds=None):
     for e in graph.edges:
         entry = {}
         for tag, emb in (("source", e.source_map), ("range", e.range_map)):
-            hcf_verdict = audit_hcf(emb, bounds)
-            structural = certify_structural(emb, bounds)
+            hcf_verdict = hcf.audit_hcf(emb, bounds)
+            structural = hcf.certify_structural(emb, bounds)
             entry[tag] = {
                 "embedding": emb.name,
                 "hcf": hcf_verdict,
@@ -197,5 +201,5 @@ def validate_main_hypotheses(graph, bounds=None):
             }
             statuses.append(hcf_verdict.status)
         report["edges"][e.id] = entry
-    report["overall"] = worst(statuses)
+    report["overall"] = hcf.worst(statuses)
     return report

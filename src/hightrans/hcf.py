@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 
 from .groups import UndecidedError
+from .problem import AuditBounds
 
 PASS = "pass"
 FAIL = "fail"
@@ -44,27 +44,11 @@ def worst(statuses):
 COSET_PROBE_RADIUS = 6
 
 
-@dataclass(frozen=True)
-class AuditBounds:
-    tuple_size_max: int = 2
-    point_radius: int = 2
-    witness_radius: int = 4
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(vars(self).values()) < 1:
-            raise ValueError("all audit bounds must be positive")
-        if self.witness_radius < self.point_radius:
-            raise ValueError("witness_radius must be >= point_radius")
-
-
-@dataclass
 class AuditVerdict:
-    status: str
-    bounds: AuditBounds
-    evidence: dict = field(default_factory=dict)
+    def __init__(self, status, bounds, evidence=None):
+        self.status = status
+        self.bounds = bounds
+        self.evidence = {} if evidence is None else evidence
 
     @property
     def failed(self):

@@ -4,6 +4,9 @@ A problem file is a single JSON document with sections ``groups``,
 ``embeddings``, optional ``graph`` or ``target``, ``bounds`` and
 ``budget``.  Group kinds are tagged by a ``kind`` field; words are the
 human-writable strings accepted by ``parse_word`` ("a b^-2", "1").
+The two records the loader validates, ``AuditBounds`` and ``Budget``, are
+defined here, so loading a problem imports neither the audits nor the
+engine.
 
 Serialization is canonical: key-sorted, two-space indented, trailing
 newline.  Equal inputs produce byte-identical documents, which is what
@@ -14,10 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .embeddings import Embedding
-from .engine import Budget
 from .graphs import GraphEdge, GraphOfGroups, choose_reduction_edge, reduce_edge
 from .groups import (
     AmalgamGroup,
@@ -30,7 +31,6 @@ from .groups import (
     symmetric_group,
     trivial_group,
 )
-from .hcf import AuditBounds
 from .normal_forms import parse_word
 
 
@@ -42,15 +42,53 @@ class ProblemError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass
+class AuditBounds:
+    """The bounds of an audit: tuples of at most ``tuple_size_max``
+    entries, points and protected sets from the ball of ``point_radius``,
+    witnesses from the ball of ``witness_radius``."""
+
+    def __init__(self, tuple_size_max=2, point_radius=2, witness_radius=4):
+        self.tuple_size_max = tuple_size_max
+        self.point_radius = point_radius
+        self.witness_radius = witness_radius
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(vars(self).values()) < 1:
+            raise ValueError("all audit bounds must be positive")
+        if self.witness_radius < self.point_radius:
+            raise ValueError("witness_radius must be >= point_radius")
+
+
+class Budget:
+    """The schedule steps a build runs, and the radius of its witness searches."""
+
+    def __init__(self, steps, witness_radius=64):
+        if type(steps) is not int or steps < 0:
+            raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+        if type(witness_radius) is not int or witness_radius < 1:
+            raise ValueError(f"witness_radius must be a positive integer, "
+                             f"got {witness_radius!r}")
+        self.steps = steps
+        self.witness_radius = witness_radius
+
+    def as_dict(self):
+        return {"steps": self.steps, "witness_radius": self.witness_radius}
+
+
 class ProblemFile:
-    raw: dict = field(repr=False)
-    groups: dict = field(repr=False)
-    embeddings: dict = field(repr=False)
-    graph: GraphOfGroups | None
-    target: str | None
-    bounds: AuditBounds
-    budget: Budget
+    """A validated problem: its document, its groups and embeddings by
+    name, its graph or target group (either may be None), and its audit
+    bounds and step budget."""
+
+    def __init__(self, raw, groups, embeddings, graph, target, bounds, budget):
+        self.raw = raw
+        self.groups = groups
+        self.embeddings = embeddings
+        self.graph = graph
+        self.target = target
+        self.bounds = bounds
+        self.budget = budget
 
     def digest(self):
         return problem_hash(self.raw)

@@ -135,14 +135,14 @@ def _engine_criterion(names, label):
     certs = {}
     for name in names:
         start = time.monotonic()
-        cert = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
+        cert = run_schedule(EngineProblem(zoo(name).build_group()[0]), Budget(steps=50), name)
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"{name}: {elapsed:.1f}s"
         assert len(cert["steps"]) == 50
         assert cert["deferred"] == []
         ok, reason = verify_certificate_report(zoo(name).build_group()[0], cert)
         assert ok, f"{name}: {reason}"
-        cert2 = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
+        cert2 = run_schedule(EngineProblem(zoo(name).build_group()[0]), Budget(steps=50), name)
         assert (json.dumps(cert, sort_keys=True)
                 == json.dumps(cert2, sort_keys=True)), f"{name}: runs differ"
         certs[name] = cert

@@ -96,7 +96,7 @@ def built_cursor(tmp_path_factory):
 def long_surface():
     """pi1-sigma2 at 200 steps and a fresh group to replay it in."""
     problem = parse_problem(problem_path("pi1-sigma2.json"))
-    cert = run_schedule(problem.build_group()[0], Budget(steps=200), "k")
+    cert = run_schedule(EngineProblem(problem.build_group()[0]), Budget(steps=200), "k")
     assert cert["deferred"] == []
     return cert, lambda: problem.build_group()[0]
 
@@ -340,7 +340,7 @@ MUTATED_BUDGET = 30
 def real_certificate(request):
     problem = parse_problem(problem_path(f"{request.param}.json"))
     gamma = problem.build_group()[0]
-    return gamma, run_schedule(gamma, Budget(steps=MUTATED_BUDGET), "k")
+    return gamma, run_schedule(EngineProblem(gamma), Budget(steps=MUTATED_BUDGET), "k")
 
 
 def _paths(obj, path=()):
@@ -455,7 +455,7 @@ SWEEP_BUDGET = 20
 def sweep_certificate(request):
     """An amalgam, an HNN and a deferring certificate of 20 steps."""
     gamma = parse_problem(problem_path(f"{request.param}.json")).build_group()[0]
-    return gamma, run_schedule(gamma, Budget(steps=SWEEP_BUDGET), "k")
+    return gamma, run_schedule(EngineProblem(gamma), Budget(steps=SWEEP_BUDGET), "k")
 
 
 def _single_mutations(cert):
@@ -635,7 +635,7 @@ def test_one_set_carries_transitivity_and_faithfulness(name):
     image, which differs from it; all of these points are elements of the
     acting group, and no certificate node carries a level."""
     problem_file = parse_problem(problem_path(f"{name}.json"))
-    cert = run_schedule(problem_file.build_group()[0], Budget(steps=200), name)
+    cert = run_schedule(EngineProblem(problem_file.build_group()[0]), Budget(steps=200), name)
     assert not {"level", "frozen", "ceiling"} & set(_keys(cert))
     gamma = problem_file.build_group()[0]
     problem = EngineProblem(gamma)

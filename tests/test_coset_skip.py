@@ -206,6 +206,6 @@ def test_deferrals_act_once_per_failed_coset(name, deferred, most, monkeypatch):
         return act(self, h, x)
 
     monkeypatch.setattr(LevelAction, "act", counting_act)
-    cert = run_schedule(gamma, Budget(steps=200), name)
+    cert = run_schedule(EngineProblem(gamma), Budget(steps=200), name)
     assert len(cert["deferred"]) == deferred
     assert acts[0] <= most

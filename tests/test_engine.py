@@ -154,7 +154,7 @@ def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypa
 
 
 def test_budget_zero_is_empty():
-    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=0), "empty")
+    cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]), Budget(steps=0), "empty")
     assert cert["steps"] == [] and cert["deferred"] == []
     assert set(cert) == {"format", "problem", "group", "mode", "budget", "steps", "deferred"}
     assert verify_certificate_report(zoo("z-star-z").build_group()[0], cert) == (True, "ok")
@@ -163,7 +163,7 @@ def test_budget_zero_is_empty():
 @pytest.mark.parametrize("name", ["z-star-z", "pi1-sigma2", "free2-hnn", "gaussian-hnn"],
                          ids=["z*z", "surface", "f2hnn", "gauss"])
 def test_run_schedule_fifty_steps(name):
-    cert = run_schedule(zoo(name).build_group()[0], Budget(steps=50), name)
+    cert = run_schedule(EngineProblem(zoo(name).build_group()[0]), Budget(steps=50), name)
     assert len(cert["steps"]) == 50
     assert cert["deferred"] == []
     ok, reason = verify_certificate_report(zoo(name).build_group()[0], cert)
@@ -171,13 +171,13 @@ def test_run_schedule_fifty_steps(name):
 
 
 def test_run_schedule_deterministic():
-    a = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=30), "k")
-    b = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=30), "k")
+    a = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=30), "k")
+    b = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=30), "k")
     assert canon(a) == canon(b)
 
 
 def test_schedule_covers_both_kinds():
-    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=20), "k")
+    cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]), Budget(steps=20), "k")
     kinds = {s["kind"] for s in cert["steps"]}
     assert kinds == {"transitivity", "faithfulness"}
     sizes = {s["n"] for s in cert["steps"] if s["kind"] == "transitivity"}
@@ -201,7 +201,8 @@ def test_schedule_formats_each_point_once(monkeypatch):
 
 
 def test_schedule_eventually_multi_point():
-    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=120, witness_radius=512), "k")
+    cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]),
+                        Budget(steps=120, witness_radius=512), "k")
     sizes = {s["n"] for s in cert["steps"] if s["kind"] == "transitivity"}
     assert 2 in sizes
     assert cert["deferred"] == []
@@ -211,7 +212,7 @@ def test_verify_rejects_tampered_anchor():
     """A fresh class in the orbit of another batch point, a missing fresh
     class, a changed witness or a wrong tuple length is rejected at its own
     step.  (Another fresh class would give another valid rewiring.)"""
-    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
+    cert = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=12), "k")
     for field, value in [("zs", ["a1"]), ("zs", []), ("n", 2),
                          ("witnesses", {"g1": "a1", "g2": "a1", "h": "a2^2"})]:
         tampered = json.loads(canon(cert))
@@ -223,7 +224,7 @@ def test_verify_rejects_tampered_anchor():
 
 
 def test_verify_rejects_tampered_mover():
-    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
+    cert = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
     for step in tampered["steps"]:
         if step["kind"] == "transitivity":
@@ -243,7 +244,7 @@ def test_verify_rejects_tampered_faithfulness_step(updates, message):
     """The step for the stable letter e0, whose witness's evaluation pins an
     orbit.  Another element with its true image replays, but is not the
     element the schedule has at that index."""
-    cert = run_schedule(zoo("free2-hnn").build_group()[0], Budget(steps=12), "k")
+    cert = run_schedule(EngineProblem(zoo("free2-hnn").build_group()[0]), Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
     step = next(s for s in tampered["steps"] if s.get("element") == "e0")
     assert step["image"] == "e0" and all(step[k] != v for k, v in updates.items())
@@ -256,7 +257,7 @@ def test_verify_pins_what_a_faithfulness_witness_touches():
     """The replay of a faithfulness witness pins the default orbits its
     evaluation touches, as the build does: a later batch that rewires one
     of them is rejected at its own step."""
-    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=40), "k")
+    cert = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=40), "k")
     problem = EngineProblem(zoo("pi1-sigma2").build_group()[0])
     state = problem.new_state()
     before = dict(state.anchors)
@@ -279,7 +280,7 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
     """In z-star-z, pi(a b^-1) fixes the point a when step 13 schedules
     that element: recorded as its witness, with the true image, the point
     is rejected."""
-    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=14), "k")
+    cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]), Budget(steps=14), "k")
     problem = EngineProblem(zoo("z-star-z").build_group()[0])
     state = problem.new_state()
     for step, result in replay_steps(problem, state, cert):
@@ -295,7 +296,7 @@ def test_verify_rejects_a_fixed_faithfulness_witness():
 
 
 def test_verify_rejects_other_certificate_formats():
-    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
+    cert = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=12), "k")
     for fmt in (1, None, "3", 2):
         tampered = json.loads(canon(cert))
         tampered["format"] = fmt
@@ -304,7 +305,7 @@ def test_verify_rejects_other_certificate_formats():
 
 
 def test_verify_rejects_dropped_step():
-    cert = run_schedule(zoo("pi1-sigma2").build_group()[0], Budget(steps=12), "k")
+    cert = run_schedule(EngineProblem(zoo("pi1-sigma2").build_group()[0]), Budget(steps=12), "k")
     tampered = json.loads(canon(cert))
     tampered["steps"] = tampered["steps"][:-1]
     ok, reason = verify_certificate_report(zoo("pi1-sigma2").build_group()[0], tampered)
@@ -316,7 +317,7 @@ def test_monotone_invariant_suite():
     discharged postconditions and equivariance hold."""
     for name in ("pi1-sigma2", "free2-hnn"):
         gamma = zoo(name).build_group()[0]
-        cert = run_schedule(gamma, Budget(steps=40), "k")
+        cert = run_schedule(EngineProblem(gamma), Budget(steps=40), "k")
         assert cert["deferred"] == []
         replay_gamma = zoo(name).build_group()[0]
         problem = EngineProblem(replay_gamma)
@@ -359,7 +360,7 @@ def test_non_core_free_edge_defers():
     # transitivity requirement defers with a diagnostic while faithfulness
     # still works
     bs = zoo("bs12").build_group()[0]
-    cert = run_schedule(bs, Budget(steps=12, witness_radius=6), "bs12")
+    cert = run_schedule(EngineProblem(bs), Budget(steps=12, witness_radius=6), "bs12")
     trans_done = [s for s in cert["steps"] if s["kind"] == "transitivity"]
     assert trans_done == []
     assert all(s["kind"] == "faithfulness" for s in cert["steps"])
@@ -370,7 +371,8 @@ def test_non_core_free_edge_defers():
 
 
 def test_deferral_reported_not_fatal():
-    cert = run_schedule(zoo("z-star-z").build_group()[0], Budget(steps=50, witness_radius=3), "k")
+    cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]),
+                        Budget(steps=50, witness_radius=3), "k")
     assert cert["deferred"]
     for item in cert["deferred"]:
         assert "diagnostic" in item
@@ -430,5 +432,5 @@ def test_orbit_reps_match_the_embedding(name, monkeypatch):
     monkeypatch.setattr(action, "orbit_rep_map", checked_rep_map)
     gamma = zoo(name).build_group()[0]
     with shortlex_first_rule():
-        run_schedule(gamma, Budget(steps=200), name)
+        run_schedule(EngineProblem(gamma), Budget(steps=200), name)
     assert set(queried) == {gamma.kind} and queried[gamma.kind] > 10_000

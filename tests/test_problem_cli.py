@@ -316,7 +316,8 @@ def test_parse_print_parse_idempotent():
 
 
 def test_certificate_roundtrip(tmp_path):
-    cert = engine.run_schedule(zoo("z-star-z").build_group()[0], engine.Budget(steps=10), "key")
+    cert = engine.run_schedule(engine.EngineProblem(zoo("z-star-z").build_group()[0]),
+                               engine.Budget(steps=10), "key")
     path = tmp_path / "cert.json"
     emit_certificate(cert, str(path))
     loaded = load_certificate(str(path))

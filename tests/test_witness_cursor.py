@@ -94,7 +94,7 @@ def test_two_runs_of_one_engine_problem_give_equal_bytes():
     problem = EngineProblem(gamma)
     first = canonical_text(run_schedule(problem, Budget(steps=120), "k"))
     second = canonical_text(run_schedule(problem, Budget(steps=120), "k"))
-    fresh = canonical_text(run_schedule(gamma, Budget(steps=120), "k"))
+    fresh = canonical_text(run_schedule(EngineProblem(gamma), Budget(steps=120), "k"))
     assert first == second == fresh
 
 
@@ -159,6 +159,6 @@ def test_searches_stay_short():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LevelAction, "act", counting_act)
         mp.setattr(engine, "search_E_set", counting_search)
-        cert = run_schedule(gamma, Budget(steps=800), "k")
+        cert = run_schedule(EngineProblem(gamma), Budget(steps=800), "k")
     assert cert["deferred"] == [] and len(per_search) == 3 * 400
     assert sum(per_search) / len(per_search) <= 3
