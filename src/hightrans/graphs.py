@@ -203,3 +203,13 @@ def validate_main_hypotheses(graph, bounds=None):
         report["edges"][e.id] = entry
     report["overall"] = hcf.worst(statuses)
     return report
+
+
+def __getattr__(name):
+    # graphs.audit_hcf and graphs.certify_structural name the audits that
+    # validate_main_hypotheses runs; bench/test_bench.py reads them.  They
+    # resolve from hcf when read, so loading this module does not load hcf.
+    if name in ("audit_hcf", "certify_structural"):
+        from . import hcf
+        return getattr(hcf, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
