@@ -122,27 +122,19 @@ class LatticeStrategy:
         self.transform = [tuple(u_cols[j]) for _, j in pivots]
         self.dim = rank_t
 
-    def _solve(self, vec):
-        """Pivot coefficients expressing vec over the basis, or None."""
+    def _reduce(self, vec):
+        """(pivot coefficients, residue) of vec over the basis, by floor
+        division at each pivot row in turn.  The echelon basis is zero above
+        each pivot row and its pivots are positive, so the residue is zero
+        exactly when vec lies in the lattice, and the coefficients then
+        express vec."""
         w = list(vec)
         coeffs = []
         for (prow, col) in zip(self.pivot_rows, self.basis):
-            p = col[prow]
-            if w[prow] % p:
-                return None
-            c = w[prow] // p
+            c = w[prow] // col[prow]
             coeffs.append(c)
             w = [a - c * b for a, b in zip(w, col)]
-        if any(w):
-            return None
-        return coeffs
-
-    def _residue(self, vec):
-        w = list(vec)
-        for (prow, col) in zip(self.pivot_rows, self.basis):
-            c = w[prow] // col[prow]
-            w = [a - c * b for a, b in zip(w, col)]
-        return w
+        return coeffs, w
 
     def _lattice_points(self, bound):
         """All lattice vectors of l1 norm <= bound."""
@@ -167,18 +159,18 @@ class LatticeStrategy:
         return out
 
     def contains(self, g):
-        return self._solve(g.payload) is not None
+        return not any(self._reduce(g.payload)[1])
 
     def decompose(self, g):
         tgt = self.emb.target
         vec = g.payload
-        res = self._residue(vec)
+        _, res = self._reduce(vec)
         m = sum(abs(a) for a in res)
         # the zero lattice vector keeps the residue itself among the candidates
         best = min((Element(tgt, tuple(a - b for a, b in zip(res, l)))
                     for l in self._lattice_points(2 * m)), key=Element.sort_key)
         diff = tuple(a - b for a, b in zip(vec, best.payload))
-        coeffs = self._solve(diff)
+        coeffs, _ = self._reduce(diff)
         coords = [0] * len(self.emb.images)
         for c, ucol in zip(coeffs, self.transform):
             for j in range(len(coords)):

@@ -243,29 +243,19 @@ def ensure_faithful(problem, state, g, witness_radius):
 # scheduling
 
 
-def _distinct_tuples(n, total):
-    """Ordered n-tuples of pairwise distinct positive integers with the
-    given sum, lexicographically."""
-    out = []
-    cur = []
-    used = set()
-
-    def rec(slots, remaining):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(cur))
-            return
-        for v in range(1, remaining - (slots - 1) + 1):
-            if v in used:
-                continue
-            used.add(v)
-            cur.append(v)
-            rec(slots - 1, remaining - v)
-            cur.pop()
-            used.remove(v)
-
-    rec(n, total)
-    return out
+def _distinct_tuples(n, total, used=frozenset()):
+    """Ordered n-tuples of pairwise distinct positive integers, none in
+    ``used``, with the given sum, lexicographically and one at a time.  A
+    prefix is cut once the least sum of the parts still to come, 1 + ... + k
+    for k parts, is more than what is left."""
+    if n == 1:
+        if total > 0 and total not in used:
+            yield (total,)
+        return
+    for v in range(1, total - n * (n - 1) // 2 + 1):
+        if v not in used:
+            for rest in _distinct_tuples(n - 1, total - v, used | {v}):
+                yield (v, *rest)
 
 
 def transitivity_descriptors():
@@ -284,50 +274,38 @@ def transitivity_descriptors():
         weight += 1
 
 
-def requirement_stream(problem):
-    """Alternate transitivity and faithfulness requirements forever, as
-    (kind, payload)."""
-    trans = transitivity_descriptors()
-    faith = (g for g in problem.gamma.iter_shortlex() if not g.is_identity)
-    while True:
-        yield "transitivity", next(trans)
-        yield "faithfulness", (next(faith),)
-
-
-class _PointTable:
-    """Lazily materialized points in shortlex order, 1-indexed, each beside its text."""
-
-    def __init__(self, gamma):
-        self._iter = gamma.iter_shortlex()
-        self._points = []
-
-    def get(self, index):
-        while len(self._points) < index:
-            point = next(self._iter)
-            self._points.append((point, str(point)))
-        return self._points[index - 1]
-
-
 def _schedule(problem, steps):
-    """The first ``steps`` requirements as (head, payload).  The head holds
-    the index, the kind and the xs/ys or element strings that a step or a
-    deferral records; the payload is (n, xs, ys) or (g,) with the points
-    resolved.  The builder and the verifier both take the schedule from
+    """The first ``steps`` requirements as (head, payload): transitivity at
+    even indices, faithfulness at odd ones.  The head holds the index, the
+    kind and the xs/ys or element strings that a step or a deferral
+    records; the payload is (n, xs, ys) or (g,) with the points resolved.
+
+    Points and faithfulness elements come from one list of Gamma in
+    shortlex order, grown as far as a step needs, each element beside its
+    text: point i is entry i, from 1 at the identity, and the k-th
+    faithfulness element, from 0, is entry k + 2, the nonidentity elements
+    in order.  The builder and the verifier both take the schedule from
     here."""
-    points = _PointTable(problem.gamma)
-    stream = requirement_stream(problem)
+    shortlex = problem.gamma.iter_shortlex()
+    entries = []
+
+    def entry(i):
+        while len(entries) < i:
+            g = next(shortlex)
+            entries.append((g, str(g)))
+        return entries[i - 1]
+
+    descriptors = transitivity_descriptors()
     for index in range(steps):
-        kind, payload = next(stream)
-        head = {"index": index, "kind": kind}
-        if kind == "transitivity":
-            n, it, jt = payload
-            xs = [points.get(i) for i in it]
-            ys = [points.get(j) for j in jt]
-            head.update(xs=[text for _, text in xs], ys=[text for _, text in ys])
-            yield head, (n, [p for p, _ in xs], [p for p, _ in ys])
-        else:
-            head["element"] = str(payload[0])
-            yield head, payload
+        if index % 2:
+            g, text = entry(index // 2 + 2)
+            yield {"index": index, "kind": "faithfulness", "element": text}, (g,)
+            continue
+        n, it, jt = next(descriptors)
+        xs, ys = [entry(i) for i in it], [entry(j) for j in jt]
+        head = {"index": index, "kind": "transitivity",
+                "xs": [text for _, text in xs], "ys": [text for _, text in ys]}
+        yield head, (n, [p for p, _ in xs], [p for p, _ in ys])
 
 
 def _header(problem, budget, problem_key):

@@ -362,7 +362,7 @@ class FiniteGroup(Group):
                         raise ValueError(f"{name}: table is not associative at ({a},{b},{c})")
         self.table = table
         self.order = n
-        self.id_index = self.identity_payload = ident
+        self.identity_payload = ident
         self.inv_table = tuple(inv)
         gen_idx = tuple(generator_indices)
         if len(gen_idx) != len(self.labels):
@@ -377,8 +377,8 @@ class FiniteGroup(Group):
     def _words(self):
         """Shortlex-least word (tuple of letter ranks) for every element."""
         if self._bfs_words is None:
-            words = {self.id_index: ()}
-            frontier = [self.id_index]
+            words = {self.identity_payload: ()}
+            frontier = [self.identity_payload]
             while frontier:
                 nxt = []
                 for x in frontier:
@@ -595,7 +595,7 @@ class SemidirectGroup(Group):
                 or any(type(a) is not int for m in mats for row in m for a in row):
             raise ValueError(f"{name}: action matrices must be {self.rank} x {self.rank} integers")
         ident = tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
-        if mats[q_group.id_index] != ident:
+        if mats[q_group.identity_payload] != ident:
             raise ValueError(f"{name}: identity of Q must act trivially")
         for m in mats:
             if _det(m) not in (1, -1):
@@ -606,7 +606,7 @@ class SemidirectGroup(Group):
                     raise ValueError(f"{name}: matrices do not define an action of Q")
         self.matrices = mats
         self._twists = tuple(None if mats[i] == ident else mats[i] for i in q_group.inv_table)
-        self.identity_payload = (q_group.id_index, (0,) * self.rank)
+        self.identity_payload = (q_group.identity_payload, (0,) * self.rank)
 
     def _act(self, q2, v):
         """A_{q2^-1} v."""
@@ -638,7 +638,7 @@ class SemidirectGroup(Group):
             return Element(self, (self.q_group.gen_indices[i], (0,) * self.rank))
         vec = [0] * self.rank
         vec[i - nq] = 1
-        return Element(self, (self.q_group.id_index, tuple(vec)))
+        return Element(self, (self.q_group.identity_payload, tuple(vec)))
 
 
 # ---------------------------------------------------------------------------

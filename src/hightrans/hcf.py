@@ -72,12 +72,12 @@ class HSetMemo:
         self.clear = {}
 
 
-def search_H_set(emb, xs, F, radius, memo):
+def search_H_set(emb, xs, radius, memo):
     """First shortlex h with h x_i outside Sigma F and h x_i h^-1 outside
     Sigma, for every i; None when the ball at ``radius`` is exhausted.
 
-    ``memo`` is an HSetMemo of this F, which a caller may share between
-    the searches it runs over the same F.
+    ``memo`` is an HSetMemo of the protected set F, which holds F's
+    representatives; a caller may share it between searches over one F.
     """
     for x in xs:
         if x.is_identity:
@@ -242,7 +242,7 @@ def audit_hcf(emb, bounds=None):
         # every search protects the same ball, so they share one memo
         memo = HSetMemo(emb, ball)
         for combo in itertools.combinations(nontrivial, size) if size else ():
-            h = search_H_set(emb, combo, ball, bounds.witness_radius, memo)
+            h = search_H_set(emb, combo, bounds.witness_radius, memo)
             if h is None:
                 return AuditVerdict(UNDECIDED, bounds, {
                     "reason": "H-set witness search exhausted",

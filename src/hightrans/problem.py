@@ -15,7 +15,6 @@ makes certificate comparison and the problem hash meaningful.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .embeddings import Embedding
@@ -141,6 +140,9 @@ def canonical_text(data):
 
 
 def problem_hash(data):
+    # hashlib loads OpenSSL here, so loading a problem file does not
+    import hashlib
+
     return hashlib.sha256(canonical_text(data).encode("utf-8")).hexdigest()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hightrans import fixtures
+import oracles
 from hightrans.problem import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,7 +21,7 @@ def zoo(name):
 
 @pytest.fixture(scope="session")
 def free2():
-    return fixtures.free2()
+    return oracles.free2()
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def gauss_aff():
 
 @pytest.fixture(scope="session")
 def commutator_emb():
-    return fixtures.commutator_subgroup_embedding()
+    return oracles.commutator_subgroup_embedding()
 
 
 def random_element(group, rng, length=6):

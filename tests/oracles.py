@@ -19,11 +19,14 @@ instead of skipping failed Sigma-cosets, allocation by a scan from
 scratch, intertwiner evaluation by the equivariance formula alone (with
 ``untwist``, the inverse of ``IntertwinerState.twist``), the equivariance
 law with both sides evaluated at every anchor, H acting on
-itself by left multiplication, and the step-by-step replay of a
-certificate against its schedule.
-Then come test beds that no command runs: the integers translating the
-line and the finitely supported permutations, two pointed actions for the
-high-faithfulness audit besides the coset action; the stable-letter count
+itself by left multiplication, the schedule as it was (the tuples of a sum
+as one whole list, and Gamma walked once for the points and again for the
+faithfulness elements), and the step-by-step replay of a certificate
+against its schedule.
+Then come test beds that no command runs: the embeddings no problem file
+defines (<[a,b]> in F2, 2Z, Z and the trivial group in Z); the integers
+translating the line and the finitely supported permutations, two pointed
+actions for the high-faithfulness audit besides the coset action; the stable-letter count
 of an HNN normal form; and the fundamental group of a whole graph.
 The audit oracles are the slow paths the exact audit shortcuts
 replaced: a finite-index walk that always walks, coset fixers by coset
@@ -459,6 +462,69 @@ def shortlex_first_rule():
         engine.search_E_set = saved
 
 
+def distinct_tuples_by_list(n, total):
+    """Ordered n-tuples of pairwise distinct positive integers with the
+    given sum, lexicographically, as one list built whole: the slow path
+    of ``engine._distinct_tuples``, which yields them one at a time."""
+    out = []
+    cur = []
+    used = set()
+
+    def rec(slots, remaining):
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(cur))
+            return
+        for v in range(1, remaining - (slots - 1) + 1):
+            if v in used:
+                continue
+            used.add(v)
+            cur.append(v)
+            rec(slots - 1, remaining - v)
+            cur.pop()
+            used.remove(v)
+
+    rec(n, total)
+    return out
+
+
+def descriptors_by_lists():
+    """``engine.transitivity_descriptors`` over ``distinct_tuples_by_list``."""
+    weight = 2
+    while True:
+        n = 1
+        while n * (n + 1) <= weight:
+            min_side = n * (n + 1) // 2
+            for s in range(min_side, weight - min_side + 1):
+                for it in distinct_tuples_by_list(n, s):
+                    for jt in distinct_tuples_by_list(n, weight - s):
+                        yield (n, it, jt)
+            n += 1
+        weight += 1
+
+
+def schedule_by_two_walks(problem, steps):
+    """``engine._schedule`` as it was: the descriptors over whole lists, an
+    alternating stream of the two kinds, and two walks of Gamma's shortlex
+    order, one for the points (1-indexed) and one for the nonidentity
+    elements that faithfulness steps name."""
+    gamma = problem.gamma
+    points, walk = [], gamma.iter_shortlex()
+    faith = (g for g in gamma.iter_shortlex() if not g.is_identity)
+    descriptors = descriptors_by_lists()
+    for index in range(steps):
+        if index % 2:
+            g = next(faith)
+            yield {"index": index, "kind": "faithfulness", "element": str(g)}, (g,)
+            continue
+        n, it, jt = next(descriptors)
+        while len(points) < max(it + jt):
+            points.append(next(walk))
+        xs, ys = [points[i - 1] for i in it], [points[j - 1] for j in jt]
+        yield ({"index": index, "kind": "transitivity", "xs": [str(x) for x in xs],
+                "ys": [str(y) for y in ys]}, (n, xs, ys))
+
+
 def replay_steps(problem, state, cert):
     """Replay the recorded steps of ``cert`` on ``state`` through the
     engine's step functions, each with the payload that ``engine._schedule``
@@ -544,9 +610,60 @@ def plain_level_action(sigma_embedding):
 
 
 # ---------------------------------------------------------------------------
-# test beds no command runs: two pointed actions for the high-faithfulness
-# audit, the stable letters of an HNN normal form and the fundamental group
-# of a whole graph
+# test beds no command runs: embeddings that no problem file defines, two
+# pointed actions for the high-faithfulness audit, the stable letters of an
+# HNN normal form and the fundamental group of a whole graph.  Each factory
+# builds fresh handles, so callers may fill caches freely.
+
+
+def free2(name="F2", labels=("a", "b")):
+    return groups.FreeGroup(name, labels)
+
+
+def integers(name="Z", label="a"):
+    return groups.FreeAbelianGroup(name, (label,))
+
+
+def commutator(group, lab_a, lab_b):
+    a, b = group.generator(lab_a), group.generator(lab_b)
+    return a * b * a.inverse() * b.inverse()
+
+
+def commutator_subgroup_embedding(f=None):
+    """<[a,b]> inside the free group on a, b."""
+    if f is None:
+        f = free2()
+    c = groups.FreeAbelianGroup("C", ("c",))
+    return embeddings.Embedding("comm", c, f, [commutator(f, *f.labels[:2])])
+
+
+def even_integers_embedding():
+    """2Z inside Z, the standard finite-index failure case."""
+    z = integers()
+    c = groups.FreeAbelianGroup("C2", ("c",))
+    return embeddings.Embedding("even", c, z, [z.generator("a") ** 2])
+
+
+def trivial_subgroup_embedding(target=None):
+    if target is None:
+        target = integers()
+    return embeddings.Embedding("triv", groups.trivial_group("E"), target, [])
+
+
+def improper_embedding():
+    """Z inside itself, failing the infinite-index premise."""
+    z = integers()
+    c = groups.FreeAbelianGroup("Ci", ("c",))
+    return embeddings.Embedding("improper", c, z, [z.generator("a")])
+
+
+def primitive_cyclic_embedding():
+    """<a b a^-1 b^-1> spelled out syllable by syllable (same subgroup as
+    the commutator test bed, built from a raw word)."""
+    f = free2()
+    c = groups.FreeAbelianGroup("Cp", ("c",))
+    w = f.element_from_word([("a", 1), ("b", 1), ("a", -1), ("b", -1)])
+    return embeddings.Embedding("prim", c, f, [w])
 
 
 def lexicographic_permutations(degree):

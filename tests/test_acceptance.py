@@ -7,12 +7,13 @@ import itertools
 import json
 import time
 
-from hightrans import fixtures, graphs, hcf
+from hightrans import graphs, hcf
 from hightrans.action import evaluate_pi
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.normal_forms import parse_word
 
 from conftest import problem_path, zoo
+import oracles
 from oracles import (PermutationDomain, affine_bs12, all_words, equivariance_by_evaluation,
                      gset_instance_for_eset, hset_instance_for_gset, plain_level_action, psl2z_key,
                      replay_hcf_verdict, replay_highly_faithful_verdict, replay_steps,
@@ -58,8 +59,8 @@ def test_criterion_3_hcf_positive_fixtures():
     bounds = hcf.AuditBounds(tuple_size_max=2, point_radius=2, witness_radius=4)
     start = time.monotonic()
     cases = [
-        ("commutator subgroup of F2", fixtures.commutator_subgroup_embedding()),
-        ("trivial subgroup of Z", fixtures.trivial_subgroup_embedding()),
+        ("commutator subgroup of F2", oracles.commutator_subgroup_embedding()),
+        ("trivial subgroup of Z", oracles.trivial_subgroup_embedding()),
         ("unit subgroup of the Gaussian affine group",
          zoo("gaussian-hnn").embeddings["units"]),
     ]
@@ -76,7 +77,7 @@ def test_criterion_3_hcf_positive_fixtures():
 
 
 def test_criterion_4_negative_fixtures():
-    even = fixtures.even_integers_embedding()
+    even = oracles.even_integers_embedding()
     v = hcf.audit_hcf(even)
     assert v.failed
     assert v.evidence["covering"]["pieces"] == [{"members": ["1"]}]
@@ -95,7 +96,7 @@ def test_criterion_4_negative_fixtures():
 
 
 def test_criterion_5_equivalence_cross_checks():
-    emb = fixtures.commutator_subgroup_embedding()
+    emb = oracles.commutator_subgroup_embedding()
     f = emb.target
     ball2 = f.ball(2)
     nontrivial = [x for x in ball2 if not x.is_identity]
@@ -104,7 +105,7 @@ def test_criterion_5_equivalence_cross_checks():
     total = transported = 0
     for xs in itertools.combinations(nontrivial, 2):
         ys, f2 = hset_instance_for_gset(list(xs), F)
-        h = hcf.search_H_set(emb, ys, f2, 6, hcf.HSetMemo(emb, f2))
+        h = hcf.search_H_set(emb, ys, 6, hcf.HSetMemo(emb, f2))
         assert h is not None
         assert all(emb.rep(h * x) not in f_reps for x in xs)
         hinv = h.inverse()

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hightrans import fixtures, hcf
+from hightrans import hcf
 from hightrans.embeddings import Embedding, LatticeStrategy
 from hightrans.groups import Element, FreeAbelianGroup, FreeGroup, cyclic_group
 
@@ -69,7 +69,7 @@ def test_structural_certificate_matches_two_balls(problem, name):
 def test_coset_fixers_agree_with_decomposition_pointwise():
     # the audits above probe only what their searches reach; here every
     # h of the radius-3 ball meets every coset of the radius-3 zone
-    for emb in (fixtures.commutator_subgroup_embedding(), fixtures.even_integers_embedding(),
+    for emb in (oracles.commutator_subgroup_embedding(), oracles.even_integers_embedding(),
                 zoo("gaussian-hnn").embeddings["units"]):
         fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
         zone = fast.zone(3)
@@ -88,7 +88,7 @@ def test_coset_fixers_match_decomposing_fixers_on_every_piece(problem, name):
     # one domain answers every query the audit could make, in audit order,
     # so the table of moved cosets is read back many times
     if problem == "fixtures":
-        emb, bounds = getattr(fixtures, name)(), hcf.AuditBounds()
+        emb, bounds = getattr(oracles, name)(), hcf.AuditBounds()
     else:
         emb, bounds = _load(problem, name)
     fast, slow = hcf.CosetDomain(emb), oracles.ActCosetDomain(emb)
@@ -121,12 +121,12 @@ def test_coset_action_audit_asks_each_h_about_few_cosets(monkeypatch):
 
 
 def test_infinite_index_examples():
-    assert fixtures.commutator_subgroup_embedding().infinite_index()
-    assert fixtures.primitive_cyclic_embedding().infinite_index()
+    assert oracles.commutator_subgroup_embedding().infinite_index()
+    assert oracles.primitive_cyclic_embedding().infinite_index()
     assert zoo("gaussian-hnn").embeddings["units"].infinite_index()
-    assert fixtures.trivial_subgroup_embedding().infinite_index()
-    assert not fixtures.even_integers_embedding().infinite_index()
-    assert not fixtures.improper_embedding().infinite_index()
+    assert oracles.trivial_subgroup_embedding().infinite_index()
+    assert not oracles.even_integers_embedding().infinite_index()
+    assert not oracles.improper_embedding().infinite_index()
 
 
 # ---------------------------------------------------------------------------

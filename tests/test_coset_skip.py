@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import fixtures, hcf
+from hightrans import hcf
 from hightrans.action import LevelAction
 from hightrans.embeddings import CyclicFreeStrategy, Embedding, FiniteImageStrategy
 from hightrans.engine import Budget, EngineProblem, run_schedule
 from hightrans.groups import Element, FreeGroup, symmetric_group
 
 from conftest import zoo
+import oracles
 from oracles import per_element_search, plain_level_action
 
 
@@ -33,9 +34,9 @@ def _engine_actions(name):
 # planted-finite-index-edge) and of infinite index (<[a,b]> in F2, the
 # finite units of gaussian-hnn), acting on themselves and on Gamma
 ACTIONS = [
-    plain_level_action(fixtures.even_integers_embedding()),
+    plain_level_action(oracles.even_integers_embedding()),
     plain_level_action(_s0_in_s3()),
-    plain_level_action(fixtures.commutator_subgroup_embedding()),
+    plain_level_action(oracles.commutator_subgroup_embedding()),
     *_engine_actions("bs12"),
     *_engine_actions("planted-finite-index-edge"),
     *_engine_actions("gaussian-hnn"),
@@ -129,10 +130,10 @@ def _edges(name):
     return {f"{name}.{emb.name}": emb for emb in pair}
 
 
-FINITE_INDEX = {"2Z-in-Z": fixtures.even_integers_embedding(), **_edges("bs12"),
+FINITE_INDEX = {"2Z-in-Z": oracles.even_integers_embedding(), **_edges("bs12"),
                 **_edges("planted-finite-index-edge")}
-INFINITE_INDEX = {"commutator-in-F2": fixtures.commutator_subgroup_embedding(),
-                  "trivial-in-F2": fixtures.trivial_subgroup_embedding(),
+INFINITE_INDEX = {"commutator-in-F2": oracles.commutator_subgroup_embedding(),
+                  "trivial-in-F2": oracles.trivial_subgroup_embedding(),
                   **_edges("free2-hnn"), **_edges("gaussian-hnn"), **_edges("pi1-sigma2")}
 
 
@@ -161,7 +162,7 @@ def _conjugate_cyclic():
 EMBEDDINGS = {
     "s0-in-S3": _s0_in_s3,
     "units-in-GaussAff": lambda: zoo("gaussian-hnn").embeddings["units"],
-    "commutator-in-F2": fixtures.commutator_subgroup_embedding,
+    "commutator-in-F2": oracles.commutator_subgroup_embedding,
     "conjugate-in-F2": _conjugate_cyclic,
 }
 

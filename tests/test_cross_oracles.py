@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from hightrans import fixtures
 from hightrans.action import evaluate_pi
 from hightrans.embeddings import Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule
@@ -15,6 +14,7 @@ from hightrans.groups import FreeAbelianGroup
 from hightrans.normal_forms import parse_word
 
 from conftest import zoo
+import oracles
 from oracles import replay_steps, untwist
 
 
@@ -150,7 +150,7 @@ def test_lattice_rank_one_inside_rank_two():
 
 
 def test_cyclic_rep_minimality_brute_force(rng):
-    emb = fixtures.commutator_subgroup_embedding()
+    emb = oracles.commutator_subgroup_embedding()
     f = emb.target
     c = emb.apply(emb.source.generator("c"))
     letters = [el for _, el in f.letters()]
@@ -165,9 +165,9 @@ def test_cyclic_rep_minimality_brute_force(rng):
 
 def test_prove_finite_index_units():
     from hightrans.hcf import prove_finite_index
-    assert prove_finite_index(fixtures.commutator_subgroup_embedding(), 4) is None
+    assert prove_finite_index(oracles.commutator_subgroup_embedding(), 4) is None
     assert prove_finite_index(zoo("gaussian-hnn").embeddings["units"], 4) is None
-    t = prove_finite_index(fixtures.even_integers_embedding(), 4)
+    t = prove_finite_index(oracles.even_integers_embedding(), 4)
     assert t is not None and len(t) == 2
-    t2 = prove_finite_index(fixtures.improper_embedding(), 4)
+    t2 = prove_finite_index(oracles.improper_embedding(), 4)
     assert t2 is not None and len(t2) == 1

@@ -1,6 +1,5 @@
 import pytest
 
-from hightrans import fixtures
 from hightrans.embeddings import (
     BoundedStrategy,
     CyclicFreeStrategy,
@@ -13,13 +12,14 @@ from hightrans.embeddings import (
 from hightrans.groups import FreeAbelianGroup, FreeGroup, UndecidedError
 
 from conftest import random_element, zoo
+import oracles
 from oracles import cyclic_power_membership
 
 
 def test_strategy_selection(commutator_emb, gauss_aff):
     assert isinstance(commutator_emb.strategy, CyclicFreeStrategy)
-    assert isinstance(fixtures.even_integers_embedding().strategy, LatticeStrategy)
-    assert isinstance(fixtures.trivial_subgroup_embedding().strategy, TrivialStrategy)
+    assert isinstance(oracles.even_integers_embedding().strategy, LatticeStrategy)
+    assert isinstance(oracles.trivial_subgroup_embedding().strategy, TrivialStrategy)
     assert isinstance(zoo("gaussian-hnn").embeddings["units"].strategy, FiniteImageStrategy)
     surf = zoo("pi1-sigma2").build_group()[0]
     assert isinstance(surf.sigma_embedding().strategy, FactorStrategy)
@@ -42,7 +42,7 @@ def test_membership_examples(commutator_emb):
 
 
 def test_lattice_membership_and_decompose():
-    even = fixtures.even_integers_embedding()
+    even = oracles.even_integers_embedding()
     z = even.target
     five = z.generator("a") ** 5
     s, r = even.decompose(five)
@@ -104,7 +104,7 @@ def test_preimage(commutator_emb):
 
 
 def test_injectivity_rejected():
-    f = fixtures.free2()
+    f = oracles.free2()
     c2 = FreeAbelianGroup("C2d", ("u", "v"))
     a = f.generator("a")
     with pytest.raises(ValueError, match="injective"):
@@ -114,7 +114,7 @@ def test_injectivity_rejected():
 def test_homomorphism_rejected():
     from hightrans.groups import cyclic_group
     z2 = cyclic_group("Z2h", 2, "x")
-    f = fixtures.free2()
+    f = oracles.free2()
     with pytest.raises(ValueError, match="table"):
         Embedding("ordermix", z2, f, [f.generator("a")])
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 from collections import Counter
 
@@ -17,8 +18,8 @@ from hightrans.groups import Element
 from hightrans.normal_forms import parse_word
 
 from conftest import PROBLEMS, zoo
-from oracles import (amalgam_protect_list, equivariance_by_evaluation, hnn_protect_lists,
-                     replay_steps, shortlex_first_rule)
+from oracles import (amalgam_protect_list, distinct_tuples_by_list, equivariance_by_evaluation,
+                     hnn_protect_lists, replay_steps, schedule_by_two_walks, shortlex_first_rule)
 
 
 # the builder's witness radius, for the tests that call a step directly
@@ -185,19 +186,45 @@ def test_schedule_covers_both_kinds():
 
 
 def test_schedule_formats_each_point_once(monkeypatch):
-    """The point table keeps each point's text: at 300 steps on pi1-sigma2
-    the transitivity requirements name 510 points, 9 of them distinct, and
-    each distinct point is formatted once, as is each faithfulness element."""
+    """The schedule keeps each element of Gamma beside its text: at 300
+    steps on pi1-sigma2 the transitivity requirements name 510 points, 9 of
+    them distinct, the faithfulness requirements 150 elements, and each
+    distinct element, point or faithfulness element, is formatted once."""
     problem = EngineProblem(zoo("pi1-sigma2").build_group()[0])
     formatted = Counter()
     to_text = Element.__str__
     monkeypatch.setattr(Element, "__str__", lambda x: formatted.update([x]) or to_text(x))
     heads = [head for head, _ in engine._schedule(problem, 300)]
     points = {p for h in heads if h["kind"] == "transitivity" for p in h["xs"] + h["ys"]}
-    elements = [h["element"] for h in heads if h["kind"] == "faithfulness"]
+    elements = {h["element"] for h in heads if h["kind"] == "faithfulness"}
     named = sum(len(h["xs"]) + len(h["ys"]) for h in heads if h["kind"] == "transitivity")
-    assert (named, len(points)) == (510, 9)
-    assert sum(formatted.values()) == len(points) + len(elements)
+    assert (named, len(points), len(elements)) == (510, 9, 150)
+    assert set(formatted.values()) == {1}
+    assert len(formatted) == len(points | elements) == 151
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_distinct_tuples_match_the_list_oracle(n):
+    for total in range(30):
+        assert list(engine._distinct_tuples(n, total)) == distinct_tuples_by_list(n, total)
+
+
+def test_distinct_tuples_yield_before_listing():
+    """At n = 9 and sum 47 the list holds 725,760 tuples; the first comes at once."""
+    assert inspect.isgeneratorfunction(engine._distinct_tuples)
+    assert next(engine._distinct_tuples(9, 47)) == (1, 2, 3, 4, 5, 6, 7, 8, 11)
+
+
+@pytest.mark.parametrize("name", ["pi1-sigma2", "theta"])
+def test_schedule_matches_the_two_walk_oracle(name):
+    """One walk of Gamma serves points and faithfulness elements alike: the
+    first 2,000 heads and payloads are the old schedule's, and no
+    transitivity requirement repeats."""
+    problem = EngineProblem(zoo(name).build_group()[0])
+    schedule = list(engine._schedule(problem, 2000))
+    assert schedule == list(schedule_by_two_walks(problem, 2000))
+    pairs = [(tuple(h["xs"]), tuple(h["ys"])) for h, _ in schedule if h["kind"] == "transitivity"]
+    assert len(set(pairs)) == len(pairs) == 1000
 
 
 def test_schedule_eventually_multi_point():

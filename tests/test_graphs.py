@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from hightrans import fixtures
 from hightrans.graphs import (
     GraphEdge,
     GraphOfGroups,
@@ -172,7 +171,7 @@ def test_theta_presentations_relate_through_tree_change():
     free_words = [()]
     for n in range(1, 5):
         free_words.extend(itertools.product(free_alphabet, repeat=n))
-    f2 = fixtures.free2(); label_map = {"a1": "a", "b1": "b"}
+    f2 = oracles.free2(); label_map = {"a1": "a", "b1": "b"}
     for w in free_words:
         text = " ".join(f"{l}^{e}" if e != 1 else l for l, e in w) or "1"
         free_text = " ".join(f"{label_map[l]}^{e}" if e != 1 else label_map[l]
@@ -227,8 +226,8 @@ def test_validate_gaussian_loop_passes():
 
 
 def test_infiniteness_rules():
-    assert not fixtures.free2().is_finite()
-    assert not fixtures.integers().is_finite()
+    assert not oracles.free2().is_finite()
+    assert not oracles.integers().is_finite()
     assert not zoo("gaussian-hnn").groups["H"].is_finite()
     assert not zoo("bs12").build_group()[0].is_finite()
     assert not zoo("pi1-sigma2").build_group()[0].is_finite()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import fixtures
 from hightrans.groups import (
     FreeAbelianGroup,
     OwnerMismatch,
@@ -23,8 +22,8 @@ from conftest import PROBLEMS, random_element, zoo
 def fixture_groups():
     """Test-bed groups by label; the label also seeds each fuzz."""
     return {
-        "F2": fixtures.free2(),
-        "Z": fixtures.integers(),
+        "F2": oracles.free2(),
+        "Z": oracles.integers(),
         "Z6": cyclic_group("Z6", 6, "g"),
         "GaussAff": zoo("gaussian-hnn").groups["H"],
         "BS12": zoo("bs12").build_group()[0],
@@ -81,7 +80,7 @@ def test_ball_free2_radius_one(free2):
 
 
 def test_ball_integers_shortlex():
-    z = fixtures.integers()
+    z = oracles.integers()
     assert [e.payload for e in z.ball(2)] == [(0,), (1,), (-1,), (2,), (-2,)]
 
 
@@ -101,8 +100,8 @@ def test_ball_deterministic(surface):
 
 
 def test_owner_mismatch():
-    a = fixtures.free2().generator("a")
-    b = fixtures.free2().generator("a")
+    a = oracles.free2().generator("a")
+    b = oracles.free2().generator("a")
     with pytest.raises(OwnerMismatch):
         a * b
 
@@ -117,7 +116,7 @@ def test_include_refuses_an_element_outside_the_factor(surface, bs12):
     with pytest.raises(OwnerMismatch):
         bs12.include(bs12.stable())
     with pytest.raises(OwnerMismatch):
-        bs12.include(fixtures.free2().identity(), bs12.identity())
+        bs12.include(oracles.free2().identity(), bs12.identity())
 
 
 def test_finite_table_validation():
@@ -213,7 +212,7 @@ def test_semidirect_accepts_exactly_the_actions_of_q():
         accepted = 0
         for rest in product(signed[rank], repeat=q_group.order - 1):
             mats = list(rest)
-            mats.insert(q_group.id_index, ident)
+            mats.insert(q_group.identity_payload, ident)
             try:
                 SemidirectGroup("H", q_group, ("x", "y")[:rank], mats)
             except ValueError:

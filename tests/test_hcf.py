@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from hightrans import fixtures, hcf
+from hightrans import hcf
 from hightrans.hcf import HSetMemo, SearchCursor
 
 from conftest import zoo
+import oracles
 from oracles import (PermutationDomain, TranslationDomain, gset_instance_for_eset,
                      hset_instance_for_gset, plain_level_action, replay_hcf_verdict,
                      replay_highly_faithful_verdict, search_G_set)
@@ -17,12 +18,12 @@ from oracles import (PermutationDomain, TranslationDomain, gset_instance_for_ese
 
 @pytest.fixture(scope="module")
 def comm():
-    return fixtures.commutator_subgroup_embedding()
+    return oracles.commutator_subgroup_embedding()
 
 
 @pytest.fixture(scope="module")
 def even():
-    return fixtures.even_integers_embedding()
+    return oracles.even_integers_embedding()
 
 
 def h_set_conditions(emb, h, xs, F):
@@ -47,17 +48,16 @@ def e_set_conditions(action, h, xs, F):
 
 
 def test_search_h_trivial_subgroup():
-    triv = fixtures.trivial_subgroup_embedding()
+    triv = oracles.trivial_subgroup_embedding()
     z = triv.target
     F = [z.identity()]
-    h = hcf.search_H_set(triv, [z.generator("a")], F, 2, HSetMemo(triv, F))
+    h = hcf.search_H_set(triv, [z.generator("a")], 2, HSetMemo(triv, F))
     assert h is not None and h.is_identity
 
 
 def test_search_h_commutator(comm):
     f = comm.target
-    h = hcf.search_H_set(comm, [f.generator("a")], [f.identity()], 2,
-                         HSetMemo(comm, [f.identity()]))
+    h = hcf.search_H_set(comm, [f.generator("a")], 2, HSetMemo(comm, [f.identity()]))
     assert h is not None
     assert h_set_conditions(comm, h, [f.generator("a")], [f.identity()])
 
@@ -67,12 +67,12 @@ def test_search_h_finite_index_always_empty(even):
     two = z.generator("a") ** 2
     F = [z.identity(), z.generator("a")]
     for radius in (2, 4, 8):
-        assert hcf.search_H_set(even, [two], F, radius, HSetMemo(even, F)) is None
+        assert hcf.search_H_set(even, [two], radius, HSetMemo(even, F)) is None
 
 
 def test_search_h_rejects_identity_entries(comm):
     with pytest.raises(ValueError):
-        hcf.search_H_set(comm, [comm.target.identity()], [], 2, HSetMemo(comm, []))
+        hcf.search_H_set(comm, [comm.target.identity()], 2, HSetMemo(comm, []))
 
 
 def test_search_g_example(comm):
@@ -128,9 +128,9 @@ def test_search_e_same_orbit_normal_subgroup(even):
 
 
 def test_audit_trivial_passes():
-    v = hcf.audit_hcf(fixtures.trivial_subgroup_embedding())
+    v = hcf.audit_hcf(oracles.trivial_subgroup_embedding())
     assert v.status == "pass"
-    assert replay_hcf_verdict(fixtures.trivial_subgroup_embedding(), v)
+    assert replay_hcf_verdict(oracles.trivial_subgroup_embedding(), v)
 
 
 def test_audit_commutator_passes(comm):
@@ -184,10 +184,10 @@ def test_pass_implies_core_free_at_bounds(comm):
 
 
 def test_structural_certificates():
-    assert hcf.certify_structural(fixtures.commutator_subgroup_embedding()).status == "pass"
-    assert hcf.certify_structural(fixtures.primitive_cyclic_embedding()).status == "pass"
+    assert hcf.certify_structural(oracles.commutator_subgroup_embedding()).status == "pass"
+    assert hcf.certify_structural(oracles.primitive_cyclic_embedding()).status == "pass"
     assert hcf.certify_structural(zoo("gaussian-hnn").embeddings["units"]).status == "pass"
-    improper = hcf.certify_structural(fixtures.improper_embedding())
+    improper = hcf.certify_structural(oracles.improper_embedding())
     assert improper.failed
     assert improper.evidence["premises"]["infinite_index"]["status"] == "fail"
 
@@ -235,7 +235,7 @@ def test_structural_flags_finite_index(even):
 
 
 def test_highly_faithful_translation_passes():
-    dom = TranslationDomain(fixtures.integers())
+    dom = TranslationDomain(oracles.integers())
     assert hcf.audit_highly_faithful(dom).status == "pass"
 
 
@@ -276,7 +276,7 @@ def test_hset_transports_into_gset(comm):
     checked = 0
     for xs in itertools.combinations(nontrivial, 2):
         ys, f2 = hset_instance_for_gset(list(xs), F)
-        h = hcf.search_H_set(comm, ys, f2, 6, HSetMemo(comm, f2))
+        h = hcf.search_H_set(comm, ys, 6, HSetMemo(comm, f2))
         assert h is not None
         assert g_set_conditions(comm, h, list(xs), F)
         checked += 1

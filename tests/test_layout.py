@@ -16,11 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hightrans"
 
-# bench/tracer.py lists fixtures in MODULES and tests/test_bench_hooks.py
-# asserts that every listed module imports, so the test-bed embeddings stay
-# in src/ until the benchmark drops that entry (ROADMAP item 8)
-EXEMPT_MODULES = {"fixtures.py"}
-
 
 def _docstrings(tree):
     """The docstring nodes of a module and of its classes and functions."""
@@ -64,8 +59,6 @@ def _module_assignments(tree):
 
 def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in EXEMPT_MODULES:
-            continue
         tree = ast.parse(path.read_text(), str(path))
         defined = [(node.lineno, node.name) for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]

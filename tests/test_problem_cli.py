@@ -675,12 +675,12 @@ def test_cli_nf_undecided_exit_code(tmp_path, capsys):
 
 
 def test_parse_word_bad_exponent():
-    from hightrans import fixtures
+    import oracles
     from hightrans.normal_forms import parse_word
     with pytest.raises(ValueError, match="exponent"):
-        parse_word(fixtures.free2(), "a^x")
+        parse_word(oracles.free2(), "a^x")
     with pytest.raises(ValueError, match="unknown generator"):
-        parse_word(fixtures.free2(), "q")
+        parse_word(oracles.free2(), "q")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import engine, fixtures, hcf
+from hightrans import engine, hcf
 from hightrans.action import LevelAction, allocate_fresh_orbits
 from hightrans.embeddings import Embedding
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
@@ -14,6 +14,7 @@ from hightrans.groups import cyclic_group, symmetric_group
 from hightrans.problem import canonical_text
 
 from conftest import PROBLEMS, zoo
+import oracles
 from oracles import (allocate_by_rescan, evaluate_by_formula, plain_level_action,
                      shortlex_first_search)
 
@@ -27,10 +28,10 @@ def _z6_sub():
 
 # finite groups, Z and F2, each with a trivial and a nontrivial subgroup
 ACTIONS = [plain_level_action(emb) for emb in (
-    _z6_sub(), fixtures.trivial_subgroup_embedding(symmetric_group("S3", 3)),
-    fixtures.trivial_subgroup_embedding(), fixtures.even_integers_embedding(),
-    fixtures.trivial_subgroup_embedding(fixtures.free2()),
-    fixtures.commutator_subgroup_embedding())]
+    _z6_sub(), oracles.trivial_subgroup_embedding(symmetric_group("S3", 3)),
+    oracles.trivial_subgroup_embedding(), oracles.even_integers_embedding(),
+    oracles.trivial_subgroup_embedding(oracles.free2()),
+    oracles.commutator_subgroup_embedding())]
 
 
 def _wrapped_ball(group, radius, start):
