@@ -43,20 +43,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("audit", help="core-freeness and faithfulness audits")
+    p.set_defaults(run=cmd_audit)
     p.add_argument("problem")
     p.add_argument("--bounds", type=_parse_bounds, default=None)
 
     p = sub.add_parser("nf", help="normal-form a word")
+    p.set_defaults(run=cmd_nf)
     p.add_argument("problem")
     p.add_argument("group")
     p.add_argument("word")
 
     p = sub.add_parser("reduce", help="reduce a graph of groups to one edge")
+    p.set_defaults(run=cmd_reduce)
     p.add_argument("problem")
     p.add_argument("--edge", default=None)
     p.add_argument("--bounds", type=_parse_bounds, default=None)
 
     p = sub.add_parser("build", help="run the engine and emit a certificate")
+    p.set_defaults(run=cmd_build)
     p.add_argument("problem")
     p.add_argument("--budget", type=int, default=None, help="number of schedule steps")
     p.add_argument("--edge", default=None)
@@ -67,34 +71,14 @@ def build_parser():
                    help="log each discharged step to standard error")
 
     p = sub.add_parser("verify", help="re-check a certificate file")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("problem")
     p.add_argument("certificate")
     return parser
 
 
-def _usage_error(exc):
-    for err in exc.errors:
-        print(f"error: {err}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
-def _load(path):
-    try:
-        return parse_problem(path)
-    except ProblemError as exc:
-        _usage_error(exc)
-
-
-def _build_group(problem, edge):
-    """The acting group and its source tag, for ``--edge`` or the default."""
-    try:
-        return problem.build_group(None if edge is None else {"edge": edge})
-    except ProblemError as exc:
-        _usage_error(exc)
-
-
 def cmd_audit(args):
-    problem = _load(args.problem)
+    problem = parse_problem(args.problem)
     bounds = args.bounds or problem.bounds
     statuses = []
     for name in sorted(problem.embeddings):
@@ -111,7 +95,7 @@ def cmd_audit(args):
 
 
 def cmd_nf(args):
-    problem = _load(args.problem)
+    problem = parse_problem(args.problem)
     if args.group not in problem.groups:
         print(f"error: unknown group {args.group!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -131,12 +115,12 @@ def cmd_nf(args):
 
 
 def cmd_reduce(args):
-    problem = _load(args.problem)
+    problem = parse_problem(args.problem)
     if problem.graph is None:
         print("error: the problem file has no graph section", file=sys.stderr)
         return EXIT_USAGE
     graph = problem.graph
-    gamma, source = _build_group(problem, args.edge)
+    gamma, source = problem.build_group(None if args.edge is None else {"edge": args.edge})
     print(f"reduce {graph.name} at edge {source['edge']}: {gamma.kind} problem, "
           f"group {gamma.name}")
     if gamma.kind == "hnn":
@@ -162,8 +146,8 @@ def _to_stderr(line):
 
 
 def cmd_build(args):
-    problem = _load(args.problem)
-    gamma, source = _build_group(problem, args.edge)
+    problem = parse_problem(args.problem)
+    gamma, source = problem.build_group(None if args.edge is None else {"edge": args.edge})
     steps = args.budget if args.budget is not None else problem.budget.steps
     try:
         acting = EngineProblem(gamma)
@@ -193,7 +177,7 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    problem = _load(args.problem)
+    problem = parse_problem(args.problem)
     try:
         cert = load_certificate(args.certificate)
     except (OSError, ValueError) as exc:
@@ -218,17 +202,13 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a bad argument, a usage error
         return EXIT_USAGE if exc.code else EXIT_PASS
-    handlers = {
-        "audit": cmd_audit,
-        "nf": cmd_nf,
-        "reduce": cmd_reduce,
-        "build": cmd_build,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return args.run(args)
+    except ProblemError as exc:
+        # a bad problem file or --edge; verify FAILs a bad source tag itself
+        for err in exc.errors:
+            print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

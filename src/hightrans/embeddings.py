@@ -39,6 +39,18 @@ def _is_infinite_cyclic(g):
     return (g.kind == "free_abelian" or g.kind == "free") and g.rank == 1
 
 
+def _image_map(strategy, radius=None):
+    """The table e(s) -> s of the strategy's embedding e, each image mapped
+    to its first preimage in the source's shortlex walk through layer
+    ``radius``; built on first use."""
+    if strategy._map is None:
+        table = {}
+        for s in strategy.emb.source.iter_shortlex(radius):
+            table.setdefault(strategy.emb.apply(s), s)
+        strategy._map = table
+    return strategy._map
+
+
 class TrivialStrategy:
     """Image is the trivial subgroup."""
 
@@ -59,21 +71,13 @@ class FiniteImageStrategy:
         self.emb = emb
         self._map = None
 
-    def _image_map(self):
-        if self._map is None:
-            table = {}
-            for s in self.emb.source.iter_shortlex():
-                table.setdefault(self.emb.apply(s), s)
-            self._map = table
-        return self._map
-
     def contains(self, g):
-        return g in self._image_map()
+        return g in _image_map(self)
 
     def decompose(self, g):
         """The least of the coset mates e(s) g; each mate e(s) g is cached as
         (s s_best^-1, best), g itself being the mate of s = 1."""
-        mates = [(img * g, s) for img, s in self._image_map().items()]
+        mates = [(img * g, s) for img, s in _image_map(self).items()]
         best, s_best = min(mates, key=lambda m: m[0].sort_key())
         inv = s_best.inverse()
         cache = self.emb._decompose_cache
@@ -313,22 +317,14 @@ class BoundedStrategy:
         self.emb = emb
         self._map = None
 
-    def _image_map(self):
-        if self._map is None:
-            table = {}
-            for s in self.emb.source.ball(BOUNDED_IMAGE_RADIUS):
-                table.setdefault(self.emb.apply(s), s)
-            self._map = table
-        return self._map
-
     def contains(self, g):
-        if g in self._image_map():
+        if g in _image_map(self, BOUNDED_IMAGE_RADIUS):
             return True
         raise UndecidedError(
             f"membership in {self.emb.name!r} undecided at bound {BOUNDED_IMAGE_RADIUS}")
 
     def decompose(self, g):
-        table = self._image_map()
+        table = _image_map(self, BOUNDED_IMAGE_RADIUS)
         if g in table:
             return (table[g], self.emb.target.identity())
         raise UndecidedError(f"coset decomposition in {self.emb.name!r} undecided "

@@ -18,6 +18,7 @@ immutable payloads, so repeated queries are cheap.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from operator import add, mul, neg
 
 
@@ -156,9 +157,9 @@ class Group:
     the element as a tuple of alphabet ranks, which fixes its shortlex key.
     The constructor sets ``identity_payload`` once.  Payloads are ints or
     tuples of canonical parts, so ``==`` on payloads is equality in the
-    group.  Each kind states whether it is finite, once: the shortlex walk
-    asks at the end of every layer.  Shortlex and conjugacy balls, which
-    handles cache, need nothing beyond that protocol.
+    group.  Each kind states whether it is finite, once, in ``is_finite``.
+    Shortlex and conjugacy balls, which handles cache, need nothing beyond
+    that protocol; a finite group's shortlex layers end where its BFS does.
     """
 
     kind = "abstract"
@@ -169,11 +170,8 @@ class Group:
         self.labels = _check_labels(labels)
         self._indices = {lab: i for i, lab in enumerate(self.labels)}
         self._letters = None
-        self._layers = None       # finalized shortlex layers by canonical length
-        self._pending = None
-        self._frontier = None
-        self._seen = None
-        self._bfs_depth = 0
+        self._layers = []         # finalized shortlex layers by canonical length
+        self._layer_source = self._shortlex_layers()   # runs on first use
         self._conjugators = {}    # radius -> [(length of h, h, h^-1) over ball(radius)]
         self._conjugates = {}     # (x, radius) -> the conjugates of x, see conjugates
 
@@ -229,50 +227,48 @@ class Group:
 
     # -- shortlex enumeration -----------------------------------------------
 
-    def _init_bfs(self):
-        if self._layers is None:
-            ident = self.identity()
-            self._layers = [[ident]]
-            self._pending = {}
-            self._frontier = [ident]
-            self._seen = {ident}
-            self._bfs_depth = 0
-
-    def _extend_layers(self, depth):
-        """Finalize shortlex layers up to canonical length ``depth``.
+    def _shortlex_layers(self):
+        """Yield the shortlex layers by canonical length, each once final.
 
         BFS over letter products; an element first reached at geodesic depth
         d has canonical length >= d, so layer d is complete once depth d has
-        been expanded.
+        been expanded.  A finite group's layers end when nothing is left to
+        expand or to file.
         """
-        self._init_bfs()
-        while self._bfs_depth < depth:
-            d = self._bfs_depth + 1
+        ident = self.identity()
+        frontier, seen, pending = [ident], {ident}, {}
+        yield [ident]
+        d = 0
+        while frontier or pending:
+            d += 1
             new = []
-            for x in self._frontier:
+            for x in frontier:
                 for _, letter in self.letters():
                     y = x * letter
-                    if y not in self._seen:
-                        self._seen.add(y)
+                    if y not in seen:
+                        seen.add(y)
                         new.append(y)
-                        self._pending.setdefault(y.length(), []).append(y)
-            self._frontier = new
-            self._layers.append(sorted(self._pending.pop(d, []), key=Element.sort_key))
-            self._bfs_depth = d
+                        pending.setdefault(y.length(), []).append(y)
+            frontier = new
+            yield sorted(pending.pop(d, []), key=Element.sort_key)
 
     def shortlex_layer(self, length):
-        self._extend_layers(length)
-        return self._layers[length]
+        """Layer ``length`` in shortlex order; [] past a finite group's last."""
+        layers = self._layers
+        try:
+            layers.extend(islice(self._layer_source, max(0, length + 1 - len(layers))))
+        except Exception:
+            # a raised generator (an undecided product) is spent: restart it
+            # past the finalized layers, so the next call raises, not ends
+            self._layer_source = islice(self._shortlex_layers(), len(layers), None)
+            raise
+        return layers[length] if length < len(layers) else []
 
     def ball(self, radius):
         """All elements of normal-form length <= radius, shortlex ordered."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        self._extend_layers(radius)
-        out = []
-        for d in range(radius + 1):
-            out.extend(self._layers[d])
-        return out
+        return [x for d in range(radius + 1) for x in self.shortlex_layer(d)]
 
     def conjugates(self, x, radius):
         """The distinct conjugates h x h^-1 over ``ball(radius)`` in order of
@@ -306,12 +302,11 @@ class Group:
         d, i = start
         while (max_radius is None or d <= max_radius) and (stop is None or (d, i) < stop):
             layer = self.shortlex_layer(d)
+            if d >= len(self._layers):
+                return
             end = len(layer) if stop is None or d < stop[0] else min(stop[1], len(layer))
             for k in range(i, end):
                 yield d, k, layer[k]
-            if (self.is_finite() and not self._frontier and not self._pending
-                    and d + 1 >= len(self._layers)):
-                return
             d, i = d + 1, 0
 
 

@@ -29,10 +29,11 @@ from itertools import groupby
 from . import groups
 
 
-# The largest |exponent| a parsed word may carry.  A stable-letter power t^N
-# becomes N reducer tokens and a spelling spells out every letter, so the
-# bound keeps the cost of a word in proportion to its text; certificates of
-# the bundled problems carry exponents far below it.
+# The most letters a parsed word may carry, a^N counting as N.  A
+# stable-letter power t^N becomes N reducer tokens, a spelling spells out
+# every letter, and tokens a^N a^N ... merge into one syllable, so the bound
+# on the whole word keeps its cost in proportion to its text; certificates
+# of the bundled problems carry words far below it.
 MAX_EXPONENT = 10_000
 
 
@@ -142,15 +143,15 @@ def parse_word(handle, text):
     """Parse a word string like ``a b^-2 t`` into a normal-form element.
 
     Tokens are whitespace-separated generator labels with an optional
-    ``^exponent`` of absolute value at most ``MAX_EXPONENT``; ``1`` or the
-    empty string is the identity.
+    ``^exponent``, whose absolute values sum to at most ``MAX_EXPONENT``;
+    ``1`` or the empty string is the identity.
     """
     if not isinstance(text, str):
         raise ValueError(f"a word must be a string, got {text!r}")
     text = text.strip()
     if text in ("", "1"):
         return handle.identity()
-    word = []
+    word, letters = [], 0
     for tok in text.split():
         if "^" in tok:
             lab, _, e = tok.partition("^")
@@ -162,5 +163,8 @@ def parse_word(handle, text):
                 raise ValueError(f"exponent in token {tok!r} exceeds {MAX_EXPONENT}")
         else:
             lab, exp = tok, 1
+        letters += abs(exp)
+        if letters > MAX_EXPONENT:
+            raise ValueError(f"word exceeds {MAX_EXPONENT} letters at token {tok!r}")
         word.append((lab, exp))
     return handle.element_from_word(word)

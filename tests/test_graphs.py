@@ -13,7 +13,8 @@ from hightrans.graphs import (
     spanning_tree,
     validate_main_hypotheses,
 )
-from hightrans.groups import AmalgamGroup, FreeAbelianGroup, HnnGroup, cyclic_group, trivial_group
+from hightrans.groups import (AmalgamGroup, Element, FreeAbelianGroup, HnnGroup, cyclic_group,
+                              symmetric_group, trivial_group)
 from hightrans.embeddings import Embedding
 from hightrans.normal_forms import parse_word
 
@@ -225,6 +226,33 @@ def test_validate_gaussian_loop_passes():
     assert report["overall"] == "pass"
 
 
+def _improper():
+    """Y2 amalgamated with Y2b over Y2, onto both factors: a group of order 2."""
+    z2 = cyclic_group("Y2", 2, "x")
+    z2b = cyclic_group("Y2b", 2, "y")
+    return AmalgamGroup("Imp", z2, z2b, Embedding("fl", z2, z2, [z2.generator("x")]),
+                        Embedding("fr", z2, z2b, [z2b.generator("y")]))
+
+
+def _nest():
+    """A finite amalgam as a factor, with the edge onto it: Z4."""
+    improper = _improper()
+    z2c = cyclic_group("Y2c", 2, "z")
+    z4 = cyclic_group("Y4", 4, "w")
+    onto = Embedding("on", z2c, improper, [improper.generator("y")])
+    into = Embedding("in", z2c, z4, [z4.element_from_word([("w", 2)])])
+    return AmalgamGroup("Nest", improper, z4, onto, into)
+
+
+def _long_spellings():
+    """Z8 amalgamated with Z2 onto its a^4: Z8, whose canonical spellings
+    (a^4 a^-1 for a^3) run to length 6 past a BFS depth of 2, with layer 3
+    empty."""
+    z8, z2, c = cyclic_group("Z8", 8, "a"), cyclic_group("Z2", 2, "b"), cyclic_group("C2", 2, "c")
+    return AmalgamGroup("Long", z8, z2, Embedding("l", c, z8, [z8.element_from_word([("a", 4)])]),
+                        Embedding("r", c, z2, [z2.generator("b")]))
+
+
 def test_infiniteness_rules():
     assert not oracles.free2().is_finite()
     assert not oracles.integers().is_finite()
@@ -235,24 +263,41 @@ def test_infiniteness_rules():
     assert not zoo("theta").build_group()[0].is_finite()
     assert trivial_group().is_finite()
     # improper amalgam of finite groups collapses to a finite group
-    z2 = cyclic_group("Y2", 2, "x")
-    z2b = cyclic_group("Y2b", 2, "y")
-    e_l = Embedding("fl", z2, z2, [z2.generator("x")])
-    e_r = Embedding("fr", z2, z2b, [z2b.generator("y")])
-    improper = AmalgamGroup("Imp", z2, z2b, e_l, e_r)
+    improper = _improper()
     assert improper.is_finite()
     assert len(list(improper.iter_shortlex())) == 2
     # nested: a finite amalgam as a factor.  An edge onto it on one side
-    # makes the whole finite (here Z4); over the trivial group it is the
+    # makes the whole finite (_nest); over the trivial group it is the
     # infinite dihedral group, and an HNN extension is never finite
+    assert _nest().is_finite()
     z2c = cyclic_group("Y2c", 2, "z")
-    z4 = cyclic_group("Y4", 4, "w")
-    onto = Embedding("on", z2c, improper, [improper.generator("y")])
-    into = Embedding("in", z2c, z4, [z4.element_from_word([("w", 2)])])
-    assert AmalgamGroup("Nest", improper, z4, onto, into).is_finite()
     one = trivial_group("One")
     dihedral = AmalgamGroup("Dih", improper, z2c, Embedding("t0", one, improper, []),
                             Embedding("t1", one, z2c, []))
     assert not dihedral.is_finite()
     loop = Embedding("loop", z2c, improper, [improper.generator("x")])
     assert not HnnGroup("Loop", improper, loop, loop, stable_label="s").is_finite()
+
+
+@pytest.mark.parametrize("make, order", [
+    (trivial_group, 1),
+    (lambda: cyclic_group("C5", 5, "c"), 5),
+    (lambda: symmetric_group("S3", 3), 6),
+    (_nest, 4),
+    (_long_spellings, 8),
+], ids=["trivial", "cyclic", "S3", "Nest", "Long"])
+def test_finite_walks_end_by_themselves(make, order):
+    """A finite group's layers end by themselves: every walk stops after
+    the last element, from any position, on a fresh handle or a walked one."""
+    group = make()
+    walk = [(d, i, str(x)) for d, i, x in group.walk_shortlex()]
+    elements = [x for _, _, x in group.walk_shortlex()]
+    assert len(set(elements)) == order
+    assert sorted(elements, key=Element.sort_key) == elements
+    past = (walk[-1][0] + 1, 0)
+    for k, (d, i, _) in enumerate(walk):
+        for handle in (group, make()):
+            assert [(e, j, str(x)) for e, j, x in handle.walk_shortlex((d, i))] == walk[k:]
+    for handle in (group, make()):
+        assert list(handle.walk_shortlex(past)) == []
+        assert [str(x) for x in handle.ball(past[0] + 2)] == [x for _, _, x in walk]

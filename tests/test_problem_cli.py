@@ -356,6 +356,15 @@ def test_cli_nf_exponent_above_the_bound_is_a_usage_error(capsys):
     assert captured.err.startswith("error: ") and "exceeds" in captured.err
 
 
+def test_cli_nf_word_above_the_letter_bound_is_a_usage_error(capsys):
+    """Tokens below the bound that merge into one longer power are bounded
+    as a whole word."""
+    rc = cli.main(["nf", problem_path("bs12.json"), "BS12", "t^6000 t^6000"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: word exceeds 10000 letters at token 't^6000'\n"
+
+
 def test_cli_verify_exponent_above_the_bound_fails_fast(tmp_path, capsys):
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("free2-hnn.json"), "--budget", "6",
@@ -554,7 +563,8 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
     ("zs", [["1", 0]], "a word must be a string"),
     ("ys", ["a1^10001"], "not the requirement scheduled at this index"),
     ("witnesses", {"g1": "a1^10001", "g2": "1", "h": "1"}, "exceeds 10000"),
-], ids=["mover", "xs", "zs", "ys", "witnesses"])
+    ("witnesses", {"g1": "a1^6000 a1^6000", "g2": "1", "h": "1"}, "exceeds 10000"),
+], ids=["mover", "xs", "zs", "ys", "witnesses", "witness-letters"])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
     """Words of the wrong shape, and words with an exponent above the bound,
     are FAILs with a reason, not tracebacks: a scheduled point that is not
