@@ -18,7 +18,7 @@ immutable payloads, so repeated queries are cheap.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, permutations
 from operator import add, mul, neg
 
 
@@ -171,7 +171,7 @@ class Group:
         self._indices = {lab: i for i, lab in enumerate(self.labels)}
         self._letters = None
         self._layers = []         # finalized shortlex layers by canonical length
-        self._layer_source = self._shortlex_layers()   # runs on first use
+        self._layer_source = None  # _shortlex_layers(), made on first use
         self._conjugators = {}    # radius -> [(length of h, h, h^-1) over ball(radius)]
         self._conjugates = {}     # (x, radius) -> the conjugates of x, see conjugates
 
@@ -255,12 +255,14 @@ class Group:
     def shortlex_layer(self, length):
         """Layer ``length`` in shortlex order; [] past a finite group's last."""
         layers = self._layers
+        if self._layer_source is None:
+            # made on first use, as a generator holds its handle in a cycle,
+            # and remade past the finalized layers once a raise spent it
+            self._layer_source = islice(self._shortlex_layers(), len(layers), None)
         try:
             layers.extend(islice(self._layer_source, max(0, length + 1 - len(layers))))
         except Exception:
-            # a raised generator (an undecided product) is spent: restart it
-            # past the finalized layers, so the next call raises, not ends
-            self._layer_source = islice(self._shortlex_layers(), len(layers), None)
+            self._layer_source = None  # an undecided product raises again next call
             raise
         return layers[length] if length < len(layers) else []
 
@@ -419,13 +421,11 @@ def symmetric_group(name, degree, labels=None):
     """S_n as a table group generated by adjacent transpositions; element i
     is the i-th permutation in lexicographic order, so index 0 is the
     identity."""
-    import itertools as _it
-
     # min(): S_d with d > MAX_FINITE_ORDER is larger still, and d! is not computed
     if degree < 0 or math.factorial(min(degree, MAX_FINITE_ORDER)) > MAX_FINITE_ORDER:
         raise ValueError(
             f"{name}: S_{degree} is not a group of at most {MAX_FINITE_ORDER} elements")
-    perms = sorted(_it.permutations(range(degree)))
+    perms = sorted(permutations(range(degree)))
     index = {p: i for i, p in enumerate(perms)}
 
     def after(p, q):

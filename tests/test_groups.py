@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -269,6 +271,21 @@ def test_an_undecided_layer_stays_undecided():
         with pytest.raises(UndecidedError):
             list(amalgam.walk_shortlex())
     assert amalgam.shortlex_layer(0) == [amalgam.identity()]
+
+
+def test_an_unwalked_handle_is_freed_without_the_collector():
+    """Only a walk ties a handle into a reference cycle: one never walked
+    goes when its last reference does, with the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = FreeGroup("F", ("a", "b"))
+        handle = weakref.ref(group)
+        del group
+        assert handle() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pow_matches_repeated_product(free2, rng):

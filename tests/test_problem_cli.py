@@ -566,11 +566,11 @@ def test_cli_verify_rejects_unknown_edge(tmp_path, capsys):
     ("witnesses", {"g1": "a1^6000 a1^6000", "g2": "1", "h": "1"}, "exceeds 10000"),
 ], ids=["mover", "xs", "zs", "ys", "witnesses", "witness-letters"])
 def test_cli_verify_malformed_step_is_a_fail(tmp_path, capsys, field, value, reason):
-    """Words of the wrong shape, and words with an exponent above the bound,
-    are FAILs with a reason, not tracebacks: a scheduled point that is not
-    the schedule's fails the head check, a claim that is not the replay's
-    canonical text fails its comparison, and a recorded choice that does
-    not parse is a replay error."""
+    """Words of the wrong shape, and words with an exponent or a letter
+    count above the bound, are FAILs with a reason, not tracebacks: a
+    scheduled point that is not the schedule's fails the head check, a
+    claim that is not the replay's canonical text fails its comparison, and
+    a recorded choice that does not parse is a replay error."""
     cert_path = tmp_path / "out.json"
     rc = cli.main(["build", problem_path("pi1-sigma2.json"), "--budget", "6",
                    "--out", str(cert_path)])
