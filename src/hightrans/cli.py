@@ -97,8 +97,7 @@ def cmd_audit(args):
 def cmd_nf(args):
     problem = parse_problem(args.problem)
     if args.group not in problem.groups:
-        print(f"error: unknown group {args.group!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ProblemError([f"unknown group {args.group!r}"])
     handle = problem.groups[args.group]
     try:
         elt = parse_word(handle, args.word)
@@ -117,8 +116,7 @@ def cmd_nf(args):
 def cmd_reduce(args):
     problem = parse_problem(args.problem)
     if problem.graph is None:
-        print("error: the problem file has no graph section", file=sys.stderr)
-        return EXIT_USAGE
+        raise ProblemError(["the problem file has no graph section"])
     graph = problem.graph
     gamma, source = problem.build_group(None if args.edge is None else {"edge": args.edge})
     print(f"reduce {graph.name} at edge {source['edge']}: {gamma.kind} problem, "

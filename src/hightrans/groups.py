@@ -255,15 +255,16 @@ class Group:
     def shortlex_layer(self, length):
         """Layer ``length`` in shortlex order; [] past a finite group's last."""
         layers = self._layers
-        if self._layer_source is None:
-            # made on first use, as a generator holds its handle in a cycle,
-            # and remade past the finalized layers once a raise spent it
-            self._layer_source = islice(self._shortlex_layers(), len(layers), None)
-        try:
-            layers.extend(islice(self._layer_source, max(0, length + 1 - len(layers))))
-        except Exception:
-            self._layer_source = None  # an undecided product raises again next call
-            raise
+        if length >= len(layers):
+            if self._layer_source is None:
+                # made on first use, as a generator holds its handle in a cycle,
+                # and remade past the finalized layers once a raise spent it
+                self._layer_source = islice(self._shortlex_layers(), len(layers), None)
+            try:
+                layers.extend(islice(self._layer_source, length + 1 - len(layers)))
+            except Exception:
+                self._layer_source = None  # an undecided product raises again next call
+                raise
         return layers[length] if length < len(layers) else []
 
     def ball(self, radius):
