@@ -203,7 +203,7 @@ def main(argv=None):
     try:
         return args.run(args)
     except ProblemError as exc:
-        # a bad problem file or --edge; verify FAILs a bad source tag itself
+        # a problem, group or edge that does not resolve; verify FAILs a bad source tag
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -256,14 +256,14 @@ class Group:
         """Layer ``length`` in shortlex order; [] past a finite group's last."""
         layers = self._layers
         if length >= len(layers):
-            if self._layer_source is None:
-                # made on first use, as a generator holds its handle in a cycle,
-                # and remade past the finalized layers once a raise spent it
-                self._layer_source = islice(self._shortlex_layers(), len(layers), None)
+            if self._layer_source is None:  # not in __init__: it ties its handle into a cycle
+                self._layer_source = self._shortlex_layers()
             try:
                 layers.extend(islice(self._layer_source, length + 1 - len(layers)))
             except Exception:
-                self._layer_source = None  # an undecided product raises again next call
+                # a raise (an undecided product) spends the generator: remake
+                # it past the finalized layers, so the next call raises again
+                self._layer_source = islice(self._shortlex_layers(), len(layers), None)
                 raise
         return layers[length] if length < len(layers) else []
 
