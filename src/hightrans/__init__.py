@@ -4,8 +4,8 @@ highly transitive actions for groups assembled from graphs of groups.
 The package splits into:
 
   * :mod:`hightrans.groups` / :mod:`hightrans.embeddings` -- concrete group
-    oracles and subgroup embeddings with exact or explicitly bounded
-    membership;
+    oracles and subgroup embeddings with exact membership, refused at load
+    where no exact procedure decides it;
   * :mod:`hightrans.normal_forms` -- Britton and alternating-syllable
     reduction, the word problem for composite groups;
   * :mod:`hightrans.hcf` -- bounded audits of the highly core-free

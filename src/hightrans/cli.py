@@ -12,7 +12,6 @@ import sys
 
 from . import graphs, hcf
 from .engine import EngineProblem, run_schedule, verify_certificate_report
-from .groups import UndecidedError
 from .normal_forms import parse_word, syllable_length
 from .problem import (AuditBounds, Budget, ProblemError, canonical_text, emit_certificate,
                       load_certificate, parse_problem)
@@ -101,9 +100,6 @@ def cmd_nf(args):
     handle = problem.groups[args.group]
     try:
         elt = parse_word(handle, args.word)
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

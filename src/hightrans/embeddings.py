@@ -11,13 +11,13 @@ procedure chosen from the (source, target) kinds:
     formula for membership, and the least coset element among three
     powers read off the free reduction;
   * subgroup of one factor of a composite target: peel the normal form and
-    recurse into the factor;
-  * anything else: bounded image enumeration that raises UndecidedError
-    rather than guess.
+    recurse into the factor.
 
-Coset representatives are canonical (shortlex-minimal for the exact base
-procedures) and cached per embedding, so orbit representatives downstream
-are stable across a whole run.
+An embedding that none of these decides is refused when it is built, with
+a ValueError naming it: every answer is exact.  Coset representatives are
+canonical (shortlex-minimal for the base procedures) and cached per
+embedding, so orbit representatives downstream are stable across a whole
+run.
 """
 
 from __future__ import annotations
@@ -25,30 +25,15 @@ from __future__ import annotations
 import math
 
 from . import groups
-from .groups import Element, UndecidedError
+from .groups import Element
 
 
 # A checked embedding must be injective on the source ball of this radius.
 INJECTIVITY_BOUND = 4
 
-# BoundedStrategy tabulates the images of the source ball of this radius.
-BOUNDED_IMAGE_RADIUS = 8
-
 
 def _is_infinite_cyclic(g):
     return (g.kind == "free_abelian" or g.kind == "free") and g.rank == 1
-
-
-def _image_map(strategy, radius=None):
-    """The table e(s) -> s of the strategy's embedding e, each image mapped
-    to its first preimage in the source's shortlex walk through layer
-    ``radius``; built on first use."""
-    if strategy._map is None:
-        table = {}
-        for s in strategy.emb.source.iter_shortlex(radius):
-            table.setdefault(strategy.emb.apply(s), s)
-        strategy._map = table
-    return strategy._map
 
 
 class TrivialStrategy:
@@ -71,13 +56,22 @@ class FiniteImageStrategy:
         self.emb = emb
         self._map = None
 
+    def _image_map(self):
+        """The table e(s) -> s, each image mapped to its first preimage in
+        the source's shortlex order; built on first use."""
+        if self._map is None:
+            self._map = {}
+            for s in self.emb.source.iter_shortlex():
+                self._map.setdefault(self.emb.apply(s), s)
+        return self._map
+
     def contains(self, g):
-        return g in _image_map(self)
+        return g in self._image_map()
 
     def decompose(self, g):
         """The least of the coset mates e(s) g; each mate e(s) g is cached as
         (s s_best^-1, best), g itself being the mate of s = 1."""
-        mates = [(img * g, s) for img, s in _image_map(self).items()]
+        mates = [(img * g, s) for img, s in self._image_map().items()]
         best, s_best = min(mates, key=lambda m: m[0].sort_key())
         inv = s_best.inverse()
         cache = self.emb._decompose_cache
@@ -311,24 +305,16 @@ class FactorStrategy:
 
 
 class BoundedStrategy:
-    """Last-resort bounded image enumeration; undecided instead of wrong."""
-
-    def __init__(self, emb):
-        self.emb = emb
-        self._map = None
+    """Empty and unreachable: ``_choose_strategy`` refuses an embedding that
+    no exact procedure decides, so nothing builds this class.  It stays
+    only because ``bench/tracer.py`` hooks these two methods, until the
+    benchmark drops them (ROADMAP item 8)."""
 
     def contains(self, g):
-        if g in _image_map(self, BOUNDED_IMAGE_RADIUS):
-            return True
-        raise UndecidedError(
-            f"membership in {self.emb.name!r} undecided at bound {BOUNDED_IMAGE_RADIUS}")
+        """Never called."""
 
     def decompose(self, g):
-        table = _image_map(self, BOUNDED_IMAGE_RADIUS)
-        if g in table:
-            return (table[g], self.emb.target.identity())
-        raise UndecidedError(f"coset decomposition in {self.emb.name!r} undecided "
-                             f"at bound {BOUNDED_IMAGE_RADIUS}")
+        """Never called."""
 
 
 def _factor_route(emb):
@@ -359,7 +345,8 @@ def _choose_strategy(emb):
         routed = _factor_route(emb)
         if routed is not None:
             return routed
-    return BoundedStrategy(emb)
+    raise ValueError(f"{emb.name}: no exact membership procedure decides the image of "
+                     f"{src.name} in {tgt.name}")
 
 
 class Embedding:
@@ -378,10 +365,10 @@ class Embedding:
         self.images = images
         self._apply_cache = {source.identity_payload: target.identity()}
         self._decompose_cache = {}
-        self.strategy = _choose_strategy(self)
         if check:
             self._check_homomorphism()
             self._check_injectivity()
+        self.strategy = _choose_strategy(self)
 
     def __repr__(self):
         return f"<Embedding {self.name}: {self.source.name} -> {self.target.name}>"
@@ -399,7 +386,7 @@ class Embedding:
         return cached
 
     def contains(self, g):
-        """Whether g lies in the image subgroup; may raise UndecidedError."""
+        """Whether g lies in the image subgroup."""
         if g.owner is not self.target:
             raise groups.OwnerMismatch(f"{g!r} is not in the target of {self.name!r}")
         if g.is_identity:

@@ -39,7 +39,6 @@ import json
 
 from .action import (IntertwinerState, LevelAction, StateError, allocate_fresh_orbits,
                      evaluate_pi)
-from .groups import UndecidedError
 from .hcf import SearchCursor, search_E_set
 from .normal_forms import parse_word
 from .problem import Budget
@@ -335,9 +334,6 @@ def run_schedule(problem, budget, problem_key="", on_step=None):
             except DeferredRequirement as exc:
                 deferred.append(_deferral_entry(head, str(exc)))
                 continue
-            except UndecidedError as exc:
-                deferred.append(_deferral_entry(head, f"membership oracle gave up: {exc}"))
-                continue
             steps.append(_transitivity_entry(head, mover, witnesses, zs))
             if on_step is not None:
                 on_step(f"step {head['index']}: transitivity n={n} discharged, mover {mover}")
@@ -490,6 +486,6 @@ def verify_certificate_report(gamma, cert):
                     return False, f"persistence of step {index}: {message}"
     except EngineError as exc:
         return False, f"{where}{exc}"
-    except (UndecidedError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         return False, f"{where}replay error: {exc}"
     return True, "ok"

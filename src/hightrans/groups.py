@@ -28,14 +28,6 @@ from operator import add, mul, neg
 MAX_FINITE_ORDER = 120
 
 
-class UndecidedError(Exception):
-    """A bounded decision procedure ran out of budget.
-
-    Raised instead of guessing.  Callers that audit at fixed bounds catch
-    this and report an ``undecided`` verdict whose reason is the message.
-    """
-
-
 class OwnerMismatch(ValueError):
     pass
 
@@ -258,13 +250,7 @@ class Group:
         if length >= len(layers):
             if self._layer_source is None:  # not in __init__: it ties its handle into a cycle
                 self._layer_source = self._shortlex_layers()
-            try:
-                layers.extend(islice(self._layer_source, length + 1 - len(layers)))
-            except Exception:
-                # a raise (an undecided product) spends the generator: remake
-                # it past the finalized layers, so the next call raises again
-                self._layer_source = islice(self._shortlex_layers(), len(layers), None)
-                raise
+            layers.extend(islice(self._layer_source, length + 1 - len(layers)))
         return layers[length] if length < len(layers) else []
 
     def ball(self, radius):
@@ -578,8 +564,17 @@ class SemidirectGroup(Group):
     kind = "semidirect"
 
     def __init__(self, name, q_group, translation_labels, matrices):
+        """``matrices`` holds A_q for each table index q of Q: a sequence,
+        or an object keyed by the indices' decimal text, as in a problem
+        file."""
         if not isinstance(q_group, FiniteGroup):
             raise ValueError(f"{name}: the acting group must be a finite table group")
+        if isinstance(matrices, dict):
+            keys = [str(i) for i in range(q_group.order)]
+            if set(matrices) != set(keys):
+                raise ValueError(f"semidirect matrices must be keyed by exactly the indices "
+                                 f"0 to {q_group.order - 1}")
+            matrices = [matrices[k] for k in keys]
         labels = q_group.labels + tuple(translation_labels)
         super().__init__(name, labels)
         self.q_group = q_group

@@ -11,9 +11,9 @@ Verdicts therefore come in three flavours:
   * ``fail``   -- an explicit covering counterexample was found and proved,
                   e.g. the finite-index pattern with a complete transversal
                   and the single piece {1};
-  * ``undecided`` -- a search ran out of radius or a membership oracle gave
-                  up; the evidence records the covering shape that a genuine
-                  failure would produce.
+  * ``undecided`` -- a search ran out of radius, or a cofinite fixer is
+                  only bounded; the evidence records the covering shape
+                  that a genuine failure would produce.
 
 All evidence re-verifies by direct evaluation; the test suite's oracles
 replay it, and no command does.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .groups import UndecidedError
 from .problem import AuditBounds
 
 PASS = "pass"
@@ -223,39 +222,36 @@ def audit_hcf(emb, bounds=None):
     bounds = bounds or AuditBounds()
     if emb.is_trivial():
         return AuditVerdict(PASS, bounds, {"reason": "trivial subgroup: every core is trivial"})
-    try:
-        transversal = prove_finite_index(emb, bounds.witness_radius)
-        if transversal is not None:
-            core = _nontrivial_image_element(emb)
-            return AuditVerdict(FAIL, bounds, {
-                "reason": f"finite index {len(transversal)} proven",
-                "covering": {
-                    "F": [str(t) for t in transversal],
-                    "pieces": [{"members": ["1"]}],
-                    "cores": [str(core)],
-                },
-            })
-        ball = emb.target.ball(bounds.point_radius)
-        nontrivial = [x for x in ball if not x.is_identity]
-        size = min(bounds.tuple_size_max, len(nontrivial))
-        witnesses = []
-        # every search protects the same ball, so they share one memo
-        memo = HSetMemo(emb, ball)
-        for combo in itertools.combinations(nontrivial, size) if size else ():
-            h = search_H_set(emb, combo, bounds.witness_radius, memo)
-            if h is None:
-                return AuditVerdict(UNDECIDED, bounds, {
-                    "reason": "H-set witness search exhausted",
-                    "failed_tuple": [str(x) for x in combo],
-                    "covering_shape": _conjugation_covering_shape(emb, combo, ball, bounds),
-                })
-            witnesses.append({"tuple": [str(x) for x in combo], "witness": str(h)})
-        return AuditVerdict(PASS, bounds, {
-            "protected_radius": bounds.point_radius,
-            "witnesses": witnesses,
+    transversal = prove_finite_index(emb, bounds.witness_radius)
+    if transversal is not None:
+        core = _nontrivial_image_element(emb)
+        return AuditVerdict(FAIL, bounds, {
+            "reason": f"finite index {len(transversal)} proven",
+            "covering": {
+                "F": [str(t) for t in transversal],
+                "pieces": [{"members": ["1"]}],
+                "cores": [str(core)],
+            },
         })
-    except UndecidedError as exc:
-        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
+    ball = emb.target.ball(bounds.point_radius)
+    nontrivial = [x for x in ball if not x.is_identity]
+    size = min(bounds.tuple_size_max, len(nontrivial))
+    witnesses = []
+    # every search protects the same ball, so they share one memo
+    memo = HSetMemo(emb, ball)
+    for combo in itertools.combinations(nontrivial, size) if size else ():
+        h = search_H_set(emb, combo, bounds.witness_radius, memo)
+        if h is None:
+            return AuditVerdict(UNDECIDED, bounds, {
+                "reason": "H-set witness search exhausted",
+                "failed_tuple": [str(x) for x in combo],
+                "covering_shape": _conjugation_covering_shape(emb, combo, ball, bounds),
+            })
+        witnesses.append({"tuple": [str(x) for x in combo], "witness": str(h)})
+    return AuditVerdict(PASS, bounds, {
+        "protected_radius": bounds.point_radius,
+        "witnesses": witnesses,
+    })
 
 
 def _conjugation_covering_shape(emb, xs, F, bounds):
@@ -281,17 +277,9 @@ def audit_highly_faithful(domain, bounds=None):
     Coverings are searched in the shapes the counterexamples take: a finite
     piece P from the sample zone plus its complement.  A verdict of fail
     requires the cofinite piece's fixer to be exact (supports known);
-    bounded-only fixers downgrade to undecided, and so does a membership
-    oracle that gives up.
+    bounded-only fixers downgrade to undecided.
     """
     bounds = bounds or AuditBounds()
-    try:
-        return _faithful_verdict(domain, bounds)
-    except UndecidedError as exc:
-        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
-
-
-def _faithful_verdict(domain, bounds):
     zone = domain.zone(bounds.point_radius)
     candidates = []
     whole, exact = domain.cofinite_fixer((), bounds)
@@ -361,69 +349,66 @@ def certify_structural(emb, bounds=None):
     bounds = bounds or AuditBounds()
     tgt = emb.target
     premises = {}
-    try:
-        transversal = prove_finite_index(emb, bounds.witness_radius)
-        if transversal is not None:
-            premises["infinite_index"] = {
-                "status": FAIL,
-                "transversal": [str(t) for t in transversal]}
+    transversal = prove_finite_index(emb, bounds.witness_radius)
+    if transversal is not None:
+        premises["infinite_index"] = {
+            "status": FAIL,
+            "transversal": [str(t) for t in transversal]}
+    else:
+        counts = []
+        seen = set()
+        for d in range(bounds.witness_radius + 1):
+            for x in tgt.shortlex_layer(d):
+                seen.add(emb.rep(x))
+            counts.append(len(seen))
+        growing = all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
+        premises["infinite_index"] = {
+            "status": PASS if growing else UNDECIDED,
+            "transversal_counts": counts}
+
+    ball_small = [g for g in tgt.ball(bounds.point_radius) if not g.is_identity]
+    member = {g: emb.contains(g) for g in ball_small}
+    # one conjugacy ball per pair {g, g^-1}, shared by both premises:
+    # h g^-1 h^-1 = (h g h^-1)^-1 and Sigma holds c exactly when it holds
+    # c^-1, so g^-1 has every count and flag of g.  The ball is target-only
+    # work, cached on the target for every embedding into it, and ordered,
+    # so the early exit below never follows id()-based set order.  Shortlex
+    # balls nest, so the conjugates over the radius r-1 ball are those
+    # whose first conjugator is shorter than r
+    r = bounds.witness_radius
+    facts = {}
+    for g in ball_small:
+        twin = facts.get(g.inverse())
+        if twin is not None:
+            facts[g] = twin
+            continue
+        cur = tgt.conjugates(g, r)
+        closed = member[g] and all((letter * c * letter.inverse()) in cur
+                                   for c in cur for _, letter in tgt.letters())
+        inside = [d for c, d in cur.items() if emb.contains(c)]
+        facts[g] = (len(cur), sum(d < r for d in cur.values()), closed,
+                    len(inside), all(d < r for d in inside))
+
+    icc = []
+    for s in (g for g in ball_small if member[g]):
+        n_cur, n_before, closed, _, _ = facts[s]
+        if closed:
+            status = FAIL
+        elif n_cur > n_before:
+            status = PASS
         else:
-            counts = []
-            seen = set()
-            for d in range(bounds.witness_radius + 1):
-                for x in tgt.shortlex_layer(d):
-                    seen.add(emb.rep(x))
-                counts.append(len(seen))
-            growing = all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
-            premises["infinite_index"] = {
-                "status": PASS if growing else UNDECIDED,
-                "transversal_counts": counts}
+            status = UNDECIDED
+        icc.append({"element": str(s), "conjugates": n_cur, "status": status})
+    premises["relative_icc"] = {"status": worst(e["status"] for e in icc),
+                                "per_element": icc}
 
-        ball_small = [g for g in tgt.ball(bounds.point_radius) if not g.is_identity]
-        member = {g: emb.contains(g) for g in ball_small}
-        # one conjugacy ball per pair {g, g^-1}, shared by both premises:
-        # h g^-1 h^-1 = (h g h^-1)^-1 and Sigma holds c exactly when it holds
-        # c^-1, so g^-1 has every count and flag of g.  The ball is target-only
-        # work, cached on the target for every embedding into it, and ordered,
-        # so the early exit below never follows id()-based set order.  Shortlex
-        # balls nest, so the conjugates over the radius r-1 ball are those
-        # whose first conjugator is shorter than r
-        r = bounds.witness_radius
-        facts = {}
-        for g in ball_small:
-            twin = facts.get(g.inverse())
-            if twin is not None:
-                facts[g] = twin
-                continue
-            cur = tgt.conjugates(g, r)
-            closed = member[g] and all((letter * c * letter.inverse()) in cur
-                                       for c in cur for _, letter in tgt.letters())
-            inside = [d for c, d in cur.items() if emb.contains(c)]
-            facts[g] = (len(cur), sum(d < r for d in cur.values()), closed,
-                        len(inside), all(d < r for d in inside))
-
-        icc = []
-        for s in (g for g in ball_small if member[g]):
-            n_cur, n_before, closed, _, _ = facts[s]
-            if closed:
-                status = FAIL
-            elif n_cur > n_before:
-                status = PASS
-            else:
-                status = UNDECIDED
-            icc.append({"element": str(s), "conjugates": n_cur, "status": status})
-        premises["relative_icc"] = {"status": worst(e["status"] for e in icc),
-                                    "per_element": icc}
-
-        stab = []
-        for h in ball_small:
-            _, _, _, n_in, stable = facts[h]
-            status = PASS if stable else UNDECIDED
-            stab.append({"element": str(h), "intersection": n_in, "status": status})
-        premises["class_intersections"] = {"status": worst(e["status"] for e in stab),
-                                           "per_element": stab}
-    except UndecidedError as exc:
-        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
+    stab = []
+    for h in ball_small:
+        _, _, _, n_in, stable = facts[h]
+        status = PASS if stable else UNDECIDED
+        stab.append({"element": str(h), "intersection": n_in, "status": status})
+    premises["class_intersections"] = {"status": worst(e["status"] for e in stab),
+                                       "per_element": stab}
 
     overall = worst(p["status"] for p in premises.values())
     return AuditVerdict(overall, bounds, {"premises": premises})
@@ -460,10 +445,7 @@ class CosetDomain:
         self.group = emb.target
         self._zones = {}
         self._movers = {}
-        try:
-            self.transversal = prove_finite_index(emb, COSET_PROBE_RADIUS)
-        except UndecidedError:
-            self.transversal = None
+        self.transversal = prove_finite_index(emb, COSET_PROBE_RADIUS)
 
     def zone(self, radius):
         """The cosets met by the ball of ``radius`` (all of them when the

@@ -18,8 +18,8 @@ A product p q folds only the tokens of p onto q's payload, so its cost
 follows the length of p, not of q, and a composite group's
 ``element_from_word`` is one fold of the word's tokens.
 
-Coset decompositions that are only boundedly decidable raise
-UndecidedError, which propagates to the caller untouched.
+Every coset decomposition the reducers call is exact: an edge embedding
+that no exact procedure decides is refused when the problem loads.
 """
 
 from __future__ import annotations

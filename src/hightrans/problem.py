@@ -298,12 +298,7 @@ def _try_build_group(name, spec, groups, embeddings):
         mats = spec["matrices"]
         if not isinstance(mats, dict):
             raise ValueError("semidirect matrices must be an object from index to matrix")
-        indices = [str(i) for i in range(acting.order)]
-        if set(mats) != set(indices):
-            raise ValueError(f"semidirect matrices must be keyed by exactly the indices "
-                             f"0 to {acting.order - 1}")
-        return SemidirectGroup(name, acting, _labels(spec, "translations"),
-                               [mats[i] for i in indices])
+        return SemidirectGroup(name, acting, _labels(spec, "translations"), mats)
     if kind == "amalgam":
         e_left, e_right = _labels(spec, "edge")
         if e_left not in embeddings or e_right not in embeddings:

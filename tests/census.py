@@ -1,8 +1,10 @@
 """Statement census: the lines of ``src/hightrans`` that the commands never run.
 
-Runs ``audit``, ``reduce``, ``build --budget 200`` and ``verify`` (of the
-certificate just built) on every problem file under ``problems/``, in one
-process under the stdlib ``trace`` module, and lists each executable line
+Runs ``audit`` and ``reduce`` (at the file's bounds and at ``--bounds``),
+``build --budget 200``, ``verify`` (of the certificate just built) and
+``nf`` (of one word per declared group) on every problem file under
+``problems/``, and one ``build --seedless -v``, in one process under the
+stdlib ``trace`` module, and lists each executable line
 of the package (a line that starts bytecode, as ``dis`` finds them) that
 no run reached, file by file.  Lines that start with ``raise`` are listed
 apart: they are the error paths that a hostile input reaches and the
@@ -28,18 +30,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted((ROOT / "problems").glob("*.json"))
 BUDGET = "200"
+BOUNDS = "1,1,1"
 
 
 def _run_commands(outdir):
     # imported here, so the trace counts the modules' import-time lines too
     from hightrans import cli
+    from hightrans.problem import parse_problem
 
     for path in PROBLEMS:
         cert = str(Path(outdir) / f"{path.stem}.json")
         for argv in (["audit", str(path)], ["reduce", str(path)],
+                     ["audit", str(path), "--bounds", BOUNDS],
+                     ["reduce", str(path), "--bounds", BOUNDS],
                      ["build", str(path), "--budget", BUDGET, "--out", cert],
                      ["verify", str(path), cert]):
             cli.main(argv)
+        # the word of a group's generators in order, "1" for none
+        for name, handle in sorted(parse_problem(str(path)).groups.items()):
+            cli.main(["nf", str(path), name, " ".join(handle.labels) or "1"])
+    cli.main(["build", str(PROBLEMS[0]), "--budget", "50", "--seedless", "-v"])
 
 
 def _executable_lines(path):

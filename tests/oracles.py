@@ -43,7 +43,6 @@ from itertools import chain, permutations, product
 from hightrans import embeddings, engine, groups
 from hightrans.action import LevelAction
 from hightrans.graphs import _fundamental_group
-from hightrans.groups import UndecidedError
 from hightrans.hcf import (COSET_PROBE_RADIUS, FAIL, PASS, UNDECIDED, AuditBounds, AuditVerdict,
                            SearchCursor, search_E_set)
 from hightrans.normal_forms import parse_word
@@ -776,10 +775,7 @@ class ActCosetDomain:
         self.emb = emb
         self.group = emb.target
         self._act_cache = {}
-        try:
-            self.transversal = prove_finite_index_by_walk(emb, COSET_PROBE_RADIUS)
-        except UndecidedError:
-            self.transversal = None
+        self.transversal = prove_finite_index_by_walk(emb, COSET_PROBE_RADIUS)
 
     def zone(self, radius):
         if self.transversal is not None:
@@ -824,61 +820,58 @@ def certify_structural_two_balls(emb, bounds=None):
     bounds = bounds or AuditBounds()
     tgt = emb.target
     premises = {}
-    try:
-        transversal = prove_finite_index_by_walk(emb, bounds.witness_radius)
-        if transversal is not None:
-            premises["infinite_index"] = {
-                "status": FAIL,
-                "transversal": [str(t) for t in transversal]}
+    transversal = prove_finite_index_by_walk(emb, bounds.witness_radius)
+    if transversal is not None:
+        premises["infinite_index"] = {
+            "status": FAIL,
+            "transversal": [str(t) for t in transversal]}
+    else:
+        counts = []
+        seen = set()
+        for d in range(bounds.witness_radius + 1):
+            for x in tgt.shortlex_layer(d):
+                seen.add(emb.rep(x))
+            counts.append(len(seen))
+        growing = all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
+        premises["infinite_index"] = {
+            "status": PASS if growing else UNDECIDED,
+            "transversal_counts": counts}
+
+    ball_small = tgt.ball(bounds.point_radius)
+    sigma_members = [g for g in ball_small if not g.is_identity and emb.contains(g)]
+    icc = {"status": PASS, "per_element": []}
+    for s in sigma_members:
+        prev = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius - 1)}
+        cur = dict.fromkeys(h * s * h.inverse() for h in tgt.ball(bounds.witness_radius))
+        closed = all((letter * c * letter.inverse()) in cur
+                     for c in cur for _, letter in tgt.letters())
+        if closed:
+            status = FAIL
+        elif len(cur) > len(prev):
+            status = PASS
         else:
-            counts = []
-            seen = set()
-            for d in range(bounds.witness_radius + 1):
-                for x in tgt.shortlex_layer(d):
-                    seen.add(emb.rep(x))
-                counts.append(len(seen))
-            growing = all(counts[i] < counts[i + 1] for i in range(len(counts) - 1))
-            premises["infinite_index"] = {
-                "status": PASS if growing else UNDECIDED,
-                "transversal_counts": counts}
+            status = UNDECIDED
+        icc["per_element"].append({"element": str(s), "conjugates": len(cur),
+                                   "status": status})
+        if status == FAIL or (status == UNDECIDED and icc["status"] == PASS):
+            icc["status"] = status
+    premises["relative_icc"] = icc
 
-        ball_small = tgt.ball(bounds.point_radius)
-        sigma_members = [g for g in ball_small if not g.is_identity and emb.contains(g)]
-        icc = {"status": PASS, "per_element": []}
-        for s in sigma_members:
-            prev = {h * s * h.inverse() for h in tgt.ball(bounds.witness_radius - 1)}
-            cur = dict.fromkeys(h * s * h.inverse() for h in tgt.ball(bounds.witness_radius))
-            closed = all((letter * c * letter.inverse()) in cur
-                         for c in cur for _, letter in tgt.letters())
-            if closed:
-                status = FAIL
-            elif len(cur) > len(prev):
-                status = PASS
-            else:
-                status = UNDECIDED
-            icc["per_element"].append({"element": str(s), "conjugates": len(cur),
-                                       "status": status})
-            if status == FAIL or (status == UNDECIDED and icc["status"] == PASS):
-                icc["status"] = status
-        premises["relative_icc"] = icc
-
-        stab = {"status": PASS, "per_element": []}
-        for h in ball_small:
-            if h.is_identity:
-                continue
-            prev = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius - 1)}
-            cur = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius)}
-            prev_in = {c for c in prev if emb.contains(c)}
-            cur_in = {c for c in cur if emb.contains(c)}
-            status = PASS if prev_in == cur_in else UNDECIDED
-            stab["per_element"].append({"element": str(h),
-                                        "intersection": len(cur_in),
-                                        "status": status})
-            if status == UNDECIDED and stab["status"] == PASS:
-                stab["status"] = status
-        premises["class_intersections"] = stab
-    except UndecidedError as exc:
-        return AuditVerdict(UNDECIDED, bounds, {"reason": str(exc)})
+    stab = {"status": PASS, "per_element": []}
+    for h in ball_small:
+        if h.is_identity:
+            continue
+        prev = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius - 1)}
+        cur = {g * h * g.inverse() for g in tgt.ball(bounds.witness_radius)}
+        prev_in = {c for c in prev if emb.contains(c)}
+        cur_in = {c for c in cur if emb.contains(c)}
+        status = PASS if prev_in == cur_in else UNDECIDED
+        stab["per_element"].append({"element": str(h),
+                                    "intersection": len(cur_in),
+                                    "status": status})
+        if status == UNDECIDED and stab["status"] == PASS:
+            stab["status"] = status
+    premises["class_intersections"] = stab
 
     statuses = [p["status"] for p in premises.values()]
     overall = FAIL if FAIL in statuses else (UNDECIDED if UNDECIDED in statuses else PASS)

@@ -1,7 +1,6 @@
 import pytest
 
 from hightrans.embeddings import (
-    BoundedStrategy,
     CyclicFreeStrategy,
     Embedding,
     FactorStrategy,
@@ -9,7 +8,7 @@ from hightrans.embeddings import (
     LatticeStrategy,
     TrivialStrategy,
 )
-from hightrans.groups import FreeAbelianGroup, FreeGroup, UndecidedError
+from hightrans.groups import AmalgamGroup, FreeAbelianGroup, FreeGroup
 
 from conftest import random_element, zoo
 import oracles
@@ -131,12 +130,17 @@ def test_factor_strategy_on_hnn_base():
     assert pos.apply(s) * r == a ** 3 * hnn.include(hnn.base.generator("b"))
 
 
-def test_bounded_strategy_raises_undecided():
-    f1 = FreeGroup("B1", ("a", "b"))
-    s = FreeGroup("B2", ("u", "v"))
-    emb = Embedding("squares", s, f1,
-                    [f1.generator("a") ** 2, f1.generator("b") ** 2])
-    assert isinstance(emb.strategy, BoundedStrategy)
-    assert emb.contains(f1.generator("a") ** 2 * f1.generator("b") ** -2)
-    with pytest.raises(UndecidedError):
-        emb.contains(f1.generator("a"))
+def test_an_embedding_no_exact_procedure_decides_is_refused():
+    """<a^2, b^2> in F(a, b) is neither cyclic nor a lattice: no exact
+    membership procedure decides it, so it is refused when it is built,
+    and so it is inside one factor of an amalgam."""
+    f1, s = FreeGroup("B1", ("a", "b")), FreeGroup("B2", ("u", "v"))
+    squares = [f1.generator("a") ** 2, f1.generator("b") ** 2]
+    with pytest.raises(ValueError, match="^squares: no exact membership procedure decides "
+                                         "the image of B2 in B1$"):
+        Embedding("squares", s, f1, squares)
+    z, g = FreeGroup("B3", ("w",)), FreeGroup("B4", ("c",))
+    amalgam = AmalgamGroup("B5", f1, g, Embedding("wa", z, f1, [f1.generator("a")]),
+                           Embedding("wc", z, g, [g.generator("c")]))
+    with pytest.raises(ValueError, match="no exact membership procedure decides"):
+        Embedding("squares", s, amalgam, [amalgam.include(0, x) for x in squares])

@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans.embeddings import Embedding
 from hightrans.groups import (
-    AmalgamGroup,
     FreeAbelianGroup,
     FreeGroup,
     OwnerMismatch,
     SemidirectGroup,
-    UndecidedError,
     _det,
     cyclic_group,
     symmetric_group,
@@ -256,21 +253,6 @@ def test_trivial_group():
     e = trivial_group()
     assert e.order == 1
     assert e.ball(5) == [e.identity()]
-
-
-def test_an_undecided_layer_stays_undecided():
-    """A layer whose products raise UndecidedError raises it on every call;
-    it never reads as the end of a finite group."""
-    f, g, s = FreeGroup("F", ("a", "b")), FreeGroup("G", ("c", "d")), FreeGroup("S", ("u", "v"))
-    squares = Embedding("sq", s, f, [f.generator("a") ** 2, f.generator("b") ** 2])
-    amalgam = AmalgamGroup("A", f, g, squares,
-                           Embedding("id", s, g, [g.generator("c"), g.generator("d")]))
-    for _ in range(2):
-        with pytest.raises(UndecidedError):
-            amalgam.ball(1)
-        with pytest.raises(UndecidedError):
-            list(amalgam.walk_shortlex())
-    assert amalgam.shortlex_layer(0) == [amalgam.identity()]
 
 
 def test_an_unwalked_handle_is_freed_without_the_collector():

@@ -309,17 +309,6 @@ def test_gset_transport_single_group_part(comm):
     assert e_set_conditions(action, h, xs, [f.identity()])
 
 
-def test_undecided_propagates_to_verdict():
-    from hightrans.embeddings import Embedding
-    from hightrans.groups import FreeGroup
-    f = FreeGroup("UF", ("a", "b"))
-    s = FreeGroup("US", ("u", "v"))
-    emb = Embedding("squares", s, f, [f.generator("a") ** 2, f.generator("b") ** 2])
-    v = hcf.audit_hcf(emb, hcf.AuditBounds(1, 2, 4))
-    assert v.status == "undecided"
-    assert "undecided" in v.evidence["reason"]
-
-
 def test_worst_status_folds_fail_over_undecided_over_pass():
     assert hcf.worst([]) == "pass"
     assert hcf.worst(["pass", "pass"]) == "pass"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hightrans import cli, engine
+from hightrans import cli, engine, hcf
 from hightrans.groups import MAX_FINITE_ORDER
 from hightrans.problem import (
     ProblemError,
@@ -130,6 +130,8 @@ def _node(obj, path):
      "keyed by exactly the indices 0 to 3"),
     ("gaussian-hnn.json", ("groups", "H", "translations"), "uv",
      "translations must be a list of strings"),
+    ("gaussian-hnn.json", ("groups", "U4"), {"kind": "free_abelian", "generators": ["w"]},
+     "groups.H: H: the acting group must be a finite table group"),
     ("pi1-sigma2.json", ("groups", "F1", "generators"), "ab", "generators must be a list of strings"),
     ("pi1-sigma2.json", ("groups", "F1", "generators"), {"a1": 0, "b1": 1},
      "generators must be a list of strings"),
@@ -168,7 +170,7 @@ def _node(obj, path):
     ("theta.json", ("graph", "edges", 0, "junk"), 1, r"graph: edges\[0\]: unknown key 'junk'"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
-        "translations-string", "generators-string", "generators-object",
+        "translations-string", "acting-not-a-table-group", "generators-string", "generators-object",
         "free-abelian-generators-string", "edge-string", "graph-name-number",
         "edge-id-number", "edge-source-number", "edge-range-list",
         "witness-radius-negative", "witness-radius-list", "witness-radius-0",
@@ -398,19 +400,51 @@ def test_cli_audit_flags_finite_index(capsys):
     assert "hcf=fail" in out
 
 
-def test_cli_audit_undecided_membership_is_not_a_traceback(tmp_path, capsys):
-    # <a^2, b^2> in F(a, b) has only bounded membership: every audit of it,
-    # the coset action's included, is undecided
+@pytest.mark.parametrize("command", ["audit", "reduce", "build", "nf", "verify"])
+def test_cli_embedding_no_exact_procedure_decides_is_a_usage_error(tmp_path, capsys, command):
+    """<a^2, b^2> in F(a, b) has no exact membership procedure: the file
+    does not load, so every command exits 1 with the reason, and none
+    raises."""
     path = tmp_path / "squares.json"
     path.write_text(json.dumps({
         "groups": {"F": {"kind": "free", "generators": ["a", "b"]},
                    "S": {"kind": "free", "generators": ["u", "v"]}},
         "embeddings": {"sq": {"source": "S", "target": "F", "images": ["a^2", "b^2"]}},
         "target": "F"}))
-    rc = cli.main(["audit", str(path)])
-    out = capsys.readouterr().out
-    assert rc == cli.EXIT_UNDECIDED
-    assert out == "audit sq: hcf=undecided structural=undecided coset-action=undecided\n"
+    extra = {"nf": ["F", "a"], "verify": [str(tmp_path / "c.json")]}.get(command, [])
+    assert cli.main([command, str(path), *extra]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: embeddings.sq: sq: no exact membership "
+                                       "procedure decides the image of S in F\n")
+
+
+def test_cli_audit_undecided_exit_code(tmp_path, capsys):
+    """<a> in F(a, b) at bounds (2, 1, 1): no h of the witness ball clears
+    the tuple (b, b^-1), so the H-set search exhausts and the audit exits
+    3.  A brute force over the ball confirms it: for each h, some h x lies
+    in Sigma F or some h x h^-1 in Sigma, with F the ball of radius 1 and
+    Sigma read as a^k for |k| <= 3, all that an element of length <= 3 can be."""
+    path = tmp_path / "ax.json"
+    path.write_text(json.dumps({
+        "groups": {"F": {"kind": "free", "generators": ["a", "b"]},
+                   "Z": {"kind": "free", "generators": ["u"]}},
+        "embeddings": {"ax": {"source": "Z", "target": "F", "images": ["a"]}},
+        "target": "F",
+        "bounds": {"tuple_size_max": 2, "point_radius": 1, "witness_radius": 1}}))
+    assert cli.main(["audit", str(path)]) == cli.EXIT_UNDECIDED
+    assert capsys.readouterr().out == \
+        "audit ax: hcf=undecided structural=pass coset-action=pass\n"
+    problem = parse_problem(str(path))
+    verdict = hcf.audit_hcf(problem.embeddings["ax"], problem.bounds)
+    assert verdict.evidence["reason"] == "H-set witness search exhausted"
+    assert verdict.evidence["failed_tuple"] == ["b", "b^-1"]
+    f = problem.groups["F"]
+    a, b = f.generator("a"), f.generator("b")
+    sigma = {a ** k for k in range(-3, 4)}
+    ball = [f.identity(), a, a.inverse(), b, b.inverse()]
+    assert f.ball(1) == ball
+    assert all(any(any(h * x * p.inverse() in sigma for p in ball)
+                   or h * x * h.inverse() in sigma for x in (b, b.inverse()))
+               for h in ball)
 
 
 def test_cli_reduce_surface(capsys):
@@ -661,27 +695,6 @@ def test_cli_usage_error_exit_code(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{}")
     assert cli.main(["audit", str(p)]) == 1
-
-
-def test_cli_nf_undecided_exit_code(tmp_path, capsys):
-    spec = {
-        "groups": {
-            "F": {"kind": "free", "generators": ["a", "b"]},
-            "S": {"kind": "free", "generators": ["u", "v"]},
-            "K": {"kind": "hnn", "base": "F", "edge": ["sq", "sq2"], "stable": "t"},
-        },
-        "embeddings": {
-            "sq": {"source": "S", "target": "F", "images": ["a^2", "b^2"]},
-            "sq2": {"source": "S", "target": "F", "images": ["b^2", "a^2"]},
-        },
-        "target": "K",
-    }
-    p = tmp_path / "squares.json"
-    p.write_text(json.dumps(spec))
-    rc = cli.main(["nf", str(p), "K", "t a t^-1"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "undecided" in err
 
 
 def test_parse_word_bad_exponent():
