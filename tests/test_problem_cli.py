@@ -170,8 +170,8 @@ def _node(obj, path):
     ("theta.json", ("graph", "edges", 0, "junk"), 1, r"graph: edges\[0\]: unknown key 'junk'"),
 ], ids=["order-0", "order-huge", "order-string", "degree-huge", "vertices-list",
         "target-object", "short-matrix", "matrices-string", "matrices-junk-key",
-        "translations-string", "acting-not-a-table-group", "generators-string", "generators-object",
-        "free-abelian-generators-string", "edge-string", "graph-name-number",
+        "translations-string", "acting-not-a-table-group", "generators-string",
+        "generators-object", "free-abelian-generators-string", "edge-string", "graph-name-number",
         "edge-id-number", "edge-source-number", "edge-range-list",
         "witness-radius-negative", "witness-radius-list", "witness-radius-0",
         "steps-string", "steps-bool", "budget-pairs", "bounds-float", "bounds-bool",
