@@ -325,7 +325,7 @@ def _factor_route(emb):
         parts = [probe._extract(img) for img in emb.images]
         if all(p is not None for p in parts):
             factor = tgt.base if tgt.kind == "hnn" else tgt.factor(side)
-            inner = Embedding(f"{emb.name}|factor", emb.source, factor, parts, check=False)
+            inner = Embedding(emb.name, emb.source, factor, parts, check=False)
             probe.inner = inner
             return probe
     return None

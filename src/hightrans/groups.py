@@ -9,16 +9,20 @@ shortlex order over the declared generator alphabet, with letters ordered
 ``g0 < g0^-1 < g1 < g1^-1 < ...``.  Ball enumeration, coset representatives
 and witness searches all derive from this single order.
 
-Handles cache the shortlex ball layers and the conjugacy balls of
-``Group.conjugates``, which every embedding into one target shares;
-elements cache their spelling.  Caches are append-only maps keyed by
-immutable payloads, so repeated queries are cheap.
+Each kind yields its shortlex layers from its normal form, one generator
+per handle: free and finite groups extend the layer before by a letter,
+free-abelian and semidirect groups enumerate l1-spheres, and amalgams and
+HNN extensions put a syllable before the shorter layers (Serre, *Trees*,
+I.1; Lyndon-Schupp, ch. IV).  Handles cache those layers and the
+conjugacy balls of ``Group.conjugates``, which every embedding into one
+target shares; elements cache their spelling.  Caches are append-only
+maps keyed by immutable payloads, so repeated queries are cheap.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice, permutations
+from itertools import count, islice, permutations
 from operator import add, mul, neg
 
 
@@ -149,9 +153,11 @@ class Group:
     the element as a tuple of alphabet ranks, which fixes its shortlex key.
     The constructor sets ``identity_payload`` once.  Payloads are ints or
     tuples of canonical parts, so ``==`` on payloads is equality in the
-    group.  Each kind states whether it is finite, once, in ``is_finite``.
-    Shortlex and conjugacy balls, which handles cache, need nothing beyond
-    that protocol; a finite group's shortlex layers end where its BFS does.
+    group.  Each kind states whether it is finite, once, in ``is_finite``,
+    and yields its shortlex layers in ``_shortlex_layers``, each sorted; a
+    finite group's end with the last that is not empty.  Shortlex and
+    conjugacy balls, which handles cache, need nothing beyond that
+    protocol.
     """
 
     kind = "abstract"
@@ -176,6 +182,10 @@ class Group:
         raise NotImplementedError
 
     def spell(self, p):
+        raise NotImplementedError
+
+    def _shortlex_layers(self):
+        """Yield the shortlex layers by canonical length, each sorted."""
         raise NotImplementedError
 
     def is_finite(self):
@@ -218,31 +228,6 @@ class Group:
         return self._letters
 
     # -- shortlex enumeration -----------------------------------------------
-
-    def _shortlex_layers(self):
-        """Yield the shortlex layers by canonical length, each once final.
-
-        BFS over letter products; an element first reached at geodesic depth
-        d has canonical length >= d, so layer d is complete once depth d has
-        been expanded.  A finite group's layers end when nothing is left to
-        expand or to file.
-        """
-        ident = self.identity()
-        frontier, seen, pending = [ident], {ident}, {}
-        yield [ident]
-        d = 0
-        while frontier or pending:
-            d += 1
-            new = []
-            for x in frontier:
-                for _, letter in self.letters():
-                    y = x * letter
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-                        pending.setdefault(y.length(), []).append(y)
-            frontier = new
-            yield sorted(pending.pop(d, []), key=Element.sort_key)
 
     def shortlex_layer(self, length):
         """Layer ``length`` in shortlex order; [] past a finite group's last."""
@@ -297,6 +282,25 @@ class Group:
             for k in range(i, end):
                 yield d, k, layer[k]
             d, i = d + 1, 0
+
+
+def _prefix_closed_layers(group):
+    """The shortlex layers of a kind whose canonical spellings are closed
+    under prefixes: layer d is layer d - 1 extended by each letter, kept
+    where the spelling grows by exactly that letter.  Layer d - 1 is
+    sorted, so its children come out sorted, and the layers end with the
+    last that is not empty."""
+    layer, d = [group.identity()], 0
+    while layer:
+        yield layer
+        d, children = d + 1, []
+        for x in layer:
+            for rank, letter in group.letters():
+                y = x * letter
+                spelling = y.spelling()
+                if len(spelling) == d and spelling[-1] == rank:
+                    children.append(y)
+        layer = children
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +379,8 @@ class FiniteGroup(Group):
             self._bfs_words = words
         return self._bfs_words
 
+    _shortlex_layers = _prefix_closed_layers
+
     def multiply(self, p, q):
         return self.table[p][q]
 
@@ -434,6 +440,14 @@ def symmetric_group(name, degree, labels=None):
 # free abelian groups
 
 
+def _l1_sphere(rank, radius):
+    """The integer vectors with ``rank`` entries and l1 norm ``radius``."""
+    if rank == 1:
+        return [(radius,), (-radius,)] if radius else [(0,)]
+    return [(c,) + rest for c in range(-radius, radius + 1)
+            for rest in _l1_sphere(rank - 1, radius - abs(c))]
+
+
 class FreeAbelianGroup(Group):
     """Z^rank; payloads are integer vectors."""
 
@@ -458,6 +472,12 @@ class FreeAbelianGroup(Group):
             rank = 2 * i if v > 0 else 2 * i + 1
             out.extend([rank] * abs(v))
         return tuple(out)
+
+    def _shortlex_layers(self):
+        """Layer d is the l1-sphere of radius d, sorted."""
+        for d in count():
+            yield sorted((Element(self, v) for v in _l1_sphere(self.rank, d)),
+                         key=Element.spelling)
 
     def generator(self, label):
         i = self._index(label)
@@ -488,6 +508,8 @@ class FreeGroup(Group):
         if self.rank < 1:
             raise ValueError(f"{name}: rank must be positive")
         self.identity_payload = ()
+
+    _shortlex_layers = _prefix_closed_layers
 
     def multiply(self, p, q):
         """Only p's last and q's first syllables of reduced p and q cancel:
@@ -622,6 +644,14 @@ class SemidirectGroup(Group):
             out.extend([rank] * abs(c))
         return tuple(out)
 
+    def _shortlex_layers(self):
+        """(q, v) has length |word(q)| + |v|_1, so layer d holds, for each q
+        of Q, the l1-sphere of radius d - |word(q)|, sorted."""
+        heads = [(q.payload, q.length()) for q in self.q_group.iter_shortlex()]
+        for d in count():
+            yield sorted((Element(self, (q, v)) for q, n in heads if n <= d
+                          for v in _l1_sphere(self.rank, d - n)), key=Element.spelling)
+
     def generator(self, label):
         nq = len(self.q_group.labels)
         i = self._index(label)
@@ -634,6 +664,37 @@ class SemidirectGroup(Group):
 
 # ---------------------------------------------------------------------------
 # composite kinds; the token folds live in normal_forms
+
+
+def _sequence_layers(group, pieces, fits):
+    """The shortlex layers of a composite kind, whose payloads are a lead
+    (sigma, or an HNN head) and then a sequence of syllables.  The elements
+    of a layer with lead 1 are its sequences, so layer d puts each syllable
+    of length k before the sequences of layer d - k that it ``fits``, and
+    each lead of length k before all of them.  ``pieces(k)`` lists the
+    leads and the syllables of length k, each with its spelling."""
+    one, layers, leads, syllables = group.identity_payload[0], [[group.identity()]], [], []
+
+    def spelled(payload, spelling):
+        x = Element(group, payload)
+        x._spell = spelling
+        return x
+
+    for d in count(1):
+        yield layers[-1]
+        more_leads, more_syllables = pieces(d)
+        leads.append(more_leads)
+        syllables.append(more_syllables)
+        layer = []
+        for j in range(d):
+            seqs = [y for y in layers[j] if y.payload[0] == one]
+            for syl, spelling in syllables[d - 1 - j]:
+                layer.extend(spelled((one, (syl,) + y.payload[1]), spelling + y.spelling())
+                             for y in seqs if fits(syl, y.payload[1]))
+            for lead, spelling in leads[d - 1 - j]:
+                layer.extend(spelled((lead, y.payload[1]), spelling + y.spelling()) for y in seqs)
+        layer.sort(key=Element.spelling)
+        layers.append(layer)
 
 
 class AmalgamGroup(Group):
@@ -701,6 +762,29 @@ class AmalgamGroup(Group):
             else:
                 out.extend(r + off_right for r in x.spelling())
         return tuple(out)
+
+    def _shortlex_layers(self):
+        """Layers by the normal-form theorem: a lead e_left(sigma) from the
+        left factor's layers, then alternating nontrivial canonical
+        representatives (x with ``edge.rep(x) == x``).  A finite amalgam has
+        an edge onto its factor, so at most one syllable: it ends with its
+        longest lead and its longest representative."""
+        offset = (0, 2 * len(self.left.labels))
+
+        def pieces(k):
+            return ([(self.edge_left.decompose(x)[0], x.spelling())
+                     for x in self.left.shortlex_layer(k) if self.edge_left.contains(x)],
+                    [((side, x), tuple(r + offset[side] for r in x.spelling()))
+                     for side in (0, 1) for x in self.factor(side).shortlex_layer(k)
+                     if self.edge(side).rep(x) == x])
+
+        layers = _sequence_layers(self, pieces, lambda syl, seq: not seq or seq[0][0] != syl[0])
+        if not self._finite:
+            return layers
+        return islice(layers, 1 + max(x.length() for x in self.left.iter_shortlex()
+                                      if self.edge_left.contains(x))
+                      + max(x.length() for side in (0, 1) for x in self.factor(side).iter_shortlex()
+                            if self.edge(side).rep(x) == x))
 
     def generator(self, label):
         if label in self.left.labels:
@@ -796,6 +880,20 @@ class HnnGroup(Group):
             out.append(t_rank if eps == 1 else t_rank + 1)
             out.extend(r.spelling())
         return tuple(out)
+
+    def _shortlex_layers(self):
+        """Layers by Britton's lemma: any base head, then entries (eps, r)
+        costing 1 + |r|, and no (eps, 1) before -eps (the pinch of
+        ``reduce_hnn_tokens``)."""
+        letter = {1: 2 * len(self.base.labels), -1: 2 * len(self.base.labels) + 1}
+
+        def pieces(k):
+            return ([(x, x.spelling()) for x in self.base.shortlex_layer(k)],
+                    [((eps, r), (letter[eps],) + r.spelling()) for eps in (1, -1)
+                     for r in self.base.shortlex_layer(k - 1) if self.sigma_edge(eps).rep(r) == r])
+
+        return _sequence_layers(self, pieces, lambda entry, tail: not (
+            entry[1].is_identity and tail and tail[0][0] == -entry[0]))
 
     def generator(self, label):
         if label == self.stable_label:

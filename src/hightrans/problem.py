@@ -198,7 +198,8 @@ def build_problem(data):
                 except _NotReady:
                     continue
                 except (ValueError, KeyError, TypeError) as exc:
-                    errors.append(f"{section}.{name}: {exc}")
+                    # a constructor names its object itself: name it once
+                    errors.append(f"{section}.{name}: {str(exc).removeprefix(f'{name}: ')}")
                 del pending[name]
                 progress = True
     for section, _, pending, _ in sections:

@@ -142,6 +142,33 @@ def det_by_cofactors(m):
                for j in range(len(m)))
 
 
+def bfs_layers(group):
+    """Yield the shortlex layers by canonical length, each once final: the
+    slow path of every kind's layer generator.
+
+    BFS over letter products; an element first reached at geodesic depth
+    d has canonical length >= d, so layer d is complete once depth d has
+    been expanded.  A finite group's layers end when nothing is left to
+    expand or to file, which can be after empty layers past its last.
+    """
+    ident = group.identity()
+    frontier, seen, pending = [ident], {ident}, {}
+    yield [ident]
+    d = 0
+    while frontier or pending:
+        d += 1
+        new = []
+        for x in frontier:
+            for _, letter in group.letters():
+                y = x * letter
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    pending.setdefault(y.length(), []).append(y)
+        frontier = new
+        yield sorted(pending.pop(d, []), key=groups.Element.sort_key)
+
+
 def all_words(labels, max_len):
     """Every word of length <= max_len over the signed alphabet."""
     alphabet = [(lab, 1) for lab in labels] + [(lab, -1) for lab in labels]

@@ -142,5 +142,6 @@ def test_an_embedding_no_exact_procedure_decides_is_refused():
     z, g = FreeGroup("B3", ("w",)), FreeGroup("B4", ("c",))
     amalgam = AmalgamGroup("B5", f1, g, Embedding("wa", z, f1, [f1.generator("a")]),
                            Embedding("wc", z, g, [g.generator("c")]))
-    with pytest.raises(ValueError, match="no exact membership procedure decides"):
+    with pytest.raises(ValueError, match="^squares: no exact membership procedure decides "
+                                         "the image of B2 in B1$"):
         Embedding("squares", s, amalgam, [amalgam.include(0, x) for x in squares])

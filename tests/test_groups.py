@@ -326,3 +326,32 @@ def test_element_from_word_matches_the_letter_product(name):
         for g in ball:
             assert group.element_from_word(g.word()) == g, (group.name, g.word())
         assert len({g.sort_key() for g in ball}) == len(ball), group.name
+
+
+# -- one shortlex order: each kind's layer generator against the BFS --
+
+
+LAYER_CAP = 1000   # elements compared per group, layer by whole layer
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.json")))
+def test_each_kind_walks_the_layers_of_the_bfs(name):
+    """Every group of the zoo, its acting group and the handles below it
+    yield the BFS's layers, payload for payload and in order, until
+    ``LAYER_CAP`` elements have been compared or a finite group's layers
+    end; a finite group's end where its last nonempty layer does.  The
+    spelling a generator gives an element is the one its payload spells."""
+    for group in _zoo_groups(name):
+        mine, bfs = group._shortlex_layers(), oracles.bfs_layers(group)
+        compared = 0
+        for _ in range(LAYER_CAP):   # a finite group's generator that never ends fails too
+            if compared >= LAYER_CAP:
+                break
+            layer, expected = next(mine, None), next(bfs, [])
+            if layer is None:
+                assert group.is_finite() and not expected and not any(bfs), group.name
+                break
+            assert [x.payload for x in layer] == [x.payload for x in expected], \
+                (group.name, len(layer[0].spelling()) if layer else None)
+            assert all(x.spelling() == group.spell(x.payload) for x in layer), group.name
+            compared += len(layer)

@@ -131,7 +131,7 @@ def _node(obj, path):
     ("gaussian-hnn.json", ("groups", "H", "translations"), "uv",
      "translations must be a list of strings"),
     ("gaussian-hnn.json", ("groups", "U4"), {"kind": "free_abelian", "generators": ["w"]},
-     "groups.H: H: the acting group must be a finite table group"),
+     "groups.H: the acting group must be a finite table group"),
     ("pi1-sigma2.json", ("groups", "F1", "generators"), "ab", "generators must be a list of strings"),
     ("pi1-sigma2.json", ("groups", "F1", "generators"), {"a1": 0, "b1": 1},
      "generators must be a list of strings"),
@@ -413,9 +413,28 @@ def test_cli_embedding_no_exact_procedure_decides_is_a_usage_error(tmp_path, cap
         "target": "F"}))
     extra = {"nf": ["F", "a"], "verify": [str(tmp_path / "c.json")]}.get(command, [])
     assert cli.main([command, str(path), *extra]) == cli.EXIT_USAGE
-    assert capsys.readouterr() == ("", "error: embeddings.sq: sq: no exact membership "
+    assert capsys.readouterr() == ("", "error: embeddings.sq: no exact membership "
                                        "procedure decides the image of S in F\n")
 
+
+
+def test_a_refusal_inside_one_factor_names_the_outer_embedding(capsys):
+    """<a^2, b^2> inside the left factor F of an amalgam routes to F, where
+    no exact procedure decides it: the load error names the embedding of
+    the file once, as the loader does every object."""
+    doc = {"groups": {"F": {"kind": "free", "generators": ["a", "b"]},
+                      "G": {"kind": "free", "generators": ["c"]},
+                      "Z": {"kind": "free", "generators": ["w"]},
+                      "S": {"kind": "free", "generators": ["u", "v"]},
+                      "A": {"kind": "amalgam", "left": "F", "right": "G", "edge": ["wa", "wc"]}},
+           "embeddings": {"wa": {"source": "Z", "target": "F", "images": ["a"]},
+                          "wc": {"source": "Z", "target": "G", "images": ["c"]},
+                          "sq": {"source": "S", "target": "A", "images": ["a^2", "b^2"]}},
+           "target": "A"}
+    with pytest.raises(ProblemError) as info:
+        build_problem(doc)
+    assert info.value.errors == ["embeddings.sq: no exact membership procedure decides "
+                                 "the image of S in F"]
 
 def test_cli_audit_undecided_exit_code(tmp_path, capsys):
     """<a> in F(a, b) at bounds (2, 1, 1): no h of the witness ball clears
