@@ -781,10 +781,10 @@ class AmalgamGroup(Group):
         layers = _sequence_layers(self, pieces, lambda syl, seq: not seq or seq[0][0] != syl[0])
         if not self._finite:
             return layers
-        return islice(layers, 1 + max(x.length() for x in self.left.iter_shortlex()
-                                      if self.edge_left.contains(x))
-                      + max(x.length() for side in (0, 1) for x in self.factor(side).iter_shortlex()
-                            if self.edge(side).rep(x) == x))
+        lead = max(x.length() for x in self.left.iter_shortlex() if self.edge_left.contains(x))
+        rep = max(x.length() for side in (0, 1) for x in self.factor(side).iter_shortlex()
+                  if self.edge(side).rep(x) == x)
+        return islice(layers, lead + rep + 1)
 
     def generator(self, label):
         if label in self.left.labels:
