@@ -11,7 +11,9 @@ determinant by cofactors are the slow paths of
 every power of a cyclic coset in reach, the three candidate powers
 compared by their whole shortlex keys, and the parse with one token per
 syllable are the slow paths of the closed-form cyclic decomposition, of
-its pick by letter length and of the one-token-per-run parse.  The two-phase token reducers below are
+its pick by letter length and of the one-token-per-run parse.  The BFS
+over letter products is the slow path of every kind's shortlex layer
+generator.  The two-phase token reducers below are
 the slow path the one-syllable fold replaced; they reduce a whole token
 list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
