@@ -210,6 +210,7 @@ class CyclicFreeStrategy:
         self._u_inv = self.u.inverse()
         self._core_spell = self.core.spelling()
         self._core_inv_spell = self.core.inverse().spelling()
+        self._heads = {sp[0], sp[-1] ^ 1}   # c^k begins as c or c^-1 does
         self._powers = {}
 
     def _power(self, k):
@@ -226,6 +227,8 @@ class CyclicFreeStrategy:
         p = g.payload
         if not p:
             return True
+        if 2 * p[0][0] + (p[0][1] < 0) not in self._heads:
+            return False
         rem = sum(abs(exp) for _, exp in p) - 2 * self.len_u
         if rem <= 0 or rem % self.len_core:
             return False

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 
 from .problem import AuditBounds
 
@@ -62,37 +63,46 @@ class AuditVerdict:
 
 
 class HSetMemo:
-    """What H-set searches over one protected set F can share: the
-    representatives of F, and for each pair (h, x) whether h x lies outside
-    Sigma F with h x h^-1 outside Sigma."""
+    """What H-set searches over one protected set F share: F's representatives;
+    the target's ball, walked a layer at a time, as (h, h^-1) by shortlex position,
+    ``ends[d]`` of them to layer d; and per point x the positions tested and failed on x."""
 
     def __init__(self, emb, F):
         self.f_reps = {emb.rep(f) for f in F}
-        self.clear = {}
+        self.walked, self.ends = [], []
+        self.tested, self.failed = defaultdict(int), defaultdict(int)
 
 
 def search_H_set(emb, xs, radius, memo):
     """First shortlex h with h x_i outside Sigma F and h x_i h^-1 outside
-    Sigma, for every i; None when the ball at ``radius`` is exhausted.
-
-    ``memo`` is an HSetMemo of the protected set F, which holds F's
-    representatives; a caller may share it between searches over one F.
-    """
+    Sigma, for every i; None when the ball at ``radius`` is exhausted.  The
+    candidate is the lowest position no x_i has failed in ``memo``, an HSetMemo
+    of F that searches may share, and only its untested pairs are tested; a
+    layer is walked only when every walked position has failed."""
+    if any(x.is_identity for x in xs):
+        raise ValueError("H-set entries must be nontrivial")
+    union = 0
     for x in xs:
-        if x.is_identity:
-            raise ValueError("H-set entries must be nontrivial")
-    f_reps, clear = memo.f_reps, memo.clear
-    for h in emb.target.iter_shortlex(radius):
+        union |= memo.failed[x]
+    while True:
+        pos = (~union & (union + 1)).bit_length() - 1
+        while pos >= len(memo.walked) and len(memo.ends) <= radius:
+            memo.walked += [(h, h.inverse()) for h in emb.target.shortlex_layer(len(memo.ends))]
+            memo.ends.append(len(memo.walked))
+        if len(memo.ends) > radius and pos >= memo.ends[radius]:
+            return None
+        h, hinv = memo.walked[pos]
+        bit = 1 << pos
         for x in xs:
-            ok = clear.get((h, x))
-            if ok is None:
-                ok = clear[h, x] = not (emb.rep(h * x) in f_reps
-                                        or emb.contains(h * x * h.inverse()))
-            if not ok:
-                break
+            if not memo.tested[x] & bit:
+                memo.tested[x] |= bit
+                hx = h * x
+                if emb.rep(hx) in memo.f_reps or emb.contains(hx * hinv):
+                    memo.failed[x] |= bit
+                    union |= bit
+                    break
         else:
             return h
-    return None
 
 
 class SearchCursor:
@@ -234,20 +244,20 @@ def audit_hcf(emb, bounds=None):
             },
         })
     ball = emb.target.ball(bounds.point_radius)
-    nontrivial = [x for x in ball if not x.is_identity]
-    size = min(bounds.tuple_size_max, len(nontrivial))
+    names = {x: str(x) for x in ball if not x.is_identity}
+    size = min(bounds.tuple_size_max, len(names))
     witnesses = []
     # every search protects the same ball, so they share one memo
     memo = HSetMemo(emb, ball)
-    for combo in itertools.combinations(nontrivial, size) if size else ():
+    for combo in itertools.combinations(names, size) if size else ():
         h = search_H_set(emb, combo, bounds.witness_radius, memo)
         if h is None:
             return AuditVerdict(UNDECIDED, bounds, {
                 "reason": "H-set witness search exhausted",
-                "failed_tuple": [str(x) for x in combo],
+                "failed_tuple": [names[x] for x in combo],
                 "covering_shape": _conjugation_covering_shape(emb, combo, ball, bounds),
             })
-        witnesses.append({"tuple": [str(x) for x in combo], "witness": str(h)})
+        witnesses.append({"tuple": [names[x] for x in combo], "witness": str(h)})
     return AuditVerdict(PASS, bounds, {
         "protected_radius": bounds.point_radius,
         "witnesses": witnesses,
@@ -371,10 +381,10 @@ def certify_structural(emb, bounds=None):
     # one conjugacy ball per pair {g, g^-1}, shared by both premises:
     # h g^-1 h^-1 = (h g h^-1)^-1 and Sigma holds c exactly when it holds
     # c^-1, so g^-1 has every count and flag of g.  The ball is target-only
-    # work, cached on the target for every embedding into it, and ordered,
-    # so the early exit below never follows id()-based set order.  Shortlex
-    # balls nest, so the conjugates over the radius r-1 ball are those
-    # whose first conjugator is shorter than r
+    # work, cached on the target for every embedding into it, and ordered;
+    # the early exit below reads it from the longest first conjugators, the
+    # likeliest to leave it.  Shortlex balls nest, so the conjugates over
+    # the radius r-1 ball are those whose first conjugator is shorter than r
     r = bounds.witness_radius
     facts = {}
     for g in ball_small:
@@ -384,7 +394,7 @@ def certify_structural(emb, bounds=None):
             continue
         cur = tgt.conjugates(g, r)
         closed = member[g] and all((letter * c * letter.inverse()) in cur
-                                   for c in cur for _, letter in tgt.letters())
+                                   for c in reversed(cur) for _, letter in tgt.letters())
         inside = [d for c, d in cur.items() if emb.contains(c)]
         facts[g] = (len(cur), sum(d < r for d in cur.values()), closed,
                     len(inside), all(d < r for d in inside))
@@ -480,10 +490,12 @@ class CosetDomain:
         index = self._movers.get((zone_radius, radius))
         if index is None:
             index = self._movers[zone_radius, radius] = {}
-            backwards = self.zone(zone_radius)[::-1]
+            backwards = [(r, r.inverse()) for r in self.zone(zone_radius)[::-1]]
+            contains = self.emb.contains
             for pos, h in enumerate(self.group.iter_shortlex(radius)):
                 if not h.is_identity:
-                    last = next((r for r in backwards if not self.fixes(h, r)), None)
+                    hinv = h.inverse()
+                    last = next((r for r, rinv in backwards if not contains(r * hinv * rinv)), None)
                     index.setdefault(last, []).append((pos, h, last))
         return index
 

@@ -33,7 +33,9 @@ of an HNN normal form; and the fundamental group of a whole graph.
 The audit oracles are the slow paths the exact audit shortcuts
 replaced: a finite-index walk that always walks, coset fixers by coset
 decomposition, and structural certificates that build every conjugacy
-ball twice.  Last come the G-set search and the transports between the
+ball twice.  Last come the H-set search as a walk over the ball for
+each tuple with a dict of pair verdicts, the slow path of the bitset
+search; the G-set search and the transports between the
 H-, G- and E-set instances, which the program never runs but the
 equivalence cross-checks do, and the replays of audit evidence.
 """
@@ -908,8 +910,39 @@ def certify_structural_two_balls(emb, bounds=None):
 
 
 # ---------------------------------------------------------------------------
-# the G-set search, the transports between the witness sets (the paper's
-# equivalence constructions) and the replays of audit evidence
+# the H-set search by walk, the G-set search, the transports between the
+# witness sets (the paper's equivalence constructions) and the replays of
+# audit evidence
+
+
+class HSetWalkMemo:
+    """``hcf.HSetMemo`` as a dict: the representatives of F, and for each
+    pair (h, x) whether h x lies outside Sigma F with h x h^-1 outside
+    Sigma."""
+
+    def __init__(self, emb, F):
+        self.f_reps = {emb.rep(f) for f in F}
+        self.clear = {}
+
+
+def h_set_search_by_walk(emb, xs, radius, memo):
+    """``hcf.search_H_set`` as a walk over the ball from the identity for
+    each tuple, with the verdicts of the pairs in an HSetWalkMemo."""
+    for x in xs:
+        if x.is_identity:
+            raise ValueError("H-set entries must be nontrivial")
+    f_reps, clear = memo.f_reps, memo.clear
+    for h in emb.target.iter_shortlex(radius):
+        for x in xs:
+            ok = clear.get((h, x))
+            if ok is None:
+                ok = clear[h, x] = not (emb.rep(h * x) in f_reps
+                                        or emb.contains(h * x * h.inverse()))
+            if not ok:
+                break
+        else:
+            return h
+    return None
 
 
 def search_G_set(emb, xs, F, radius):

@@ -1,20 +1,21 @@
 """The audit shortcuts against the slow paths they replaced.
 
-Exact infinite index, coset fixers by membership and one conjugacy ball per
-element must give the verdicts and the evidence of the walking prover, the
-decomposing coset action and the two-ball certificate in ``oracles.py``.
+Exact infinite index, coset fixers by membership, one conjugacy ball per
+element and the H-set search over bitsets must give the verdicts and the
+evidence of the walking prover, the decomposing coset action, the
+two-ball certificate and the H-set search by walk in ``oracles.py``.
 """
 
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from hightrans import hcf
 from hightrans.embeddings import Embedding, LatticeStrategy
-from hightrans.groups import Element, FreeAbelianGroup, FreeGroup, cyclic_group
+from hightrans.groups import Element, FreeAbelianGroup, FreeGroup, cyclic_group, symmetric_group
 
 from conftest import PROBLEMS, zoo
 
@@ -97,6 +98,66 @@ def test_coset_fixers_match_decomposing_fixers_on_every_piece(problem, name):
         assert fast.cofinite_fixer(piece, bounds) == slow.cofinite_fixer(piece, bounds)
         assert fast.nontrivial_fixer_of(piece, bounds.witness_radius) == \
             slow.nontrivial_fixer_of(piece, bounds.witness_radius)
+
+
+@pytest.mark.parametrize("bounds", ["file", (2, 2, 5)])
+@pytest.mark.parametrize("problem, name", EMBEDDINGS)
+def test_h_set_audit_matches_the_walk(problem, name, bounds, monkeypatch):
+    """Each tuple's witness, or the failed tuple, its reason and covering
+    shape, as an audit whose H-set searches walk the ball from the
+    identity finds them."""
+    emb, file_bounds = _load(problem, name)
+    bounds = file_bounds if bounds == "file" else hcf.AuditBounds(*bounds)
+    fast = hcf.audit_hcf(emb, bounds)
+    monkeypatch.setattr(hcf, "HSetMemo", oracles.HSetWalkMemo)
+    monkeypatch.setattr(hcf, "search_H_set", oracles.h_set_search_by_walk)
+    _same_verdict(fast, hcf.audit_hcf(_load(problem, name)[0], bounds))
+
+
+def _s3_transposition():
+    """C2 onto <s0> in S3, whose ball ends at radius 3."""
+    s3 = symmetric_group("S3", 3)
+    return Embedding("s0", cyclic_group("C2", 2, "c"), s3, [s3.generator("s0")])
+
+
+H_SET_FIXTURES = {name: getattr(oracles, name)()
+                  for name in FIXTURE_EMBEDDINGS + ["trivial_subgroup_embedding"]}
+H_SET_FIXTURES["s3_transposition"] = _s3_transposition()
+
+
+_h_set_searches = st.lists(st.tuples(st.lists(st.integers(1, 30), min_size=1, max_size=3),
+                                     st.integers(0, 5)), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(H_SET_FIXTURES)), st.lists(st.integers(0, 30), max_size=8),
+       _h_set_searches)
+@example("s3_transposition", list(range(6)), [([1], 5), ([2, 3], 4), ([5], 5)])
+def test_h_set_search_matches_the_walk_with_one_shared_memo(fixture, f_picks, searches):
+    """Several searches over one protected F, at radii that rise and fall,
+    share one memo on each side.  An entry is a nontrivial element of the
+    ball of radius 2 by index.  In the example F is S3's ball of radius 2,
+    whose Sigma-cosets cover S3, so every search fails at every h and
+    walks past S3's last layer, 3, to its radius."""
+    emb = H_SET_FIXTURES[fixture]
+    ball = emb.target.ball(2)
+    F = [ball[i % len(ball)] for i in f_picks]
+    memo, walk_memo = hcf.HSetMemo(emb, F), oracles.HSetWalkMemo(emb, F)
+    covered = emb.target.is_finite() and all(
+        emb.rep(g) in memo.f_reps for g in emb.target.iter_shortlex())
+    for picks, radius in searches:
+        xs = list(dict.fromkeys(ball[1 + i % (len(ball) - 1)] for i in picks))
+        want = oracles.h_set_search_by_walk(emb, xs, radius, walk_memo)
+        assert hcf.search_H_set(emb, xs, radius, memo) == want
+        if covered:
+            assert want is None and memo.ends[radius] == len(emb.target.ball(radius))
+    # every bit the memo holds is a verdict of the walk's
+    for x, tested in memo.tested.items():
+        assert memo.failed.get(x, 0) & ~tested == 0
+        for pos, (h, hinv) in enumerate(memo.walked):
+            if tested >> pos & 1:
+                clear = not (emb.rep(h * x) in walk_memo.f_reps or emb.contains(h * x * hinv))
+                assert clear == (not memo.failed.get(x, 0) >> pos & 1)
 
 
 def test_coset_action_audit_asks_each_h_about_few_cosets(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from hightrans import hcf
 from hightrans.hcf import HSetMemo, SearchCursor
+from hightrans.normal_forms import parse_word
 
 from conftest import zoo
 import oracles
@@ -73,6 +74,21 @@ def test_search_h_finite_index_always_empty(even):
 def test_search_h_rejects_identity_entries(comm):
     with pytest.raises(ValueError):
         hcf.search_H_set(comm, [comm.target.identity()], 2, HSetMemo(comm, []))
+
+
+def test_a_raised_witness_radius_walks_no_layer_past_the_deepest_witness():
+    """theta's e1r passes at its file's radius 4; at radius 12 it finds
+    the same witnesses and leaves its target, F2, holding no layer past the
+    deepest of them.  F2's layer 12 alone has 708,588 elements, so a search
+    that builds the whole ball up front fails the last assertion."""
+    at_file = hcf.audit_hcf(zoo("theta").embeddings["e1r"], hcf.AuditBounds(2, 2, 4))
+    emb = zoo("theta").embeddings["e1r"]
+    raised = hcf.audit_hcf(emb, hcf.AuditBounds(2, 2, 12))
+    assert raised.status == at_file.status == "pass"
+    assert raised.evidence["witnesses"] == at_file.evidence["witnesses"]
+    deepest = max(parse_word(emb.target, w["witness"]).length()
+                  for w in raised.evidence["witnesses"])
+    assert len(emb.target._layers) == deepest + 1
 
 
 def test_search_g_example(comm):

@@ -15,8 +15,9 @@ slow paths.
   on the target; it is checked against the ordered conjugates over the
   balls of radius r and r - 1, and every embedding into one target reads
   the same ball.
-* ``CyclicFreeStrategy.contains`` reads the letter length off the payload;
-  it is checked against ``oracles.cyclic_contains_by_spelling``.
+* ``CyclicFreeStrategy.contains`` rejects g by its first letter, then
+  reads the letter length off the payload; it is checked against
+  ``oracles.cyclic_contains_by_spelling``, which does neither.
 """
 
 import pytest
@@ -115,8 +116,12 @@ CYCLIC = _cyclic_cases()
 # Subgroups <c> of F(a, b) whose tied mates differ first in the exponent
 # of one generator, as a and a^-1 for c = a^2, so a tie broken by payload
 # order picks a^-1 where shortlex picks a; on the problem files the tied
-# mates differ first in their generators, where both orders agree.
-BUILT = ("a^2", "b a^2 b^-1", "a b^-1")
+# mates differ first in their generators, where both orders agree.  Then
+# two shapes for the first-letter rejection in membership: in a^2 b a^-1
+# = u (a b) u^-1 the first syllable of c merges u with the core, and in
+# a b a the core starts and ends on one generator, so c and c^-1 begin
+# with a and a^-1.
+BUILT = ("a^2", "b a^2 b^-1", "a b^-1", "a^2 b a^-1", "a b a")
 
 
 def _cyclic_embedding(problem, name):
