@@ -62,15 +62,22 @@ class AuditVerdict:
 # witness-set searches
 
 
+# positions per word of HSetMemo's bitsets: marking a position rebuilds one
+# word, not a bitset as long as the walked ball
+HSET_WORD = 1024
+
+
 class HSetMemo:
     """What H-set searches over one protected set F share: F's representatives;
     the target's ball, walked a layer at a time, as (h, h^-1) by shortlex position,
-    ``ends[d]`` of them to layer d; and per point x the positions tested and failed on x."""
+    ``ends[d]`` of them to layer d; and per point x the positions tested and failed
+    on x, as bitsets split into words of HSET_WORD positions."""
 
     def __init__(self, emb, F):
         self.f_reps = {emb.rep(f) for f in F}
         self.walked, self.ends = [], []
-        self.tested, self.failed = defaultdict(int), defaultdict(int)
+        self.tested = defaultdict(lambda: defaultdict(int))
+        self.failed = defaultdict(lambda: defaultdict(int))
 
 
 def search_H_set(emb, xs, radius, memo):
@@ -81,25 +88,29 @@ def search_H_set(emb, xs, radius, memo):
     layer is walked only when every walked position has failed."""
     if any(x.is_identity for x in xs):
         raise ValueError("H-set entries must be nontrivial")
-    union = 0
-    for x in xs:
-        union |= memo.failed[x]
+    marks = [(x, memo.tested[x], memo.failed[x]) for x in xs]
+    pos = 0
     while True:
-        pos = (~union & (union + 1)).bit_length() - 1
+        word, off = divmod(pos, HSET_WORD)
+        union = 0
+        for _, _, failed in marks:
+            union |= failed[word] >> off
+        pos += (~union & (union + 1)).bit_length() - 1
+        if pos >= (word + 1) * HSET_WORD:   # the rest of this word failed
+            continue
         while pos >= len(memo.walked) and len(memo.ends) <= radius:
             memo.walked += [(h, h.inverse()) for h in emb.target.shortlex_layer(len(memo.ends))]
             memo.ends.append(len(memo.walked))
         if len(memo.ends) > radius and pos >= memo.ends[radius]:
             return None
         h, hinv = memo.walked[pos]
-        bit = 1 << pos
-        for x in xs:
-            if not memo.tested[x] & bit:
-                memo.tested[x] |= bit
+        bit = 1 << pos % HSET_WORD
+        for x, tested, failed in marks:
+            if not tested[word] & bit:
+                tested[word] |= bit
                 hx = h * x
                 if emb.rep(hx) in memo.f_reps or emb.contains(hx * hinv):
-                    memo.failed[x] |= bit
-                    union |= bit
+                    failed[word] |= bit
                     break
         else:
             return h
@@ -267,18 +278,13 @@ def audit_hcf(emb, bounds=None):
 def _conjugation_covering_shape(emb, xs, F, bounds):
     """The covering a genuine failure would produce: F' = union of F x_i^-1
     and pieces S_k = {h : h x_k h^-1 in Sigma}, listed at the bound."""
-    f2 = [f * x.inverse() for f in F for x in xs]
+    f2 = dict.fromkeys(f * x.inverse() for f in F for x in xs)
     pieces = []
     for x in xs:
         members = [str(h) for h in emb.target.ball(bounds.witness_radius)
                    if emb.contains(h * x * h.inverse())]
         pieces.append({"conjugation_locus_of": str(x), "members_at_bound": members})
-    out_f, seen = [], set()
-    for f in f2:
-        if f not in seen:
-            seen.add(f)
-            out_f.append(str(f))
-    return {"F": out_f, "pieces": pieces}
+    return {"F": [str(f) for f in f2], "pieces": pieces}
 
 
 def audit_highly_faithful(domain, bounds=None):
@@ -332,20 +338,9 @@ def _finite_piece_candidates(zone):
     The known counterexample shapes are initial segments; the full power
     set is exponential and adds nothing the audit could verify anyway.
     """
-    seen = set()
-    out = []
-    for k in range(1, len(zone)):
-        cand = tuple(zone[:k])
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    for size in (1, 2):
-        if size < len(zone):
-            for cand in itertools.combinations(zone, size):
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-    return out
+    prefixes = (tuple(zone[:k]) for k in range(1, len(zone)))
+    small = (c for size in (1, 2) if size < len(zone) for c in itertools.combinations(zone, size))
+    return list(dict.fromkeys(itertools.chain(prefixes, small)))
 
 
 def certify_structural(emb, bounds=None):
@@ -473,7 +468,10 @@ class CosetDomain:
         return str(rep)
 
     def fixes(self, h, rep):
-        return self.emb.contains(rep * h.inverse() * rep.inverse())
+        return self._fixes_inv(h.inverse(), rep, rep.inverse())
+
+    def _fixes_inv(self, hinv, rep, rep_inv):
+        return self.emb.contains(rep * hinv * rep_inv)
 
     def nontrivial_fixer_of(self, points, radius):
         for h in self.group.iter_shortlex(radius):
@@ -491,11 +489,11 @@ class CosetDomain:
         if index is None:
             index = self._movers[zone_radius, radius] = {}
             backwards = [(r, r.inverse()) for r in self.zone(zone_radius)[::-1]]
-            contains = self.emb.contains
+            fixes = self._fixes_inv
             for pos, h in enumerate(self.group.iter_shortlex(radius)):
                 if not h.is_identity:
                     hinv = h.inverse()
-                    last = next((r for r, rinv in backwards if not contains(r * hinv * rinv)), None)
+                    last = next((r for r, rinv in backwards if not fixes(hinv, r, rinv)), None)
                     index.setdefault(last, []).append((pos, h, last))
         return index
 

@@ -7,6 +7,7 @@ two-ball certificate and the H-set search by walk in ``oracles.py``.
 """
 
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -131,47 +132,57 @@ _h_set_searches = st.lists(st.tuples(st.lists(st.integers(1, 30), min_size=1, ma
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(H_SET_FIXTURES)), st.lists(st.integers(0, 30), max_size=8),
-       _h_set_searches)
-@example("s3_transposition", list(range(6)), [([1], 5), ([2, 3], 4), ([5], 5)])
-def test_h_set_search_matches_the_walk_with_one_shared_memo(fixture, f_picks, searches):
+       _h_set_searches, st.integers(1, 7) | st.just(hcf.HSET_WORD))
+@example("s3_transposition", list(range(6)), [([1], 5), ([2, 3], 4), ([5], 5)], 2)
+def test_h_set_search_matches_the_walk_with_one_shared_memo(fixture, f_picks, searches, word):
     """Several searches over one protected F, at radii that rise and fall,
     share one memo on each side.  An entry is a nontrivial element of the
-    ball of radius 2 by index.  In the example F is S3's ball of radius 2,
-    whose Sigma-cosets cover S3, so every search fails at every h and
-    walks past S3's last layer, 3, to its radius."""
+    ball of radius 2 by index.  The memo's bitsets are split into words of
+    ``word`` positions, so small words make searches cross word ends.  In
+    the example F is S3's ball of radius 2, whose Sigma-cosets cover S3, so
+    every search fails at every h and walks past S3's last layer, 3, to its
+    radius."""
     emb = H_SET_FIXTURES[fixture]
     ball = emb.target.ball(2)
     F = [ball[i % len(ball)] for i in f_picks]
     memo, walk_memo = hcf.HSetMemo(emb, F), oracles.HSetWalkMemo(emb, F)
     covered = emb.target.is_finite() and all(
         emb.rep(g) in memo.f_reps for g in emb.target.iter_shortlex())
-    for picks, radius in searches:
-        xs = list(dict.fromkeys(ball[1 + i % (len(ball) - 1)] for i in picks))
-        want = oracles.h_set_search_by_walk(emb, xs, radius, walk_memo)
-        assert hcf.search_H_set(emb, xs, radius, memo) == want
-        if covered:
-            assert want is None and memo.ends[radius] == len(emb.target.ball(radius))
+    with mock.patch.object(hcf, "HSET_WORD", word):
+        for picks, radius in searches:
+            xs = list(dict.fromkeys(ball[1 + i % (len(ball) - 1)] for i in picks))
+            want = oracles.h_set_search_by_walk(emb, xs, radius, walk_memo)
+            assert hcf.search_H_set(emb, xs, radius, memo) == want
+            if covered:
+                assert want is None and memo.ends[radius] == len(emb.target.ball(radius))
+
+    def bitset(words):
+        assert all(0 <= v < 1 << word for v in words.values())
+        return sum(v << i * word for i, v in words.items())
+
     # every bit the memo holds is a verdict of the walk's
-    for x, tested in memo.tested.items():
-        assert memo.failed.get(x, 0) & ~tested == 0
+    for x, words in memo.tested.items():
+        tested, failed = bitset(words), bitset(memo.failed[x])
+        assert failed & ~tested == 0
         for pos, (h, hinv) in enumerate(memo.walked):
             if tested >> pos & 1:
                 clear = not (emb.rep(h * x) in walk_memo.f_reps or emb.contains(h * x * hinv))
-                assert clear == (not memo.failed.get(x, 0) >> pos & 1)
+                assert clear == (not failed >> pos & 1)
 
 
 def test_coset_action_audit_asks_each_h_about_few_cosets(monkeypatch):
     # the mover index asks about each nontrivial h until it finds the last
     # zone coset h moves; scanning from the longest representatives finds
-    # it at once here, and no piece's query needs a confirming check
+    # it at once here, and no piece's query needs a confirming check.  Both
+    # paths ask through _fixes_inv, so the count covers each of them
     calls = []
-    fixes = hcf.CosetDomain.fixes
+    fixes = hcf.CosetDomain._fixes_inv
 
-    def counted(self, h, rep):
-        calls.append(h)
-        return fixes(self, h, rep)
+    def counted(self, hinv, rep, rep_inv):
+        calls.append(hinv)
+        return fixes(self, hinv, rep, rep_inv)
 
-    monkeypatch.setattr(hcf.CosetDomain, "fixes", counted)
+    monkeypatch.setattr(hcf.CosetDomain, "_fixes_inv", counted)
     parsed = zoo("theta")
     bounds = parsed.bounds
     for name, emb in sorted(parsed.embeddings.items()):
