@@ -38,13 +38,14 @@ for label, emb in cases:
         if "premises" in verdict.evidence else {}
     print(f"  {label:30s} {verdict}  {premises}")
 
-# The coset action mirrors the core audit (the fifth equivalent condition):
+# The coset action mirrors the core audit (the fifth equivalent condition);
+# audit_highly_faithful builds the action on the cosets of each embedding:
 # the cosets of the trivial subgroup of Z are Z translating itself, which
 # fixes no point; 2Z is normal of index two, so a^2 fixes both of its cosets
 # and the covering by the one piece "every coset" has a nontrivial fixer.
 print("\n== highly faithful coset actions ==")
 for label, emb in cases:
-    verdict = hcf.audit_highly_faithful(hcf.CosetDomain(emb), bounds)
+    verdict = hcf.audit_highly_faithful(emb, bounds)
     print(f"  cosets of {label:30s} coset-action={verdict}")
     if verdict.failed:
         print(f"      covering: {verdict.evidence['covering']}")

@@ -84,7 +84,7 @@ def cmd_audit(args):
         emb = problem.embeddings[name]
         hv = hcf.audit_hcf(emb, bounds)
         sv = hcf.certify_structural(emb, bounds)
-        cv = hcf.audit_highly_faithful(hcf.CosetDomain(emb), bounds)
+        cv = hcf.audit_highly_faithful(emb, bounds)
         statuses.extend([hv.status, sv.status, cv.status])
         print(f"audit {name}: hcf={hv.status} structural={sv.status} coset-action={cv.status}")
         for verdict, tag in ((hv, "hcf"), (cv, "coset-action")):

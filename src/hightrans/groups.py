@@ -474,10 +474,11 @@ class FreeAbelianGroup(Group):
         return tuple(out)
 
     def _shortlex_layers(self):
-        """Layer d is the l1-sphere of radius d, sorted."""
+        """Layer d is the l1-sphere of radius d, sorted by spellings that are
+        not cached: a cached one holds d ranks per element."""
         for d in count():
             yield sorted((Element(self, v) for v in _l1_sphere(self.rank, d)),
-                         key=Element.spelling)
+                         key=lambda x: self.spell(x.payload))
 
     def generator(self, label):
         i = self._index(label)
@@ -650,7 +651,8 @@ class SemidirectGroup(Group):
         heads = [(q.payload, q.length()) for q in self.q_group.iter_shortlex()]
         for d in count():
             yield sorted((Element(self, (q, v)) for q, n in heads if n <= d
-                          for v in _l1_sphere(self.rank, d - n)), key=Element.spelling)
+                          for v in _l1_sphere(self.rank, d - n)),
+                         key=lambda x: self.spell(x.payload))
 
     def generator(self, label):
         nq = len(self.q_group.labels)

@@ -287,38 +287,34 @@ def _conjugation_covering_shape(emb, xs, F, bounds):
     return {"F": [str(f) for f in f2], "pieces": pieces}
 
 
-def audit_highly_faithful(domain, bounds=None):
-    """Bounded audit of high faithfulness for a pointed action.
+def audit_highly_faithful(emb, bounds=None):
+    """Bounded audit of high faithfulness for the target acting on the
+    right cosets of the embedded subgroup (a CosetDomain at ``bounds``).
 
-    Coverings are searched in the shapes the counterexamples take: a finite
-    piece P from the sample zone plus its complement.  A verdict of fail
-    requires the cofinite piece's fixer to be exact (supports known);
-    bounded-only fixers downgrade to undecided.
+    Coverings are searched in the shapes the counterexamples take: the
+    whole space as one cofinite piece, or a finite piece P from the zone
+    plus its complement.  A verdict of fail requires the coset space to be
+    exact (a transversal is proven), so that the cofinite piece's fixer is
+    checked on every coset; otherwise coverings found downgrade to
+    undecided.
     """
     bounds = bounds or AuditBounds()
-    zone = domain.zone(bounds.point_radius)
+    domain = CosetDomain(emb, bounds)
     candidates = []
-    whole, exact = domain.cofinite_fixer((), bounds)
-    if whole is not None:
-        verdict = {"covering": {"F": [], "pieces": [{"complement_of": []}],
-                                "fixers": [str(whole)]}}
-        if exact:
-            return AuditVerdict(FAIL, bounds, verdict)
-        candidates.append(verdict)
-    for P in _finite_piece_candidates(zone):
-        cof, exact = domain.cofinite_fixer(P, bounds)
+    for P in [(), *_finite_piece_candidates(domain.zone)]:
+        cof = domain.cofinite_fixer(P)
         if cof is None:
             continue
-        fin = domain.nontrivial_fixer_of(P, bounds.witness_radius)
-        if fin is None:
-            continue
-        verdict = {"covering": {
-            "F": [],
-            "pieces": [{"members": [domain.describe(p) for p in P]},
-                       {"complement_of": [domain.describe(p) for p in P]}],
-            "fixers": [str(fin), str(cof)],
-        }}
-        if exact:
+        covering = {"F": [], "pieces": [{"complement_of": [str(p) for p in P]}],
+                    "fixers": [str(cof)]}
+        if P:
+            fin = domain.nontrivial_fixer_of(P)
+            if fin is None:
+                continue
+            covering["pieces"].insert(0, {"members": [str(p) for p in P]})
+            covering["fixers"].insert(0, str(fin))
+        verdict = {"covering": covering}
+        if domain.transversal is not None:
             return AuditVerdict(FAIL, bounds, verdict)
         candidates.append(verdict)
     if candidates:
@@ -326,7 +322,7 @@ def audit_highly_faithful(domain, bounds=None):
             "reason": "covering candidates found but cofinite fixers are only bounded",
             "candidates": candidates})
     return AuditVerdict(PASS, bounds, {
-        "zone": [domain.describe(p) for p in zone],
+        "zone": [str(p) for p in domain.zone],
         "reason": "no covering in the audited shapes admits nontrivial fixers on every piece",
     })
 
@@ -420,52 +416,57 @@ def certify_structural(emb, bounds=None):
 
 
 # ---------------------------------------------------------------------------
-# the coset action, the pointed action the high-faithfulness audit runs on
+# the coset action the high-faithfulness audit runs on
 
 
 class CosetDomain:
-    """The target acting on the right-coset space of the embedded subgroup.
+    """The target acting on the right-coset space of the embedded subgroup,
+    set up for one audit's bounds.
 
     h . (Sigma r) = Sigma r h^-1, so h fixes the coset Sigma r exactly when
     r h^-1 r^-1 lies in Sigma: fixing is one membership test, for any
-    representative r of the coset.  When a complete transversal is
-    provable the space is finite and cofinite fixers are exact; otherwise
-    they are only boundedly refutable, so the audit can pass or stay
-    undecided but not fail.
+    representative r of the coset.  Cosets are canonical representatives
+    in shortlex order.  When a complete ``transversal`` is provable the
+    space is finite, ``zone`` and ``sample`` both hold every coset, and
+    cofinite fixers are exact; otherwise ``zone`` holds the cosets the ball
+    of ``point_radius`` meets and ``sample`` those of ``point_radius + 2``,
+    on which cofinite fixers are checked, so the audit can pass or stay
+    undecided but not fail.  Fixers are searched in the witness ball, the
+    ball of ``witness_radius``.
 
-    The audit asks for a cofinite fixer of many pieces over one sample
-    zone, so each nontrivial h of the witness ball is filed once, under
-    the last zone coset it moves (found by scanning the zone from its
-    longest representatives), or under None when it fixes the whole zone.
-    h fixes every sample coset outside a piece P only if its filed coset
-    is None or lies in P: the filed coset is moved, and every later one is
-    fixed.  So a query reads only the h filed under None and under P's
-    cosets, and confirms each of the latter with the full check.  The
-    first h to pass, in shortlex order, is the first a walk over the whole
-    ball would find, so the answer does not change.
+    The audit asks for a cofinite fixer of many pieces, so each nontrivial
+    h of the witness ball is filed once, under the last sample coset it
+    moves (found by scanning the sample from its longest representatives),
+    or under None when it fixes the whole sample.  h fixes every sample
+    coset outside a piece P only if its filed coset is None or lies in P:
+    the filed coset is moved, and every later one is fixed.  So a query
+    reads only the h filed under None and under P's cosets, and confirms
+    each of the latter with the full check.  The first h to pass, in
+    shortlex order, is the first a walk over the whole ball would find, so
+    the answer does not change.
     """
 
-    def __init__(self, emb):
+    def __init__(self, emb, bounds):
         self.emb = emb
-        self.group = emb.target
-        self._zones = {}
-        self._movers = {}
         self.transversal = prove_finite_index(emb, COSET_PROBE_RADIUS)
+        self.zone = self._cosets(bounds.point_radius)
+        self.sample = self._cosets(bounds.point_radius + 2)
+        self.witnesses = emb.target.ball(bounds.witness_radius)
+        self._movers = {}
+        backwards = [(r, r.inverse()) for r in self.sample[::-1]]
+        fixes = self._fixes_inv
+        for pos, h in enumerate(self.witnesses):
+            if not h.is_identity:
+                hinv = h.inverse()
+                last = next((r for r, rinv in backwards if not fixes(hinv, r, rinv)), None)
+                self._movers.setdefault(last, []).append((pos, h, last))
 
-    def zone(self, radius):
-        """The cosets met by the ball of ``radius`` (all of them when the
-        transversal is known), by canonical representative in shortlex order."""
-        out = self._zones.get(radius)
-        if out is None:
-            if self.transversal is not None:
-                reps = set(self.transversal)
-            else:
-                reps = {self.emb.rep(g) for g in self.group.ball(radius)}
-            out = self._zones[radius] = sorted(reps, key=lambda r: r.sort_key())
-        return out
-
-    def describe(self, rep):
-        return str(rep)
+    def _cosets(self, radius):
+        if self.transversal is not None:
+            reps = set(self.transversal)
+        else:
+            reps = {self.emb.rep(g) for g in self.emb.target.ball(radius)}
+        return sorted(reps, key=lambda r: r.sort_key())
 
     def fixes(self, h, rep):
         return self._fixes_inv(h.inverse(), rep, rep.inverse())
@@ -473,38 +474,20 @@ class CosetDomain:
     def _fixes_inv(self, hinv, rep, rep_inv):
         return self.emb.contains(rep * hinv * rep_inv)
 
-    def nontrivial_fixer_of(self, points, radius):
-        for h in self.group.iter_shortlex(radius):
-            if h.is_identity:
-                continue
-            if all(self.fixes(h, r) for r in points):
+    def nontrivial_fixer_of(self, points):
+        """The first nontrivial h of the witness ball fixing every coset
+        in ``points``, or None."""
+        for h in self.witnesses:
+            if not h.is_identity and all(self.fixes(h, r) for r in points):
                 return h
         return None
 
-    def _mover_index(self, zone_radius, radius):
-        """The nontrivial h of the ball of ``radius`` as (shortlex position,
-        h, last) triples, listed under ``last``: the last coset of the zone
-        that h moves, or None."""
-        index = self._movers.get((zone_radius, radius))
-        if index is None:
-            index = self._movers[zone_radius, radius] = {}
-            backwards = [(r, r.inverse()) for r in self.zone(zone_radius)[::-1]]
-            fixes = self._fixes_inv
-            for pos, h in enumerate(self.group.iter_shortlex(radius)):
-                if not h.is_identity:
-                    hinv = h.inverse()
-                    last = next((r for r, rinv in backwards if not fixes(hinv, r, rinv)), None)
-                    index.setdefault(last, []).append((pos, h, last))
-        return index
-
-    def cofinite_fixer(self, excluded, bounds):
-        exact = self.transversal is not None
-        zone_radius = bounds.point_radius + 2
-        index = self._mover_index(zone_radius, bounds.witness_radius)
+    def cofinite_fixer(self, excluded):
+        """The first nontrivial h of the witness ball fixing every sample
+        coset outside ``excluded``, or None."""
         excluded = set(excluded)
-        candidates = heapq.merge(*(index.get(r, ()) for r in (None, *excluded)))
+        candidates = heapq.merge(*(self._movers.get(r, ()) for r in (None, *excluded)))
         for _, h, last in candidates:
-            if last is None or all(self.fixes(h, r) for r in self.zone(zone_radius)
-                                   if r not in excluded):
-                return h, exact
-        return None, exact
+            if last is None or all(self.fixes(h, r) for r in self.sample if r not in excluded):
+                return h
+        return None

@@ -26,16 +26,16 @@ as one whole list, and Gamma walked once for the points and again for the
 faithfulness elements), and the step-by-step replay of a certificate
 against its schedule.
 Then come test beds that no command runs: the embeddings no problem file
-defines (<[a,b]> in F2, 2Z, Z and the trivial group in Z); the integers
-translating the line and the finitely supported permutations, two pointed
-actions for the high-faithfulness audit besides the coset action; the stable-letter count
+defines (<[a,b]> in F2, 2Z, Z and the trivial group in Z, the point
+stabilizers C2 in S3 and S3 in S4, and Z as a factor of Z^2); the
+stable-letter count
 of an HNN normal form; and the fundamental group of a whole graph.
 The audit oracles are the slow paths the exact audit shortcuts
-replaced: a finite-index walk that always walks, coset fixers by coset
-decomposition, and structural certificates that build every conjugacy
-ball twice.  Last come the H-set search as a walk over the ball for
-each tuple with a dict of pair verdicts, the slow path of the bitset
-search; the G-set search and the transports between the
+replaced: a finite-index walk that always walks, the coset action with
+fixers by coset decomposition, and structural certificates that build
+every conjugacy ball twice.  Last come the H-set search as a walk over
+the ball for each tuple with a dict of pair verdicts, the slow path of
+the bitset search; the G-set search and the transports between the
 H-, G- and E-set instances, which the program never runs but the
 equivalence cross-checks do, and the replays of audit evidence.
 """
@@ -640,10 +640,9 @@ def plain_level_action(sigma_embedding):
 
 
 # ---------------------------------------------------------------------------
-# test beds no command runs: embeddings that no problem file defines, two
-# pointed actions for the high-faithfulness audit, the stable letters of an
-# HNN normal form and the fundamental group of a whole graph.  Each factory
-# builds fresh handles, so callers may fill caches freely.
+# test beds no command runs: embeddings that no problem file defines, the
+# stable letters of an HNN normal form and the fundamental group of a whole
+# graph.  Each factory builds fresh handles, so callers may fill caches freely.
 
 
 def free2(name="F2", labels=("a", "b")):
@@ -696,73 +695,32 @@ def primitive_cyclic_embedding():
     return embeddings.Embedding("prim", c, f, [w])
 
 
+def point_stabilizer_embedding():
+    """S3 onto the stabilizer <s0, s1> of a point in S4: index four, and the
+    coset action is S4 permuting four points."""
+    s4 = groups.symmetric_group("S4", 4)
+    s3 = groups.symmetric_group("S3", 3)
+    return embeddings.Embedding("stab", s3, s4, [s4.generator("s0"), s4.generator("s1")])
+
+
+def transposition_embedding():
+    """C2 onto <s0> in S3, whose ball ends at radius 3: index three, and the
+    coset action is S3 permuting three points."""
+    s3 = groups.symmetric_group("S3", 3)
+    return embeddings.Embedding("s0", groups.cyclic_group("C2", 2, "c"), s3, [s3.generator("s0")])
+
+
+def first_factor_embedding():
+    """Z as the first factor of Z^2: normal, of infinite index."""
+    z2 = groups.FreeAbelianGroup("Z2", ("a", "b"))
+    z = groups.FreeAbelianGroup("Zf", ("c",))
+    return embeddings.Embedding("factor", z, z2, [z2.generator("a")])
+
+
 def lexicographic_permutations(degree):
     """The permutations of range(degree) in lexicographic order: element i
     of ``groups.symmetric_group`` is the i-th of them."""
     return sorted(permutations(range(degree)))
-
-
-class PermutationDomain:
-    """Finitely supported permutations of N with a bounded generated zone.
-
-    Backed by ``groups.symmetric_group`` of the given degree; everything at
-    or beyond the degree is fixed, so supports are exact and cofinite
-    fixers are decidable."""
-
-    def __init__(self, degree):
-        self.group = groups.symmetric_group(f"S{degree}", degree)
-        self.degree = degree
-        self.perms = lexicographic_permutations(degree)
-
-    def zone(self, radius):
-        return list(range(radius + 1))
-
-    def describe(self, x):
-        return x
-
-    def fixes(self, h, x):
-        return x >= self.degree or self.perms[h.payload][x] == x
-
-    def nontrivial_fixer_of(self, points, radius):
-        for h in self.group.iter_shortlex():
-            if h.is_identity:
-                continue
-            if all(self.fixes(h, x) for x in points):
-                return h
-        return None
-
-    def cofinite_fixer(self, excluded, bounds):
-        allowed = set(excluded)
-        for h in self.group.iter_shortlex():
-            if h.is_identity:
-                continue
-            p = self.perms[h.payload]
-            support = {k for k in range(self.degree) if p[k] != k}
-            if support <= allowed:
-                return h, True
-        return None, True
-
-
-class TranslationDomain:
-    """The integers translating the integer line: fixed-point free."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def zone(self, radius):
-        return list(range(-radius, radius + 1))
-
-    def describe(self, x):
-        return x
-
-    def fixes(self, h, x):
-        return h.payload[0] == 0
-
-    def nontrivial_fixer_of(self, points, radius):
-        return None
-
-    def cofinite_fixer(self, excluded, bounds):
-        return None, True
 
 
 def stable_letter_count(g):
@@ -799,24 +757,25 @@ def prove_finite_index_by_walk(emb, max_radius):
 
 
 class ActCosetDomain:
-    """The coset action with h . (Sigma g) computed as the canonical
-    representative of Sigma g h^-1, and fixing tested by comparing it."""
+    """The coset action at one audit's bounds, in the shape of
+    ``hcf.CosetDomain``: h . (Sigma g) computed as the canonical
+    representative of Sigma g h^-1, fixing tested by comparing it, and
+    each fixer found by a walk over the whole witness ball."""
 
-    def __init__(self, emb):
+    def __init__(self, emb, bounds):
         self.emb = emb
-        self.group = emb.target
         self._act_cache = {}
         self.transversal = prove_finite_index_by_walk(emb, COSET_PROBE_RADIUS)
+        self.zone = self._cosets(bounds.point_radius)
+        self.sample = self._cosets(bounds.point_radius + 2)
+        self.radius = bounds.witness_radius
 
-    def zone(self, radius):
+    def _cosets(self, radius):
         if self.transversal is not None:
             reps = set(self.transversal)
         else:
-            reps = {self.emb.rep(g) for g in self.group.ball(radius)}
+            reps = {self.emb.rep(g) for g in self.emb.target.ball(radius)}
         return sorted(reps, key=lambda r: r.sort_key())
-
-    def describe(self, rep):
-        return str(rep)
 
     def act(self, h, rep):
         key = (h, rep)
@@ -826,23 +785,15 @@ class ActCosetDomain:
             self._act_cache[key] = out
         return out
 
-    def nontrivial_fixer_of(self, points, radius):
-        for h in self.group.iter_shortlex(radius):
-            if h.is_identity:
-                continue
-            if all(self.act(h, r) == r for r in points):
+    def nontrivial_fixer_of(self, points):
+        for h in self.emb.target.iter_shortlex(self.radius):
+            if not h.is_identity and all(self.act(h, r) == r for r in points):
                 return h
         return None
 
-    def cofinite_fixer(self, excluded, bounds):
-        exact = self.transversal is not None
-        sample = [r for r in self.zone(bounds.point_radius + 2) if r not in set(excluded)]
-        for h in self.group.iter_shortlex(bounds.witness_radius):
-            if h.is_identity:
-                continue
-            if all(self.act(h, r) == r for r in sample):
-                return h, exact
-        return None, exact
+    def cofinite_fixer(self, excluded):
+        excluded = set(excluded)
+        return self.nontrivial_fixer_of([r for r in self.sample if r not in excluded])
 
 
 def certify_structural_two_balls(emb, bounds=None):
@@ -1035,31 +986,29 @@ def replay_hcf_verdict(emb, verdict):
     return True
 
 
-def replay_highly_faithful_verdict(domain, verdict):
+def replay_highly_faithful_verdict(emb, verdict):
+    """A fail verdict's covering re-verified on the coset action of ``emb``
+    by decomposition: the coset space must be finite by a transversal found
+    by walking, each fixer nontrivial and fixing every coset of its piece
+    (a finite piece lists cosets as words of the target, a cofinite one
+    the cosets it leaves out), and the pieces must cover every coset."""
     if verdict.status != FAIL:
         return True
+    tgt = emb.target
     cov = verdict.evidence["covering"]
-    fixers = [parse_word(domain.group, w) for w in cov["fixers"]]
-    if any(f.is_identity for f in fixers):
+    fixers = [parse_word(tgt, w) for w in cov["fixers"]]
+    transversal = prove_finite_index_by_walk(emb, COSET_PROBE_RADIUS)
+    if transversal is None or len(fixers) != len(cov["pieces"]) or \
+            any(f.is_identity for f in fixers):
         return False
+    whole = set(transversal)
+    covered = set()
     for piece, fixer in zip(cov["pieces"], fixers):
         if "members" in piece:
-            pts = [_parse_domain_point(domain, m) for m in piece["members"]]
-            if not all(domain.fixes(fixer, x) for x in pts):
-                return False
+            pts = {emb.rep(parse_word(tgt, w)) for w in piece["members"]}
         else:
-            excluded = {_parse_domain_point(domain, m) for m in piece["complement_of"]}
-            _, exact = domain.cofinite_fixer(excluded, verdict.bounds)
-            if not exact:
-                return False
-            pts = [x for x in domain.zone(verdict.bounds.point_radius + 2)
-                   if x not in excluded]
-            if not all(domain.fixes(fixer, x) for x in pts):
-                return False
-    return True
-
-
-def _parse_domain_point(domain, value):
-    if isinstance(value, int):
-        return value
-    return domain.emb.rep(parse_word(domain.group, value))
+            pts = whole - {emb.rep(parse_word(tgt, w)) for w in piece["complement_of"]}
+        if any(emb.rep(r * fixer.inverse()) != r for r in pts):
+            return False
+        covered |= pts
+    return covered == whole

@@ -14,7 +14,7 @@ from hightrans.normal_forms import parse_word
 
 from conftest import problem_path, zoo
 import oracles
-from oracles import (PermutationDomain, affine_bs12, all_words, equivariance_by_evaluation,
+from oracles import (affine_bs12, all_words, equivariance_by_evaluation,
                      gset_instance_for_eset, hset_instance_for_gset, plain_level_action, psl2z_key,
                      replay_hcf_verdict, replay_highly_faithful_verdict, replay_steps,
                      search_G_set)
@@ -84,15 +84,15 @@ def test_criterion_4_negative_fixtures():
     assert sorted(v.evidence["covering"]["F"]) == ["1", "a"]
     assert replay_hcf_verdict(even, v)
 
-    dom = PermutationDomain(4)
-    w = hcf.audit_highly_faithful(dom)
+    stab = oracles.point_stabilizer_embedding()
+    w = hcf.audit_highly_faithful(stab)
     assert w.failed
-    assert w.evidence["covering"]["pieces"][0] == {"members": [0, 1]}
-    assert w.evidence["covering"]["pieces"][1] == {"complement_of": [0, 1]}
-    assert replay_highly_faithful_verdict(dom, w)
+    assert w.evidence["covering"]["pieces"] == [{"members": ["1", "s2"]},
+                                                {"complement_of": ["1", "s2"]}]
+    assert replay_highly_faithful_verdict(stab, w)
     report(4, "index-two subgroup fails with the single-piece covering and "
-              "the bounded permutation fixture fails with {0,1} | {k>=2}; "
-              "both counterexamples re-verify")
+              "S4 on the cosets of a point stabilizer fails with two cosets | "
+              "the other two; both counterexamples re-verify")
 
 
 def test_criterion_5_equivalence_cross_checks():

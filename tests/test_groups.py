@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -85,6 +86,20 @@ def test_ball_free2_radius_one(free2):
 def test_ball_integers_shortlex():
     z = oracles.integers()
     assert [e.payload for e in z.ball(2)] == [(0,), (1,), (-1,), (2,), (-2,)]
+
+
+def test_ball_of_integers_takes_memory_linear_in_the_radius():
+    # the ball of radius r in Z has 2r + 1 elements; a spelling cached on
+    # each while its layer is sorted would hold about r^2 ranks in all
+    def peak(radius):
+        tracemalloc.start()
+        try:
+            oracles.integers().ball(radius)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 6 * peak(1000)
 
 
 @pytest.mark.parametrize("label, group", fixture_group_params())

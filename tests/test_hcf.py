@@ -12,9 +12,8 @@ from hightrans.normal_forms import parse_word
 
 from conftest import zoo
 import oracles
-from oracles import (PermutationDomain, TranslationDomain, gset_instance_for_eset,
-                     hset_instance_for_gset, plain_level_action, replay_hcf_verdict,
-                     replay_highly_faithful_verdict, search_G_set)
+from oracles import (gset_instance_for_eset, hset_instance_for_gset, plain_level_action,
+                     replay_hcf_verdict, replay_highly_faithful_verdict, search_G_set)
 
 
 @pytest.fixture(scope="module")
@@ -251,33 +250,57 @@ def test_structural_flags_finite_index(even):
 
 
 def test_highly_faithful_translation_passes():
-    dom = TranslationDomain(oracles.integers())
-    assert hcf.audit_highly_faithful(dom).status == "pass"
+    # the cosets of the trivial subgroup of Z are Z translating itself
+    v = hcf.audit_highly_faithful(oracles.trivial_subgroup_embedding())
+    assert v.status == "pass"
+    assert v.evidence["zone"] == ["1", "a", "a^-1", "a^2", "a^-2"]
+
+
+def test_highly_faithful_normal_infinite_index_undecided():
+    # a fixes every coset of the first factor of Z^2, which has no transversal
+    v = hcf.audit_highly_faithful(oracles.first_factor_embedding())
+    assert v.status == "undecided"
+    assert v.evidence["candidates"][0]["covering"]["fixers"] == ["a"]
+
+
+def test_highly_faithful_three_points_pass():
+    # S3 on three points: the transposition of a pair of points fixes the
+    # third, but nothing nontrivial fixes the pair, so no covering counts
+    v = hcf.audit_highly_faithful(oracles.transposition_embedding())
+    assert v.status == "pass"
+    assert v.evidence["zone"] == ["1", "s1", "s1 s0"]
 
 
 def test_highly_faithful_perm_domain_fails():
-    dom = PermutationDomain(4)
-    v = hcf.audit_highly_faithful(dom)
+    # S4 permuting the four cosets of a point stabilizer
+    emb = oracles.point_stabilizer_embedding()
+    v = hcf.audit_highly_faithful(emb)
     assert v.failed
     cov = v.evidence["covering"]
-    assert cov["pieces"][0] == {"members": [0, 1]}
-    assert cov["pieces"][1] == {"complement_of": [0, 1]}
-    assert replay_highly_faithful_verdict(dom, v)
+    assert cov["pieces"] == [{"members": ["1", "s2"]}, {"complement_of": ["1", "s2"]}]
+    assert cov["fixers"] == ["s0", "s2"]
+    assert replay_highly_faithful_verdict(emb, v)
 
 
 def test_highly_faithful_perm_tamper_rejected():
-    dom = PermutationDomain(4)
-    v = hcf.audit_highly_faithful(dom)
+    emb = oracles.point_stabilizer_embedding()
+    v = hcf.audit_highly_faithful(emb)
     v.evidence["covering"]["fixers"][0] = "1"
-    assert not replay_highly_faithful_verdict(dom, v)
+    assert not replay_highly_faithful_verdict(emb, v)
+    # s0 moves the coset of s2 s1; s1 names the coset of 1, which s0 fixes,
+    # but then no piece holds the coset of s2
+    for member in ("s2 s1", "s1"):
+        v = hcf.audit_highly_faithful(emb)
+        v.evidence["covering"]["pieces"][0]["members"][1] = member
+        assert not replay_highly_faithful_verdict(emb, v)
 
 
 def test_highly_faithful_coset_cross_checks(comm, even):
     # condition-5 cross-check: the coset action mirrors the core audit
-    assert hcf.audit_highly_faithful(hcf.CosetDomain(comm)).status == "pass"
-    v = hcf.audit_highly_faithful(hcf.CosetDomain(even))
+    assert hcf.audit_highly_faithful(comm).status == "pass"
+    v = hcf.audit_highly_faithful(even)
     assert v.failed
-    assert replay_highly_faithful_verdict(hcf.CosetDomain(even), v)
+    assert replay_highly_faithful_verdict(even, v)
 
 
 # ---------------------------------------------------------------------------

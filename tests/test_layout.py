@@ -6,7 +6,9 @@ somewhere in ``src/`` or ``bench/`` other than its own definition and the
 package's re-exports: the command line and the benchmark are the users.
 A name that only the demos or the tests call belongs in
 ``tests/oracles.py`` (the demos drive the program's own paths instead),
-and a table nothing reads goes.
+and a table nothing reads goes.  Each top-level name of ``tests/oracles.py``
+in turn must be named in some file under ``tests/``, so that an oracle or
+test bed whose tests are gone goes with them.
 """
 
 import ast
@@ -57,14 +59,18 @@ def _module_assignments(tree):
                     yield node.lineno, name.id
 
 
+def _named(line_names):
+    return [(line, name) for line, name in line_names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         defined = [(node.lineno, node.name) for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        for line, name in defined + list(_module_assignments(tree)):
-            if not (name.startswith("__") and name.endswith("__")):
-                yield path.name, line, name
+        for line, name in _named(defined + list(_module_assignments(tree))):
+            yield path.name, line, name
 
 
 def test_every_definition_in_src_is_used_outside_tests():
@@ -75,3 +81,16 @@ def test_every_definition_in_src_is_used_outside_tests():
               if name not in used]
     assert not unused, "defined in src/ but used only by tests (move to tests/oracles.py " \
                        "or delete): " + ", ".join(unused)
+
+
+def test_every_top_level_name_in_oracles_is_used_by_the_tests():
+    oracles = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(oracles.read_text(), str(oracles))
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    used = set().union(*(_referenced_names(p) for p in sorted((ROOT / "tests").rglob("*.py"))))
+    unused = [f"oracles.py:{line} {name}"
+              for line, name in _named(defined + list(_module_assignments(tree)))
+              if name not in used]
+    assert not unused, "defined in tests/oracles.py but named by no test (delete): " + \
+        ", ".join(unused)
