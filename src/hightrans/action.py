@@ -189,25 +189,24 @@ class IntertwinerState:
 
         The batch must consist of fresh source orbits whose default images
         are exactly the target orbits (as a set), so the total map stays a
-        bijection.
+        bijection.  Three checks guard that: no source orbit is committed,
+        the sources are pairwise distinct, and the targets are their
+        default images.  Fresh and distinct targets follow: the default map
+        is a bijection on orbits, and the committed targets are the default
+        images of the committed sources, as every batch permutes them.
         """
         src_reps, dst_reps, default_reps = [], [], []
         for x0, y0 in pairs:
             if x0.owner is not self.gamma or y0.owner is not self.gamma:
                 raise OwnerMismatch("anchor points must live in the acting group")
             srep = self.src_orbit(x0)
-            drep = self.dst_orbit(y0)
             if srep in self.anchors:
                 raise StateError(f"source orbit of {x0!r} is already committed")
-            if drep in self.dst_index:
-                raise StateError(f"target orbit of {y0!r} is already committed")
             src_reps.append(srep)
-            dst_reps.append(drep)
+            dst_reps.append(self.dst_orbit(y0))
             default_reps.append(self.dst_orbit(self.default_image(x0)))
         if len(set(src_reps)) != len(src_reps):
             raise StateError("batch source orbits must be pairwise distinct")
-        if len(set(dst_reps)) != len(dst_reps):
-            raise StateError("batch target orbits must be pairwise distinct")
         if set(dst_reps) != set(default_reps):
             raise StateError("batch must permute the default images of its sources")
         for (x0, y0), srep, drep in zip(pairs, src_reps, dst_reps):

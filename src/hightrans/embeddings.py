@@ -48,6 +48,10 @@ class TrivialStrategy:
     def decompose(self, g):
         return (self.emb.source.identity(), g)
 
+    def index(self):
+        """Infinite in an infinite target; not known in a finite one."""
+        return None if self.emb.target.is_finite() else math.inf
+
 
 class FiniteImageStrategy:
     """Finite source: enumerate the whole image once."""
@@ -78,6 +82,10 @@ class FiniteImageStrategy:
         for m, s in mates:
             cache[m.payload] = (s * inv, best)
         return (inv, best)
+
+    def index(self):
+        """Infinite in an infinite target; not known in a finite one."""
+        return None if self.emb.target.is_finite() else math.inf
 
 
 class LatticeStrategy:
@@ -176,6 +184,12 @@ class LatticeStrategy:
         src = self.emb.source
         return (src.element_from_word(zip(src.labels, coords)), best)
 
+    def index(self):
+        """Infinite below full rank, else the determinant of the basis."""
+        if len(self.basis) < self.dim:
+            return math.inf
+        return math.prod(col[row] for row, col in zip(self.pivot_rows, self.basis))
+
 
 def _leading_periods(spelling, period):
     """How many whole copies of ``period`` the spelling begins with."""
@@ -253,12 +267,15 @@ class CyclicFreeStrategy:
         spelling, (best_p, best_k) = None, tied[0]
         if len(tied) > 1:
             spelling, best_p, best_k = min((tgt.spell(m), m, k) for m, k in tied)
-        best = Element(tgt, best_p)
-        best._spell = spelling
+        best = Element(tgt, best_p, spelling)
         cache = self.emb._decompose_cache
         for m, k in mates:
             cache[m] = (self._power(k - best_k)[1], best)
         return (self._power(-best_k)[1], best)
+
+    def index(self):
+        """Infinite in a free group of rank >= 2 (Lyndon-Schupp, ch. I)."""
+        return math.inf if self.emb.target.rank >= 2 else None
 
 
 class FactorStrategy:
@@ -305,6 +322,9 @@ class FactorStrategy:
             syls = ((self.side, x2),) + rest if not x2.is_identity else rest
             rep = Element(outer, (sig2, syls))
         return (s, rep)
+
+    def index(self):
+        return None
 
 
 class BoundedStrategy:
@@ -353,7 +373,11 @@ def _choose_strategy(emb):
 
 
 class Embedding:
-    """A monomorphism source -> target given by generator images."""
+    """A monomorphism source -> target given by generator images.
+
+    Membership, coset decomposition and the index of the image are
+    answered by ``strategy``, the procedure chosen for the (source,
+    target) kinds; the embedding caches images and decompositions only."""
 
     def __init__(self, name, source, target, images, check=True):
         self.name = name
@@ -413,31 +437,11 @@ class Embedding:
     def is_trivial(self):
         return isinstance(self.strategy, TrivialStrategy)
 
-    def infinite_index(self):
-        """True only when the membership strategy proves infinite index.
-
-        A finite image in an infinite group, a nontrivial cyclic subgroup of a
-        free group of rank >= 2 (Lyndon-Schupp, ch. I), and a lattice of
-        rank below the target's rank all have infinite index.  False means
-        only "not proved here".
-        """
-        s, tgt = self.strategy, self.target
-        if isinstance(s, (TrivialStrategy, FiniteImageStrategy)):
-            return not tgt.is_finite()
-        if isinstance(s, CyclicFreeStrategy):
-            return tgt.rank >= 2
-        if isinstance(s, LatticeStrategy):
-            return len(s.basis) < tgt.rank
-        return False
-
-    def finite_index(self):
-        """The index of the image when the membership strategy knows it
-        exactly, else None: a full-rank lattice has index the product of
-        its pivots (the determinant of its echelon basis)."""
-        s = self.strategy
-        if isinstance(s, LatticeStrategy) and len(s.basis) == self.target.rank:
-            return math.prod(col[row] for row, col in zip(s.pivot_rows, s.basis))
-        return None
+    def index(self):
+        """The index of the image as its membership strategy knows it:
+        ``math.inf`` when proved infinite, an int when known exactly, and
+        None when not known."""
+        return self.strategy.index()
 
     # -- construction-time sanity -------------------------------------------
 

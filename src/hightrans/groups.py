@@ -51,11 +51,11 @@ class Element:
 
     __slots__ = ("owner", "payload", "_hash", "_spell")
 
-    def __init__(self, owner, payload):
+    def __init__(self, owner, payload, spelling=None):
         self.owner = owner
         self.payload = payload
         self._hash = None
-        self._spell = None
+        self._spell = spelling
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -121,12 +121,22 @@ class Element:
         return format_word(self.word())
 
 
-def syllables(ranks, names):
+def ranks(syls, offset=0):
+    """The spelling of (i, exponent) syllables as a tuple of alphabet ranks,
+    offset by ``offset``: |exponent| copies of rank 2i, or of 2i + 1 for a
+    negative exponent; ``syllables`` merges ranks back into syllables."""
+    out = []
+    for i, exp in syls:
+        out.extend([offset + 2 * i if exp > 0 else offset + 2 * i + 1] * abs(exp))
+    return tuple(out)
+
+
+def syllables(spelling, names):
     """Alphabet ranks merged into (names[i], exponent) syllables, one per run
     of equal ranks; rank 2i is generator i and rank 2i + 1 its inverse."""
     out = []
     last = None
-    for rank in ranks:
+    for rank in spelling:
         if rank == last:
             name, exp = out[-1]
             out[-1] = (name, exp - 1 if rank & 1 else exp + 1)
@@ -467,11 +477,7 @@ class FreeAbelianGroup(Group):
         return tuple(-a for a in p)
 
     def spell(self, p):
-        out = []
-        for i, v in enumerate(p):
-            rank = 2 * i if v > 0 else 2 * i + 1
-            out.extend([rank] * abs(v))
-        return tuple(out)
+        return ranks(enumerate(p))
 
     def _shortlex_layers(self):
         """Layer d is the l1-sphere of radius d, sorted by spellings that are
@@ -527,11 +533,7 @@ class FreeGroup(Group):
         return tuple((gen, -exp) for gen, exp in reversed(p))
 
     def spell(self, p):
-        out = []
-        for gen, exp in p:
-            rank = 2 * gen if exp > 0 else 2 * gen + 1
-            out.extend([rank] * abs(exp))
-        return tuple(out)
+        return ranks(p)
 
     def generator(self, label):
         i = self._index(label)
@@ -638,12 +640,7 @@ class SemidirectGroup(Group):
 
     def spell(self, p):
         q, v = p
-        out = list(self.q_group.spell(q))
-        off = 2 * len(self.q_group.labels)
-        for i, c in enumerate(v):
-            rank = off + 2 * i if c > 0 else off + 2 * i + 1
-            out.extend([rank] * abs(c))
-        return tuple(out)
+        return self.q_group.spell(q) + ranks(enumerate(v), 2 * len(self.q_group.labels))
 
     def _shortlex_layers(self):
         """(q, v) has length |word(q)| + |v|_1, so layer d holds, for each q
@@ -677,11 +674,6 @@ def _sequence_layers(group, pieces, fits):
     leads and the syllables of length k, each with its spelling."""
     one, layers, leads, syllables = group.identity_payload[0], [[group.identity()]], [], []
 
-    def spelled(payload, spelling):
-        x = Element(group, payload)
-        x._spell = spelling
-        return x
-
     for d in count(1):
         yield layers[-1]
         more_leads, more_syllables = pieces(d)
@@ -691,10 +683,11 @@ def _sequence_layers(group, pieces, fits):
         for j in range(d):
             seqs = [y for y in layers[j] if y.payload[0] == one]
             for syl, spelling in syllables[d - 1 - j]:
-                layer.extend(spelled((one, (syl,) + y.payload[1]), spelling + y.spelling())
+                layer.extend(Element(group, (one, (syl,) + y.payload[1]), spelling + y.spelling())
                              for y in seqs if fits(syl, y.payload[1]))
             for lead, spelling in leads[d - 1 - j]:
-                layer.extend(spelled((lead, y.payload[1]), spelling + y.spelling()) for y in seqs)
+                layer.extend(Element(group, (lead, y.payload[1]), spelling + y.spelling())
+                             for y in seqs)
         layer.sort(key=Element.spelling)
         layers.append(layer)
 

@@ -12,8 +12,8 @@ Verdicts therefore come in three flavours:
                   e.g. the finite-index pattern with a complete transversal
                   and the single piece {1};
   * ``undecided`` -- a search ran out of radius, or a cofinite fixer is
-                  only bounded; the evidence records the covering shape
-                  that a genuine failure would produce.
+                  only bounded; the evidence gives the reason, with the
+                  tuple an exhausted search failed on or the coverings found.
 
 All evidence re-verifies by direct evaluation; the test suite's oracles
 replay it, and no command does.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import defaultdict
 
 from .problem import AuditBounds
@@ -163,7 +164,7 @@ def search_E_set(action, xs, F, radius, protected, cursor):
     start, blocked = cursor.position, cursor.blocked
     walk = action.group.walk_shortlex
     coset_rep = action.edge.rep
-    index = action.edge.finite_index()
+    index = action.edge.index()
     failed = set()
     for d, i, h in itertools.chain(walk(start, max_radius=radius),
                                    walk(stop=start, max_radius=radius)):
@@ -203,7 +204,7 @@ def prove_finite_index(emb, max_radius):
     transversal (induction on word length), which proves finite index
     exactly.
     """
-    if emb.infinite_index():
+    if emb.index() == math.inf:
         return None
     tgt = emb.target
     reps = []
@@ -266,25 +267,12 @@ def audit_hcf(emb, bounds=None):
             return AuditVerdict(UNDECIDED, bounds, {
                 "reason": "H-set witness search exhausted",
                 "failed_tuple": [names[x] for x in combo],
-                "covering_shape": _conjugation_covering_shape(emb, combo, ball, bounds),
             })
         witnesses.append({"tuple": [names[x] for x in combo], "witness": str(h)})
     return AuditVerdict(PASS, bounds, {
         "protected_radius": bounds.point_radius,
         "witnesses": witnesses,
     })
-
-
-def _conjugation_covering_shape(emb, xs, F, bounds):
-    """The covering a genuine failure would produce: F' = union of F x_i^-1
-    and pieces S_k = {h : h x_k h^-1 in Sigma}, listed at the bound."""
-    f2 = dict.fromkeys(f * x.inverse() for f in F for x in xs)
-    pieces = []
-    for x in xs:
-        members = [str(h) for h in emb.target.ball(bounds.witness_radius)
-                   if emb.contains(h * x * h.inverse())]
-        pieces.append({"conjugation_locus_of": str(x), "members_at_bound": members})
-    return {"F": [str(f) for f in f2], "pieces": pieces}
 
 
 def audit_highly_faithful(emb, bounds=None):

@@ -140,6 +140,53 @@ def test_commit_batch_rejects_recommit(amalgam_state):
         amalgam_state.commit_batch([(x, x)])
 
 
+@pytest.fixture(params=["amalgam_state", "hnn_state"])
+def any_state(request):
+    return request.getfixturevalue(request.param)
+
+
+def _hostile_points(state):
+    """x and y in distinct source orbits, and x2 != x in the orbit of x."""
+    gamma = state.gamma
+    x = gamma.element_from_word([(gamma.labels[0], 1)])
+    y = gamma.element_from_word([(gamma.labels[1], 1)])
+    x2 = state.sigma_src.apply(state.sigma_src.source.generators()[0]) * x
+    assert state.src_orbit(x) != state.src_orbit(y)
+    assert x2 != x and state.src_orbit(x2) == state.src_orbit(x)
+    return x, y, x2
+
+
+def test_commit_batch_rejects_a_committed_target_orbit(any_state):
+    """The target orbit of a committed pair is the default image of a
+    committed source, so no fresh source has it as its default image."""
+    x, y, _ = _hostile_points(any_state)
+    any_state.commit_batch([(x, any_state.default_image(x))])
+    before = dict(any_state.anchors)
+    with pytest.raises(StateError, match="permute"):
+        any_state.commit_batch([(y, any_state.default_image(x))])
+    assert any_state.anchors == before
+
+
+def test_commit_batch_rejects_one_source_orbit_twice(any_state):
+    """Two sources in one orbit have one default image between them: only
+    the distinct-sources check sees the batch."""
+    x, _, x2 = _hostile_points(any_state)
+    with pytest.raises(StateError, match="source orbits must be pairwise distinct"):
+        any_state.commit_batch([(x, any_state.default_image(x)),
+                                (x2, any_state.default_image(x))])
+    assert not any_state.anchors
+
+
+def test_commit_batch_rejects_one_target_orbit_twice(any_state):
+    """Distinct sources have distinct default images, so two targets in one
+    orbit cannot be them as a set."""
+    x, y, _ = _hostile_points(any_state)
+    with pytest.raises(StateError, match="permute"):
+        any_state.commit_batch([(x, any_state.default_image(x)),
+                                (y, any_state.default_image(x))])
+    assert not any_state.anchors
+
+
 def test_evaluate_pi_identity_and_untouched(amalgam_state, rng):
     surface = amalgam_state.gamma
     for _ in range(50):

@@ -6,7 +6,7 @@ evidence of the walking prover, the decomposing coset action, the
 two-ball certificate and the H-set search by walk in ``oracles.py``.
 """
 
-from math import gcd
+from math import gcd, inf
 from unittest import mock
 
 import pytest
@@ -202,16 +202,16 @@ def test_coset_action_audit_asks_each_h_about_few_cosets(monkeypatch):
 
 
 def test_infinite_index_examples():
-    assert oracles.commutator_subgroup_embedding().infinite_index()
-    assert oracles.primitive_cyclic_embedding().infinite_index()
-    assert zoo("gaussian-hnn").embeddings["units"].infinite_index()
-    assert oracles.trivial_subgroup_embedding().infinite_index()
-    assert not oracles.even_integers_embedding().infinite_index()
-    assert not oracles.improper_embedding().infinite_index()
+    assert oracles.commutator_subgroup_embedding().index() == inf
+    assert oracles.primitive_cyclic_embedding().index() == inf
+    assert zoo("gaussian-hnn").embeddings["units"].index() == inf
+    assert oracles.trivial_subgroup_embedding().index() == inf
+    assert oracles.even_integers_embedding().index() == 2
+    assert oracles.improper_embedding().index() == 1
 
 
 # ---------------------------------------------------------------------------
-# random embeddings: a transversal found by walking refutes infinite_index()
+# random embeddings: a transversal found by walking refutes an infinite index()
 
 
 _WALK_RADIUS = 4
@@ -268,9 +268,9 @@ embeddings = st.one_of(
 def test_found_transversal_refutes_infinite_index(emb):
     transversal = oracles.prove_finite_index_by_walk(emb, _WALK_RADIUS)
     if transversal is not None:
-        assert not emb.infinite_index()
+        assert emb.index() in (None, len(transversal))
     if isinstance(emb.strategy, LatticeStrategy) and len(emb.strategy.basis) == emb.target.rank:
-        assert not emb.infinite_index()
+        assert type(emb.index()) is int
     assert hcf.prove_finite_index(emb, _WALK_RADIUS) == transversal
 
 

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 from collections import Counter
@@ -461,3 +462,57 @@ def test_orbit_reps_match_the_embedding(name, monkeypatch):
     with shortlex_first_rule():
         run_schedule(EngineProblem(gamma), Budget(steps=200), name)
     assert set(queried) == {gamma.kind} and queried[gamma.kind] > 10_000
+
+
+def _detached(state):
+    """A copy of ``state`` whose commits leave the original as it was."""
+    twin = copy.copy(state)
+    twin.anchors, twin.dst_index = dict(state.anchors), dict(state.dst_index)
+    return twin
+
+
+@pytest.mark.parametrize("name", ["pi1-sigma2", "theta", "free2-hnn"])
+def test_a_committed_batch_carries_its_tuple(name):
+    """Witnesses off the search's path: with each witness of each
+    transitivity step of a 40-step build replaced by each other element of
+    its factor's ball(1), the step either rejects its batch or carries xs
+    to ys, and the certificate cut after that step, recording the rebuilt
+    mover, verifies.  So far a committed batch implies the mover check of
+    ``transitivity_step``, which stays as the builder's fault detector."""
+    problem = EngineProblem(zoo(name).build_group()[0])
+    gamma, steps = problem.gamma, 40
+    cert = run_schedule(problem, Budget(steps=steps), name)
+    payloads = {head["index"]: payload for head, payload in engine._schedule(problem, steps)}
+    state = problem.new_state()
+    outcomes = Counter()
+    before = _detached(state)
+    for step, result in replay_steps(problem, state, cert):
+        assert result == (True, "ok")
+        if step["kind"] == "transitivity":
+            _, xs, ys = payloads[step["index"]]
+            zs = [parse_word(gamma, z) for z in step["zs"]]
+            chosen = {key: parse_word(getattr(gamma, factor), step["witnesses"][key])
+                      for key, factor in engine._WITNESS_FACTORS[problem.mode]}
+            for key, factor in engine._WITNESS_FACTORS[problem.mode]:
+                for w in getattr(gamma, factor).ball(1):
+                    if w == chosen[key]:
+                        continue
+                    trial = _detached(before)
+                    try:
+                        mover, _ = engine.transitivity_step(
+                            problem, trial, xs, ys, {**chosen, key: w}, zs)
+                    except engine.EngineError as exc:
+                        assert str(exc).startswith("batch rejected: ")
+                        outcomes["rejected"] += 1
+                        continue
+                    assert all(evaluate_pi(trial, mover, x) == y for x, y in zip(xs, ys))
+                    entry = {**step, "witnesses": {**step["witnesses"], key: str(w)},
+                             "mover": str(mover)}
+                    cut = {**cert, "budget": {**cert["budget"], "steps": step["index"] + 1},
+                           "steps": [s for s in cert["steps"] if s["index"] < step["index"]]
+                           + [entry],
+                           "deferred": [d for d in cert["deferred"] if d["index"] < step["index"]]}
+                    assert verify_certificate_report(gamma, cut) == (True, "ok")
+                    outcomes["committed"] += 1
+        before = _detached(state)
+    assert outcomes["rejected"] and outcomes["committed"], outcomes

@@ -8,7 +8,9 @@ A name that only the demos or the tests call belongs in
 ``tests/oracles.py`` (the demos drive the program's own paths instead),
 and a table nothing reads goes.  Each top-level name of ``tests/oracles.py``
 in turn must be named in some file under ``tests/``, so that an oracle or
-test bed whose tests are gone goes with them.
+test bed whose tests are gone goes with them.  And an object's private
+attributes are its own: no statement in ``src/`` assigns a
+single-underscore attribute of anything but ``self``.
 """
 
 import ast
@@ -94,3 +96,14 @@ def test_every_top_level_name_in_oracles_is_used_by_the_tests():
               if name not in used]
     assert not unused, "defined in tests/oracles.py but named by no test (delete): " + \
         ", ".join(unused)
+
+
+def test_private_attributes_are_assigned_only_on_self():
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and node.attr.startswith("_") and not node.attr.startswith("__") \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                foreign.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not foreign, "a private attribute assigned on another object: " + ", ".join(foreign)
