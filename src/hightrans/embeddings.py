@@ -49,7 +49,8 @@ class TrivialStrategy:
         return (self.emb.source.identity(), g)
 
     def index(self):
-        """Infinite in an infinite target; not known in a finite one."""
+        """A finite image: infinite in an infinite target, not known in a
+        finite one."""
         return None if self.emb.target.is_finite() else math.inf
 
 
@@ -83,9 +84,7 @@ class FiniteImageStrategy:
             cache[m.payload] = (s * inv, best)
         return (inv, best)
 
-    def index(self):
-        """Infinite in an infinite target; not known in a finite one."""
-        return None if self.emb.target.is_finite() else math.inf
+    index = TrivialStrategy.index
 
 
 class LatticeStrategy:

@@ -148,6 +148,7 @@ def test_finite_index_is_the_size_of_a_transversal(name):
 
 @pytest.mark.parametrize("name", sorted(INFINITE_INDEX))
 def test_finite_index_is_none_on_infinite_index(name):
+    """No finite index is claimed where the index is proved infinite."""
     emb = INFINITE_INDEX[name]
     assert emb.index() == math.inf
 

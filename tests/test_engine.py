@@ -477,8 +477,9 @@ def test_a_committed_batch_carries_its_tuple(name):
     transitivity step of a 40-step build replaced by each other element of
     its factor's ball(1), the step either rejects its batch or carries xs
     to ys, and the certificate cut after that step, recording the rebuilt
-    mover, verifies.  So far a committed batch implies the mover check of
-    ``transitivity_step``, which stays as the builder's fault detector."""
+    mover, verifies.  On these trials a committed batch implies the mover
+    check of ``transitivity_step``, which stays as the builder's fault
+    detector."""
     problem = EngineProblem(zoo(name).build_group()[0])
     gamma, steps = problem.gamma, 40
     cert = run_schedule(problem, Budget(steps=steps), name)
