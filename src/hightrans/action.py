@@ -119,7 +119,7 @@ class IntertwinerState:
         self.anchors = {}
         self.dst_index = {}
         # a shortlex position of Gamma before which every point is a
-        # non-representative or a committed orbit (anchors only grow)
+        # non-representative or a committed orbit (anchors only grow between steps)
         self.fresh_from = (0, 0)
         # the builder's witness-search cursors, one per LevelAction
         self.cursors = {}
@@ -212,6 +212,12 @@ class IntertwinerState:
         for (x0, y0), srep, drep in zip(pairs, src_reps, dst_reps):
             self.anchors[srep] = (x0, y0)
             self.dst_index[drep] = (x0, y0)
+
+    def undo(self, size):
+        """Pop both views back to ``size`` anchors, newest first."""
+        while len(self.anchors) > size:
+            self.anchors.popitem()
+            self.dst_index.popitem()
 
     def check_equivariance(self, pairs):
         """The equivariance law at the given anchor pairs; exact.  With x0 =

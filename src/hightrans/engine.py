@@ -22,10 +22,11 @@ ball is exhausted does it defer the requirement, with a diagnostic instead
 of failing the run, which is exactly the observable trace of a misjudged
 core-freeness hypothesis.
 
-States only ever extend.  Postcondition replays pin every default orbit
-they touch, so once a requirement is discharged it holds in all later
-states.  A certificate records only the choices of each step: the
-witnesses and fresh classes of a transitivity step, the witness point of a
+States only ever extend between steps: a faithfulness candidate that pi(g)
+fixes has its pins undone at once.  Postcondition replays pin every default
+orbit they touch, so once a requirement is discharged it holds in all later
+states.  A certificate records only the choices of each step: the witnesses
+and fresh classes of a transitivity step, the witness point of a
 faithfulness step, and the mover or image that the step claims.  One step
 function per kind applies the choices to the state, and one function per
 kind writes the entry.  The builder searches for the choices and calls
@@ -225,16 +226,19 @@ def extend_transitivity(problem, state, xs, ys, witness_radius):
 
 def ensure_faithful(problem, state, g, witness_radius):
     """The shortlex-first point x of the ball with pi(g) x != x, and its
-    image, which ``faithfulness_step`` makes permanent.  Candidates are
-    evaluated without pinning, so only the witness's own evaluation commits
-    anything and a replay of the witness alone rebuilds the same state."""
+    image, which ``faithfulness_step`` makes permanent.  Each candidate is
+    tried through it, and the pins of one that pi(g) fixes are undone, so a
+    replay of the witness alone rebuilds the same state."""
     if g.owner is not problem.gamma:
         raise ValueError("the element must live in the acting group")
     if g.is_identity:
         raise ValueError("faithfulness witnesses exist only for nontrivial elements")
     for x in problem.gamma.iter_shortlex(witness_radius):
-        if evaluate_pi(state, g, x) != x:
+        size = len(state.anchors)
+        try:
             return x, faithfulness_step(state, g, x)
+        except EngineError:
+            state.undo(size)
     raise EngineError(f"pi({g}) fixes every point within radius {witness_radius}")
 
 

@@ -120,8 +120,8 @@ def search_H_set(emb, xs, radius, memo):
 class SearchCursor:
     """Where a run's next witness search over one group starts: a
     (layer, index) position in the group's cached shortlex layers; and
-    ``blocked``, the pairs (h, x) whose orbit of h x a search found in the
-    protected container.
+    ``blocked``, keyed by candidate h, the set of points x whose orbit of
+    h x a search found in the protected container.
 
     A cursor serves one protected container, which may only grow, so a
     pair once blocked stays blocked and later searches fail it without
@@ -131,7 +131,7 @@ class SearchCursor:
 
     def __init__(self):
         self.position = (0, 0)
-        self.blocked = set()
+        self.blocked = defaultdict(set)
 
 
 def search_E_set(action, xs, F, radius, protected, cursor):
@@ -156,7 +156,8 @@ def search_E_set(action, xs, F, radius, protected, cursor):
     failed element of its coset.  Coset keys are computed only after the
     first failure, and once every coset of a finite-index edge has failed
     the walk stops.  A candidate fails at its first point that fails, and
-    without acting when the cursor has a pair (h, x) of it blocked.
+    without acting when the cursor has one of the points blocked under h:
+    one memo probe per candidate.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("E-set tuples live off the large diagonal")
@@ -172,12 +173,13 @@ def search_E_set(action, xs, F, radius, protected, cursor):
             key = coset_rep(h)
             if key in failed:
                 continue
-        if all((h, x) not in blocked for x in xs):
+        stuck = blocked.get(h)
+        if stuck is None or stuck.isdisjoint(xs):
             reps = set()
             for x in xs:
                 r = action.orbit_rep(action.act(h, x))
                 if r in protected:
-                    blocked.add((h, x))
+                    blocked[h].add(x)
                     break
                 if r in f_reps or r in reps:
                     break

@@ -187,6 +187,20 @@ def test_commit_batch_rejects_one_target_orbit_twice(any_state):
     assert not any_state.anchors
 
 
+def test_undo_pops_the_pins_since_a_size_in_both_views(any_state):
+    """The pins of a commit-mode evaluation go, newest first, and what was
+    committed before stays, item for item and in order, in both views."""
+    gamma = any_state.gamma
+    x, y, _ = _hostile_points(any_state)
+    any_state.commit_batch([(x, any_state.default_image(x))])
+    snapshot = list(any_state.anchors.items()), list(any_state.dst_index.items())
+    g = gamma.element_from_word([(label, 1) for label in gamma.labels] * 2)
+    evaluate_pi(any_state, g, y, commit=True)
+    assert len(any_state.anchors) >= len(snapshot[0]) + 2
+    any_state.undo(len(snapshot[0]))
+    assert (list(any_state.anchors.items()), list(any_state.dst_index.items())) == snapshot
+
+
 def test_evaluate_pi_identity_and_untouched(amalgam_state, rng):
     surface = amalgam_state.gamma
     for _ in range(50):

@@ -155,6 +155,101 @@ def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypa
         ensure_faithful(surface_problem, state, surface_problem.gamma.generator("a1"), 2)
 
 
+def views(state):
+    """Both views of the committed anchors, item for item and in order."""
+    return list(state.anchors.items()), list(state.dst_index.items())
+
+
+def test_ensure_faithful_undoes_the_pins_of_a_fixed_candidate(surface_problem, monkeypatch):
+    """A first candidate that pins orbits, a fresh one among them, and is
+    then found fixed leaves no pin behind: the state ends as a copy on
+    which only ``faithfulness_step`` at the witness ran."""
+    gamma = surface_problem.gamma
+    g = gamma.generator("a2")
+    far = gamma.element_from_word([("b1", 3), ("a2", 2)])
+    state, copy_ = surface_problem.new_state(), surface_problem.new_state()
+    for s in (state, copy_):
+        extend_transitivity(surface_problem, s, [gamma.identity()], [gamma.generator("b2")],
+                            RADIUS)
+    step, tried = engine.faithfulness_step, []
+
+    def pin_then_fix(state, g, x):
+        tried.append(x)
+        if len(tried) > 1:
+            return step(state, g, x)
+        size = len(state.anchors)
+        state.evaluate(far, commit=True)
+        step(state, g, x)
+        assert len(state.anchors) > size + 1
+        raise engine.EngineError("the element fixes the witness point")
+
+    monkeypatch.setattr(engine, "faithfulness_step", pin_then_fix)
+    witness, image = ensure_faithful(surface_problem, state, g, RADIUS)
+    assert len(tried) == 2 and witness == tried[1]
+    assert step(copy_, g, witness) == image
+    assert state.src_orbit(far) not in copy_.anchors
+    assert views(state) == views(copy_)
+
+
+@pytest.mark.parametrize("name", ["z-star-z", "z2-z3", "planted-finite-vertex"])
+def test_a_ball_that_pi_fixes_leaves_the_state_unchanged(name, monkeypatch):
+    """In a 200-step build, wherever pi(g) fixes the identity, every point
+    of the ball below its first moved point is a candidate that pi(g)
+    fixes: ensure_faithful over that ball raises and leaves both views as
+    they were.  The witness is the first moved point found by evaluating
+    without pinning."""
+    problem = EngineProblem(zoo(name).build_group()[0])
+    real, fixed_balls = engine.ensure_faithful, []
+
+    def checked(problem, state, g, radius):
+        first = next(x for x in problem.gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
+        if not first.is_identity:
+            before = views(state)
+            with pytest.raises(engine.EngineError, match="fixes every point"):
+                real(problem, state, g, first.length() - 1)
+            assert views(state) == before
+            fixed_balls.append(first.length())
+        witness, image = real(problem, state, g, radius)
+        assert witness == first
+        return witness, image
+
+    monkeypatch.setattr(engine, "ensure_faithful", checked)
+    run_schedule(problem, Budget(steps=200), name)
+    assert fixed_balls
+
+
+@pytest.mark.parametrize("name", ["z-star-z", "z2-z3", "planted-finite-vertex"])
+def test_ensure_faithful_evaluates_each_candidate_once(name, monkeypatch):
+    """Inside ensure_faithful, pi is evaluated once per candidate tried,
+    the witness's own pinned evaluation included, in a 200-step build:
+    as many calls as the witnesses' shortlex positions, counted from 1."""
+    problem = EngineProblem(zoo(name).build_group()[0])
+    gamma = problem.gamma
+    real_faithful, real_evaluate = engine.ensure_faithful, engine.evaluate_pi
+    inside, calls, witnesses = [False], [0], []
+
+    def counting_evaluate(*args, **kw):
+        calls[0] += inside[0]
+        return real_evaluate(*args, **kw)
+
+    def counting_faithful(*args):
+        inside[0] = True
+        try:
+            witness, image = real_faithful(*args)
+        finally:
+            inside[0] = False
+        witnesses.append(witness)
+        return witness, image
+
+    monkeypatch.setattr(engine, "evaluate_pi", counting_evaluate)
+    monkeypatch.setattr(engine, "ensure_faithful", counting_faithful)
+    run_schedule(problem, Budget(steps=200), name)
+    positions = [next(k for k, x in enumerate(gamma.iter_shortlex(), 1) if x == w)
+                 for w in witnesses]
+    assert len(witnesses) == 100 and sum(positions) > len(witnesses)
+    assert calls[0] == sum(positions)
+
+
 def test_budget_zero_is_empty():
     cert = run_schedule(EngineProblem(zoo("z-star-z").build_group()[0]), Budget(steps=0), "empty")
     assert cert["steps"] == [] and cert["deferred"] == []

@@ -79,6 +79,39 @@ def test_cursor_search_agrees_with_the_shortlex_oracle(case):
     assert got == h and cursor.position == (d, i + 1)
 
 
+@st.composite
+def search_runs(draw):
+    """Searches on one action and radius, as the engine makes them: the
+    tuples and F vary, and the protected orbits only grow."""
+    action = draw(st.sampled_from(ACTIONS))
+    points = st.sampled_from(action.group.ball(2))
+    runs = [(draw(st.lists(points, min_size=1, max_size=3, unique=True)),
+             draw(st.lists(points, max_size=4)),
+             {action.orbit_rep(p) for p in draw(st.lists(points, max_size=4))})
+            for _ in range(draw(st.integers(2, 6)))]
+    return action, draw(st.integers(0, 3)), runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_runs())
+def test_one_cursor_across_searches_agrees_with_the_wrapped_ball(case):
+    """The memo of blocked points that one cursor carries from search to
+    search skips no candidate that the current tuple would accept."""
+    action, radius, runs = case
+    cursor, protected = hcf.SearchCursor(), set()
+    for xs, F, grown in runs:
+        protected |= grown
+        start = cursor.position
+        got = hcf.search_E_set(action, xs, F, radius, protected, cursor)
+        expected = next(((pos, h) for pos, h in _wrapped_ball(action.group, radius, start)
+                         if _e_set_ok(action, h, xs, F, protected)), None)
+        if expected is None:
+            assert got is None and cursor.position == start
+        else:
+            (d, i), h = expected
+            assert got == h and cursor.position == (d, i + 1)
+
+
 def test_a_fresh_cursor_gives_the_shortlex_first_witness():
     action = ACTIONS[-1]
     xs = [action.group.identity()]
