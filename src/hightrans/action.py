@@ -112,6 +112,7 @@ class IntertwinerState:
         self.sigma_src = sigma_src
         self.sigma_dst = sigma_dst
         self.stable = gamma.stable() if self.mode == "hnn" else None
+        self.stable_inv = self.stable.inverse() if self.mode == "hnn" else None
         self.src_split = orbit_map(sigma_src)
         self.dst_split = orbit_map(sigma_dst)
         self.src_orbit = orbit_rep_map(sigma_src)
@@ -129,7 +130,7 @@ class IntertwinerState:
     def twist(self, s):
         if self.mode == "amalgam":
             return s
-        return self.stable * s * self.stable.inverse()
+        return self.stable * s * self.stable_inv
 
     def default_image(self, x):
         """t . x in hnn mode, x itself in amalgam mode."""
@@ -140,7 +141,7 @@ class IntertwinerState:
     def default_preimage(self, x):
         if self.mode == "amalgam":
             return x
-        return self.stable.inverse() * x
+        return self.stable_inv * x
 
     # -- evaluation -----------------------------------------------------------
 

@@ -9,7 +9,7 @@ procedure chosen from the (source, target) kinds:
   * free-abelian target: integer lattice arithmetic (column echelon form);
   * infinite-cyclic source in a free target: an exact letter-length
     formula for membership, and the least coset element among three
-    powers read off the free reduction;
+    powers read off the free reduction, all on letter strings;
   * subgroup of one factor of a composite target: peel the normal form and
     recurse into the factor.
 
@@ -190,10 +190,10 @@ class LatticeStrategy:
         return math.prod(col[row] for row, col in zip(self.pivot_rows, self.basis))
 
 
-def _leading_periods(spelling, period):
-    """How many whole copies of ``period`` the spelling begins with."""
+def _leading_periods(word, period):
+    """How many whole copies of ``period`` the word begins with."""
     n, m = len(period), 0
-    while spelling[m * n:(m + 1) * n] == period:
+    while word.startswith(period, m * n):
         m += 1
     return m
 
@@ -207,23 +207,21 @@ class CyclicFreeStrategy:
     distance from g's projection onto the axis of c to the orbit point of
     c^-k, plus the distance from g to that axis (Serre, *Trees*, I.6), so
     the shortlex-minimal coset element is one of three powers, read off
-    the free reduction of u^-1 g.
+    the free reduction of u^-1 g.  A free payload is its letter string, so
+    every length, period and comparison here reads the payload.
     """
 
     def __init__(self, emb):
         self.emb = emb
-        sp = emb.images[0].spelling()
-        lo, hi = 0, len(sp) - 1
-        while lo < hi and sp[lo] == sp[hi] ^ 1:
+        p = emb.images[0].payload
+        lo, hi = 0, len(p) - 1
+        while lo < hi and ord(p[lo]) ^ ord(p[hi]) == 1:
             lo, hi = lo + 1, hi - 1
         tgt = emb.target
-        self.u = tgt.element_from_word(groups.syllables(sp[:lo], tgt.labels))
-        self.core = tgt.element_from_word(groups.syllables(sp[lo:hi + 1], tgt.labels))
+        self.u, self.core = Element(tgt, p[:lo]), Element(tgt, p[lo:hi + 1])
         self.len_u, self.len_core = lo, hi + 1 - lo
-        self._u_inv = self.u.inverse()
-        self._core_spell = self.core.spelling()
-        self._core_inv_spell = self.core.inverse().spelling()
-        self._heads = {sp[0], sp[-1] ^ 1}   # c^k begins as c or c^-1 does
+        self._u_inv, self._core_inv = self.u.inverse(), self.core.inverse().payload
+        self._heads = {p[0], chr(ord(p[-1]) ^ 1)}   # c^k begins as c or c^-1 does
         self._powers = {}
 
     def _power(self, k):
@@ -236,13 +234,13 @@ class CyclicFreeStrategy:
         return out
 
     def contains(self, g):
-        """A letter length is the sum of |exponent| over the payload."""
+        """The letter length is the payload's length."""
         p = g.payload
         if not p:
             return True
-        if 2 * p[0][0] + (p[0][1] < 0) not in self._heads:
+        if p[0] not in self._heads:
             return False
-        rem = sum(abs(exp) for _, exp in p) - 2 * self.len_u
+        rem = len(p) - 2 * self.len_u
         if rem <= 0 or rem % self.len_core:
             return False
         k = rem // self.len_core
@@ -253,20 +251,16 @@ class CyclicFreeStrategy:
         when u^-1 g begins with m whole periods of d^-1 and -m when it
         begins with m of d: c^k0 g = u h' with h' beginning with neither
         d nor d^-1, so g's projection onto the axis lies within one period
-        of the orbit point of c^-k0.  A mate's letter length is its sum of
-        |exponent|; only mates tied at the least are spelled, so the order
-        stays shortlex.  The others are cached as (gen^(k - best_k), best)."""
+        of the orbit point of c^-k0.  The three mates are distinct, and
+        (len, payload) is their shortlex key.  Each is cached as
+        (gen^(k - best_k), best)."""
         tgt = self.emb.target
-        h = tgt.spell(tgt.multiply(self._u_inv.payload, g.payload) if self.len_u else g.payload)
-        k0 = _leading_periods(h, self._core_inv_spell) or -_leading_periods(h, self._core_spell)
+        h = tgt.multiply(self._u_inv.payload, g.payload)
+        k0 = _leading_periods(h, self._core_inv) or -_leading_periods(h, self.core.payload)
         mates = [(tgt.multiply(self._power(k)[0].payload, g.payload), k)
                  for k in (k0 - 1, k0, k0 + 1)]
-        lengths = [sum(abs(exp) for _, exp in m) for m, _ in mates]
-        tied = [mate for mate, n in zip(mates, lengths) if n == min(lengths)]
-        spelling, (best_p, best_k) = None, tied[0]
-        if len(tied) > 1:
-            spelling, best_p, best_k = min((tgt.spell(m), m, k) for m, k in tied)
-        best = Element(tgt, best_p, spelling)
+        _, best_p, best_k = min((len(m), m, k) for m, k in mates)
+        best = Element(tgt, best_p)
         cache = self.emb._decompose_cache
         for m, k in mates:
             cache[m] = (self._power(k - best_k)[1], best)

@@ -16,7 +16,9 @@ HNN extensions put a syllable before the shorter layers (Serre, *Trees*,
 I.1; Lyndon-Schupp, ch. IV).  Handles cache those layers and the
 conjugacy balls of ``Group.conjugates``, which every embedding into one
 target shares; elements cache their spelling.  Caches are append-only
-maps keyed by immutable payloads, so repeated queries are cheap.
+maps keyed by immutable payloads, so repeated queries are cheap.  A free
+payload is its spelling already, as a string of rank code points, so its
+length, shortlex order and hash need no spelling.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ class Element:
 def ranks(syls, offset=0):
     """The spelling of (i, exponent) syllables as a tuple of alphabet ranks,
     offset by ``offset``: |exponent| copies of rank 2i, or of 2i + 1 for a
-    negative exponent; ``syllables`` merges ranks back into syllables."""
+    negative exponent; ``syllables`` merges ranks back into syllables.  The
+    free-abelian and semidirect kinds spell through it; a free payload
+    holds its ranks as code points."""
     out = []
     for i, exp in syls:
         out.extend([offset + 2 * i if exp > 0 else offset + 2 * i + 1] * abs(exp))
@@ -161,13 +165,13 @@ class Group:
     Subclass contract: on payloads, ``multiply`` and ``inverse_payload``
     keep results in canonical normal form, and ``spell`` returns a word for
     the element as a tuple of alphabet ranks, which fixes its shortlex key.
-    The constructor sets ``identity_payload`` once.  Payloads are ints or
-    tuples of canonical parts, so ``==`` on payloads is equality in the
-    group.  Each kind states whether it is finite, once, in ``is_finite``,
-    and yields its shortlex layers in ``_shortlex_layers``, each sorted; a
-    finite group's end with the last that is not empty.  Shortlex and
-    conjugacy balls, which handles cache, need nothing beyond that
-    protocol.
+    The constructor sets ``identity_payload`` once.  Payloads are ints,
+    strings or tuples of canonical parts, so ``==`` on payloads is equality
+    in the group.  Each kind states whether it is finite, once, in
+    ``is_finite``, and yields its shortlex layers in ``_shortlex_layers``,
+    each sorted; a finite group's end with the last that is not empty.
+    Shortlex and conjugacy balls, which handles cache, need nothing beyond
+    that protocol.
     """
 
     kind = "abstract"
@@ -505,7 +509,11 @@ class FreeAbelianGroup(Group):
 
 
 class FreeGroup(Group):
-    """Free group on the given generators; payloads are reduced syllable words."""
+    """Free group on the given generators.  A payload is a reduced word as
+    a string with one code point per letter, its alphabet rank: chr(2i)
+    for generator i and chr(2i + 1) for its inverse.  So ``len`` is the
+    letter length, code-point order is rank order, (len(p), p) is the
+    shortlex key, and products, lengths, comparisons and hashes run in C."""
 
     kind = "free"
 
@@ -514,42 +522,38 @@ class FreeGroup(Group):
         self.rank = len(self.labels)
         if self.rank < 1:
             raise ValueError(f"{name}: rank must be positive")
-        self.identity_payload = ()
+        self.identity_payload = ""
+        self._flip = {r: r ^ 1 for r in range(2 * self.rank)}
 
     _shortlex_layers = _prefix_closed_layers
 
     def multiply(self, p, q):
-        """Only p's last and q's first syllables of reduced p and q cancel:
-        walk the junction, then splice once, with at most one merged syllable."""
-        i, j, n = len(p), 0, len(q)
-        while i and j < n and p[i - 1][0] == q[j][0]:
-            exp = p[i - 1][1] + q[j][1]
-            if exp:
-                return p[:i - 1] + ((q[j][0], exp),) + q[j + 1:]
-            i, j = i - 1, j + 1
-        return p[:i] + q[j:]
+        """Only p's last and q's first letters of reduced p and q cancel:
+        walk the junction while ranks 2i and 2i + 1 meet, then splice once."""
+        if not p or not q or ord(p[-1]) ^ ord(q[0]) != 1:
+            return p + q
+        k, n, m = 1, len(p), min(len(p), len(q))
+        while k < m and ord(p[n - 1 - k]) ^ ord(q[k]) == 1:
+            k += 1
+        return p[:n - k] + q[k:]
 
     def inverse_payload(self, p):
-        return tuple((gen, -exp) for gen, exp in reversed(p))
+        return p[::-1].translate(self._flip)
 
     def spell(self, p):
-        return ranks(p)
+        return tuple(map(ord, p))
 
     def generator(self, label):
-        i = self._index(label)
-        return Element(self, ((i, 1),))
+        return Element(self, chr(2 * self._index(label)))
 
     def element_from_word(self, word):
-        """Free reduction of raw syllables on a stack; a zero exponent is
-        dropped once its label is checked."""
-        out = []
+        """Free reduction of raw syllables, each a run of one letter spliced
+        onto the stack of letters; a zero exponent is dropped once its label
+        is checked."""
+        out = ""
         for lab, exp in word:
-            gen = self._index(lab)
-            if out and out[-1][0] == gen:
-                exp += out.pop()[1]
-            if exp:
-                out.append((gen, exp))
-        return Element(self, tuple(out))
+            out = self.multiply(out, chr(2 * self._index(lab) + (exp < 0)) * abs(exp))
+        return Element(self, out)
 
 
 # ---------------------------------------------------------------------------

@@ -230,15 +230,31 @@ def cyclic_decompose_by_power_walk(strategy, g):
     return (strategy.emb.source.generators()[0] ** -best_k, best)
 
 
+def _leading_periods(spelling, period):
+    """How many whole copies of the tuple ``period`` the spelling begins with."""
+    n, m = len(period), 0
+    while spelling[m * n:(m + 1) * n] == period:
+        m += 1
+    return m
+
+
+def cyclic_mates_by_spelling(strategy, g):
+    """The three candidate powers (c^k g, k) of ``CyclicFreeStrategy.decompose``
+    as elements, k0 read off the spelling of u^-1 g by the periods of the
+    spellings of the core d and of d^-1."""
+    h = (strategy._u_inv * g).spelling()
+    core = strategy.core
+    k0 = (_leading_periods(h, core.inverse().spelling())
+          or -_leading_periods(h, core.spelling()))
+    return [(strategy._power(k)[0] * g, k) for k in (k0 - 1, k0, k0 + 1)]
+
+
 def cyclic_decompose_by_sort_key(strategy, g, cache):
     """``CyclicFreeStrategy.decompose`` on elements: the three candidate
     powers c^k g are built as elements and the least is taken by the
     whole shortlex key, spelling every candidate.  Writes the same
     coset-mate entries into ``cache``."""
-    h = (strategy._u_inv * g).spelling()
-    k0 = (embeddings._leading_periods(h, strategy._core_inv_spell)
-          or -embeddings._leading_periods(h, strategy._core_spell))
-    mates = [(strategy._power(k)[0] * g, k) for k in (k0 - 1, k0, k0 + 1)]
+    mates = cyclic_mates_by_spelling(strategy, g)
     best, best_k = min(mates, key=lambda m: m[0].sort_key())
     src = strategy.emb.source
     gen = src.labels[0]

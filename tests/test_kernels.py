@@ -3,9 +3,12 @@ slow paths.
 
 * ``FreeGroup.multiply`` splices two reduced words at the junction; it is
   checked against ``element_from_word`` of the concatenated words, and
-  that free reduction against a letter-by-letter cancellation.
+  that free reduction, through ``word()``, against a letter-by-letter
+  cancellation.  A free payload is a string of alphabet ranks, so its
+  ``len`` and code-point order give the shortlex key and a long word
+  costs one byte per letter; both are checked here.
 * ``CyclicFreeStrategy.decompose`` picks the coset representative by
-  letter length and spells only the tied mates; it is checked against
+  (len, payload) and spells nothing; it is checked against
   ``oracles.cyclic_decompose_by_sort_key``, which spells every mate,
   return value and cache entries alike.
 * ``AmalgamGroup.include`` is one fold step on the normal form; it is
@@ -20,6 +23,8 @@ slow paths.
   ``oracles.cyclic_contains_by_spelling``, which does neither.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,7 @@ from hypothesis import strategies as st
 from hightrans.embeddings import CyclicFreeStrategy, Embedding
 from hightrans import hcf
 from hightrans.groups import Element, FreeGroup, OwnerMismatch
-from hightrans.normal_forms import parse_word, reduce_amalgam_tokens
+from hightrans.normal_forms import MAX_EXPONENT, parse_word, reduce_amalgam_tokens
 
 import oracles
 from conftest import PROBLEMS, zoo
@@ -38,7 +43,8 @@ raw_words = st.lists(st.tuples(st.sampled_from(F3.labels), st.integers(-3, 3)), 
 
 
 def _by_letters(word):
-    """Free reduction one letter at a time: +-(i + 1) for generator i."""
+    """Free reduction one letter at a time, +-(i + 1) for generator i, as
+    (label, exponent) syllables."""
     stack = []
     for lab, exp in word:
         letter = F3.labels.index(lab) + 1
@@ -51,17 +57,17 @@ def _by_letters(word):
     out = []
     for step in stack:
         gen, sign = abs(step) - 1, 1 if step > 0 else -1
-        if out and out[-1][0] == gen:
-            out[-1] = (gen, out[-1][1] + sign)
+        if out and out[-1][0] == F3.labels[gen]:
+            out[-1] = (F3.labels[gen], out[-1][1] + sign)
         else:
-            out.append((gen, sign))
-    return tuple(out)
+            out.append((F3.labels[gen], sign))
+    return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_words)
 def test_free_reduction_matches_letter_cancellation(word):
-    assert F3.element_from_word(word).payload == _by_letters(word)
+    assert F3.element_from_word(word).word() == _by_letters(word)
 
 
 @settings(max_examples=400, deadline=None)
@@ -99,6 +105,24 @@ def test_a_zero_exponent_is_dropped_but_its_label_still_checked():
         F3.element_from_word([("z", 0)])
 
 
+def test_a_long_free_word_costs_one_byte_per_letter():
+    """A word of ``MAX_EXPONENT`` letters over 128 generators, whose ranks
+    run to 255, is a one-byte-per-code-point string plus a fixed header."""
+    group = FreeGroup("F128", tuple(f"g{i}" for i in range(128)))
+    word = [(group.labels[i % 128], (-1) ** i) for i in range(MAX_EXPONENT)]
+    p = group.element_from_word(word).payload
+    assert len(p) == MAX_EXPONENT and max(map(ord, p)) == 255
+    assert sys.getsizeof(p) <= len(p) + sys.getsizeof(chr(255))
+
+
+def test_payload_order_is_the_shortlex_order():
+    """Code points are alphabet ranks, so (len, payload) sorts as the
+    spelled shortlex key does."""
+    ball = F3.ball(4)
+    assert sorted(reversed(ball), key=lambda x: (len(x.payload), x.payload)) == ball
+    assert sorted(reversed(ball), key=Element.sort_key) == ball
+
+
 # -- cyclic coset representative ---------------------------------------------
 
 
@@ -114,13 +138,13 @@ def _cyclic_cases():
 CYCLIC = _cyclic_cases()
 
 # Subgroups <c> of F(a, b) whose tied mates differ first in the exponent
-# of one generator, as a and a^-1 for c = a^2, so a tie broken by payload
-# order picks a^-1 where shortlex picks a; on the problem files the tied
-# mates differ first in their generators, where both orders agree.  Then
-# two shapes for the first-letter rejection in membership: in a^2 b a^-1
-# = u (a b) u^-1 the first syllable of c merges u with the core, and in
-# a b a the core starts and ends on one generator, so c and c^-1 begin
-# with a and a^-1.
+# of one generator, as a and a^-1 for c = a^2, so a tie broken by
+# (generator, exponent) syllable order picks a^-1 where shortlex picks a;
+# on the problem files the tied mates differ first in their generators,
+# where both orders agree.  Then two shapes for the first-letter rejection
+# in membership: in a^2 b a^-1 = u (a b) u^-1 the first syllable of c
+# merges u with the core, and in a b a the core starts and ends on one
+# generator, so c and c^-1 begin with a and a^-1.
 BUILT = ("a^2", "b a^2 b^-1", "a b^-1", "a^2 b a^-1", "a b a")
 
 
@@ -148,9 +172,6 @@ def test_cyclic_representative_matches_the_sort_key_oracle(problem, name):
         want = oracles.cyclic_decompose_by_sort_key(emb.strategy, g, want_cache)
         assert got == want, g
         assert got_cache == want_cache, g
-        rep = got[1]
-        if rep._spell is not None:   # spelled only to break a length tie
-            assert rep._spell == emb.target.spell(rep.payload)
 
 
 def test_pi1_sigma2_ball_has_the_documented_ties():
@@ -158,7 +179,11 @@ def test_pi1_sigma2_ball_has_the_documented_ties():
     mates tied at the least letter length."""
     emb = _cyclic_embedding("pi1-sigma2", "cL")
     ball = emb.target.ball(5)
-    tied = sum(emb.strategy.decompose(g)[1]._spell is not None for g in ball)
+    tied = 0
+    for g in ball:
+        mates = oracles.cyclic_mates_by_spelling(emb.strategy, g)
+        least, second = sorted(m.length() for m, _ in mates)[:2]
+        tied += least == second
     assert (tied, len(ball)) == (54, 485)
 
 

@@ -808,3 +808,35 @@ def test_cli_a_high_rank_semidirect_group_parses_in_polynomial_time(tmp_path):
     for command in ("reduce", "audit"):
         proc = run_cli(command, path, timeout=20)
         assert proc.returncode == 0, (command, proc.stderr)
+
+
+def test_cli_a_large_exponent_surface_costs_work_in_letters(tmp_path):
+    """pi1-sigma2 with edge images of 9,999 letters each, one short of the
+    word limit: a free payload holds one code point per letter, so every
+    product, length and decomposition works in letters, not syllables.
+    Each command still finishes inside the ``run_cli`` timeout, with the
+    exit codes of the bundled file."""
+    doc = json.loads(Path(problem_path("pi1-sigma2.json")).read_text())
+    doc["embeddings"]["cL"]["images"] = ["a1^5000 b1^4999"]
+    doc["embeddings"]["cR"]["images"] = ["a2^5000 b2^4999"]
+    path, cert = tmp_path / "long.json", tmp_path / "long-cert.json"
+    path.write_text(json.dumps(doc))
+    for args in (["audit", path], ["reduce", path],
+                 ["build", path, "--budget", "200", "--out", cert], ["verify", path, cert]):
+        proc = run_cli(*args)
+        assert proc.returncode == 0, (args[0], proc.stderr)
+    assert proc.stdout == "verify: OK (ok)\n"
+
+
+def test_cli_build_bytes_do_not_follow_the_hash_seed(tmp_path, monkeypatch):
+    """Free payloads are strings, whose hashes the interpreter seeds (tuples
+    of ints hash alike in every process), so two fresh builds under
+    different seeds must still write the same bytes."""
+    runs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        cert = tmp_path / f"seed{seed}.json"
+        proc = run_cli("build", problem_path("pi1-sigma2.json"), "--budget", "200", "--out", cert)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout.replace(str(cert), "CERT"), cert.read_bytes()))
+    assert runs[0] == runs[1]
