@@ -10,21 +10,25 @@ shortlex order over the declared generator alphabet, with letters ordered
 and witness searches all derive from this single order.
 
 Each kind yields its shortlex layers from its normal form, one generator
-per handle: free and finite groups extend the layer before by a letter,
-free-abelian and semidirect groups enumerate l1-spheres, and amalgams and
-HNN extensions put a syllable before the shorter layers (Serre, *Trees*,
-I.1; Lyndon-Schupp, ch. IV).  Handles cache those layers and the
+per handle: free groups extend the layer before by a letter, finite groups
+group the words of their BFS by length, free-abelian and semidirect groups
+enumerate l1-spheres, and amalgams and HNN extensions put a syllable before
+the shorter layers (Serre, *Trees*, I.1; Lyndon-Schupp, ch. IV).  Handles cache those layers and the
 conjugacy balls of ``Group.conjugates``, which every embedding into one
-target shares; elements cache their spelling.  Caches are append-only
-maps keyed by immutable payloads, so repeated queries are cheap.  A free
-payload is its spelling already, as a string of rank code points, so its
-length, shortlex order and hash need no spelling.
+target shares.  Caches are append-only maps keyed by immutable payloads,
+so repeated queries are cheap.
+
+Every kind spells an element as a string with one code point per letter,
+its alphabet rank.  A free payload is that string itself, and a finite
+group's spellings are the words of its BFS, so those two kinds read their
+layers off spellings and multiply nothing; an element of another kind
+caches the spelling it is given or first asked for.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count, islice, permutations
+from itertools import count, groupby, islice, permutations
 from operator import add, mul, neg
 
 
@@ -43,6 +47,8 @@ def _check_labels(labels):
     for lab in labels:
         if not lab or not isinstance(lab, str) or any(ch.isspace() for ch in lab) or "^" in lab:
             raise ValueError(f"invalid generator label: {lab!r}")
+        if lab == "1":
+            raise ValueError(f"invalid generator label: {lab!r} (the word '1' is the identity)")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate generator labels in {labels}")
     return labels
@@ -98,7 +104,7 @@ class Element:
         return self.payload == self.owner.identity_payload
 
     def spelling(self):
-        """Canonical letter spelling as a tuple of alphabet ranks."""
+        """Canonical letter spelling: a string of alphabet-rank code points."""
         if self._spell is None:
             self._spell = self.owner.spell(self.payload)
         return self._spell
@@ -124,23 +130,20 @@ class Element:
 
 
 def ranks(syls, offset=0):
-    """The spelling of (i, exponent) syllables as a tuple of alphabet ranks,
-    offset by ``offset``: |exponent| copies of rank 2i, or of 2i + 1 for a
-    negative exponent; ``syllables`` merges ranks back into syllables.  The
-    free-abelian and semidirect kinds spell through it; a free payload
-    holds its ranks as code points."""
-    out = []
-    for i, exp in syls:
-        out.extend([offset + 2 * i if exp > 0 else offset + 2 * i + 1] * abs(exp))
-    return tuple(out)
+    """The spelling of (i, exponent) syllables, offset by ``offset``:
+    |exponent| code points of rank 2i, or of 2i + 1 for a negative
+    exponent; ``syllables`` merges them back into syllables.  The
+    free-abelian and semidirect kinds spell through it."""
+    return "".join([chr(offset + 2 * i + (exp < 0)) * abs(exp) for i, exp in syls])
 
 
 def syllables(spelling, names):
-    """Alphabet ranks merged into (names[i], exponent) syllables, one per run
-    of equal ranks; rank 2i is generator i and rank 2i + 1 its inverse."""
+    """A spelling's code points merged into (names[i], exponent) syllables,
+    one per run of equal ranks; rank 2i is generator i and rank 2i + 1 its
+    inverse."""
     out = []
     last = None
-    for rank in spelling:
+    for rank in map(ord, spelling):
         if rank == last:
             name, exp = out[-1]
             out[-1] = (name, exp - 1 if rank & 1 else exp + 1)
@@ -164,7 +167,8 @@ class Group:
 
     Subclass contract: on payloads, ``multiply`` and ``inverse_payload``
     keep results in canonical normal form, and ``spell`` returns a word for
-    the element as a tuple of alphabet ranks, which fixes its shortlex key.
+    the element as a string of alphabet-rank code points, which fixes its
+    shortlex key.
     The constructor sets ``identity_payload`` once.  Payloads are ints,
     strings or tuples of canonical parts, so ``==`` on payloads is equality
     in the group.  Each kind states whether it is finite, once, in
@@ -298,25 +302,6 @@ class Group:
             d, i = d + 1, 0
 
 
-def _prefix_closed_layers(group):
-    """The shortlex layers of a kind whose canonical spellings are closed
-    under prefixes: layer d is layer d - 1 extended by each letter, kept
-    where the spelling grows by exactly that letter.  Layer d - 1 is
-    sorted, so its children come out sorted, and the layers end with the
-    last that is not empty."""
-    layer, d = [group.identity()], 0
-    while layer:
-        yield layer
-        d, children = d + 1, []
-        for x in layer:
-            for rank, letter in group.letters():
-                y = x * letter
-                spelling = y.spelling()
-                if len(spelling) == d and spelling[-1] == rank:
-                    children.append(y)
-        layer = children
-
-
 # ---------------------------------------------------------------------------
 # finite groups by multiplication table
 
@@ -377,9 +362,11 @@ class FiniteGroup(Group):
             raise ValueError(f"{name}: declared generators do not generate the group")
 
     def _words(self):
-        """Shortlex-least word (tuple of letter ranks) for every element."""
+        """The shortlex-least word for every element, as a spelling, in the
+        order the BFS finds them: shortlex order, since each frontier is
+        sorted and extended by letters in rank order."""
         if self._bfs_words is None:
-            words = {self.identity_payload: ()}
+            words = {self.identity_payload: ""}
             frontier = [self.identity_payload]
             while frontier:
                 nxt = []
@@ -387,13 +374,16 @@ class FiniteGroup(Group):
                     for rank, g in self.letters():
                         y = self.table[x][g.payload]
                         if y not in words:
-                            words[y] = words[x] + (rank,)
+                            words[y] = words[x] + chr(rank)
                             nxt.append(y)
                 frontier = nxt
             self._bfs_words = words
         return self._bfs_words
 
-    _shortlex_layers = _prefix_closed_layers
+    def _shortlex_layers(self):
+        """The BFS words grouped by length."""
+        return ([Element(self, p, word) for p, word in layer]
+                for _, layer in groupby(self._words().items(), key=lambda item: len(item[1])))
 
     def multiply(self, p, q):
         return self.table[p][q]
@@ -513,7 +503,8 @@ class FreeGroup(Group):
     a string with one code point per letter, its alphabet rank: chr(2i)
     for generator i and chr(2i + 1) for its inverse.  So ``len`` is the
     letter length, code-point order is rank order, (len(p), p) is the
-    shortlex key, and products, lengths, comparisons and hashes run in C."""
+    shortlex key, the payload is its own spelling, and products, lengths,
+    comparisons and hashes run in C."""
 
     kind = "free"
 
@@ -525,7 +516,15 @@ class FreeGroup(Group):
         self.identity_payload = ""
         self._flip = {r: r ^ 1 for r in range(2 * self.rank)}
 
-    _shortlex_layers = _prefix_closed_layers
+    def _shortlex_layers(self):
+        """Layer d is layer d - 1 extended by each letter that does not
+        cancel its last, in rank order; layer d - 1 is sorted, so layer d is."""
+        letters = [(chr(r), chr(r ^ 1)) for r in range(2 * self.rank)]
+        layer = [self.identity()]
+        while True:
+            yield layer
+            layer = [Element(self, x.payload + a) for x in layer for a, undo in letters
+                     if x.payload[-1:] != undo]
 
     def multiply(self, p, q):
         """Only p's last and q's first letters of reduced p and q cancel:
@@ -541,7 +540,7 @@ class FreeGroup(Group):
         return p[::-1].translate(self._flip)
 
     def spell(self, p):
-        return tuple(map(ord, p))
+        return p
 
     def generator(self, label):
         return Element(self, chr(2 * self._index(label)))
@@ -726,6 +725,7 @@ class AmalgamGroup(Group):
         self.edge_right = edge_right
         self.edge_source = edge_left.source
         self.identity_payload = (self.edge_source.identity(), ())
+        self._right_ranks = {r: r + 2 * len(left.labels) for r in range(2 * len(right.labels))}
         self._finite = left.is_finite() and right.is_finite() and any(
             all(edge.contains(g) for g in edge.target.generators())
             for edge in (edge_left, edge_right))
@@ -751,16 +751,17 @@ class AmalgamGroup(Group):
         toks = [(side, x.inverse()) for side, x in reversed(self.tokens(p))]
         return normal_forms.reduce_amalgam_tokens(self, toks)
 
+    def _syllable_spelling(self, side, x):
+        """A factor element's spelling in the amalgam's alphabet, where the
+        right factor's ranks follow the left's."""
+        return x.spelling().translate(self._right_ranks) if side else x.spelling()
+
     def spell(self, p):
         sigma, syls = p
-        off_right = 2 * len(self.left.labels)
-        out = list(self.edge_left.apply(sigma).spelling())
+        out = self.edge_left.apply(sigma).spelling()
         for side, x in syls:
-            if side == 0:
-                out.extend(x.spelling())
-            else:
-                out.extend(r + off_right for r in x.spelling())
-        return tuple(out)
+            out += self._syllable_spelling(side, x)
+        return out
 
     def _shortlex_layers(self):
         """Layers by the normal-form theorem: a lead e_left(sigma) from the
@@ -768,12 +769,10 @@ class AmalgamGroup(Group):
         representatives (x with ``edge.rep(x) == x``).  A finite amalgam has
         an edge onto its factor, so at most one syllable: it ends with its
         longest lead and its longest representative."""
-        offset = (0, 2 * len(self.left.labels))
-
         def pieces(k):
             return ([(self.edge_left.decompose(x)[0], x.spelling())
                      for x in self.left.shortlex_layer(k) if self.edge_left.contains(x)],
-                    [((side, x), tuple(r + offset[side] for r in x.spelling()))
+                    [((side, x), self._syllable_spelling(side, x))
                      for side in (0, 1) for x in self.factor(side).shortlex_layer(k)
                      if self.edge(side).rep(x) == x])
 
@@ -844,6 +843,7 @@ class HnnGroup(Group):
         self.stable_label = stable_label
         self.edge_source = edge_r.source
         self.identity_payload = (base.identity(), ())
+        self._stable_letters = {1: chr(2 * len(base.labels)), -1: chr(2 * len(base.labels) + 1)}
 
     def sigma_edge(self, eps):
         return self.edge_r if eps == 1 else self.edge_s
@@ -873,22 +873,18 @@ class HnnGroup(Group):
 
     def spell(self, p):
         head, tail = p
-        t_rank = 2 * len(self.base.labels)
-        out = list(head.spelling())
+        out = head.spelling()
         for eps, r in tail:
-            out.append(t_rank if eps == 1 else t_rank + 1)
-            out.extend(r.spelling())
-        return tuple(out)
+            out += self._stable_letters[eps] + r.spelling()
+        return out
 
     def _shortlex_layers(self):
         """Layers by Britton's lemma: any base head, then entries (eps, r)
         costing 1 + |r|, and no (eps, 1) before -eps (the pinch of
         ``reduce_hnn_tokens``)."""
-        letter = {1: 2 * len(self.base.labels), -1: 2 * len(self.base.labels) + 1}
-
         def pieces(k):
             return ([(x, x.spelling()) for x in self.base.shortlex_layer(k)],
-                    [((eps, r), (letter[eps],) + r.spelling()) for eps in (1, -1)
+                    [((eps, r), self._stable_letters[eps] + r.spelling()) for eps in (1, -1)
                      for r in self.base.shortlex_layer(k - 1) if self.sigma_edge(eps).rep(r) == r])
 
         return _sequence_layers(self, pieces, lambda entry, tail: not (

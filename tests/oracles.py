@@ -231,7 +231,7 @@ def cyclic_decompose_by_power_walk(strategy, g):
 
 
 def _leading_periods(spelling, period):
-    """How many whole copies of the tuple ``period`` the spelling begins with."""
+    """How many whole copies of the spelling ``period`` the spelling begins with."""
     n, m = len(period), 0
     while spelling[m * n:(m + 1) * n] == period:
         m += 1

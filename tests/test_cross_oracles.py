@@ -36,7 +36,7 @@ def naive_pi(state, g, x):
     """Apply g letter by letter through naive_w; no normal-form shortcuts."""
     gamma = state.gamma
     cur = x
-    for rank in reversed(g.spelling()):
+    for rank in map(ord, reversed(g.spelling())):
         idx, exp = rank >> 1, -1 if rank & 1 else 1
         letter = gamma.generator(gamma.labels[idx]) ** exp
         if gamma.kind == "hnn" and idx == len(gamma.base.labels):

@@ -355,7 +355,8 @@ def test_each_kind_walks_the_layers_of_the_bfs(name):
     yield the BFS's layers, payload for payload and in order, until
     ``LAYER_CAP`` elements have been compared or a finite group's layers
     end; a finite group's end where its last nonempty layer does.  The
-    spelling a generator gives an element is the one its payload spells."""
+    spelling a generator gives an element is the one its payload spells,
+    a string, and a free element's is its payload itself."""
     for group in _zoo_groups(name):
         mine, bfs = group._shortlex_layers(), oracles.bfs_layers(group)
         compared = 0
@@ -367,6 +368,9 @@ def test_each_kind_walks_the_layers_of_the_bfs(name):
             assert [x.payload for x in layer] == [x.payload for x in expected], \
                 (group.name, len(layer[0].spelling()) if layer else None)
             assert all(x.spelling() == group.spell(x.payload) for x in layer), group.name
+            assert all(type(x.spelling()) is str for x in layer), group.name
+            if group.kind == "free":
+                assert all(x.spelling() is x.payload for x in layer), group.name
             compared += len(layer)
             if compared >= LAYER_CAP:
                 break

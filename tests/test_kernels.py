@@ -24,6 +24,7 @@ slow paths.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -107,12 +108,21 @@ def test_a_zero_exponent_is_dropped_but_its_label_still_checked():
 
 def test_a_long_free_word_costs_one_byte_per_letter():
     """A word of ``MAX_EXPONENT`` letters over 128 generators, whose ranks
-    run to 255, is a one-byte-per-code-point string plus a fixed header."""
+    run to 255, is a one-byte-per-code-point string plus a fixed header,
+    and spelling it allocates nothing: the payload is its spelling."""
     group = FreeGroup("F128", tuple(f"g{i}" for i in range(128)))
     word = [(group.labels[i % 128], (-1) ** i) for i in range(MAX_EXPONENT)]
-    p = group.element_from_word(word).payload
+    x = group.element_from_word(word)
+    p = x.payload
     assert len(p) == MAX_EXPONENT and max(map(ord, p)) == 255
     assert sys.getsizeof(p) <= len(p) + sys.getsizeof(chr(255))
+    tracemalloc.start()
+    try:
+        spelling = x.spelling()
+        assert tracemalloc.get_traced_memory()[0] == 0
+    finally:
+        tracemalloc.stop()
+    assert spelling is p
 
 
 def test_payload_order_is_the_shortlex_order():

@@ -252,6 +252,28 @@ def test_cli_audit_of_a_zero_order_is_a_usage_error(tmp_path, capsys):
     assert rc == cli.EXIT_USAGE and err.startswith("error: ") and "order 0" in err
 
 
+@pytest.mark.parametrize("where, commands", [("generator", ["build", "audit"]),
+                                             ("stable letter", ["build", "reduce"])])
+def test_cli_a_label_1_is_a_usage_error(tmp_path, capsys, where, commands):
+    """The word "1" is the identity, so a file that labels a generator, or
+    an edge that names a stable letter, 1 does not load: the error names
+    the label."""
+    doc = _document("free2-hnn.json")
+    if where == "generator":
+        doc["groups"]["F"]["generators"] = ["1", "b"]
+        doc["embeddings"]["onA"]["images"] = ["1"]
+    else:
+        doc["graph"]["edges"][0]["id"] = "1"
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    for command in commands:
+        rc = cli.main([command, str(path), *(["--out", str(tmp_path / "c.json")]
+                                            if command == "build" else [])])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE and captured.out == "", command
+        assert "invalid generator label: '1'" in captured.err.splitlines()[0], command
+
+
 ODD_FIELDS = [None, True, 0, -1, 2, 1.5, 10**9, "", "x", "a^-1", [], {}, [[]], [[0]],
               [1, 2], {"x": 1}, ["a"], ["a", "a"]]
 
