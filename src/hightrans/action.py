@@ -16,9 +16,8 @@ source embedding to the target one (t r(a) t^-1 = s(a)), the image of x
 in the orbit of an anchor (x0, y0) is e_dst(sigma sigma0^-1) y0: one fold
 step onto y0, whatever the length of x.  Rewirings only ever extend: a batch
 permutes the default images of its source orbits, which keeps the total
-map a bijection at every instant, and an evaluation with ``commit=True``
-pins the default orbits it touches, so its value holds in every later
-state.
+map a bijection at every instant, and every evaluation pins the default
+orbits it touches, so its value holds in every later state.
 """
 
 from __future__ import annotations
@@ -145,21 +144,18 @@ class IntertwinerState:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, x, inverse=False, commit=False):
+    def evaluate(self, x, inverse=False):
         """w(x) (or its inverse image); a bijection of X for every state.
 
-        With ``commit=True`` an untouched orbit is pinned to its default
-        image before evaluating, so the value can never change in a later
-        state.  In the orbit of an anchor (x0, y0), x = e_src(sigma) r and
-        x0 = e_src(sigma0) r give w(x) = e_dst(sigma sigma0^-1) y0, and
-        symmetrically for the inverse.
+        An untouched orbit is pinned to its default image before evaluating,
+        so the value can never change in a later state.  In the orbit of an
+        anchor (x0, y0), x = e_src(sigma) r and x0 = e_src(sigma0) r give
+        w(x) = e_dst(sigma sigma0^-1) y0, and symmetrically for the inverse.
         """
         if not inverse:
             sigma, rep = self.src_split(x)
             pair = self.anchors.get(rep)
             if pair is None:
-                if not commit:
-                    return self.default_image(x)
                 pair = (rep, self.default_image(rep))
                 self.commit_batch([pair])
             x0, y0 = pair
@@ -167,10 +163,7 @@ class IntertwinerState:
         sigma, rep = self.dst_split(x)
         pair = self.dst_index.get(rep)
         if pair is None:
-            pre = self.default_preimage(x)
-            if not commit:
-                return pre
-            srep = self.src_orbit(pre)
+            srep = self.src_orbit(self.default_preimage(x))
             pair = (srep, self.default_image(srep))
             self.commit_batch([pair])
         x0, y0 = pair
@@ -237,14 +230,14 @@ class IntertwinerState:
         return True
 
 
-def evaluate_pi(state, g, x, commit=False):
+def evaluate_pi(state, g, x):
     """Evaluate the induced homomorphism at g on the point x.
 
     Amalgam mode: left-factor syllables act by left multiplication, right-
     factor syllables act conjugated through w.  HNN mode: stable letters
     act by w, base syllables by left multiplication.  Syllables are applied
     right to left, each left multiplication as one fold step onto the
-    point's normal form.
+    point's normal form.  Every evaluation of w pins the orbit it touches.
     """
     gamma = state.gamma
     if g.owner is not gamma:
@@ -256,9 +249,9 @@ def evaluate_pi(state, g, x, commit=False):
             if side == 0:
                 cur = gamma.include(0, r, cur)
             else:
-                cur = state.evaluate(cur, commit=commit)
+                cur = state.evaluate(cur)
                 cur = gamma.include(1, r, cur)
-                cur = state.evaluate(cur, inverse=True, commit=commit)
+                cur = state.evaluate(cur, inverse=True)
         if not sigma.is_identity:
             cur = gamma.include(0, gamma.edge_left.apply(sigma), cur)
         return cur
@@ -266,7 +259,7 @@ def evaluate_pi(state, g, x, commit=False):
     for eps, r in reversed(tail):
         if not r.is_identity:
             cur = gamma.include(r, cur)
-        cur = state.evaluate(cur, inverse=(eps == -1), commit=commit)
+        cur = state.evaluate(cur, inverse=(eps == -1))
     if not head.is_identity:
         cur = gamma.include(head, cur)
     return cur

@@ -23,11 +23,11 @@ of failing the run, which is exactly the observable trace of a misjudged
 core-freeness hypothesis.
 
 States only ever extend between steps: a faithfulness candidate that pi(g)
-fixes has its pins undone at once.  Postcondition replays pin every default
-orbit they touch, so once a requirement is discharged it holds in all later
-states.  A certificate records only the choices of each step: the witnesses
-and fresh classes of a transitivity step, the witness point of a
-faithfulness step, and the mover or image that the step claims.  One step
+fixes has its pins undone at once.  Every evaluation pins the default
+orbits it touches, so once a requirement is discharged it holds in all
+later states.  A certificate records only the choices of each step: the
+witnesses and fresh classes of a transitivity step, the witness point of
+a faithfulness step, and the mover or image that the step claims.  One step
 function per kind applies the choices to the state, and one function per
 kind writes the entry.  The builder searches for the choices and calls
 both; the verifier parses the recorded choices, calls the same two and
@@ -130,7 +130,7 @@ def transitivity_step(problem, state, xs, ys, witnesses, zs):
     except StateError as exc:
         raise EngineError(f"batch rejected: {exc}") from None
     for k, (x, y) in enumerate(zip(xs, ys)):
-        if evaluate_pi(state, mover, x, commit=True) != y:
+        if evaluate_pi(state, mover, x) != y:
             raise EngineError(f"mover does not carry entry {k} to its target")
     return mover, batch
 
@@ -140,7 +140,7 @@ def faithfulness_step(state, g, witness):
     witness point, pinning the default orbits the evaluation touches, so
     the image stays put forever.  Returns the image; EngineError when it is
     the witness itself."""
-    image = evaluate_pi(state, g, witness, commit=True)
+    image = evaluate_pi(state, g, witness)
     if image == witness:
         raise EngineError("the element fixes the witness point")
     return image
@@ -387,18 +387,16 @@ _WITNESS_FACTORS = {"amalgam": (("g1", "left"), ("g2", "left"), ("h", "right")),
                     "hnn": (("g", "base"), ("h", "base"))}
 
 
-def _rebuild(problem, state, head, payload, entry, postconditions):
+def _rebuild(problem, state, head, payload, entry):
     """Apply the choices an entry records through the builder's step
-    function and return the entry the builder writes for them; the step's
-    postcondition goes to ``postconditions`` for the persistence pass."""
+    function and return the entry the builder writes for them.  The step
+    checks its postcondition and pins every orbit its evaluations touch, so
+    the postcondition holds in every later state."""
     gamma = problem.gamma
     if head["kind"] == "faithfulness":
         (g,) = payload
         witness = parse_word(gamma, entry["witness"])
         image = faithfulness_step(state, g, witness)
-        # image != witness is settled, so the witness persists while pi(g)
-        # still carries it to the image
-        postconditions.append((head["index"], "faithfulness witness lost", [(g, witness, image)]))
         return _faithfulness_entry(head, witness, image)
     _, xs, ys = payload
     witnesses = {key: parse_word(getattr(gamma, factor), entry["witnesses"][key])
@@ -409,8 +407,6 @@ def _rebuild(problem, state, head, payload, entry, postconditions):
     # law needs checking once per anchor; default pins keep it by construction
     if not state.check_equivariance(batch):
         raise EngineError("equivariance fails at a committed anchor")
-    postconditions.append((head["index"], "mover postcondition lost",
-                           [(mover, x, y) for x, y in zip(xs, ys)]))
     return _transitivity_entry(head, mover, witnesses, zs)
 
 
@@ -429,7 +425,9 @@ def verify_certificate_report(gamma, cert):
     diagnostic string, the top level a valid budget and the acting group's
     name and mode.  Each committed pair passes the orbit-map law and two
     lookups, which imply equivariance (``apply`` is a homomorphism) and read
-    no certificate field; postconditions are checked again at the end."""
+    no certificate field.  Each step's postcondition is checked once, when
+    the step is replayed: every evaluation pins the orbits it touches and a
+    committed anchor never changes, so it holds in every later state."""
     if _text(cert.get("format")) != _text(CERTIFICATE_FORMAT):
         return False, f"unsupported certificate format {cert.get('format')!r}"
     recorded = cert.get("budget") if isinstance(cert.get("budget"), dict) else {}
@@ -448,9 +446,6 @@ def verify_certificate_report(gamma, cert):
     except ValueError as exc:
         return False, str(exc)
     state = problem.new_state()
-    # (step index, failure message, [(g, x, y) with pi(g) x = y]) per step,
-    # taken from the replay and re-evaluated in the final state
-    postconditions = []
     i, j, where = 0, 0, ""
     try:
         # the CLI checks the problem digest and the source tag; here the
@@ -479,15 +474,10 @@ def verify_certificate_report(gamma, cert):
             if any(entry.get(key) != value for key, value in head.items()):
                 return False, f"step {index}: not the requirement scheduled at this index"
             if rebuilt is None:
-                rebuilt = _rebuild(problem, state, head, payload, entry, postconditions)
+                rebuilt = _rebuild(problem, state, head, payload, entry)
             reason = _difference(entry, rebuilt)
             if reason is not None:
                 return False, f"step {index}: {reason}"
-        where = ""
-        for index, message, triples in postconditions:
-            for g, x, y in triples:
-                if evaluate_pi(state, g, x) != y:
-                    return False, f"persistence of step {index}: {message}"
     except EngineError as exc:
         return False, f"{where}{exc}"
     except (ValueError, KeyError, TypeError) as exc:

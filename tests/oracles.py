@@ -19,12 +19,14 @@ list from scratch.  The engine oracles are the
 shortlex-first witness rule, a witness search that tests every element
 instead of skipping failed Sigma-cosets, allocation by a scan from
 scratch, intertwiner evaluation by the equivariance formula alone (with
-``untwist``, the inverse of ``IntertwinerState.twist``), the equivariance
-law with both sides evaluated at every anchor, H acting on
-itself by left multiplication, the schedule as it was (the tuples of a sum
-as one whole list, and Gamma walked once for the points and again for the
-faithfulness elements), and the step-by-step replay of a certificate
-against its schedule.
+``untwist``, the inverse of ``IntertwinerState.twist``), pi applied letter
+by letter through it, which pins nothing, and on it the check of every
+recorded postcondition in a replayed state (the persistence pass verify
+once made), the equivariance law with both sides evaluated at every
+anchor, H acting on itself by left multiplication, the schedule as it was
+(the tuples of a sum as one whole list, and Gamma walked once for the
+points and again for the faithfulness elements), and the step-by-step
+replay of a certificate against its schedule.
 Then come test beds that no command runs: the embeddings no problem file
 defines (<[a,b]> in F2, 2Z, Z and the trivial group in Z, the point
 stabilizers C2 in S3 and S3 in S4, and Z as a factor of Z^2); the
@@ -626,6 +628,47 @@ def evaluate_by_formula(state, x, inverse=False):
         return state.default_preimage(x)
     x0, y0 = pair
     return untwist(state, x * y0.inverse()) * x0
+
+
+def pi_by_formula(state, g, x, w=evaluate_by_formula):
+    """pi(g) x with g applied letter by letter right to left, each
+    evaluation of the intertwiner by ``w(state, x, inverse)``, by default
+    the equivariance formula; no normal-form shortcut and no pin.  A
+    right-factor letter of an amalgam acts as w^-1 letter w, an HNN stable
+    letter as w or w^-1, and every other letter by left multiplication."""
+    gamma = state.gamma
+    cur = x
+    for rank in map(ord, reversed(g.spelling())):
+        idx, exp = rank >> 1, -1 if rank & 1 else 1
+        letter = gamma.generator(gamma.labels[idx]) ** exp
+        if gamma.kind == "hnn" and idx == len(gamma.base.labels):
+            cur = w(state, cur, exp == -1)
+        elif gamma.kind == "amalgam" and gamma.labels[idx] in gamma.right.labels:
+            cur = w(state, letter * w(state, cur, False), True)
+        else:
+            cur = letter * cur
+    return cur
+
+
+def lost_postconditions(state, steps):
+    """The indices of the recorded steps whose postcondition ``state`` no
+    longer has, read by ``pi_by_formula``, so nothing is pinned: the mover
+    of a transitivity step must carry each x to its y, and the element of a
+    faithfulness step its witness to the recorded image, which is not the
+    witness.  Every evaluation pins the orbits it touches, so after a
+    replay this is empty at every step and in the final state."""
+    gamma = state.gamma
+    lost = []
+    for step in steps:
+        transitive = step["kind"] == "transitivity"
+        g = parse_word(gamma, step["mover" if transitive else "element"])
+        pairs = zip(step["xs"], step["ys"]) if transitive else [(step["witness"], step["image"])]
+        for xw, yw in pairs:
+            x, y = parse_word(gamma, xw), parse_word(gamma, yw)
+            if pi_by_formula(state, g, x) != y or (not transitive and y == x):
+                lost.append(step["index"])
+                break
+    return lost
 
 
 def equivariance_by_evaluation(state, pairs=None):

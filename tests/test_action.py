@@ -4,7 +4,7 @@ from hightrans.action import StateError, allocate_fresh_orbits, evaluate_pi
 from hightrans.engine import EngineProblem
 
 from conftest import random_element, zoo
-from oracles import equivariance_by_evaluation
+from oracles import equivariance_by_evaluation, pi_by_formula
 
 
 @pytest.fixture
@@ -188,14 +188,14 @@ def test_commit_batch_rejects_one_target_orbit_twice(any_state):
 
 
 def test_undo_pops_the_pins_since_a_size_in_both_views(any_state):
-    """The pins of a commit-mode evaluation go, newest first, and what was
+    """The pins of an evaluation go, newest first, and what was
     committed before stays, item for item and in order, in both views."""
     gamma = any_state.gamma
     x, y, _ = _hostile_points(any_state)
     any_state.commit_batch([(x, any_state.default_image(x))])
     snapshot = list(any_state.anchors.items()), list(any_state.dst_index.items())
     g = gamma.element_from_word([(label, 1) for label in gamma.labels] * 2)
-    evaluate_pi(any_state, g, y, commit=True)
+    evaluate_pi(any_state, g, y)
     assert len(any_state.anchors) >= len(snapshot[0]) + 2
     any_state.undo(len(snapshot[0]))
     assert (list(any_state.anchors.items()), list(any_state.dst_index.items())) == snapshot
@@ -234,12 +234,15 @@ def test_evaluate_pi_homomorphism_hnn(hnn_state, rng):
 
 
 def test_commit_mode_pins_defaults(amalgam_state, rng):
+    """An evaluation pins each default orbit it touches to its default
+    image, and its value is the one the formula gave before any pin."""
     surface = amalgam_state.gamma
     g = surface.generator("a2") * surface.generator("b1")
     p = surface.generator("a1")
     anchors = dict(amalgam_state.anchors)
-    before = evaluate_pi(amalgam_state, g, p)
-    after = evaluate_pi(amalgam_state, g, p, commit=True)
+    before = pi_by_formula(amalgam_state, g, p)
+    assert amalgam_state.anchors == anchors
+    after = evaluate_pi(amalgam_state, g, p)
     assert before == after
     pins = {rep: pair for rep, pair in amalgam_state.anchors.items() if rep not in anchors}
     assert pins, "right-factor syllables must pin the orbits they touch"

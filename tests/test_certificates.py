@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hightrans import cli, engine
-from hightrans.action import evaluate_pi
+from hightrans.action import IntertwinerState, StateError, allocate_fresh_orbits
 from hightrans.engine import Budget, EngineProblem, run_schedule, verify_certificate_report
 from hightrans.normal_forms import parse_word
 from hightrans.problem import canonical_text, load_certificate, parse_problem
 
 from conftest import problem_path
-from oracles import replay_steps, shortlex_first_rule
+from oracles import lost_postconditions, replay_steps, shortlex_first_rule
 
 
 PINNED_BUDGET = 40
@@ -589,29 +590,51 @@ def test_verify_checks_the_head_before_any_replay(real_certificate, monkeypatch,
         word for s in before for word in _choices(s))
 
 
-def test_verify_rechecks_every_postcondition_at_the_end(real_certificate, monkeypatch):
-    """The persistence pass re-evaluates each recorded postcondition, in
-    step order, in the final state: a wrong value at its first evaluation
-    fails the first step."""
+def _swap(state, rep):
+    """Commit the batch that swaps the source orbit of rep with the first
+    fresh orbit, rewiring both."""
+    (other,) = allocate_fresh_orbits(state, 1, avoid=[rep])
+    state.commit_batch([(rep, state.default_image(other)), (other, state.default_image(rep))])
+
+
+def test_a_batch_on_an_orbit_a_step_passed_through_loses_its_postcondition(real_certificate,
+                                                                           monkeypatch):
+    """Persistence holds by pinning, and verify does not re-check it.
+    Replayed with evaluations that return the default image of an
+    untouched orbit and pin nothing, a later batch may rewire an orbit
+    that a step's evaluation passed through: the final-state check then
+    names that step.  With pinning, the orbit is committed and the same
+    batch is refused."""
     gamma, cert = real_certificate
-    calls = []
-    evaluate = engine.evaluate_pi
-    monkeypatch.setattr(engine, "evaluate_pi",
-                        lambda *args, **kw: calls.append(1) or evaluate(*args, **kw))
-    assert verify_certificate_report(gamma, cert) == (True, "ok")
-    rechecks = sum(len(s["xs"]) if s["kind"] == "transitivity" else 1 for s in cert["steps"])
-    first_recheck = len(calls) - rechecks
-    calls.clear()
+    evaluate, touched = IntertwinerState.evaluate, []
 
-    def broken_after_replay(state, g, x, **kw):
-        calls.append(1)
-        point = evaluate(state, g, x, **kw)
-        return g * point if len(calls) > first_recheck else point
+    def unpinned(state, x, inverse=False):
+        committed, orbit = ((state.dst_index, state.dst_orbit) if inverse
+                            else (state.anchors, state.src_orbit))
+        if orbit(x) in committed:
+            return evaluate(state, x, inverse)
+        point = state.default_preimage(x) if inverse else state.default_image(x)
+        touched.append(state.src_orbit(point if inverse else x))
+        return point
 
-    monkeypatch.setattr(engine, "evaluate_pi", broken_after_replay)
-    ok, reason = verify_certificate_report(gamma, cert)
-    assert not ok
-    assert reason == f"persistence of step {cert['steps'][0]['index']}: mover postcondition lost"
+    monkeypatch.setattr(IntertwinerState, "evaluate", unpinned)
+    problem = EngineProblem(gamma)
+    state = problem.new_state()
+    passed = {}
+    for step, result in replay_steps(problem, state, cert):
+        assert result == (True, "ok")
+        for rep in touched:
+            passed.setdefault(rep, step["index"])
+        touched.clear()
+    assert lost_postconditions(state, cert["steps"]) == []
+    rep, index = next((rep, index) for rep, index in passed.items() if rep not in state.anchors)
+    _swap(state, rep)
+    assert index in lost_postconditions(state, cert["steps"])
+    monkeypatch.undo()
+    pinned, _ = _replay(gamma, cert)
+    assert lost_postconditions(pinned, cert["steps"]) == []
+    with pytest.raises(StateError, match="already committed"):
+        _swap(pinned, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -637,24 +660,8 @@ def test_one_set_carries_transitivity_and_faithfulness(name):
     problem_file = parse_problem(problem_path(f"{name}.json"))
     cert = run_schedule(EngineProblem(problem_file.build_group()[0]), Budget(steps=200), name)
     assert not {"level", "frozen", "ceiling"} & set(_keys(cert))
-    gamma = problem_file.build_group()[0]
-    problem = EngineProblem(gamma)
-    state = problem.new_state()
-    for _, result in replay_steps(problem, state, cert):
-        assert result == (True, "ok")
-    faithful = transitive = 0
-    for step in cert["steps"]:
-        if step["kind"] == "transitivity":
-            mover = parse_word(gamma, step["mover"])
-            for xw, yw in zip(step["xs"], step["ys"]):
-                x, y = parse_word(gamma, xw), parse_word(gamma, yw)
-                assert x.owner is y.owner is gamma
-                assert evaluate_pi(state, mover, x) == y
-            transitive += 1
-        else:
-            g = parse_word(gamma, step["element"])
-            witness, image = parse_word(gamma, step["witness"]), parse_word(gamma, step["image"])
-            assert witness.owner is image.owner is gamma
-            assert evaluate_pi(state, g, witness) == image != witness
-            faithful += 1
-    assert faithful == 100 and transitive + len(cert["deferred"]) == 100
+    state, _ = _replay(problem_file.build_group()[0], cert)
+    assert lost_postconditions(state, cert["steps"]) == []
+    kinds = Counter(step["kind"] for step in cert["steps"])
+    assert kinds["faithfulness"] == 100
+    assert kinds["transitivity"] + len(cert["deferred"]) == 100

@@ -20,7 +20,8 @@ from hightrans.normal_forms import parse_word
 
 from conftest import PROBLEMS, zoo
 from oracles import (amalgam_protect_list, distinct_tuples_by_list, equivariance_by_evaluation,
-                     hnn_protect_lists, replay_steps, schedule_by_two_walks, shortlex_first_rule)
+                     hnn_protect_lists, lost_postconditions, pi_by_formula, replay_steps,
+                     schedule_by_two_walks, shortlex_first_rule)
 
 
 # the builder's witness radius, for the tests that call a step directly
@@ -124,7 +125,7 @@ def test_ensure_faithful(surface_problem):
     xs, ys = [gamma.identity()], [gamma.generator("b2")]
     mover, *_ = extend_transitivity(surface_problem, state, xs, ys, RADIUS)
     g = gamma.generator("b1")
-    first = next(x for x in gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
+    first = next(x for x in gamma.iter_shortlex() if pi_by_formula(state, g, x) != x)
     before = dict(state.anchors)
     witness, image = ensure_faithful(surface_problem, state, g, RADIUS)
     assert witness == first and image == evaluate_pi(state, g, witness) != witness
@@ -150,7 +151,7 @@ def test_ensure_faithful_raises_when_the_ball_is_fixed(surface_problem, monkeypa
     """No deferral path: a ball in which pi(g) fixes every point is an
     engine fault."""
     state = surface_problem.new_state()
-    monkeypatch.setattr(engine, "evaluate_pi", lambda state, g, x, **kw: x)
+    monkeypatch.setattr(engine, "evaluate_pi", lambda state, g, x: x)
     with pytest.raises(engine.EngineError, match="radius 2"):
         ensure_faithful(surface_problem, state, surface_problem.gamma.generator("a1"), 2)
 
@@ -178,7 +179,7 @@ def test_ensure_faithful_undoes_the_pins_of_a_fixed_candidate(surface_problem, m
         if len(tried) > 1:
             return step(state, g, x)
         size = len(state.anchors)
-        state.evaluate(far, commit=True)
+        state.evaluate(far)
         step(state, g, x)
         assert len(state.anchors) > size + 1
         raise engine.EngineError("the element fixes the witness point")
@@ -202,7 +203,8 @@ def test_a_ball_that_pi_fixes_leaves_the_state_unchanged(name, monkeypatch):
     real, fixed_balls = engine.ensure_faithful, []
 
     def checked(problem, state, g, radius):
-        first = next(x for x in problem.gamma.iter_shortlex() if evaluate_pi(state, g, x) != x)
+        first = next(x for x in problem.gamma.iter_shortlex()
+                     if pi_by_formula(state, g, x) != x)
         if not first.is_identity:
             before = views(state)
             with pytest.raises(engine.EngineError, match="fixes every point"):
@@ -450,18 +452,7 @@ def test_monotone_invariant_suite():
             assert ok, reason
             history.append(step)
             assert equivariance_by_evaluation(state)
-            for past in history:
-                if past["kind"] == "transitivity":
-                    mover = parse_word(replay_gamma, past["mover"])
-                    for xj, yj in zip(past["xs"], past["ys"]):
-                        x = parse_word(replay_gamma, xj)
-                        y = parse_word(replay_gamma, yj)
-                        assert evaluate_pi(state, mover, x) == y
-                else:
-                    g = parse_word(replay_gamma, past["element"])
-                    w = parse_word(replay_gamma, past["witness"])
-                    img = parse_word(replay_gamma, past["image"])
-                    assert evaluate_pi(state, g, w) == img != w
+            assert lost_postconditions(state, history) == []
 
 
 def test_extend_triple_tuple(surface_problem):
@@ -571,8 +562,9 @@ def test_a_committed_batch_carries_its_tuple(name):
     """Witnesses off the search's path: with each witness of each
     transitivity step of a 40-step build replaced by each other element of
     its factor's ball(1), the step either rejects its batch or carries xs
-    to ys, and the certificate cut after that step, recording the rebuilt
-    mover, verifies.  On these trials a committed batch implies the mover
+    to ys, every postcondition of the certificate cut after that step,
+    recording the rebuilt mover, holds in the trial state, and the cut
+    verifies.  On these trials a committed batch implies the mover
     check of ``transitivity_step``, which stays as the builder's fault
     detector."""
     problem = EngineProblem(zoo(name).build_group()[0])
@@ -608,6 +600,7 @@ def test_a_committed_batch_carries_its_tuple(name):
                            "steps": [s for s in cert["steps"] if s["index"] < step["index"]]
                            + [entry],
                            "deferred": [d for d in cert["deferred"] if d["index"] < step["index"]]}
+                    assert lost_postconditions(trial, cut["steps"]) == []
                     assert verify_certificate_report(gamma, cut) == (True, "ok")
                     outcomes["committed"] += 1
         before = _detached(state)
